@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -194,3 +195,104 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run(capsys, ["beta", str(path)])
     assert code == 2
+
+
+GOLDEN_CHAIN = {
+    "states": [0, 1, 2],
+    "transition": [[0.7, 0.2, 0.1], [0.25, 0.5, 0.25], [0.1, 0.3, 0.6]],
+    "initial": [0.2, 0.3, 0.5],
+}
+GOLDEN_MDEP_TABLE = {str(s): (s - 1.5) / 15.0 for s in range(4)}
+GOLDEN_DOCS = {
+    "simulate-markov": {
+        "experiment": "deviation",
+        "generator": {"kind": "markov", "seed": 3, "chain": GOLDEN_CHAIN},
+        "family": {"kind": "state_table",
+                   "tables": [{"0": 0.0, "1": 1.0, "2": 0.5}, {"0": 1.0, "1": 0.0, "2": 0.25},
+                              {"0": 0.3, "1": 0.3, "2": 0.9}]},
+        "params": params_doc(epsilon=0.05, n=120, m=4),
+        "entropy_spec": {"entropy": "finite", "n_members": 3},
+        "t_grid": [0.0, 0.02, 0.05, 0.1],
+        "replications": 150,
+    },
+    "simulate-iid": {
+        "experiment": "deviation",
+        "generator": {"kind": "iid", "seed": 4,
+                      "law": {"support": [0, 1, 2], "probs": [0.2, 0.3, 0.5]}},
+        "family": {"kind": "state_table",
+                   "tables": [{"0": 0.0, "1": 1.0, "2": 0.0}, {"0": 0.1, "1": 0.2, "2": 0.7}]},
+        "params": params_doc(epsilon=0.05, n=80, m=1),
+        "entropy_spec": {"entropy": "sauer_shelah", "V": 1, "B": 1.0},
+        "t_grid": [0.0, 0.03, 0.06],
+        "replications": 150,
+    },
+    "simulate-mdep-weak-error": {
+        "experiment": "weak_error",
+        "generator": {"kind": "m_dependent", "seed": 5, "dependence_lag": 2, "alphabet_size": 4,
+                      "phi": GOLDEN_MDEP_TABLE,
+                      "noise": {"values": [-0.1, 0.1], "probs": [0.5, 0.5]},
+                      "response_bound": 0.25},
+        "family": {"kind": "affine_span", "range_bound": 0.25},
+        "truth": GOLDEN_MDEP_TABLE,
+        "params": params_doc(B=0.25, V=3, n=100, m=2),
+        "n_grid": [100, 400, 1600],
+        "replications": 40,
+    },
+    "regress-state-table": {
+        "family": {"kind": "state_table",
+                   "tables": [{"a": 0.0, "b": 0.5, "c": 1.0}, {"a": 0.2, "b": 0.2, "c": 0.9},
+                              {"a": -0.1, "b": 0.6, "c": 0.8}]},
+        "xs": ["a", "c", "b", "b", "c", "a", "c"],
+        "ys": [0.1, 0.95, 0.4, 0.55, 0.85, -0.05, 1.0],
+        "B": 1.0,
+    },
+    "regress-affine-span": {
+        "family": {"kind": "affine_span", "scale": 0.5, "range_bound": 1.0},
+        "xs": [0, 1, 2, 3, 1, 2, 0, 3],
+        "ys": [0.11, 0.27, 0.38, 0.61, 0.22, 0.41, 0.05, 0.58],
+        "B": 1.0,
+    },
+    "beta-chain": {"chain": GOLDEN_CHAIN, "m": 2, "horizon": 16},
+    "couple-joint": {"joint": {"axes": [[0, 1], ["x", "y", "z"]],
+                               "probs": [0.1, 0.25, 0.05, 0.2, 0.1, 0.3]}},
+    "bound-weak-error": {
+        "bound": "weak_error",
+        "params": params_doc(B=0.25, V=3, n=800, m=4,
+                             mixing={"model": "subexponential", "a": 0.5, "b": 0.7, "gamma": 1.0}),
+        "bias": 0.0125,
+    },
+}
+# sha256 of stdout for each (document, command, extra arguments): any change
+# to the output bytes for a fixed (config, seed) fails
+GOLDEN = {
+    ("beta-chain", "beta", ()):
+        "8d3bef6647d9616ed37fbe1d31284119c55656da31b8ccf57f031840460440df",
+    ("bound-weak-error", "bound", ()):
+        "f96a90cba988c84fe344665719ce58879c7435d4cb2c0acc6676c84ac942cc0b",
+    ("couple-joint", "couple", ()):
+        "eaa184729f1aa209084ec837bb101fa2ad9fe781424961de7effc2bf63b4c8f6",
+    ("regress-affine-span", "regress", ()):
+        "2beec5f8bc3fdb9cd4a5ccaa844dcb1e7e64de071ccba3d27d0038d52380f2b0",
+    ("regress-state-table", "regress", ()):
+        "8249fd7c7a3ce45e4bd30aaf717ca54f8902d40873b383210c45bd8450d1c439",
+    ("simulate-iid", "simulate", ()):
+        "7398fe99eeaf693a6a28203a7c7efda9ef1ef497d092abb6ec8dd987b35dc59c",
+    ("simulate-markov", "simulate", ()):
+        "38e8977ee7b1d6271e302e1f53896168cea9a7b5a27b6180b0210fa5133d97b9",
+    ("simulate-markov", "simulate", ("--seed", "11")):
+        "fa5a72c4fe2e3e21780b2d2903a2d2e69faa3942ad12e38dbc5f6c91ede523e1",
+    ("simulate-mdep-weak-error", "simulate", ()):
+        "ef608ec42eb118355ea141ef01990e501d8ccb50997af63bffdbba94e483e80f",
+    ("simulate-mdep-weak-error", "simulate", ("--seed", "9")):
+        "eb4e1baa62bc244f7936425afc2f1c2655e101fd99ba0183171beb738a6cc54d",
+}
+
+
+@pytest.mark.parametrize(
+    "name,command,extra", sorted(GOLDEN), ids=[" ".join((k[0],) + k[2]) for k in sorted(GOLDEN)]
+)
+def test_golden_stdout_bytes(tmp_path, capsys, name, command, extra):
+    cfg = write(tmp_path, f"{name}.json", GOLDEN_DOCS[name])
+    code, out, err = run(capsys, [command, cfg, *extra])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(name, command, extra)]
