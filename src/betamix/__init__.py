@@ -29,6 +29,7 @@ from .entropy import (
 from .errors import (
     BetamixError,
     CapabilityError,
+    ConfigError,
     DegenerateFitError,
     DomainError,
     HypothesisViolationError,

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .stats import wilson_stderr
 
 
 def euclidean(n: int, m: int) -> tuple:
@@ -39,10 +38,6 @@ class Partition:
     @cached_property
     def blocks(self) -> tuple:
         return tuple(range(k, self.n + 1, self.m) for k in range(1, self.m + 1))
-
-    def sizes(self) -> np.ndarray:
-        ks = np.arange(1, self.m + 1)
-        return (self.n - ks) // self.m + 1
 
     def check(self) -> None:
         """Assert the partition invariants in O(1).
@@ -77,23 +72,6 @@ def m_steps_partition(n: int, m: int) -> Partition:
     return Partition(n, m)
 
 
-@dataclass(frozen=True)
-class BoundFunction:
-    """A (sample-size, t) -> bound evaluator with an optional validity threshold.
-
-    Below the threshold the bound is the trivial estimate 1, mirroring the
-    convention of hiding the restriction on t behind an indicator.
-    """
-
-    evaluator: Callable[[int, float], float]
-    validity_threshold: Callable[[int], float] | None = None
-
-    def __call__(self, size: int, t: float) -> float:
-        if self.validity_threshold is not None and t < self.validity_threshold(size):
-            return 1.0
-        return float(self.evaluator(size, t))
-
-
 def lifted_bound(
     base: Callable[[int, float], float],
     n: int,
@@ -126,6 +104,18 @@ def lifted_bound(
     else:
         total = r * hi + (m - r) * lo + n * beta_at_m
     return min(1.0, total)
+
+
+def wilson_stderr(successes: int, trials: int, z: float = 3.0) -> float:
+    """Wilson-score standard error of a Monte Carlo (binomial) frequency.
+
+    Shrinks toward 1/2 with strength z**2 pseudo-counts so the error never
+    collapses to zero at observed frequencies of 0 or 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    center = (successes + z * z / 2.0) / (trials + z * z)
+    return math.sqrt(center * (1.0 - center) / (trials + z * z))
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,13 @@ computation starts and outputs are written whole or not at all.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from . import bounds, coupling, entropy, mixing, regression, simulate
+from . import bounds, config, coupling, entropy, mixing, regression, simulate
 from .blocking import m_steps_partition
-from .errors import BetamixError
-from .mixing import MixingFit
-from .pmf import FinitePmf, chain_from_json, joint_from_json, joint_to_json
-
-
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+from .errors import BetamixError, ConfigError
 
 
 def _emit(doc, output_path, compact=False):
@@ -38,93 +30,34 @@ def _emit(doc, output_path, compact=False):
         sys.stdout.write(text)
 
 
-def family_from_json(doc) -> entropy.FunctionFamily:
-    kind = doc["kind"]
-    if kind == "state_table":
-        members = tuple(
-            (lambda s, tbl={str(k): float(v) for k, v in table.items()}: tbl[str(s)])
-            for table in doc["tables"]
-        )
-        return entropy.FunctionFamily(
-            "explicit-table", members, doc.get("declared_vc"), doc.get("range_bound")
-        )
-    if kind == "affine_span":
-        scale = float(doc.get("scale", 1.0))
-        basis = (lambda s: 1.0, lambda s, a=scale: a * float(s))
-        return entropy.FunctionFamily.linear_span(basis, doc.get("range_bound"))
-    raise BetamixError(f"unknown family kind {kind!r}")
+def _query(answer):
+    """A subcommand that answers one config document with one JSON document."""
+    def run(args) -> int:
+        _emit(answer(config.load(args.config)), args.output)
+        return 0
+    return run
 
 
-def params_from_json(doc) -> bounds.BoundParams:
-    fit = None
-    if "mixing" in doc:
-        mx = doc["mixing"]
-        fit = MixingFit(mx["model"], float(mx["a"]), mx.get("b"), float(mx["gamma"]))
-    return bounds.BoundParams(
-        epsilon=float(doc["epsilon"]),
-        c=float(doc["c"]),
-        gamma=float(doc["gamma"]),
-        gamma_prime=float(doc["gamma_prime"]),
-        lam=float(doc["lambda"]),
-        B=float(doc["B"]),
-        V=int(doc["V"]),
-        n=int(doc["n"]),
-        m=int(doc.get("m", 1)),
-        mixing=fit,
-    )
+def _beta(doc) -> dict:
+    source = doc.one_of(("chain", "joint", "process"))
+    if source == "chain":
+        chain = config.chain(doc.section("chain"))
+        m, horizon = doc.get("m", int, 1), doc.get("horizon", int, 64)
+        return {"beta": mixing.markov_beta(chain, m, horizon=horizon), "m": m, "horizon": horizon}
+    if source == "joint":
+        return {"beta": mixing.beta_coefficient(config.joint(doc.section("joint")))}
+    process, m = config.joint(doc.section("process")), doc.get("m", int, 1)
+    return {"beta_max": mixing.beta_max(process, m), "m": m}
 
 
-def entropy_from_json(doc) -> entropy.EntropyEstimate:
-    kind = doc.get("entropy", "sauer_shelah")
-    if kind == "sauer_shelah":
-        return entropy.sauer_shelah_estimate(int(doc["V"]), float(doc["B"]))
-    if kind == "neural_net":
-        return entropy.neural_net_estimate(int(doc["N"]), int(doc["d"]), float(doc["B"]))
-    if kind == "finite":
-        return entropy.finite_family_entropy(int(doc["n_members"]))
-    if kind == "zero":
-        return entropy.zero_entropy()
-    raise BetamixError(f"unknown entropy kind {kind!r}")
-
-
-def _cmd_beta(args) -> int:
-    doc = _load_json(args.config)
-    if "chain" in doc:
-        chain = chain_from_json(doc["chain"])
-        m = int(doc.get("m", 1))
-        horizon = int(doc.get("horizon", 64))
-        out = {"beta": mixing.markov_beta(chain, m, horizon=horizon), "m": m, "horizon": horizon}
-    elif "joint" in doc:
-        out = {"beta": mixing.beta_coefficient(joint_from_json(doc["joint"]))}
-    elif "process" in doc:
-        process = joint_from_json(doc["process"])
-        m = int(doc.get("m", 1))
-        out = {"beta_max": mixing.beta_max(process, m), "m": m}
-    else:
-        raise BetamixError("beta config needs one of: chain, joint, process")
-    _emit(out, args.output)
-    return 0
-
-
-def _cmd_couple(args) -> int:
-    doc = _load_json(args.config)
-    if "joint" in doc:
-        original = joint_from_json(doc["joint"])
-        result = coupling.berbee_couple(original)
-    elif "process" in doc:
-        original = joint_from_json(doc["process"])
-        result = coupling.generalized_berbee(original)
-    else:
-        raise BetamixError("couple config needs one of: joint, process")
-    report = coupling.verify_coupling(result, original)
+def _couple(doc) -> dict:
+    source = doc.one_of(("joint", "process"))
+    original = config.joint(doc.section(source))
+    couple = coupling.berbee_couple if source == "joint" else coupling.generalized_berbee
+    result = couple(original)
     out = result.to_json()
-    out["verification"] = {
-        "marginal_error": report.marginal_error,
-        "independence_error": report.independence_error,
-        "mismatch_error": report.mismatch_error,
-    }
-    _emit(out, args.output)
-    return 0
+    out["verification"] = dataclasses.asdict(coupling.verify_coupling(result, original))
+    return out
 
 
 def _cmd_partition(args) -> int:
@@ -134,92 +67,62 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _cmd_entropy(args) -> int:
-    doc = _load_json(args.config)
-    kind = doc.get("entropy", "sauer_shelah")
-    if kind in ("exact_cover", "greedy_cover"):
-        values = np.asarray(doc["values"], dtype=float)
-        r = float(doc["r"])
-        fn = entropy.covering_number_exact if kind == "exact_cover" else entropy.covering_number_greedy
-        out = {"covering_number": fn(values, r), "r": r}
-    else:
-        est = entropy_from_json(doc)
-        out = {"entropy": est(int(doc.get("size", 1)), float(doc["r"])), "r": float(doc["r"])}
-    _emit(out, args.output)
-    return 0
+def _entropy(doc) -> dict:
+    covers = {"exact_cover": entropy.covering_number_exact, "greedy_cover": entropy.covering_number_greedy}
+    kind = doc.kind("entropy", tuple(covers) + config.ENTROPY_ESTIMATES, "sauer_shelah")
+    r = doc.get("r", float)
+    if kind in covers:
+        return {"covering_number": covers[kind](doc.get("values", config.floats(None, None)), r), "r": r}
+    est, size = config.entropy_estimate(doc), doc.get("size", int, 1)
+    return {"entropy": est(size, r), "r": r}
 
 
-def _cmd_bound(args) -> int:
-    doc = _load_json(args.config)
-    params = params_from_json(doc["params"])
-    kind = doc.get("bound", "beta_deviation")
+def _bound(doc) -> dict:
+    params = config.params(doc.section("params"))
+    kinds = ("indep_deviation", "beta_deviation", "weak_error", "subexp_rate", "subpoly_rate")
+    kind = doc.kind("bound", kinds, "beta_deviation")
+    if kind == "weak_error":
+        bias, beta = doc.get("bias", float, 0.0), doc.get("beta_at_m", float, None)
+        breakdown = bounds.weak_error_bound(params, bias, beta)
+        return {**dataclasses.asdict(breakdown), "total": breakdown.total}
+    if kind in ("subexp_rate", "subpoly_rate"):
+        rate = bounds.subexp_rate if kind == "subexp_rate" else bounds.subpoly_rate
+        return {"rate": rate(params, doc.get("C", float))}
+    est, t = config.entropy_estimate(doc.section("entropy_spec")), doc.get("t", float)
     if kind == "indep_deviation":
-        est = entropy_from_json(doc["entropy_spec"])
-        out = {
-            "bound": bounds.indep_deviation_bound(params, est, int(doc.get("size", params.n)), float(doc["t"]))
-        }
-    elif kind == "beta_deviation":
-        est = entropy_from_json(doc["entropy_spec"])
-        out = {"bound": bounds.beta_deviation_bound(params, est, float(doc["t"]), doc.get("beta_at_m"))}
-    elif kind == "weak_error":
-        breakdown = bounds.weak_error_bound(params, float(doc.get("bias", 0.0)), doc.get("beta_at_m"))
-        out = {
-            "variance_term": breakdown.variance_term,
-            "beta_error_term": breakdown.beta_error_term,
-            "scaled_bias_term": breakdown.scaled_bias_term,
-            "total": breakdown.total,
-        }
-    elif kind == "subexp_rate":
-        out = {"rate": bounds.subexp_rate(params, float(doc["C"]))}
-    elif kind == "subpoly_rate":
-        out = {"rate": bounds.subpoly_rate(params, float(doc["C"]))}
-    else:
-        raise BetamixError(f"unknown bound kind {kind!r}")
-    _emit(out, args.output)
-    return 0
+        return {"bound": bounds.indep_deviation_bound(params, est, doc.get("size", int, params.n), t)}
+    return {"bound": bounds.beta_deviation_bound(params, est, t, doc.get("beta_at_m", float, None))}
 
 
-def _cmd_regress(args) -> int:
-    doc = _load_json(args.config)
-    family = family_from_json(doc["family"])
-    data = regression.Dataset(
-        xs=tuple(doc["xs"]),
-        ys=np.asarray(doc["ys"], dtype=float),
-        response_bound=doc.get("response_bound"),
-    )
-    result = regression.fit_least_squares(data, family, float(doc["B"]))
+def _regress(doc) -> dict:
+    data = config.regression_data(doc)
+    family = config.family(doc.section("family"), data.states)
+    result = regression.fit_least_squares(data, family, doc.get("B", float))
     out = {"empirical_risk": result.empirical_risk, "ridge_used": result.ridge_used}
     if result.member_index is not None:
         out["member_index"] = result.member_index
     if result.coefficients is not None:
         out["coefficients"] = result.coefficients.tolist()
-    _emit(out, args.output)
-    return 0
+    return out
 
 
-def _run_experiment(doc, seed_override=None):
-    gen_doc = dict(doc["generator"])
-    if seed_override is not None:
-        gen_doc["seed"] = seed_override
-    spec = simulate.spec_from_json(gen_doc)
-    family = family_from_json(doc["family"])
-    params = params_from_json(doc["params"])
-    replications = int(doc["replications"])
-    if doc.get("experiment", "deviation") == "deviation":
-        est = entropy_from_json(doc["entropy_spec"])
-        return simulate.deviation_experiment(
-            spec, family, params, est, [float(t) for t in doc["t_grid"]], replications
-        )
-    truth_tbl = {str(k): float(v) for k, v in doc["truth"].items()}
-    truth = lambda s: truth_tbl[str(s)]
-    return simulate.weak_error_experiment(
-        spec, family, params, truth, [int(n) for n in doc["n_grid"]], replications
-    )
+def _run_experiment(args) -> simulate.ExperimentReport:
+    doc = config.load(args.config)
+    kind = doc.kind("experiment", ("deviation", "weak_error"), "deviation")
+    spec = config.generator(doc.section("generator"), args.seed)
+    family = config.family(doc.section("family"), spec.states())
+    params, replications = config.params(doc.section("params")), doc.get("replications", int)
+    if kind == "deviation":
+        est = config.entropy_estimate(doc.section("entropy_spec"))
+        t_grid = doc.get("t_grid", config.floats(None)).tolist()
+        return simulate.deviation_experiment(spec, family, params, est, t_grid, replications)
+    truth = config.state_values(doc.section("truth"), spec.states())
+    n_grid = doc.get("n_grid", config.floats(None)).astype(int).tolist()
+    return simulate.weak_error_experiment(spec, family, params, truth, n_grid, replications)
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
-    report = _run_experiment(doc, args.seed)
+    report = _run_experiment(args)
     if args.format == "csv" and args.output:
         report.to_csv(args.output)
     else:
@@ -228,8 +131,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = _load_json(args.config)
-    report = _run_experiment(doc, args.seed)
+    report = _run_experiment(args)
     _emit(report.to_json(), args.output)
     if not report.all_dominant:
         sys.stderr.write("dominance violated: at least one frequency + 3*stderr exceeds its bound\n")
@@ -242,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="betamix",
         description="Dependence coefficients, couplings, and deviation bounds on finite spaces.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for simulate/entropy")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, fn, needs_config=True):
@@ -255,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add("beta", _cmd_beta)
-    add("couple", _cmd_couple)
+    add("beta", _query(_beta))
+    add("couple", _query(_couple))
     p = add("partition", _cmd_partition, needs_config=False)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    add("entropy", _cmd_entropy)
-    add("bound", _cmd_bound)
-    add("regress", _cmd_regress)
+    add("entropy", _query(_entropy))
+    add("bound", _query(_bound))
+    add("regress", _query(_regress))
     add("simulate", _cmd_simulate)
     add("verify", _cmd_verify)
     return parser
@@ -272,10 +173,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ConfigError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 2
     except BetamixError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"i/o error: {exc!r}\n")
         return 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedInputError, SizeError
-from .mixing import beta_coefficient, pairwise_beta
+from .mixing import pairwise_beta
 from .pmf import JointPmf
 
 
@@ -211,10 +211,6 @@ def verify_coupling(result: CouplingResult, original: JointPmf) -> CouplingRepor
 
     mm_err = 0.0
     for k, mm in zip(result.starred_indices, result.mismatch_probs):
-        if n == 2 and result.starred_indices == (1,):
-            ref = beta_coefficient(original)
-        else:
-            ref = pairwise_beta(original, tuple(range(k)), (k,))
-        mm_err = max(mm_err, abs(mm - ref))
+        mm_err = max(mm_err, abs(mm - pairwise_beta(original, tuple(range(k)), (k,))))
 
     return CouplingReport(marg_err, indep_err, mm_err)

@@ -1,4 +1,5 @@
-"""Empirical L1 covering numbers and closed-form uniform entropy estimates.
+"""Hypothesis classes on a finite state alphabet, their empirical L1 covering
+numbers, and closed-form uniform entropy estimates.
 
 Exact covering numbers are minimal internal covers found by exhaustive set
 cover (small families only); the greedy farthest-point cover provides an upper
@@ -10,11 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, MalformedInputError, SizeError
 
 EXACT_COVER_MAX_MEMBERS = 20
 # strict d < r implemented with a margin to avoid boundary flapping
@@ -23,40 +24,30 @@ STRICT_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """A finite, evaluable hypothesis class.
+    """A hypothesis class on a finite state alphabet, held as arrays over ``states``.
 
-    ``members`` are callables from input points to reals.  Linear spans carry
-    their basis instead (``members`` empty); they are fitted, not enumerated.
+    A finite family carries a member-by-state value ``table``.  A truncated
+    linear span carries a state-by-basis ``design`` instead; it is fitted, not
+    enumerated, and declares the VC bound dim + 1 unless told otherwise.
     """
 
-    kind: str
-    members: tuple = ()
+    states: tuple
+    table: np.ndarray | None = None
+    design: np.ndarray | None = None
     declared_vc: int | None = None
     range_bound: float | None = None
-    basis: tuple = ()
 
-    def values(self, points: Sequence) -> np.ndarray:
-        """Member-by-point value matrix."""
-        return np.array([[float(f(z)) for z in points] for f in self.members])
-
-    @staticmethod
-    def from_table(values, declared_vc=None, range_bound=None) -> "FunctionFamily":
-        """Explicit table family: points are the integer indices 0..n_points-1."""
-        table = np.asarray(values, dtype=float)
-        members = tuple((lambda j, row=row: float(row[int(j)])) for row in table)
-        return FunctionFamily("explicit-table", members, declared_vc, range_bound)
-
-    @staticmethod
-    def linear_span(basis: Sequence[Callable], range_bound=None) -> "FunctionFamily":
-        """Truncated linear span; declared VC bound is dim + 1."""
-        basis = tuple(basis)
-        return FunctionFamily(
-            "linear-span-truncated",
-            (),
-            declared_vc=vc_dimension_bound(len(basis)),
-            range_bound=range_bound,
-            basis=basis,
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "states", tuple(self.states))
+        if (self.table is None) == (self.design is None):
+            raise MalformedInputError("a family needs exactly one of table and design")
+        name, axis = ("table", 1) if self.design is None else ("design", 0)
+        values = np.array(getattr(self, name), dtype=float)
+        if values.ndim != 2 or values.shape[axis] != len(self.states) or values.size == 0:
+            raise MalformedInputError(f"{name} {values.shape} is not a nonempty array over the states")
+        object.__setattr__(self, name, values)
+        if name == "design" and self.declared_vc is None:
+            object.__setattr__(self, "declared_vc", vc_dimension_bound(values.shape[1]))
 
 
 def l1_distances(values: np.ndarray) -> np.ndarray:
@@ -155,35 +146,23 @@ def vc_dimension_bound(linear_dim: int) -> int:
     return linear_dim + 1
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
-    """A (sample-size, radius) -> log-covering-bound evaluator.
-
-    ``valid_radius`` is the closed interval of radii where the underlying
-    closed form applies as printed.
-    """
-
-    evaluator: Callable[[int, float], float]
-    valid_radius: tuple = (0.0, math.inf)
-
-    def __call__(self, size: int, r: float) -> float:
-        return float(self.evaluator(size, r))
+EntropyEstimate = Callable[[int, float], float]  # (sample size, radius) -> log covering bound
 
 
 def sauer_shelah_estimate(V: int, B: float) -> EntropyEstimate:
-    return EntropyEstimate(lambda size, r: sauer_shelah_entropy(V, B, r), (0.0, B / 4.0))
+    return lambda size, r: sauer_shelah_entropy(V, B, r)
 
 
 def neural_net_estimate(N: int, d: int, B: float) -> EntropyEstimate:
-    return EntropyEstimate(lambda size, r: neural_net_entropy(N, d, B, r), (0.0, B / 2.0))
+    return lambda size, r: neural_net_entropy(N, d, B, r)
 
 
 def finite_family_entropy(n_members: int) -> EntropyEstimate:
     """log(n_members) is always a valid uniform entropy estimate for a finite class."""
     if n_members < 1:
         raise DomainError("n_members must be >= 1")
-    return EntropyEstimate(lambda size, r: math.log(n_members))
+    return lambda size, r: math.log(n_members)
 
 
 def zero_entropy() -> EntropyEstimate:
-    return EntropyEstimate(lambda size, r: 0.0)
+    return lambda size, r: 0.0

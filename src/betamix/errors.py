@@ -27,3 +27,7 @@ class DegenerateFitError(BetamixError):
 
 class HypothesisViolationError(BetamixError):
     """A closed-form bound was requested outside its stated hypotheses."""
+
+
+class ConfigError(BetamixError):
+    """A config document lacks a field, or holds a value of the wrong type, kind or shape."""

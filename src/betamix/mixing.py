@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DegenerateFitError, MalformedInputError
 from .pmf import JointPmf, MarkovChainSpec
 
+MIXING_MODELS = ("subexponential", "subpolynomial")
+
 
 def beta_coefficient(joint: JointPmf) -> float:
     """Dependence coefficient between the two coordinates of a two-axis joint.
@@ -53,9 +55,7 @@ def beta_m_dependence(process: JointPmf, m: int, l: int, indices: Sequence[int] 
     idx = _resolve_indices(process, indices)
     left = tuple(pos for pos, j in enumerate(idx) if j <= l - m)
     right = tuple(pos for pos, j in enumerate(idx) if j == l)
-    if not left or not right:
-        return 0.0
-    return beta_coefficient(process.grouped(left, right))
+    return pairwise_beta(process, left, right)
 
 
 def beta_max(process: JointPmf, m: int, indices: Sequence[int] | None = None) -> float:
@@ -105,6 +105,12 @@ class MixingFit:
     b: float | None
     gamma: float
 
+    def __post_init__(self):
+        if self.model not in MIXING_MODELS:
+            raise MalformedInputError(f"unknown model {self.model!r}")
+        if self.model == "subexponential" and self.b is None:
+            raise MalformedInputError("the subexponential model needs a rate b")
+
     def envelope(self, m) -> float:
         m = np.asarray(m, dtype=float)
         if self.model == "subexponential":
@@ -128,7 +134,7 @@ def fit_mixing_rate(
     points.  The amplitude a is then set to the smallest value giving pointwise
     dominance, which is re-verified before returning.
     """
-    if model not in ("subexponential", "subpolynomial"):
+    if model not in MIXING_MODELS:
         raise MalformedInputError(f"unknown model {model!r}")
     pts = [(float(m), float(v)) for m, v in points]
     if any(m < 1 for m, _ in pts):

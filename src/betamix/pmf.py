@@ -8,7 +8,6 @@ construction time and keep the full grid in memory (with a hard cell cap).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -168,10 +167,7 @@ class MarkovChainSpec:
         """Law of the chain at time ``step`` (1-based; step 1 is the initial law)."""
         if step < 1:
             raise MalformedInputError("step must be >= 1")
-        mu = self.initial.probs.copy()
-        for _ in range(step - 1):
-            mu = mu @ self.transition
-        return mu
+        return self.marginal_matrix(step)[-1]
 
     def marginal_matrix(self, n: int) -> np.ndarray:
         """Stacked marginals mu_1..mu_n as an (n, states) array."""
@@ -181,32 +177,6 @@ class MarkovChainSpec:
             out[j] = mu
             mu = mu @ self.transition
         return out
-
-
-def chain_from_json(doc) -> MarkovChainSpec:
-    """Build a MarkovChainSpec from {"states": [...], "transition": [[...]], "initial": [...]}."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    try:
-        states = tuple(doc["states"])
-        transition = np.asarray(doc["transition"], dtype=float)
-        initial = FinitePmf(states, np.asarray(doc["initial"], dtype=float))
-    except (KeyError, TypeError) as exc:
-        raise MalformedInputError(f"malformed chain document: {exc}") from exc
-    return MarkovChainSpec(states, transition, initial)
-
-
-def joint_from_json(doc, cell_cap: int = DEFAULT_CELL_CAP) -> JointPmf:
-    """Build a JointPmf from {"axes": [[...], ...], "probs": [...]} (row-major probs)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    try:
-        axes = tuple(tuple(ax) for ax in doc["axes"])
-        shape = tuple(len(ax) for ax in axes)
-        probs = np.asarray(doc["probs"], dtype=float).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"malformed joint document: {exc}") from exc
-    return JointPmf(axes, probs, cell_cap=cell_cap)
 
 
 def joint_to_json(joint: JointPmf) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,23 +21,29 @@ RIDGE = 1e-10
 
 @dataclass(frozen=True)
 class Dataset:
-    """An observed (x, y) sample, optionally with exact per-index input laws.
+    """An observed (x, y) sample on a finite state alphabet.
 
-    ``marginal_laws`` has one row per index giving the law of X_k over
-    ``states``; it is what makes average means exactly computable.
+    ``index`` holds the position in ``states`` of each observed input.
+    ``marginal_laws``, when present, has one row per index giving the law of
+    X_k over ``states``; it is what makes average means exactly computable.
     """
 
-    xs: tuple
+    states: tuple
+    index: np.ndarray
     ys: np.ndarray
-    states: tuple | None = None
     marginal_laws: np.ndarray | None = None
     response_bound: float | None = None
 
     def __post_init__(self):
+        index = np.asarray(self.index, dtype=np.intp)
         ys = np.asarray(self.ys, dtype=float)
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "ys", ys)
-        if len(self.xs) != ys.shape[0] or ys.shape[0] < 1:
-            raise MalformedInputError("xs and ys must share a positive length")
+        if index.ndim != 1 or index.shape != ys.shape or ys.shape[0] < 1:
+            raise MalformedInputError("index and ys must share a positive length")
+        if index.min() < 0 or index.max() >= len(self.states):
+            raise MalformedInputError(f"state indices must lie in 0..{len(self.states) - 1}")
         if self.response_bound is not None and np.abs(ys).max() > self.response_bound + 1e-12:
             raise MalformedInputError(
                 f"responses exceed the declared bound {self.response_bound}"
@@ -45,20 +51,20 @@ class Dataset:
         if self.marginal_laws is not None:
             laws = np.asarray(self.marginal_laws, dtype=float)
             object.__setattr__(self, "marginal_laws", laws)
-            if self.states is None or laws.shape != (ys.shape[0], len(self.states)):
-                raise MalformedInputError("marginal_laws must be (n, n_states) with states named")
+            if laws.shape != (ys.shape[0], len(self.states)):
+                raise MalformedInputError("marginal_laws must be (n, n_states)")
 
     @property
-    def n(self) -> int:
-        return self.ys.shape[0]
+    def xs(self) -> tuple:
+        """The observed inputs as state labels."""
+        return tuple(self.states[i] for i in self.index.tolist())
 
 
 def truncate(value, B: float):
     """Clamp to [-B, B]; the identity on values already inside."""
     if B <= 0:
         raise DomainError("B must be positive")
-    clipped = np.clip(value, -B, B)
-    return float(clipped) if np.ndim(value) == 0 else clipped
+    return np.clip(value, -B, B)
 
 
 def empirical_mean(values) -> float:
@@ -69,29 +75,34 @@ def empirical_mean(values) -> float:
     return float(values.mean())
 
 
-def average_mean(f: Callable, laws: np.ndarray | None, states: Sequence | None) -> float:
-    """Average of per-index expectations of f under the exact marginal laws."""
-    if laws is None or states is None:
+def average_mean(values, laws: np.ndarray | None) -> float:
+    """Average over indices of the expectation of ``values`` (one per state) under the exact laws."""
+    if laws is None:
         raise CapabilityError("average mean requires exact marginal laws")
     laws = np.asarray(laws, dtype=float)
     if laws.size == 0:
         raise DomainError("empty index set")
-    fs = np.array([float(f(s)) for s in states])
-    if laws.ndim == 1:
-        return float(laws @ fs)
-    return float((laws @ fs).mean())
+    return float((laws @ np.asarray(values, dtype=float)).mean())
 
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """A fitted member, its truncation, and the achieved objective value."""
+    """A fitted member and its truncation, as values over the family's states."""
 
-    fitted: Callable
-    truncated: Callable
+    fitted: np.ndarray
+    truncated: np.ndarray
     empirical_risk: float
     member_index: int | None = None
     coefficients: np.ndarray | None = None
     ridge_used: bool = False
+
+
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(coefficients, ridge used) of the normal equations, with a small ridge when singular."""
+    try:
+        return np.linalg.solve(gram, rhs), False
+    except np.linalg.LinAlgError:
+        return np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), rhs), True
 
 
 def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> RegressionResult:
@@ -103,60 +114,55 @@ def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> Regres
     """
     if B <= 0:
         raise DomainError("B must be positive")
+    if family.states != data.states:
+        raise MalformedInputError("the family and the data must share one state alphabet")
     ys = data.ys
-    if family.kind == "linear-span-truncated":
-        if not family.basis:
-            raise DomainError("empty basis")
-        design = np.array([[float(g(x)) for g in family.basis] for x in data.xs])
-        gram = design.T @ design
-        rhs = design.T @ ys
-        ridge_used = False
-        try:
-            coef = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            coef = np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), rhs)
-            ridge_used = True
-        basis = family.basis
-        fitted = lambda x, c=coef: float(sum(ci * g(x) for ci, g in zip(c, basis)))
+    if family.design is not None:
+        design = family.design[data.index]
+        coef, ridge_used = _solve_normal(design.T @ design, design.T @ ys)
+        # one basis column at a time, so each value rounds as the scalar sum
+        # c_0 g_0(s) + c_1 g_1(s) + ... does (a matrix product may fuse steps)
+        fitted = sum(c * column for c, column in zip(coef, family.design.T))
         risk = float(np.mean((design @ coef - ys) ** 2))
-        truncated = lambda x, f=fitted: truncate(f(x), B)
-        return RegressionResult(fitted, truncated, risk, coefficients=coef, ridge_used=ridge_used)
-
-    if not family.members:
-        raise DomainError("empty family")
-    values = family.values(data.xs)
+        return RegressionResult(fitted, truncate(fitted, B), risk, coefficients=coef, ridge_used=ridge_used)
+    values = family.table[:, data.index]
     risks = ((values - ys[None, :]) ** 2).mean(axis=1)
     i = int(np.argmin(risks))
-    fitted = family.members[i]
-    truncated = lambda x, f=fitted: truncate(f(x), B)
-    return RegressionResult(fitted, truncated, float(risks[i]), member_index=i)
+    fitted = family.table[i]
+    return RegressionResult(fitted, truncate(fitted, B), float(risks[i]), member_index=i)
 
 
 def loss_difference_family(
-    family: FunctionFamily, B: float, truth: Callable | None
+    family: FunctionFamily, B: float, truth: np.ndarray | None, responses
 ) -> FunctionFamily:
     """The family of excess-loss functions g_f(x, y) = (y - f(x))^2 - (y - truth(x))^2.
 
+    Tabulated over the pair alphabet states x ``responses``, in that order.
     With responses and members bounded by B = 1/4 every member is [-1, 1]
     valued, the normalization the deviation bounds assume.
     """
     if truth is None:
         raise CapabilityError("loss-difference family requires the true regression function")
-    if not family.members:
+    if family.table is None:
         raise CapabilityError("loss-difference family requires an enumerable family")
-    members = tuple(
-        (lambda xy, f=f: (xy[1] - float(f(xy[0]))) ** 2 - (xy[1] - float(truth(xy[0]))) ** 2)
-        for f in family.members
+    ys = np.asarray(responses, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    table = (ys - family.table[:, :, None]) ** 2 - (ys - truth[:, None]) ** 2
+    return FunctionFamily(
+        tuple((s, y) for s in family.states for y in ys.tolist()),
+        table=table.reshape(table.shape[0], -1),
+        declared_vc=family.declared_vc,
+        range_bound=1.0,
     )
-    return FunctionFamily("explicit-table", members, family.declared_vc, range_bound=1.0)
 
 
-def _average_sq_distance(f: Callable, truth: Callable, laws: np.ndarray, states) -> float:
-    diffs = np.array([(float(f(s)) - float(truth(s))) ** 2 for s in states])
-    return float((laws @ diffs).mean())
+def _average_sq_distance(values: np.ndarray, truth: np.ndarray, laws: np.ndarray) -> float:
+    # float_power squares through libm pow, as Python's float ** 2 does; numpy's
+    # x ** 2 differs from it in the last bit on some inputs
+    return float((laws @ np.float_power(values - truth, 2.0)).mean())
 
 
-def family_bias(family: FunctionFamily, truth: Callable, laws: np.ndarray, states, B: float) -> float:
+def family_bias(family: FunctionFamily, truth: np.ndarray, laws: np.ndarray, B: float) -> float:
     """inf over the family of the average-mean squared distance to the truth.
 
     Finite families: exhaustive.  Truncated linear spans: the weighted
@@ -164,23 +170,14 @@ def family_bias(family: FunctionFamily, truth: Callable, laws: np.ndarray, state
     inactive at the projection (in particular whenever the truth lies in the
     span with values in [-B, B], where the bias is 0).
     """
-    if family.kind == "linear-span-truncated":
+    truth = np.asarray(truth, dtype=float)
+    if family.design is not None:
         weights = np.asarray(laws, dtype=float).mean(axis=0)
-        design = np.array([[float(g(s)) for g in family.basis] for s in states])
-        target = np.array([float(truth(s)) for s in states])
-        gram = design.T @ (weights[:, None] * design)
-        try:
-            coef = np.linalg.solve(gram, design.T @ (weights * target))
-        except np.linalg.LinAlgError:
-            coef = np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), design.T @ (weights * target))
+        design = family.design
+        coef, _ = _solve_normal(design.T @ (weights[:, None] * design), design.T @ (weights * truth))
         proj = np.clip(design @ coef, -B, B)
-        return float(weights @ (proj - target) ** 2)
-    if not family.members:
-        raise DomainError("empty family")
-    return min(
-        _average_sq_distance(lambda s, f=f: truncate(float(f(s)), B), truth, laws, states)
-        for f in family.members
-    )
+        return float(weights @ (proj - truth) ** 2)
+    return min(_average_sq_distance(truncate(row, B), truth, laws) for row in family.table)
 
 
 @dataclass(frozen=True)
@@ -198,17 +195,21 @@ def weak_error(
     generate_fn: Callable[[int], Dataset],
     family: FunctionFamily,
     B: float,
-    truth: Callable,
+    truth: np.ndarray,
     replications: int,
 ) -> WeakErrorEstimate:
     """Estimate E[average-mean |T_B fit - truth|^2] over fresh replications.
 
-    ``generate_fn(rep)`` must return datasets carrying exact marginal laws; the
-    bias inf over the family is computed once from the first replication's
-    laws (deterministic given the generator).
+    ``truth`` holds the true regression function's value at each of the
+    family's states.  ``generate_fn(rep)`` must return datasets carrying
+    exact marginal laws; the bias inf over the family is computed once from
+    the first replication's laws (deterministic given the generator).
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (len(family.states),):
+        raise MalformedInputError("truth needs one value per state of the family")
     errors = np.empty(replications)
     bias = None
     for rep in range(replications):
@@ -216,10 +217,8 @@ def weak_error(
         if data.marginal_laws is None:
             raise CapabilityError("weak error requires exact marginal laws")
         result = fit_least_squares(data, family, B)
-        errors[rep] = _average_sq_distance(
-            result.truncated, truth, data.marginal_laws, data.states
-        )
+        errors[rep] = _average_sq_distance(result.truncated, truth, data.marginal_laws)
         if bias is None:
-            bias = family_bias(family, truth, data.marginal_laws, data.states, B)
+            bias = family_bias(family, truth, data.marginal_laws, B)
     stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     return WeakErrorEstimate(float(errors.mean()), stderr, float(bias), replications, errors)

@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .blocking import wilson_stderr
 from .bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError
 from .mixing import markov_beta
 from .pmf import FinitePmf, MarkovChainSpec
 from .regression import Dataset, weak_error
-from .stats import wilson_stderr
 
 
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
@@ -39,7 +37,8 @@ class GeneratorSpec:
 
     kinds: "markov" (needs ``chain``), "m_dependent" (sliding window of width
     ``dependence_lag`` over i.i.d. uniform seeds modulo ``alphabet_size``),
-    "iid" (needs ``law``).  Responses are phi(x) plus discrete noise.
+    "iid" (needs ``law``).  Responses are phi(x) plus discrete noise, with
+    ``phi`` given as its value at each of ``states()`` (zero when omitted).
     """
 
     kind: str
@@ -48,7 +47,7 @@ class GeneratorSpec:
     dependence_lag: int | None = None
     alphabet_size: int | None = None
     law: FinitePmf | None = None
-    phi: Callable | None = None
+    phi: np.ndarray | None = None
     noise_values: tuple = (0.0,)
     noise_probs: tuple = (1.0,)
     response_bound: float | None = None
@@ -67,6 +66,11 @@ class GeneratorSpec:
             raise MalformedInputError("iid kind requires a law")
         if abs(sum(self.noise_probs) - 1.0) > 1e-12 or min(self.noise_probs) < 0:
             raise MalformedInputError("noise_probs must be a pmf")
+        k = len(self.states())
+        phi = np.zeros(k) if self.phi is None else np.array(self.phi, dtype=float)
+        if phi.shape != (k,):
+            raise MalformedInputError(f"phi needs one value per state, got shape {phi.shape}")
+        object.__setattr__(self, "phi", phi)
 
     def states(self) -> tuple:
         if self.kind == "markov":
@@ -98,26 +102,31 @@ class GeneratorSpec:
         return 0.0
 
 
-def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> list:
+def inverse_cdf(probs) -> np.ndarray:
+    """Cumulative sums along the last axis for searchsorted(side="right") draws, with the
+    total (and any zero-mass tail sharing it) pinned to 1.0 so that a pmf short of 1
+    within tolerance cannot map a draw past its last state."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[cum >= cum[..., -1:]] = 1.0
+    return cum
+
+
+def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices into ``spec.states()`` of one sampled path of length n."""
     if spec.kind == "markov":
-        chain = spec.chain
-        cum_init = np.cumsum(chain.initial.probs)
-        cum_rows = np.cumsum(chain.transition, axis=1)
+        cum_rows = inverse_cdf(spec.chain.transition)
         u = rng.random(n)
-        idx = int(np.searchsorted(cum_init, u[0], side="right"))
+        idx = int(np.searchsorted(inverse_cdf(spec.chain.initial.probs), u[0], side="right"))
         path = [idx]
         for j in range(1, n):
             idx = int(np.searchsorted(cum_rows[idx], u[j], side="right"))
             path.append(idx)
-        return [chain.states[i] for i in path]
+        return np.array(path)
     if spec.kind == "m_dependent":
         k, lag = spec.alphabet_size, spec.dependence_lag
         w = rng.integers(0, k, size=n + lag - 1)
-        sums = np.convolve(w, np.ones(lag, dtype=int), mode="valid") % k
-        return [int(s) for s in sums]
-    cum = np.cumsum(spec.law.probs)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return [spec.law.support[int(i)] for i in idx]
+        return np.convolve(w, np.ones(lag, dtype=int), mode="valid") % k
+    return np.searchsorted(inverse_cdf(spec.law.probs), rng.random(n), side="right")
 
 
 def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
@@ -125,17 +134,15 @@ def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = replication_rng(spec.seed, replication)
-    xs = _sample_states(spec, n, rng)
-    phi = spec.phi if spec.phi is not None else (lambda s: 0.0)
+    index = _sample_states(spec, n, rng)
     noise_values = np.asarray(spec.noise_values, dtype=float)
     noise = noise_values[
-        np.searchsorted(np.cumsum(spec.noise_probs), rng.random(n), side="right")
+        np.searchsorted(inverse_cdf(spec.noise_probs), rng.random(n), side="right")
     ]
-    ys = np.array([float(phi(x)) for x in xs]) + noise
     return Dataset(
-        xs=tuple(xs),
-        ys=ys,
         states=spec.states(),
+        index=index,
+        ys=spec.phi[index] + noise,
         marginal_laws=spec.marginal_laws(n),
         response_bound=spec.response_bound,
     )
@@ -163,12 +170,6 @@ class ExperimentReport:
         return all(row["dominant"] for row in self.rows)
 
 
-def _dominance(frequency: float, stderr: float, bound: float) -> tuple:
-    vacuous = bound >= 1.0
-    dominant = vacuous or frequency + 3.0 * stderr <= bound
-    return dominant, vacuous
-
-
 def deviation_experiment(
     spec: GeneratorSpec,
     family: FunctionFamily,
@@ -176,7 +177,6 @@ def deviation_experiment(
     entropy: EntropyEstimate,
     t_grid: Sequence[float],
     replications: int,
-    beta_at_m: float | None = None,
 ) -> ExperimentReport:
     """Frequency of the uniform deviation event against its closed-form bound.
 
@@ -187,21 +187,19 @@ def deviation_experiment(
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
-    if not family.members:
+    table = family.table  # (members, n_states)
+    if table is None:
         raise DomainError("the deviation experiment needs an enumerable family")
+    if family.states != spec.states():
+        raise MalformedInputError("the family must be tabulated over the generator's states")
     n, m = params.n, params.m
-    states = spec.states()
-    table = family.values(states)  # (members, n_states)
     laws = spec.marginal_laws(n)
     avg = (laws @ table.T).mean(axis=0)  # per-member average mean
-    state_index = {s: i for i, s in enumerate(states)}
-    beta = spec.beta_at(m) if beta_at_m is None else float(beta_at_m)
+    beta = spec.beta_at(m)
 
     stats = np.empty(replications)
     for rep in range(replications):
-        data = generate(spec, n, rep)
-        idx = np.fromiter((state_index[x] for x in data.xs), dtype=int, count=n)
-        emp = table[:, idx].mean(axis=1)
+        emp = table[:, generate(spec, n, rep).index].mean(axis=1)
         stats[rep] = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max()
 
     rows = []
@@ -210,7 +208,8 @@ def deviation_experiment(
         freq = hits / replications
         se = wilson_stderr(hits, replications)
         bound = beta_deviation_bound(params, entropy, float(t), beta_at_m=beta)
-        dominant, vacuous = _dominance(freq, se, bound)
+        vacuous = bound >= 1.0
+        dominant = vacuous or freq + 3.0 * se <= bound
         rows.append(
             {
                 "n": n,
@@ -231,14 +230,15 @@ def weak_error_experiment(
     spec: GeneratorSpec,
     family: FunctionFamily,
     params: BoundParams,
-    truth: Callable,
+    truth: np.ndarray,
     n_grid: Sequence[int],
     replications: int,
 ) -> ExperimentReport:
     """Measured weak error of the truncated fit against its closed-form bound.
 
-    One row per n on the grid; the metadata carries the log-log slope of the
-    measured error over the grid for trend checks.
+    ``truth`` holds the true regression function's value at each generator
+    state.  One row per n on the grid; the metadata carries the log-log slope
+    of the measured error over the grid for trend checks.
     """
     rows = []
     for n in n_grid:
@@ -275,38 +275,3 @@ def weak_error_experiment(
         slope = float(np.polyfit(logs_n, logs_e, 1)[0])
     meta = {"seed": spec.seed, "replications": replications, "loglog_slope": slope}
     return ExperimentReport(tuple(rows), meta)
-
-
-def spec_from_json(doc) -> GeneratorSpec:
-    """Build a GeneratorSpec from an experiment-document fragment.
-
-    phi is given as a {state: value} table (keys matched by string form).
-    """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    kind = doc.get("kind")
-    chain = None
-    law = None
-    if kind == "markov":
-        from .pmf import chain_from_json
-
-        chain = chain_from_json(doc["chain"])
-    if kind == "iid":
-        law = FinitePmf(tuple(doc["law"]["support"]), np.asarray(doc["law"]["probs"], dtype=float))
-    phi = None
-    if "phi" in doc:
-        table = {str(k): float(v) for k, v in doc["phi"].items()}
-        phi = lambda s, tbl=table: tbl[str(s)]
-    noise = doc.get("noise", {"values": [0.0], "probs": [1.0]})
-    return GeneratorSpec(
-        kind=kind,
-        seed=int(doc.get("seed", 0)),
-        chain=chain,
-        dependence_lag=doc.get("dependence_lag"),
-        alphabet_size=doc.get("alphabet_size"),
-        law=law,
-        phi=phi,
-        noise_values=tuple(noise["values"]),
-        noise_probs=tuple(noise["probs"]),
-        response_bound=doc.get("response_bound"),
-    )

@@ -187,8 +187,9 @@ def test_criterion_07_beta_version_dominance():
     b = math.log(2.0)
     fit = MixingFit("subexponential", 0.5, b, 1.0)
     family = FunctionFamily(
-        "explicit-table",
-        (lambda s: float(s), lambda s: 1.0 - float(s), lambda s: 0.5),
+        chain.states,
+        table=[[float(s) for s in chain.states], [1.0 - float(s) for s in chain.states],
+               [0.5 for s in chain.states]],
         range_bound=1.0,
     )
     entropy = finite_family_entropy(3)
@@ -215,15 +216,14 @@ def test_criterion_07_beta_version_dominance():
 
 def test_criterion_08_weak_error_dominance_and_trend():
     start = time.time()
-    phi = lambda s: (s - 1.5) / 15.0
+    states = range(4)
+    phi = [(s - 1.5) / 15.0 for s in states]
     spec = GeneratorSpec(
         kind="m_dependent", seed=808, dependence_lag=2, alphabet_size=4,
         phi=phi, noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5),
         response_bound=0.25,
     )
-    family = FunctionFamily.linear_span(
-        (lambda s: 1.0, lambda s: float(s)), range_bound=0.25
-    )
+    family = FunctionFamily(states, design=[[1.0, float(s)] for s in states], range_bound=0.25)
     params = BoundParams(
         epsilon=0.5, c=2.0, gamma=2.0, gamma_prime=2.0, lam=1.5,
         B=0.25, V=3, n=100, m=2,

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betamix.blocking import (
-    BoundFunction,
     Partition,
     euclidean,
     lifted_bound,
@@ -55,12 +54,6 @@ def test_partition_check_matches_exhaustive_small():
 
 def test_partition_example():
     assert m_steps_partition(7, 3).to_lists() == [[1, 4, 7], [2, 5], [3, 6]]
-
-
-def test_bound_function_threshold_convention():
-    f = BoundFunction(lambda size, t: 0.25, validity_threshold=lambda size: 1.0 / size)
-    assert f(10, 0.05) == 1.0
-    assert f(10, 0.5) == 0.25
 
 
 def test_lifted_bound_hand_computation():

@@ -296,3 +296,65 @@ def test_golden_stdout_bytes(tmp_path, capsys, name, command, extra):
     code, out, err = run(capsys, [command, cfg, *extra])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(name, command, extra)]
+
+
+def with_change(doc, path, value):
+    """A deep copy of doc with the field at the dotted path set (None deletes it)."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    target = doc
+    for key in parents:
+        target = target[int(key)] if isinstance(target, list) else target[key]
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+BETA_DOC = {"chain": {"states": [0, 1], "transition": [[0.75, 0.25], [0.25, 0.75]],
+                      "initial": [0.5, 0.5]}, "m": 2}
+BOUND_DOC = {"bound": "weak_error", "params": params_doc(), "bias": 0.0, "beta_at_m": 0.0}
+SUBEXP = {"model": "subexponential", "a": 0.5, "b": 0.7, "gamma": 1.0}
+# (command, document, field named in the message); every case exits 2
+CONFIG_ERRORS = {
+    "m not an integer (beta)": ("beta", with_change(BETA_DOC, "m", "abc"), "m"),
+    "m not an integer (params)": ("bound", with_change(BOUND_DOC, "params.m", "abc"), "params.m"),
+    "unknown mixing model": (
+        "bound", with_change(BOUND_DOC, "params.mixing", dict(SUBEXP, model="typo")),
+        "params.mixing.model"),
+    "subexponential mixing without b": (
+        "bound", with_change(BOUND_DOC, "params.mixing", {"model": "subexponential", "a": 0.5,
+                                                          "gamma": 1.0}),
+        "params.mixing.b"),
+    "chain without states": ("beta", with_change(BETA_DOC, "chain.states", None), "chain.states"),
+    "params without epsilon": (
+        "bound", with_change(BOUND_DOC, "params.epsilon", None), "params.epsilon"),
+    "unknown family kind": (
+        "simulate", with_change(experiment_doc(), "family.kind", "typo"), "family.kind"),
+    "unknown bound kind": ("bound", with_change(BOUND_DOC, "bound", "typo"), "bound"),
+    "unknown generator kind": (
+        "simulate", with_change(experiment_doc(), "generator.kind", "typo"), "generator.kind"),
+    "joint probs do not fit axes": (
+        "couple", {"joint": {"axes": [[0, 1], [0, 1]], "probs": [0.5, 0.25, 0.25]}}, "joint.probs"),
+    "state table missing a state": (
+        "regress",
+        {"family": {"kind": "state_table", "tables": [{"0": 0.0, "1": 0.0}, {"0": 1.0}]},
+         "xs": [0, 1, 0], "ys": [1.0, 1.0, 1.0], "B": 1.0},
+        "family.tables[1].1: missing field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_exits_two_naming_the_field(tmp_path, capsys, case):
+    command, doc, field = CONFIG_ERRORS[case]
+    code, out, err = run(capsys, [command, write(tmp_path, "bad.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {field}")
+
+
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "1", "partition", "7", "3"])
+    assert exc.value.code == 2

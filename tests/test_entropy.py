@@ -18,7 +18,7 @@ from betamix.entropy import (
     vc_dimension_bound,
     zero_entropy,
 )
-from betamix.errors import DomainError, SizeError
+from betamix.errors import DomainError, MalformedInputError, SizeError
 
 
 def test_l1_distances_hand_case():
@@ -146,14 +146,20 @@ def test_threshold_family_within_sauer_shelah():
             assert math.exp(sauer_shelah_entropy(1, B, r)) >= covering_number_exact(values, r)
 
 
-def test_function_family_values_and_table():
-    fam = FunctionFamily.from_table([[0.0, 1.0], [1.0, 0.0]])
-    vals = fam.values([0, 1])
-    assert np.allclose(vals, [[0.0, 1.0], [1.0, 0.0]])
-
-
 def test_linear_span_declares_vc():
-    fam = FunctionFamily.linear_span((lambda x: 1.0, lambda x: x), range_bound=1.0)
-    assert fam.kind == "linear-span-truncated"
+    states = (0, 1)
+    fam = FunctionFamily(states, design=[[1.0, float(s)] for s in states], range_bound=1.0)
+    assert fam.design is not None and fam.table is None
     assert fam.declared_vc == 3
-    assert fam.members == ()
+
+
+def test_function_family_arrays_must_fit_states():
+    states = (0, 1, 2)
+    fam = FunctionFamily(states, table=[[float(s) for s in states], [1.0 - s for s in states]])
+    assert fam.design is None and fam.table.shape == (2, 3)
+    with pytest.raises(MalformedInputError):
+        FunctionFamily(states, table=[[0.0, 1.0]])
+    with pytest.raises(MalformedInputError):
+        FunctionFamily(states, design=[[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(MalformedInputError):
+        FunctionFamily(states)

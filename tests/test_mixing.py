@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from betamix.errors import DegenerateFitError, MalformedInputError
 from betamix.mixing import (
+    MixingFit,
     beta_coefficient,
     beta_m_dependence,
     beta_max,
@@ -174,3 +175,11 @@ def test_fit_fixed_rate_parameter_respected():
 def test_fit_rejects_all_zero_points():
     with pytest.raises(DegenerateFitError):
         fit_mixing_rate([(1, 0.0), (2, 0.0)], "subexponential")
+
+
+def test_mixing_fit_rejects_unknown_model_and_missing_rate():
+    with pytest.raises(MalformedInputError):
+        MixingFit("typo", 0.5, 0.7, 1.0)
+    with pytest.raises(MalformedInputError):
+        MixingFit("subexponential", 0.5, None, 1.0)
+    assert MixingFit("subpolynomial", 0.5, None, 2.0).envelope(2.0) == pytest.approx(0.125)

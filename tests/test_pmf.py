@@ -1,17 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
+from betamix import config
 from betamix.errors import MalformedInputError, SizeError
-from betamix.pmf import (
-    FinitePmf,
-    JointPmf,
-    MarkovChainSpec,
-    chain_from_json,
-    joint_from_json,
-    joint_to_json,
-)
+from betamix.pmf import FinitePmf, JointPmf, MarkovChainSpec, joint_to_json
 
 
 def test_finite_pmf_validation():
@@ -77,13 +69,13 @@ def test_markov_marginal_propagation():
 
 def test_chain_json_roundtrip():
     doc = {"states": [0, 1], "transition": [[0.5, 0.5], [0.2, 0.8]], "initial": [1.0, 0.0]}
-    chain = chain_from_json(json.dumps(doc))
+    chain = config.chain(config.Section(doc))
     assert chain.states == (0, 1)
     assert np.allclose(chain.transition, doc["transition"])
 
 
 def test_joint_json_roundtrip():
     j = JointPmf(((0, 1), ("x", "y")), np.array([[0.1, 0.2], [0.3, 0.4]]))
-    back = joint_from_json(joint_to_json(j))
+    back = config.joint(config.Section(joint_to_json(j)))
     assert np.allclose(back.probs, j.probs)
     assert back.axes == j.axes

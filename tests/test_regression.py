@@ -20,8 +20,12 @@ from betamix.regression import (
 
 
 def state_family(tables):
-    members = tuple((lambda s, t=t: t[s]) for t in tables)
-    return FunctionFamily("explicit-table", members)
+    states = tuple(tables[0])
+    return FunctionFamily(states, table=[[t[s] for s in states] for t in tables])
+
+
+def affine_span(states):
+    return FunctionFamily(states, design=[[1.0, float(s)] for s in states])
 
 
 def test_truncate_basics():
@@ -43,12 +47,12 @@ def test_truncate_idempotent_and_contained(v, B):
 def test_means_constant_function():
     assert empirical_mean([3.0, 3.0, 3.0]) == 3.0
     laws = np.full((4, 2), 0.5)
-    assert average_mean(lambda s: 3.0, laws, (0, 1)) == pytest.approx(3.0)
+    assert average_mean([3.0 for s in (0, 1)], laws) == pytest.approx(3.0)
 
 
 def test_average_mean_uniform_identity():
     laws = np.full((10, 2), 0.5)
-    assert average_mean(lambda s: float(s), laws, (0, 1)) == pytest.approx(0.5)
+    assert average_mean([float(s) for s in (0, 1)], laws) == pytest.approx(0.5)
 
 
 def test_average_mean_marginal_propagation_oracle():
@@ -59,7 +63,7 @@ def test_average_mean_marginal_propagation_oracle():
     states = (0, 1, 2)
     f = lambda s: float(s) ** 2
     oracle = sum(laws[k, i] * f(s) for k in range(6) for i, s in enumerate(states)) / 6
-    assert average_mean(f, laws, states) == pytest.approx(oracle, abs=1e-12)
+    assert average_mean([f(s) for s in states], laws) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_means_coincide_for_point_masses():
@@ -67,21 +71,23 @@ def test_means_coincide_for_point_masses():
     laws = np.array([[1, 0], [0, 1], [0, 1], [1, 0]], dtype=float)
     f = lambda s: 2.0 * s - 1.0
     emp = empirical_mean([f(x) for x in xs])
-    assert emp == pytest.approx(average_mean(f, laws, (0, 1)), abs=1e-12)
+    assert emp == pytest.approx(average_mean([f(s) for s in (0, 1)], laws), abs=1e-12)
 
 
 def test_means_errors():
     with pytest.raises(DomainError):
         empirical_mean([])
     with pytest.raises(CapabilityError):
-        average_mean(lambda s: 1.0, None, None)
+        average_mean([1.0 for s in (0, 1)], None)
 
 
 def test_dataset_validation():
     with pytest.raises(MalformedInputError):
-        Dataset(xs=(0, 1), ys=np.array([0.1]))
+        Dataset((0, 1), index=(0, 1), ys=np.array([0.1]))
     with pytest.raises(MalformedInputError):
-        Dataset(xs=(0,), ys=np.array([2.0]), response_bound=1.0)
+        Dataset((0,), index=(0,), ys=np.array([2.0]), response_bound=1.0)
+    with pytest.raises(MalformedInputError):
+        Dataset((0, 1), index=(0, 2), ys=np.array([0.1, 0.2]))
 
 
 def test_fit_recovers_truth_noiseless():
@@ -89,20 +95,20 @@ def test_fit_recovers_truth_noiseless():
     fam = state_family([{0: 0.0, 1: 0.0}, truth, {0: 0.3, 1: 0.3}])
     xs = (0, 1, 0, 1, 1)
     ys = np.array([truth[x] for x in xs])
-    res = fit_least_squares(Dataset(xs, ys), fam, B=1.0)
+    res = fit_least_squares(Dataset((0, 1), xs, ys), fam, B=1.0)
     assert res.member_index == 1
     assert res.empirical_risk == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fit_exhaustive_two_member():
     fam = state_family([{0: 0.0, 1: 0.0}, {0: 1.0, 1: 1.0}])
-    res = fit_least_squares(Dataset((0, 1, 0), np.ones(3)), fam, B=1.0)
+    res = fit_least_squares(Dataset((0, 1), (0, 1, 0), np.ones(3)), fam, B=1.0)
     assert res.member_index == 1
 
 
 def test_fit_tie_breaks_lexicographically():
     fam = state_family([{0: 1.0}, {0: -1.0}])
-    res = fit_least_squares(Dataset((0, 0), np.zeros(2)), fam, B=1.0)
+    res = fit_least_squares(Dataset((0,), (0, 0), np.zeros(2)), fam, B=1.0)
     assert res.member_index == 0
 
 
@@ -112,7 +118,7 @@ def test_fit_risk_never_beats_truth_in_family():
     fam = state_family([truth, {0: 0.2, 1: 0.0}, {0: -0.3, 1: 0.3}])
     xs = tuple(rng.integers(0, 2, size=30))
     ys = np.array([truth[x] for x in xs]) + rng.choice([-0.05, 0.05], size=30)
-    res = fit_least_squares(Dataset(xs, ys), fam, B=1.0)
+    res = fit_least_squares(Dataset((0, 1), xs, ys), fam, B=1.0)
     truth_risk = np.mean([(y - truth[x]) ** 2 for x, y in zip(xs, ys)])
     assert res.empirical_risk <= truth_risk + 1e-15
 
@@ -121,8 +127,8 @@ def test_span_fit_matches_grid_search_oracle():
     rng = np.random.default_rng(2)
     xs = tuple(rng.integers(0, 4, size=40))
     ys = 0.05 * np.array(xs) - 0.1 + 0.02 * rng.standard_normal(40)
-    fam = FunctionFamily.linear_span((lambda s: 1.0, lambda s: float(s)))
-    res = fit_least_squares(Dataset(xs, ys), fam, B=1.0)
+    states = (0, 1, 2, 3)
+    res = fit_least_squares(Dataset(states, xs, ys), affine_span(states), B=1.0)
     grid = np.linspace(-0.2, 0.2, 81)
     best = min(
         (np.mean((c0 + c1 * np.array(xs) - ys) ** 2), (c0, c1))
@@ -134,52 +140,50 @@ def test_span_fit_matches_grid_search_oracle():
 
 def test_span_fit_ridge_fallback_on_degenerate_design():
     # constant inputs make the design rank-deficient
-    fam = FunctionFamily.linear_span((lambda s: 1.0, lambda s: float(s)))
-    res = fit_least_squares(Dataset((1, 1, 1), np.array([0.2, 0.2, 0.2])), fam, B=1.0)
+    fam = affine_span((0, 1))
+    res = fit_least_squares(Dataset((0, 1), (1, 1, 1), np.array([0.2, 0.2, 0.2])), fam, B=1.0)
     assert res.ridge_used
     assert res.empirical_risk == pytest.approx(0.0, abs=1e-9)
 
 
 def test_truncated_estimator_clamped():
     fam = state_family([{0: 5.0}])
-    res = fit_least_squares(Dataset((0,), np.array([0.9])), fam, B=1.0)
-    assert res.fitted(0) == 5.0
-    assert res.truncated(0) == 1.0
+    res = fit_least_squares(Dataset((0,), (0,), np.array([0.9])), fam, B=1.0)
+    assert res.fitted[0] == 5.0
+    assert res.truncated[0] == 1.0
 
 
 def test_loss_difference_zero_at_truth():
-    truth = lambda s: 0.1 * s
+    truth = [0.1 * s for s in (0, 1)]
     fam = state_family([{0: 0.0, 1: 0.1}])  # equals truth on {0, 1}
-    g = loss_difference_family(fam, 0.25, truth)
+    g = loss_difference_family(fam, 0.25, truth, responses=(0.2, -0.1))
     for xy in ((0, 0.2), (1, -0.1)):
-        assert g.members[0](xy) == pytest.approx(0.0, abs=1e-15)
+        assert g.table[0, g.states.index(xy)] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loss_difference_square_when_truth_zero():
     fam = state_family([{0: 0.2, 1: -0.3}])
-    g = loss_difference_family(fam, 0.25, lambda s: 0.0)
-    assert g.members[0]((0, 0.0)) == pytest.approx(0.04)
-    assert g.members[0]((1, 0.0)) == pytest.approx(0.09)
+    g = loss_difference_family(fam, 0.25, [0.0 for s in (0, 1)], responses=(0.0,))
+    assert g.table[0, g.states.index((0, 0.0))] == pytest.approx(0.04)
+    assert g.table[0, g.states.index((1, 0.0))] == pytest.approx(0.09)
 
 
 def test_loss_difference_range_under_quarter_bound():
     rng = np.random.default_rng(3)
     tables = [{0: rng.uniform(-0.25, 0.25), 1: rng.uniform(-0.25, 0.25)} for _ in range(5)]
     truth_tbl = {0: 0.1, 1: -0.05}
-    g = fam = loss_difference_family(
-        state_family(tables), 0.25, lambda s: truth_tbl[s]
+    g = loss_difference_family(
+        state_family(tables), 0.25, [truth_tbl[s] for s in (0, 1)],
+        responses=np.linspace(-0.25, 0.25, 51),
     )
-    for member in g.members:
-        for _ in range(50):
-            x = int(rng.integers(0, 2))
-            y = rng.uniform(-0.25, 0.25)
-            assert abs(member((x, y))) <= 1.0 + 1e-12
+    assert g.table.shape == (5, 2 * 51)
+    assert np.abs(g.table).max() <= 1.0 + 1e-12
     assert g.range_bound == 1.0
 
 
 def test_loss_difference_requires_truth():
     with pytest.raises(CapabilityError):
-        loss_difference_family(state_family([{0: 0.0}]), 0.25, None)
+        loss_difference_family(state_family([{0: 0.0}]), 0.25, None, responses=(0.0,))
 
 
 def test_orthogonal_decomposition_identity():
@@ -202,26 +206,26 @@ def test_orthogonal_decomposition_identity():
 
 def test_family_bias_zero_when_truth_in_family():
     laws = np.full((5, 2), 0.5)
-    truth = lambda s: 0.1 - 0.15 * s
-    fam = FunctionFamily.linear_span((lambda s: 1.0, lambda s: float(s)))
-    assert family_bias(fam, truth, laws, (0, 1), B=0.25) == pytest.approx(0.0, abs=1e-12)
+    truth = [0.1 - 0.15 * s for s in (0, 1)]
+    fam = affine_span((0, 1))
+    assert family_bias(fam, truth, laws, B=0.25) == pytest.approx(0.0, abs=1e-12)
     finite = state_family([{0: 0.1, 1: -0.05}, {0: 0.2, 1: 0.2}])
-    assert family_bias(finite, lambda s: finite.members[0](s), laws, (0, 1), B=1.0) == 0.0
+    assert family_bias(finite, finite.table[0], laws, B=1.0) == 0.0
 
 
 def test_weak_error_unbiased_noiseless_shrinks():
     rng_tables = {0: 0.05, 1: -0.05}
-    truth = lambda s: rng_tables[s]
-    fam = FunctionFamily.linear_span((lambda s: 1.0, lambda s: float(s)))
+    truth = [rng_tables[s] for s in (0, 1)]
+    fam = affine_span((0, 1))
 
     # direct small simulation without the simulate module
     def gen_factory(n):
         def gen(rep):
             rng = np.random.default_rng(1000 * n + rep)
             xs = tuple(int(x) for x in rng.integers(0, 2, size=n))
-            ys = np.array([truth(x) for x in xs]) + rng.choice([-0.02, 0.02], size=n)
+            ys = np.array([truth[x] for x in xs]) + rng.choice([-0.02, 0.02], size=n)
             laws = np.full((n, 2), 0.5)
-            return Dataset(xs, ys, states=(0, 1), marginal_laws=laws)
+            return Dataset((0, 1), xs, ys, marginal_laws=laws)
         return gen
 
     est_small = weak_error(gen_factory(40), fam, 0.25, truth, 60)

@@ -6,12 +6,14 @@ from betamix.entropy import FunctionFamily, finite_family_entropy
 from betamix.errors import MalformedInputError
 from betamix.mixing import MixingFit, markov_beta
 from betamix.pmf import FinitePmf, MarkovChainSpec
+from betamix import config
 from betamix.simulate import (
     GeneratorSpec,
+    _sample_states,
     deviation_experiment,
     generate,
+    inverse_cdf,
     replication_rng,
-    spec_from_json,
     weak_error_experiment,
 )
 
@@ -22,8 +24,8 @@ def two_state_chain(p=0.25, q=0.25):
 
 
 def state_family(tables):
-    members = tuple((lambda s, t=t: t[s]) for t in tables)
-    return FunctionFamily("explicit-table", members)
+    states = tuple(tables[0])
+    return FunctionFamily(states, table=[[t[s] for s in states] for t in tables])
 
 
 def test_spec_validation():
@@ -123,7 +125,7 @@ def test_responses_bounded_by_construction():
         kind="iid",
         seed=4,
         law=FinitePmf((0, 1), [0.5, 0.5]),
-        phi=lambda s: 0.1 * s,
+        phi=[0.1 * s for s in (0, 1)],
         noise_values=(-0.1, 0.1),
         noise_probs=(0.5, 0.5),
         response_bound=0.25,
@@ -187,14 +189,14 @@ def test_weak_error_experiment_rows_and_slope():
         seed=10,
         dependence_lag=2,
         alphabet_size=4,
-        phi=lambda s: (s - 1.5) / 15.0,
+        phi=[(s - 1.5) / 15.0 for s in range(4)],
         noise_values=(-0.1, 0.1),
         noise_probs=(0.5, 0.5),
         response_bound=0.25,
     )
-    fam = FunctionFamily.linear_span((lambda s: 1.0, lambda s: float(s)))
+    fam = FunctionFamily(range(4), design=[[1.0, float(s)] for s in range(4)])
     params = make_params(B=0.25, V=3, m=2, n=100)
-    truth = lambda s: (s - 1.5) / 15.0
+    truth = [(s - 1.5) / 15.0 for s in range(4)]
     report = weak_error_experiment(spec, fam, params, truth, [50, 200], 40)
     assert len(report.rows) == 2
     for row in report.rows:
@@ -227,7 +229,31 @@ def test_spec_from_json_roundtrip():
         "noise": {"values": [-0.1, 0.1], "probs": [0.5, 0.5]},
         "response_bound": 0.25,
     }
-    spec = spec_from_json(doc)
+    spec = config.generator(config.Section(doc))
     data = generate(spec, 30)
     assert data.response_bound == 0.25
-    assert spec.phi(2) == 0.05
+    assert spec.phi[2] == 0.05
+
+
+class _StubRng:
+    """Every uniform draw is the given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_draws_near_one_stay_on_the_alphabet():
+    # masses short of 1 by less than the tolerance; a draw above their total
+    # maps to the last state of positive mass
+    short = [0.2, 0.3, 0.5 - 5e-13]
+    u = 1.0 - 1e-13
+    law = FinitePmf((0, 1, 2), short)
+    assert list(_sample_states(GeneratorSpec(kind="iid", seed=0, law=law), 3, _StubRng(u))) == [2, 2, 2]
+    chain = MarkovChainSpec((0, 1, 2), [short, short, [0.5, 0.5 - 5e-13, 0.0]], law)
+    path = _sample_states(GeneratorSpec(kind="markov", seed=0, chain=chain), 3, _StubRng(u))
+    assert list(path) == [2, 1, 2]
+    # the noise draw goes through the same helper
+    assert np.searchsorted(inverse_cdf((0.5, 0.5 - 5e-13)), u, side="right") == 1
