@@ -114,10 +114,10 @@ def _run_experiment(args) -> simulate.ExperimentReport:
     params, replications = config.params(doc.section("params")), doc.get("replications", int)
     if kind == "deviation":
         est = config.entropy_estimate(doc.section("entropy_spec"))
-        t_grid = doc.get("t_grid", config.floats(None)).tolist()
+        t_grid = doc.get("t_grid", config.grid).tolist()
         return simulate.deviation_experiment(spec, family, params, est, t_grid, replications)
     truth = config.state_values(doc.section("truth"), spec.states())
-    n_grid = doc.get("n_grid", config.floats(None)).astype(int).tolist()
+    n_grid = doc.get("n_grid", config.grid).astype(int).tolist()
     return simulate.weak_error_experiment(spec, family, params, truth, n_grid, replications)
 
 
@@ -151,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("config", help="path to a JSON config document")
         p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.set_defaults(fn=fn)
         return p
 
@@ -164,8 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("entropy", _query(_entropy))
     add("bound", _query(_bound))
     add("regress", _query(_regress))
-    add("simulate", _cmd_simulate)
-    add("verify", _cmd_verify)
+    simulate_parser = add("simulate", _cmd_simulate)
+    simulate_parser.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (simulate_parser, add("verify", _cmd_verify)):
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

@@ -90,6 +90,14 @@ def floats(*shape):
     return convert
 
 
+def grid(value) -> np.ndarray:
+    """A nonempty list of numbers: with no grid point an experiment checks nothing."""
+    arr = floats(None)(value)
+    if arr.size == 0:
+        raise ValueError("expected at least one grid point")
+    return arr
+
+
 def state_values(sec: Section, states: tuple) -> np.ndarray:
     """A state table's values over ``states``; a missing state is a missing field."""
     return np.array([sec.get(str(s), float) for s in states])

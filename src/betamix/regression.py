@@ -3,13 +3,15 @@
 Covers the simulation-side regression machinery: the truncation operator, the
 empirical and average means, exhaustive / normal-equation least squares, the
 loss-difference family used by the deviation experiments, and the Monte Carlo
-estimate of the weak (average-mean squared) error of the truncated fit.
+estimate of the weak (average-mean squared) error of the truncated fit.  A
+sample carries only its observed states and responses; the exact marginal laws
+that average means need come from the generator, once per sample length.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -23,15 +25,13 @@ RIDGE = 1e-10
 class Dataset:
     """An observed (x, y) sample on a finite state alphabet.
 
-    ``index`` holds the position in ``states`` of each observed input.
-    ``marginal_laws``, when present, has one row per index giving the law of
-    X_k over ``states``; it is what makes average means exactly computable.
+    ``index`` holds the position in ``states`` of each observed input.  The
+    exact laws of the inputs belong to the generator, not to the sample.
     """
 
     states: tuple
     index: np.ndarray
     ys: np.ndarray
-    marginal_laws: np.ndarray | None = None
     response_bound: float | None = None
 
     def __post_init__(self):
@@ -48,11 +48,6 @@ class Dataset:
             raise MalformedInputError(
                 f"responses exceed the declared bound {self.response_bound}"
             )
-        if self.marginal_laws is not None:
-            laws = np.asarray(self.marginal_laws, dtype=float)
-            object.__setattr__(self, "marginal_laws", laws)
-            if laws.shape != (ys.shape[0], len(self.states)):
-                raise MalformedInputError("marginal_laws must be (n, n_states)")
 
     @property
     def xs(self) -> tuple:
@@ -188,37 +183,35 @@ class WeakErrorEstimate:
     stderr: float
     bias: float
     replications: int
-    per_replication: np.ndarray = field(repr=False, default=None)
 
 
 def weak_error(
-    generate_fn: Callable[[int], Dataset],
+    samples: Iterable[Dataset],
     family: FunctionFamily,
     B: float,
     truth: np.ndarray,
-    replications: int,
+    laws: np.ndarray,
 ) -> WeakErrorEstimate:
-    """Estimate E[average-mean |T_B fit - truth|^2] over fresh replications.
+    """Estimate E[average-mean |T_B fit - truth|^2] over independent samples.
 
     ``truth`` holds the true regression function's value at each of the
-    family's states.  ``generate_fn(rep)`` must return datasets carrying
-    exact marginal laws; the bias inf over the family is computed once from
-    the first replication's laws (deterministic given the generator).
+    family's states and ``laws`` the exact law of X_k over those states, one
+    row per index, as the generator gives it.  One replication per sample; the
+    bias inf over the family is computed once from ``laws``.
     """
-    if replications < 1:
-        raise DomainError("replications must be >= 1")
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (len(family.states),):
         raise MalformedInputError("truth needs one value per state of the family")
-    errors = np.empty(replications)
-    bias = None
-    for rep in range(replications):
-        data = generate_fn(rep)
-        if data.marginal_laws is None:
-            raise CapabilityError("weak error requires exact marginal laws")
-        result = fit_least_squares(data, family, B)
-        errors[rep] = _average_sq_distance(result.truncated, truth, data.marginal_laws)
-        if bias is None:
-            bias = family_bias(family, truth, data.marginal_laws, B)
+    laws = np.asarray(laws, dtype=float)
+    errors = []
+    for data in samples:
+        if laws.shape != (data.ys.shape[0], len(family.states)):
+            raise MalformedInputError("laws must be (n, n_states) for every sample")
+        fit = fit_least_squares(data, family, B)
+        errors.append(_average_sq_distance(fit.truncated, truth, laws))
+    if not errors:
+        raise DomainError("weak error needs at least one sample")
+    errors, replications = np.array(errors), len(errors)
     stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-    return WeakErrorEstimate(float(errors.mean()), stderr, float(bias), replications, errors)
+    bias = family_bias(family, truth, laws, B)
+    return WeakErrorEstimate(float(errors.mean()), stderr, bias, replications)

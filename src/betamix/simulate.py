@@ -4,14 +4,16 @@ experiments that test bound dominance.
 Three generator kinds: a finite-state Markov chain (exact lag-m dependence
 coefficients available), an m-dependent sliding-window construction built from
 independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw
-from a fixed law.  Each replication owns a counter-based stream derived from
-(seed, replication), so reports are bit-reproducible regardless of execution
-order.
+from a fixed law.  ``generate`` is the one sampling path: each replication
+draws from its own counter-based stream derived from (seed, replication), so
+reports are bit-reproducible regardless of execution order.  Samples carry no
+laws; experiments ask the spec for its exact marginals once per n.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,14 +91,14 @@ class GeneratorSpec:
             return np.full((n, k), 1.0 / k)
         return np.tile(self.law.probs, (n, 1))
 
-    def beta_at(self, m: int, horizon: int = 64) -> float:
+    def beta_at(self, m: int) -> float:
         """Lag-m dependence coefficient of the inputs.
 
         Exact for markov and iid kinds; for the m_dependent kind, exactly 0 at
         or beyond the lag and the trivial bound 1 below it.
         """
         if self.kind == "markov":
-            return markov_beta(self.chain, m, horizon=horizon)
+            return markov_beta(self.chain, m)
         if self.kind == "m_dependent":
             return 0.0 if m >= self.dependence_lag else 1.0
         return 0.0
@@ -114,14 +116,12 @@ def inverse_cdf(probs) -> np.ndarray:
 def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into ``spec.states()`` of one sampled path of length n."""
     if spec.kind == "markov":
-        cum_rows = inverse_cdf(spec.chain.transition)
         u = rng.random(n)
-        idx = int(np.searchsorted(inverse_cdf(spec.chain.initial.probs), u[0], side="right"))
-        path = [idx]
-        for j in range(1, n):
-            idx = int(np.searchsorted(cum_rows[idx], u[j], side="right"))
-            path.append(idx)
-        return np.array(path)
+        start = int(np.searchsorted(inverse_cdf(spec.chain.initial.probs), u[0], side="right"))
+        # moves[j][s]: the state that s moves to at step j + 1; the path follows it
+        moves = np.stack([np.searchsorted(row, u[1:], side="right")
+                          for row in inverse_cdf(spec.chain.transition)], axis=1).tolist()
+        return np.array(list(itertools.accumulate(moves, lambda s, row: row[s], initial=start)))
     if spec.kind == "m_dependent":
         k, lag = spec.alphabet_size, spec.dependence_lag
         w = rng.integers(0, k, size=n + lag - 1)
@@ -130,7 +130,7 @@ def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.
 
 
 def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
-    """Draw one replication of length n, with exact marginal laws attached."""
+    """Draw one replication of length n from its own stream."""
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = replication_rng(spec.seed, replication)
@@ -143,7 +143,6 @@ def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
         states=spec.states(),
         index=index,
         ys=spec.phi[index] + noise,
-        marginal_laws=spec.marginal_laws(n),
         response_bound=spec.response_bound,
     )
 
@@ -244,13 +243,8 @@ def weak_error_experiment(
     for n in n_grid:
         p = dataclasses.replace(params, n=int(n))
         beta = spec.beta_at(p.m)
-        est = weak_error(
-            lambda rep, nn=int(n): generate(spec, nn, rep),
-            family,
-            p.B,
-            truth,
-            replications,
-        )
+        samples = (generate(spec, p.n, rep) for rep in range(replications))
+        est = weak_error(samples, family, p.B, truth, spec.marginal_laws(p.n))
         breakdown = weak_error_bound(p, est.bias, beta_at_m=beta)
         dominant = est.mean <= breakdown.total + 3.0 * est.stderr
         rows.append(

@@ -342,6 +342,9 @@ CONFIG_ERRORS = {
         {"family": {"kind": "state_table", "tables": [{"0": 0.0, "1": 0.0}, {"0": 1.0}]},
          "xs": [0, 1, 0], "ys": [1.0, 1.0, 1.0], "B": 1.0},
         "family.tables[1].1: missing field"),
+    "empty t_grid": ("verify", with_change(experiment_doc(), "t_grid", []), "t_grid"),
+    "empty n_grid": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "n_grid", []), "n_grid"),
 }
 
 
@@ -354,7 +357,17 @@ def test_config_error_exits_two_naming_the_field(tmp_path, capsys, case):
     assert err.startswith(f"config error: {field}")
 
 
-def test_threads_flag_rejected(capsys):
+# flags a subcommand does not read are rejected by argparse (exit 2)
+UNREAD_FLAGS = {
+    "threads": ["--threads", "1", "partition", "7", "3"],
+    "partition format and seed": ["partition", "10", "3", "--format", "csv", "--seed", "1"],
+    "beta seed": ["beta", "beta.json", "--seed", "1"],
+    "verify format": ["verify", "exp.json", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_FLAGS))
+def test_threads_flag_rejected(capsys, case):
     with pytest.raises(SystemExit) as exc:
-        main(["--threads", "1", "partition", "7", "3"])
+        main(UNREAD_FLAGS[case])
     assert exc.value.code == 2

@@ -219,16 +219,18 @@ def test_weak_error_unbiased_noiseless_shrinks():
     fam = affine_span((0, 1))
 
     # direct small simulation without the simulate module
-    def gen_factory(n):
-        def gen(rep):
+    def samples(n):
+        for rep in range(60):
             rng = np.random.default_rng(1000 * n + rep)
             xs = tuple(int(x) for x in rng.integers(0, 2, size=n))
             ys = np.array([truth[x] for x in xs]) + rng.choice([-0.02, 0.02], size=n)
-            laws = np.full((n, 2), 0.5)
-            return Dataset((0, 1), xs, ys, marginal_laws=laws)
-        return gen
+            yield Dataset((0, 1), xs, ys)
 
-    est_small = weak_error(gen_factory(40), fam, 0.25, truth, 60)
-    est_big = weak_error(gen_factory(640), fam, 0.25, truth, 60)
+    est_small = weak_error(samples(40), fam, 0.25, truth, np.full((40, 2), 0.5))
+    est_big = weak_error(samples(640), fam, 0.25, truth, np.full((640, 2), 0.5))
     assert est_small.bias == pytest.approx(0.0, abs=1e-12)
     assert est_big.mean < est_small.mean
+    with pytest.raises(DomainError):
+        weak_error([], fam, 0.25, truth, np.full((40, 2), 0.5))
+    with pytest.raises(MalformedInputError):
+        weak_error(samples(40), fam, 0.25, truth, np.full((41, 2), 0.5))

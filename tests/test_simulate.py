@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betamix.bounds import BoundParams
 from betamix.entropy import FunctionFamily, finite_family_entropy
@@ -59,8 +61,7 @@ def test_markov_marginals_attached_exactly():
         (0, 1), [[0.9, 0.1], [0.3, 0.7]], FinitePmf((0, 1), [1.0, 0.0])
     )
     spec = GeneratorSpec(kind="markov", seed=0, chain=chain)
-    data = generate(spec, 10)
-    assert np.allclose(data.marginal_laws, chain.marginal_matrix(10))
+    assert np.allclose(spec.marginal_laws(10), chain.marginal_matrix(10))
 
 
 def test_markov_trajectory_frequencies_match_marginals():
@@ -92,7 +93,7 @@ def test_empirical_lagged_joint_matches_exact():
 def test_m_dependent_marginals_uniform_and_beta_zero():
     spec = GeneratorSpec(kind="m_dependent", seed=1, dependence_lag=2, alphabet_size=4)
     data = generate(spec, 1000)
-    assert np.allclose(data.marginal_laws, 0.25)
+    assert np.allclose(spec.marginal_laws(1000), 0.25)
     counts = np.bincount(np.array(data.xs), minlength=4) / 1000
     assert np.abs(counts - 0.25).max() < 0.06
     assert spec.beta_at(2) == 0.0
@@ -257,3 +258,36 @@ def test_draws_near_one_stay_on_the_alphabet():
     assert list(path) == [2, 1, 2]
     # the noise draw goes through the same helper
     assert np.searchsorted(inverse_cdf((0.5, 0.5 - 5e-13)), u, side="right") == 1
+
+
+def per_step_path(spec, n, rng):
+    """The per-step searchsorted loop that the next-state walk replaced: the reference."""
+    cum_rows = inverse_cdf(spec.chain.transition)
+    u = rng.random(n)
+    idx = int(np.searchsorted(inverse_cdf(spec.chain.initial.probs), u[0], side="right"))
+    path = [idx]
+    for j in range(1, n):
+        idx = int(np.searchsorted(cum_rows[idx], u[j], side="right"))
+        path.append(idx)
+    return np.array(path)
+
+
+@st.composite
+def markov_specs(draw):
+    """Chains on 1..6 states whose laws may put zero mass on some states."""
+    k = draw(st.integers(1, 6))
+
+    def law():
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        return [w / sum(weights) for w in weights]
+
+    states = tuple(range(k))
+    chain = MarkovChainSpec(states, [law() for _ in states], FinitePmf(states, law()))
+    return GeneratorSpec(kind="markov", seed=draw(st.integers(0, 2**32 - 1)), chain=chain)
+
+
+@given(markov_specs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_markov_walk_equals_per_step_loop(spec, n, rep):
+    path = _sample_states(spec, n, replication_rng(spec.seed, rep))
+    assert np.array_equal(path, per_step_path(spec, n, replication_rng(spec.seed, rep)))
