@@ -203,6 +203,8 @@ GOLDEN_CHAIN = {
     "initial": [0.2, 0.3, 0.5],
 }
 GOLDEN_MDEP_TABLE = {str(s): (s - 1.5) / 15.0 for s in range(4)}
+GOLDEN_PROCESS_WEIGHTS = [0 if (i // 2) % 9 == 4 else (7 * i) % 13 + 1 for i in range(36)]
+GOLDEN_PROCESS_PROBS = [w / sum(GOLDEN_PROCESS_WEIGHTS) for w in GOLDEN_PROCESS_WEIGHTS]
 GOLDEN_DOCS = {
     "simulate-markov": {
         "experiment": "deviation",
@@ -255,6 +257,9 @@ GOLDEN_DOCS = {
     "beta-chain": {"chain": GOLDEN_CHAIN, "m": 2, "horizon": 16},
     "couple-joint": {"joint": {"axes": [[0, 1], ["x", "y", "z"]],
                                "probs": [0.1, 0.25, 0.05, 0.2, 0.1, 0.3]}},
+    # nine atoms on the middle axis, atom 4 of which has no mass
+    "couple-process": {"process": {"axes": [[0, 1], list(range(9)), ["a", "b"]],
+                                   "probs": GOLDEN_PROCESS_PROBS}},
     "bound-weak-error": {
         "bound": "weak_error",
         "params": params_doc(B=0.25, V=3, n=800, m=4,
@@ -271,6 +276,8 @@ GOLDEN = {
         "f96a90cba988c84fe344665719ce58879c7435d4cb2c0acc6676c84ac942cc0b",
     ("couple-joint", "couple", ()):
         "eaa184729f1aa209084ec837bb101fa2ad9fe781424961de7effc2bf63b4c8f6",
+    ("couple-process", "couple", ()):
+        "e0ca26241f08a6b9630909a958390d32b28e10588dfdf3d7b991ddbad7eec80a",
     ("regress-affine-span", "regress", ()):
         "2beec5f8bc3fdb9cd4a5ccaa844dcb1e7e64de071ccba3d27d0038d52380f2b0",
     ("regress-state-table", "regress", ()):
