@@ -79,13 +79,11 @@ def lifted_bound(
     t: float,
     beta_at_m: float,
     deviation_cap: float,
-    coarse: bool = False,
 ) -> float:
     """Dependent-case deviation bound from an independent-case bound function.
 
     Returns 0 for t above the deviation cap; otherwise the r-weighted form
-    r*base(q+1,t) + (m-r)*base(q,t) + n*beta_at_m (or the coarser
-    m*max(base(q+1,t), base(q,t)) + n*beta_at_m when ``coarse``), clipped to 1.
+    r*base(q+1,t) + (m-r)*base(q,t) + n*beta_at_m, clipped to 1.
     The size argument is clamped at n, so base(n+1, t) means base(n, t).
     """
     if t < 0:
@@ -95,9 +93,7 @@ def lifted_bound(
         return 0.0
     hi = base(min(q + 1, n), t)
     lo = base(q, t)
-    if coarse:
-        total = m * max(hi, lo) + n * beta_at_m
-    elif r == 0:
+    if r == 0:
         # skip the zero-coefficient term so the independent case (m=1) recovers
         # the base bound bitwise
         total = m * lo + n * beta_at_m if m > 1 or beta_at_m != 0.0 else lo

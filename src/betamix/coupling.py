@@ -1,10 +1,13 @@
 """Constructive Berbee couplings on finite spaces.
 
-Both constructions materialize the extended joint law explicitly.  The
-single-pair coupling places the overlap mass min(P(w|v), P(w)) on the diagonal
-and matches the residuals proportionally; the sequence version proceeds by
-backward induction, each step applying the single-pair coupling with the
-conditioning block formed by the original past and the already-starred future.
+Both constructions materialize the extended joint law explicitly, and both are
+array operations over every conditioning atom at once.  The maximal coupling of
+each conditional law P(.|v) with P(w) places the overlap mass min(P(w|v), P(w))
+on the diagonal and matches the residuals proportionally; atoms of zero mass
+get zero rows.  The single-pair coupling weights these couplings by P(v).  The
+sequence version proceeds by backward induction: each step couples V_k against
+the block formed by the original past and the already-starred future, and lays
+the row-normalized couplings over the extended joint's axes.
 """
 from __future__ import annotations
 
@@ -18,17 +21,18 @@ from .pmf import JointPmf
 
 
 def _maximal_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Maximal coupling matrix M of two pmfs: rows sum to p, columns to q.
+    """Maximal couplings (..., s, s) of a C-ordered stack of pmfs p (..., s) with one pmf q.
 
-    Diagonal carries min(p, q); off-diagonal residual mass is the product of
-    the two residual profiles normalized by the total variation distance.
+    Each coupling's rows sum to its p and its columns to q.  The diagonal carries
+    min(p, q); off-diagonal residual mass is the product of the two residual
+    profiles normalized by the total variation distance.
     """
     overlap = np.minimum(p, q)
-    M = np.diag(overlap)
-    d = 1.0 - overlap.sum()
-    if d > 1e-15:
-        M = M + np.outer(p - overlap, q - overlap) / d
-    return M
+    d = 1.0 - overlap.sum(axis=-1)[..., None, None]
+    residual = np.zeros(overlap.shape + overlap.shape[-1:])
+    outer = (p - overlap)[..., :, None] * (q - overlap)[..., None, :]
+    np.divide(outer, d, out=residual, where=d > 1e-15)
+    return residual + overlap[..., None] * np.eye(overlap.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -72,15 +76,9 @@ def berbee_couple(joint: JointPmf) -> CouplingResult:
     if joint.n_axes != 2:
         raise MalformedInputError(f"expected a two-axis joint, got {joint.n_axes} axes")
     p = joint.probs
-    sv, sw = p.shape
-    p_v = p.sum(axis=1)
-    p_w = p.sum(axis=0)
-    ext = np.zeros((sv, sw, sw))
-    for v in range(sv):
-        if p_v[v] <= 0.0:
-            continue
-        cond = p[v] / p_v[v]
-        ext[v] = p_v[v] * _maximal_coupling(cond, p_w)
+    p_v = p.sum(axis=1, keepdims=True)
+    cond = np.divide(p, p_v, out=np.zeros(p.shape), where=p_v > 0.0)
+    ext = p_v[..., None] * _maximal_coupling(cond, p.sum(axis=0))
     # off-diagonal mass, exactly zero when the coupling is diagonal
     mismatch = float(ext.sum() - np.einsum("vww->", ext))
     extended = JointPmf(joint.axes + (joint.axes[1],), ext, cell_cap=joint.cell_cap)
@@ -109,31 +107,19 @@ def generalized_berbee(process: JointPmf) -> CouplingResult:
             )
         cond_axes = list(range(k)) + [star_pos[j] for j in range(k + 1, n)]
         p_w = process.marginal_pmf(k).probs
-        # joint of the conditioning block and V_k, block axes leading
+        # joint of the conditioning block and V_k, block axes leading; C order so
+        # that each atom's row sums as it would on its own
         keep = cond_axes + [k]
         others = [ax for ax in range(ext.ndim) if ax not in keep]
-        block = np.transpose(ext, keep + others)
-        if others:
-            block = block.sum(axis=tuple(range(len(keep), ext.ndim)))
-        new_ext = np.zeros(ext.shape + (sk,))
-        for u in np.ndindex(*block.shape[:-1]):
-            pu_w = block[u]
-            pu = pu_w.sum()
-            if pu <= 0.0:
-                continue
-            cond = pu_w / pu
-            coupling = _maximal_coupling(cond, p_w)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rows = np.where(cond[:, None] > 0.0, coupling / cond[:, None], 0.0)
-            idx = [slice(None)] * ext.ndim
-            for ax, val in zip(cond_axes, u):
-                idx[ax] = val
-            sub = ext[tuple(idx)]
-            # after removing the conditioning axes, V_k is the leading axis of sub
-            new_ext[tuple(idx)] = sub[..., None] * rows.reshape(
-                sk, *([1] * (sub.ndim - 1)), sk
-            )
-        ext = new_ext
+        block = np.transpose(ext, keep + others).sum(axis=tuple(range(len(keep), ext.ndim)))
+        block = np.ascontiguousarray(block)
+        p_u = block.sum(axis=-1, keepdims=True)
+        cond = np.divide(block, p_u, out=np.zeros(block.shape), where=p_u > 0.0)
+        coupling = _maximal_coupling(cond, p_w)
+        # P(V*_k | block, V_k), indexed (block atom, V_k, V*_k), laid over ext's axes
+        rows = np.divide(coupling, cond[..., None], out=np.zeros(coupling.shape), where=cond[..., None] > 0.0)
+        rows = rows.reshape(rows.shape[:-1] + (1,) * len(others) + (sk,))
+        ext = ext[..., None] * np.transpose(rows, [*np.argsort(keep + others), ext.ndim])
         star_pos[k] = ext.ndim - 1
 
     # V*_1 is V_1 itself: append a diagonal copy of axis 0
@@ -204,7 +190,7 @@ def verify_coupling(result: CouplingResult, original: JointPmf) -> CouplingRepor
         future_stars = tuple(result.starred_axis(j) for j in result.starred_indices if j >= k)
         if not past or not future_stars:
             continue
-        joint2 = ext.grouped(past, future_stars).probs
+        joint2 = ext.grouped(past, future_stars)
         left = joint2.sum(axis=1)
         right = joint2.sum(axis=0)
         indep_err = max(indep_err, float(np.abs(joint2 - np.outer(left, right)).max()))

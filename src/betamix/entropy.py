@@ -53,16 +53,25 @@ class FunctionFamily:
 def l1_distances(values: np.ndarray) -> np.ndarray:
     """Pairwise empirical L1 seminorm distances between family members."""
     values = np.asarray(values, dtype=float)
+    if values.size == 0 or not np.isfinite(values).all():
+        raise MalformedInputError("a cover needs a nonempty table of finite values")
     return np.abs(values[:, None, :] - values[None, :, :]).mean(axis=2)
+
+
+def _closed_radius(r: float) -> float:
+    """The closed radius that stands for the strict d < r, never below 0 so that
+    every member covers itself."""
+    if not r > 0:
+        raise DomainError("radius must be positive")
+    return max(r - STRICT_MARGIN, 0.0)
 
 
 def _cover_from_distances(dist: np.ndarray, r: float) -> int:
     """Minimal internal cover size from a pairwise distance matrix (strict radius)."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
+    radius = _closed_radius(r)
     n = dist.shape[0]
     covers = [
-        int(sum(1 << j for j in range(n) if dist[i, j] <= r - STRICT_MARGIN))
+        int(sum(1 << j for j in range(n) if dist[i, j] <= radius))
         for i in range(n)
     ]
     full = (1 << n) - 1
@@ -89,14 +98,12 @@ def covering_number_exact(values: np.ndarray, r: float) -> int:
 
 def covering_number_greedy(values: np.ndarray, r: float) -> int:
     """Farthest-point greedy internal L1 r-cover size (upper bound on the exact one)."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    dist = l1_distances(np.asarray(values, dtype=float))
-    n = dist.shape[0]
+    radius = _closed_radius(r)
+    dist = l1_distances(values)
     centers = [0]
     min_dist = dist[0].copy()
     while True:
-        uncovered = min_dist > r - STRICT_MARGIN
+        uncovered = min_dist > radius
         if not uncovered.any():
             return len(centers)
         nxt = int(np.argmax(np.where(uncovered, min_dist, -np.inf)))

@@ -26,10 +26,12 @@ def beta_coefficient(joint: JointPmf) -> float:
     """
     if joint.n_axes != 2:
         raise MalformedInputError(f"expected a two-axis joint, got {joint.n_axes} axes")
-    p = joint.probs
-    left = p.sum(axis=1)
-    right = p.sum(axis=0)
-    return 0.5 * float(np.abs(p - np.outer(left, right)).sum())
+    return _beta(joint.probs)
+
+
+def _beta(p: np.ndarray) -> float:
+    """(1/2) * ||p - p_L (x) p_R||_1 for a two-dimensional probability array p."""
+    return 0.5 * float(np.abs(p - np.outer(p.sum(axis=1), p.sum(axis=0))).sum())
 
 
 def _resolve_indices(process: JointPmf, indices) -> tuple:
@@ -68,7 +70,7 @@ def pairwise_beta(process: JointPmf, left: Sequence[int], right: Sequence[int]) 
     """Coefficient between two disjoint groups of axis positions."""
     if not left or not right:
         return 0.0
-    return beta_coefficient(process.grouped(left, right))
+    return _beta(process.grouped(left, right))
 
 
 def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
@@ -86,8 +88,8 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
     mu = chain.initial.probs.copy()
     best = 0.0
     for _ in range(horizon):
-        joint = JointPmf((chain.states, chain.states), mu[:, None] * step_m)
-        best = max(best, beta_coefficient(joint))
+        # transition entries within tolerance below 0 are clipped, as a JointPmf would
+        best = max(best, _beta(np.maximum(mu[:, None] * step_m, 0.0)))
         mu = mu @ chain.transition
     return best
 

@@ -7,7 +7,7 @@ construction time and keep the full grid in memory (with a hard cell cap).
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,9 +37,10 @@ class FinitePmf:
             raise MalformedInputError("support labels must be unique")
         if probs.size == 0:
             raise MalformedInputError("empty support")
-        if probs.min() < -MASS_TOL:
+        # written so that NaN fails each check
+        if not probs.min() >= -MASS_TOL:
             raise MalformedInputError(f"negative probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > MASS_TOL:
+        if not abs(probs.sum() - 1.0) <= MASS_TOL:
             raise MalformedInputError(f"total mass {probs.sum()} != 1")
         object.__setattr__(self, "probs", np.maximum(probs, 0.0))
 
@@ -82,9 +83,9 @@ class JointPmf:
             )
         if probs.size > self.cell_cap:
             raise SizeError(f"joint with {probs.size} cells exceeds cap {self.cell_cap}")
-        if probs.min() < -MASS_TOL:
+        if not probs.min() >= -MASS_TOL:
             raise MalformedInputError(f"negative cell probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > MASS_TOL:
+        if not abs(probs.sum() - 1.0) <= MASS_TOL:
             raise MalformedInputError(f"total mass {probs.sum()} != 1")
         object.__setattr__(self, "probs", np.maximum(probs, 0.0))
 
@@ -95,13 +96,19 @@ class JointPmf:
     def marginal(self, keep: Sequence[int]) -> "JointPmf":
         """Marginalize onto the axis positions in ``keep`` (preserving their order)."""
         keep = tuple(int(k) for k in keep)
+        probs = self._sum_onto(keep)
+        return JointPmf(tuple(self.axes[k] for k in keep), probs, cell_cap=self.cell_cap)
+
+    def _sum_onto(self, keep: Sequence[int]) -> np.ndarray:
+        """Probabilities summed onto the axis positions in ``keep``, in that order."""
+        keep = tuple(int(k) for k in keep)
         if len(set(keep)) != len(keep) or any(k < 0 or k >= self.n_axes for k in keep):
             raise MalformedInputError(f"invalid axis subset {keep}")
         drop = tuple(i for i in range(self.n_axes) if i not in keep)
         probs = np.transpose(self.probs, keep + drop)
         if drop:
             probs = probs.sum(axis=tuple(range(len(keep), self.n_axes)))
-        return JointPmf(tuple(self.axes[k] for k in keep), probs, cell_cap=self.cell_cap)
+        return probs
 
     def marginal_pmf(self, axis: int) -> FinitePmf:
         """One-dimensional marginal as a FinitePmf."""
@@ -109,22 +116,17 @@ class JointPmf:
         probs = self.probs.sum(axis=drop) if drop else self.probs
         return FinitePmf(self.axes[axis], probs)
 
-    def grouped(self, left: Sequence[int], right: Sequence[int]) -> "JointPmf":
-        """Two-axis joint of the grouped coordinates (left block, right block).
+    def grouped(self, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
+        """Probabilities of the grouped coordinates as a (left block, right block) array.
 
-        Each block is flattened into a single product alphabet whose labels are
-        tuples of the member labels.
+        Each block is flattened row-major over its member axes, in the order given.
+        The array may share memory with ``probs``: read it, do not write to it.
         """
         left, right = tuple(left), tuple(right)
         if set(left) & set(right):
             raise MalformedInputError("left and right groups must be disjoint")
-        marg = self.marginal(left + right)
-        lsize = int(np.prod([len(self.axes[k]) for k in left], dtype=np.int64)) if left else 1
-        rsize = int(np.prod([len(self.axes[k]) for k in right], dtype=np.int64)) if right else 1
-        probs = marg.probs.reshape(lsize, rsize)
-        llabels = tuple(itertools.product(*(self.axes[k] for k in left)))
-        rlabels = tuple(itertools.product(*(self.axes[k] for k in right)))
-        return JointPmf((llabels, rlabels), probs, cell_cap=self.cell_cap)
+        probs = self._sum_onto(left + right)
+        return probs.reshape(math.prod(probs.shape[: len(left)]), -1)
 
     @staticmethod
     def from_product(factors: Sequence[FinitePmf], cell_cap: int = DEFAULT_CELL_CAP) -> "JointPmf":
@@ -151,10 +153,10 @@ class MarkovChainSpec:
         k = len(states)
         if transition.shape != (k, k):
             raise MalformedInputError(f"transition shape {transition.shape} != ({k},{k})")
-        if transition.min() < -MASS_TOL:
+        if not transition.min() >= -MASS_TOL:
             raise MalformedInputError("negative transition probability")
         rowsums = transition.sum(axis=1)
-        if np.abs(rowsums - 1.0).max() > MASS_TOL:
+        if not np.abs(rowsums - 1.0).max() <= MASS_TOL:
             raise MalformedInputError(f"transition rows must sum to 1, got {rowsums}")
         if self.initial.support != states:
             raise MalformedInputError("initial law support must equal the state set")

@@ -66,7 +66,7 @@ class GeneratorSpec:
             raise MalformedInputError("m_dependent kind requires dependence_lag >= 1 and alphabet_size >= 2")
         if self.kind == "iid" and self.law is None:
             raise MalformedInputError("iid kind requires a law")
-        if abs(sum(self.noise_probs) - 1.0) > 1e-12 or min(self.noise_probs) < 0:
+        if not (abs(sum(self.noise_probs) - 1.0) <= 1e-12 and min(self.noise_probs) >= 0):
             raise MalformedInputError("noise_probs must be a pmf")
         k = len(self.states())
         phi = np.zeros(k) if self.phi is None else np.array(self.phi, dtype=float)

@@ -80,15 +80,6 @@ def test_lifted_bound_independent_recovery_bitwise():
             assert lifted_bound(base, n, 1, t, 0.0, deviation_cap=2.0) == min(1.0, base(n, t))
 
 
-def test_lifted_bound_coarse_dominates_fine():
-    def base(size, t):
-        return float(np.exp(-size * t / 5.0))
-
-    fine = lifted_bound(base, 100, 7, 0.4, 1e-4, deviation_cap=2.0)
-    coarse = lifted_bound(base, 100, 7, 0.4, 1e-4, deviation_cap=2.0, coarse=True)
-    assert coarse >= fine
-
-
 def test_lifted_bound_size_clamped_at_n():
     calls = []
 

@@ -378,3 +378,56 @@ def test_threads_flag_rejected(capsys, case):
     with pytest.raises(SystemExit) as exc:
         main(UNREAD_FLAGS[case])
     assert exc.value.code == 2
+
+
+NAN = float("nan")
+DRIFTING_CHAIN = {"states": [0, 1], "transition": [[0.5, 0.5 - 9e-13], [0.5, 0.5 - 9e-13]],
+                  "initial": [0.5, 0.5]}
+COVER_DOC = {"entropy": "exact_cover", "values": [[0.0, 1.0], [1.0, 0.0]], "r": 1e-13}
+# valid inputs at floating-point edges: (command, document, expected answer)
+FLOAT_EDGES = {
+    "chain rows short of 1 within tolerance": (
+        "beta", {"chain": DRIFTING_CHAIN, "m": 2}, lambda doc: doc["beta"] < 1e-10),
+    "exact cover below the strictness margin": (
+        "entropy", COVER_DOC, lambda doc: doc["covering_number"] == 2),
+    "greedy cover below the strictness margin": (
+        "entropy", dict(COVER_DOC, entropy="greedy_cover"), lambda doc: doc["covering_number"] == 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_EDGES))
+def test_float_edge_inputs_exit_zero(tmp_path, capsys, case):
+    command, doc, expected = FLOAT_EDGES[case]
+    code, out, err = run(capsys, [command, write(tmp_path, "edge.json", doc)])
+    assert code == 0, err
+    assert expected(json.loads(out))
+
+
+# (command, document, start of the message); every case exits 1
+DOMAIN_ERRORS = {
+    "NaN transition entry": (
+        "beta", with_change(BETA_DOC, "chain.transition", [[NAN, 0.5], [0.25, 0.75]]),
+        "error: negative transition probability"),
+    "NaN initial entry": (
+        "beta", with_change(BETA_DOC, "chain.initial", [NAN, 0.5]), "error: negative probability"),
+    "NaN joint cell": (
+        "beta", {"joint": {"axes": [[0, 1], [0, 1]], "probs": [0.5, NAN, 0.0, 0.5]}},
+        "error: negative cell probability"),
+    "NaN joint cell (couple)": (
+        "couple", {"joint": {"axes": [[0, 1], [0, 1]], "probs": [0.5, NAN, 0.0, 0.5]}},
+        "error: negative cell probability"),
+    "cover table with no points": (
+        "entropy", dict(COVER_DOC, values=[[]], r=0.5), "error: a cover needs"),
+    "cover table with NaN": (
+        "entropy", dict(COVER_DOC, entropy="greedy_cover", values=[[NAN], [1.0]], r=0.5),
+        "error: a cover needs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_ERRORS))
+def test_domain_error_exits_one(tmp_path, capsys, case):
+    command, doc, message = DOMAIN_ERRORS[case]
+    code, out, err = run(capsys, [command, write(tmp_path, "bad.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from betamix.coupling import (
     _maximal_coupling,
@@ -115,3 +119,116 @@ def test_coupling_json_document():
     assert doc["n_original"] == 2
     assert doc["starred_indices"] == [1]
     assert len(doc["probs"]) == 8
+
+
+# Reference constructions with one maximal coupling per conditioning atom,
+# written into the extended joint atom by atom; the batched constructions must
+# equal them bit for bit.
+
+
+def pair_maximal_coupling(p, q):
+    overlap = np.minimum(p, q)
+    M = np.diag(overlap)
+    d = 1.0 - overlap.sum()
+    if d > 1e-15:
+        M = M + np.outer(p - overlap, q - overlap) / d
+    return M
+
+
+def per_atom_berbee_couple(p):
+    """Extended probabilities and mismatch of the pair coupling, one atom of V at a time."""
+    sv, sw = p.shape
+    p_v = p.sum(axis=1)
+    p_w = p.sum(axis=0)
+    ext = np.zeros((sv, sw, sw))
+    for v in range(sv):
+        if p_v[v] <= 0.0:
+            continue
+        ext[v] = p_v[v] * pair_maximal_coupling(p[v] / p_v[v], p_w)
+    return ext, max(float(ext.sum() - np.einsum("vww->", ext)), 0.0)
+
+
+def per_atom_generalized_berbee(process):
+    """Extended probabilities and mismatches of the sequence coupling, one atom at a time."""
+    n = process.n_axes
+    shape = process.probs.shape
+    ext = process.probs.copy()
+    star_pos = {}
+    for k in range(n - 1, 0, -1):
+        sk = shape[k]
+        cond_axes = list(range(k)) + [star_pos[j] for j in range(k + 1, n)]
+        p_w = process.marginal_pmf(k).probs
+        keep = cond_axes + [k]
+        others = [ax for ax in range(ext.ndim) if ax not in keep]
+        block = np.transpose(ext, keep + others)
+        if others:
+            block = block.sum(axis=tuple(range(len(keep), ext.ndim)))
+        new_ext = np.zeros(ext.shape + (sk,))
+        for u in np.ndindex(*block.shape[:-1]):
+            pu_w = block[u]
+            pu = pu_w.sum()
+            if pu <= 0.0:
+                continue
+            cond = pu_w / pu
+            coupling = pair_maximal_coupling(cond, p_w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = np.where(cond[:, None] > 0.0, coupling / cond[:, None], 0.0)
+            idx = [slice(None)] * ext.ndim
+            for ax, val in zip(cond_axes, u):
+                idx[ax] = val
+            sub = ext[tuple(idx)]
+            new_ext[tuple(idx)] = sub[..., None] * rows.reshape(sk, *([1] * (sub.ndim - 1)), sk)
+        ext = new_ext
+        star_pos[k] = ext.ndim - 1
+    s0 = shape[0]
+    ext = ext[..., None] * np.eye(s0).reshape(s0, *([1] * (ext.ndim - 1)), s0)
+    star_pos[0] = ext.ndim - 1
+    ext = np.transpose(ext, list(range(n)) + [star_pos[k] for k in range(n)])
+    extended = JointPmf(process.axes + process.axes, ext, cell_cap=max(process.cell_cap, ext.size))
+    mismatch = []
+    for k in range(n):
+        pair = extended.marginal((k, n + k)).probs
+        mismatch.append(max(float(pair.sum() - np.trace(pair)), 0.0))
+    return extended.probs, tuple(mismatch)
+
+
+def sparse_joint(seed, shape):
+    """A random joint on ``shape`` with some zero cells and some zero-mass atoms."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(shape) * (rng.random(shape) > 0.2)
+    for axis, size in enumerate(shape):
+        if size > 1 and rng.random() < 0.5:
+            np.moveaxis(probs, axis, 0)[rng.integers(size)] = 0.0
+    if probs.sum() == 0.0:
+        probs.flat[0] = 1.0
+    return JointPmf(tuple(tuple(range(s)) for s in shape), probs / probs.sum())
+
+
+ALPHABET = st.integers(1, 10)
+
+
+def bit_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), ALPHABET, ALPHABET)
+@settings(max_examples=100, deadline=None)
+def test_berbee_couple_equals_per_atom_loop(seed, sv, sw):
+    joint = sparse_joint(seed, (sv, sw))
+    ext, mismatch = per_atom_berbee_couple(joint.probs)
+    res = berbee_couple(joint)
+    assert bit_equal(res.extended_joint.probs, ext)
+    assert res.mismatch_probs == (mismatch,)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(ALPHABET, min_size=1, max_size=4).filter(lambda shape: math.prod(shape) <= 200))
+@example(seed=0, shape=[2, 9, 2])  # a nine-atom axis summed out of a transposed block
+@example(seed=1, shape=[1, 10, 3, 1])
+@settings(max_examples=100, deadline=None)
+def test_generalized_berbee_equals_per_atom_loop(seed, shape):
+    process = sparse_joint(seed, tuple(shape))
+    ext, mismatch = per_atom_generalized_berbee(process)
+    res = generalized_berbee(process)
+    assert bit_equal(res.extended_joint.probs, ext)
+    assert res.mismatch_probs == mismatch

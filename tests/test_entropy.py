@@ -37,6 +37,13 @@ def test_exact_cover_hand_cases():
     assert covering_number_exact(values, 2.5) == 1
     # a single member always covers itself
     assert covering_number_exact(np.array([[1.0, 2.0]]), 0.1) == 1
+    # also at radii below the strictness margin
+    assert covering_number_exact(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-13) == 2
+    assert covering_number_exact(np.array([[1.0, 2.0]]), 1e-13) == 1
+    # a table with no points, or with a NaN, has no distances
+    for values in (np.zeros((1, 0)), np.zeros((0, 2)), np.array([[0.0, np.nan], [1.0, 0.0]])):
+        with pytest.raises(MalformedInputError):
+            covering_number_exact(values, 0.5)
 
 
 def test_exact_cover_beats_star_heuristic():
@@ -53,6 +60,12 @@ def test_greedy_upper_bounds_exact():
             exact = covering_number_exact(values, r)
             greedy = covering_number_greedy(values, r)
             assert exact <= greedy <= values.shape[0]
+    # radii below the strictness margin end with every member its own center
+    values = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert covering_number_exact(values, 1e-13) == covering_number_greedy(values, 1e-13) == 2
+    for values in (np.zeros((1, 0)), np.array([[np.nan]])):
+        with pytest.raises(MalformedInputError):
+            covering_number_greedy(values, 0.5)
 
 
 def test_exact_cover_size_cap():

@@ -130,6 +130,16 @@ def test_markov_beta_matches_atom_sum_oracle():
     joint = pi[:, None] * np.linalg.matrix_power(T, m)
     oracle = 0.5 * np.abs(joint - np.outer(pi, joint.sum(axis=0))).sum()
     assert markov_beta(chain, m) == pytest.approx(oracle, abs=1e-12)
+    # rows short of 1 within tolerance: the marginals drift past the mass
+    # tolerance over the scan, which must not be rejected
+    T = np.array([[0.5, 0.5 - 9e-13], [0.5, 0.5 - 9e-13]])
+    chain = MarkovChainSpec((0, 1), T, FinitePmf((0, 1), [0.5, 0.5]))
+    mu, oracle = chain.initial.probs, 0.0
+    for _ in range(64):
+        joint = mu[:, None] * np.linalg.matrix_power(T, m)
+        oracle = max(oracle, 0.5 * np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))).sum())
+        mu = mu @ T
+    assert markov_beta(chain, m) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_markov_beta_nonstationary_scan():
