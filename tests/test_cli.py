@@ -205,6 +205,8 @@ GOLDEN_CHAIN = {
 GOLDEN_MDEP_TABLE = {str(s): (s - 1.5) / 15.0 for s in range(4)}
 GOLDEN_PROCESS_WEIGHTS = [0 if (i // 2) % 9 == 4 else (7 * i) % 13 + 1 for i in range(36)]
 GOLDEN_PROCESS_PROBS = [w / sum(GOLDEN_PROCESS_WEIGHTS) for w in GOLDEN_PROCESS_WEIGHTS]
+GOLDEN_BINARY7_WEIGHTS = [(5 * i) % 11 + 1 for i in range(2 ** 7)]
+GOLDEN_BINARY5_WEIGHTS = [(3 * i) % 7 + 1 for i in range(2 ** 5)]
 GOLDEN_DOCS = {
     "simulate-markov": {
         "experiment": "deviation",
@@ -260,6 +262,23 @@ GOLDEN_DOCS = {
     # nine atoms on the middle axis, atom 4 of which has no mass
     "couple-process": {"process": {"axes": [[0, 1], list(range(9)), ["a", "b"]],
                                    "probs": GOLDEN_PROCESS_PROBS}},
+    # the benchmark's couple shape: 4**7 = 16384 cells in the extended joint
+    "couple-binary7": {"process": {
+        "axes": [[0, 1]] * 7,
+        "probs": [w / sum(GOLDEN_BINARY7_WEIGHTS) for w in GOLDEN_BINARY7_WEIGHTS]}},
+    "beta-process": {"process": {
+        "axes": [[0, 1]] * 5,
+        "probs": [w / sum(GOLDEN_BINARY5_WEIGHTS) for w in GOLDEN_BINARY5_WEIGHTS]}, "m": 2},
+    "entropy-exact-cover": {"entropy": "exact_cover", "r": 0.3,
+                            "values": [[0.0, 0.5], [0.1, 0.45], [1.0, 0.0], [0.9, 0.2], [0.5, 0.5]]},
+    "bound-beta-deviation": {
+        "bound": "beta_deviation",
+        "params": params_doc(epsilon=0.9, c=4.0,
+                             mixing={"model": "subexponential", "a": 0.5, "b": 0.7, "gamma": 1.0},
+                             n=1000, m=20),
+        "entropy_spec": {"entropy": "finite", "n_members": 3},
+        "t": 1.2,
+    },
     "bound-weak-error": {
         "bound": "weak_error",
         "params": params_doc(B=0.25, V=3, n=800, m=4,
@@ -268,16 +287,27 @@ GOLDEN_DOCS = {
     },
 }
 # sha256 of stdout for each (document, command, extra arguments): any change
-# to the output bytes for a fixed (config, seed) fails
+# to the output bytes for a fixed (config, seed) fails; a name that is not in
+# GOLDEN_DOCS runs without a config
 GOLDEN = {
     ("beta-chain", "beta", ()):
         "8d3bef6647d9616ed37fbe1d31284119c55656da31b8ccf57f031840460440df",
+    ("beta-process", "beta", ()):
+        "383b614b6806a99d542cfd659a45dcc6e98037bb6f3aad4ab8ed65f57573a734",
+    ("bound-beta-deviation", "bound", ()):
+        "bdf1f55c2bfe5447ad8bec7bbbee5cdd924e05d466bbc07cb32f0293c2fa9b01",
     ("bound-weak-error", "bound", ()):
         "f96a90cba988c84fe344665719ce58879c7435d4cb2c0acc6676c84ac942cc0b",
+    ("couple-binary7", "couple", ()):
+        "1c22a6f8e5e791e314fa1e5f21cbbb4f44199964381540fd7818896aa0a5e43d",
     ("couple-joint", "couple", ()):
         "eaa184729f1aa209084ec837bb101fa2ad9fe781424961de7effc2bf63b4c8f6",
     ("couple-process", "couple", ()):
         "e0ca26241f08a6b9630909a958390d32b28e10588dfdf3d7b991ddbad7eec80a",
+    ("entropy-exact-cover", "entropy", ()):
+        "c38d666e6817cc70818ae9d78fa4f5a74c4cfa2af568269b7a99de49c159d6a9",
+    ("partition", "partition", ("10", "3")):
+        "213c671b3cea852ce3953624e227e527fbef7c503b57699b7e5b6bf3f1bf6c39",
     ("regress-affine-span", "regress", ()):
         "2beec5f8bc3fdb9cd4a5ccaa844dcb1e7e64de071ccba3d27d0038d52380f2b0",
     ("regress-state-table", "regress", ()):
@@ -299,8 +329,8 @@ GOLDEN = {
     "name,command,extra", sorted(GOLDEN), ids=[" ".join((k[0],) + k[2]) for k in sorted(GOLDEN)]
 )
 def test_golden_stdout_bytes(tmp_path, capsys, name, command, extra):
-    cfg = write(tmp_path, f"{name}.json", GOLDEN_DOCS[name])
-    code, out, err = run(capsys, [command, cfg, *extra])
+    cfg = [write(tmp_path, f"{name}.json", GOLDEN_DOCS[name])] if name in GOLDEN_DOCS else []
+    code, out, err = run(capsys, [command, *cfg, *extra])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(name, command, extra)]
 
