@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, MalformedInputError
 
 
 def euclidean(n: int, m: int) -> tuple:
@@ -152,18 +152,25 @@ def union_bound_check(
         raise DomainError("replications must be >= 1")
     blocks = partition.blocks if isinstance(partition, Partition) else tuple(partition)
     avg_values = np.asarray(avg_values, dtype=float)
-    n = avg_values.shape[1]
+    if avg_values.ndim != 2:
+        raise MalformedInputError(f"avg_values must be (members, n), got shape {avg_values.shape}")
     block_idx = [np.asarray(blk, dtype=int) - 1 for blk in blocks]
+
+    avg_term = b * avg_values.mean(axis=1)
+    block_avg_terms = [b * avg_values[:, idx].mean(axis=1) for idx in block_idx]
 
     lhs_hits = 0
     rhs_hits = np.zeros(len(blocks), dtype=int)
     for rep in range(replications):
         values = np.asarray(sampler(rep), dtype=float)
-        stat = (a * values.mean(axis=1) + b * avg_values.mean(axis=1)).max()
+        if values.shape != avg_values.shape:
+            raise MalformedInputError(
+                f"sampler({rep}) returned shape {values.shape}, avg_values has {avg_values.shape}")
+        stat = (a * values.mean(axis=1) + avg_term).max()
         if stat >= t:
             lhs_hits += 1
         for i, idx in enumerate(block_idx):
-            stat_j = (a * values[:, idx].mean(axis=1) + b * avg_values[:, idx].mean(axis=1)).max()
+            stat_j = (a * values[:, idx].mean(axis=1) + block_avg_terms[i]).max()
             if stat_j >= t:
                 rhs_hits[i] += 1
 

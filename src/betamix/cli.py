@@ -5,11 +5,19 @@ regress, simulate, verify), all file/stdout based.  Exit status 0 on success,
 1 on domain or hypothesis violations (the message names the violated
 inequality), 2 on I/O or parse failures.  Configs are validated before any
 computation starts and outputs are written whole or not at all.
+
+Every answer is one JSON document in the stdlib encoder's ``indent=2`` layout
+(``partition`` writes compact JSON), and its bytes are fixed by the config and
+the seed.  The writer hands each scalar and each container of scalars to the
+stdlib's C encoder, which the stdlib uses only without ``indent``.
+``main(argv)`` may be called any number of times in one process: the argument
+parser is built on the first call and every call parses into a fresh namespace.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -18,11 +26,40 @@ from .blocking import m_steps_partition
 from .errors import BetamixError, ConfigError
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(value, pad=""):
+    """What the stdlib's ``indent=2, default=float`` encoder writes for a value nested at ``pad``.
+
+    Each scalar and each container holding no container is one call to the C
+    encoder: its item separator carries the newline and the next line's
+    indentation.  Dict keys must be strings.
+    """
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return json.dumps(value, default=float)
+    if not value:
+        return brackets
+    inner = pad + "  "
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+        body = json.dumps(value, separators=(",\n" + inner, ": "), default=float)[1:-1]
+    elif isinstance(value, dict):
+        body = (",\n" + inner).join(json.dumps(key) + ": " + _indented(item, inner)
+                                    for key, item in value.items())
+    else:
+        body = (",\n" + inner).join(_indented(item, inner) for item in value)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def _emit(doc, output_path, compact=False):
     if compact:
         text = json.dumps(doc, separators=(",", ":"), default=float) + "\n"
     else:
-        text = json.dumps(doc, indent=2, default=float) + "\n"
+        text = _indented(doc) + "\n"
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text)
@@ -139,7 +176,13 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    ``parse_args`` leaves it unchanged and returns a fresh namespace, so
+    every call of ``main`` shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="betamix",
         description="Dependence coefficients, couplings, and deviation bounds on finite spaces.",

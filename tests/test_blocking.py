@@ -10,7 +10,7 @@ from betamix.blocking import (
     m_steps_partition,
     union_bound_check,
 )
-from betamix.errors import DomainError
+from betamix.errors import DomainError, MalformedInputError
 
 
 def exhaustive_verify(part: Partition):
@@ -109,6 +109,22 @@ def test_union_bound_check_iid_consistency():
     assert report.replications == reps
     assert 0.0 <= report.lhs_frequency <= 1.0
     assert report.consistent
+
+
+# (shape of avg_values, shape of each sample, start of the message)
+WRONG_SHAPES = {
+    "more members": ((1, 6), (2, 6), r"sampler\(0\) returned shape"),
+    "shorter sample": ((1, 6), (1, 5), r"sampler\(0\) returned shape"),
+    "one-dimensional averages": ((6,), (6,), "avg_values must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_union_bound_check_rejects_wrong_shapes(case):
+    avg_shape, sample_shape, message = WRONG_SHAPES[case]
+    with pytest.raises(MalformedInputError, match=message):
+        union_bound_check(lambda rep: np.zeros(sample_shape), np.full(avg_shape, 0.5),
+                          m_steps_partition(6, 2), 1.0, -1.0, 0.1, 3)
 
 
 def test_union_bound_report_consistency_flag():

@@ -1,11 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from betamix.cli import main
+import betamix
+from betamix.cli import _indented, main
 
 
 def write(tmp_path, name, doc):
@@ -325,6 +332,10 @@ GOLDEN = {
 }
 
 
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "name,command,extra", sorted(GOLDEN), ids=[" ".join((k[0],) + k[2]) for k in sorted(GOLDEN)]
 )
@@ -332,7 +343,80 @@ def test_golden_stdout_bytes(tmp_path, capsys, name, command, extra):
     cfg = [write(tmp_path, f"{name}.json", GOLDEN_DOCS[name])] if name in GOLDEN_DOCS else []
     code, out, err = run(capsys, [command, *cfg, *extra])
     assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(name, command, extra)]
+    assert digest(out) == GOLDEN[(name, command, extra)]
+
+
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys):
+    cfg = write(tmp_path, "couple.json", GOLDEN_DOCS["couple-process"])
+    out_path = tmp_path / "couple-out.json"
+    code, out, _ = run(capsys, ["couple", cfg, "--output", str(out_path)])
+    assert code == 0
+    assert out == ""
+    assert digest(out_path.read_bytes().decode()) == GOLDEN[("couple-process", "couple", ())]
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300]
+ODD_TEXT = st.text(st.sampled_from('a ,"\\\n\t:{}[]\x00\u00e9\u20ac\U0001f600'), max_size=6)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from(SPECIAL_FLOATS), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    ODD_TEXT, st.text(max_size=4),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(ODD_TEXT, st.text(max_size=4)), inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@given(JSON_DOCS)
+@example({"empty": [[], {}, ()], "specials": SPECIAL_FLOATS,
+          "numpy": [np.float64(0.1), np.int64(-3), np.bool_(True), np.float64("nan")],
+          "mixed": [1, [2.5, "x"], {"k": ()}, [[[]]], "s"],
+          'quote " comma , line\n \u00e9': "\u20ac"})
+@example([[0.25, 0.5], [[1, 2], []], (3, {"a": [None, True]})])
+@settings(max_examples=200, deadline=None)
+def test_indented_writer_matches_stdlib(doc):
+    # the stdlib's indent=2 layout is the reference the CLI's output bytes were fixed by
+    assert _indented(doc) == json.dumps(doc, indent=2, default=float)
+
+
+def fresh_run(argv):
+    """Run the CLI in a new interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "betamix.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_calls_in_one_process_share_no_state(tmp_path, capsys):
+    exp = write(tmp_path, "exp.json", GOLDEN_DOCS["simulate-markov"])
+    beta = write(tmp_path, "beta.json", GOLDEN_DOCS["beta-chain"])
+
+    for argv in (["verify", "--seed", "11", exp], ["verify", exp]):
+        assert run(capsys, argv)[:2] == fresh_run(argv)[:2]
+    # verify writes the simulate report: the config seed's bytes, not seed 11's
+    assert digest(run(capsys, ["verify", exp])[1]) == GOLDEN[("simulate-markov", "simulate", ())]
+
+    csv_in_process, csv_fresh = tmp_path / "in-process.csv", tmp_path / "fresh.csv"
+    assert run(capsys, ["simulate", "--format", "csv", "--output", str(csv_in_process), exp]) \
+        == (0, "", "")
+    assert fresh_run(["simulate", "--format", "csv", "--output", str(csv_fresh), exp])[0] == 0
+    assert csv_in_process.read_text() == csv_fresh.read_text()
+    code, out, _ = run(capsys, ["simulate", exp])
+    assert (code, out) == fresh_run(["simulate", exp])[:2]
+    json.loads(out)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["beta", "--seed", "1", beta])
+    assert exc.value.code == 2 == fresh_run(["beta", "--seed", "1", beta])[0]
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["beta", beta])
+    assert code == 0
+    assert digest(out) == GOLDEN[("beta-chain", "beta", ())]
 
 
 def with_change(doc, path, value):
