@@ -28,7 +28,6 @@ from .entropy import (
 )
 from .errors import (
     BetamixError,
-    CapabilityError,
     ConfigError,
     DegenerateFitError,
     DomainError,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,17 +24,19 @@ def euclidean(n: int, m: int) -> tuple:
     return q, r
 
 
-@dataclass(frozen=True)
 class Partition:
-    """The m-steps partition of {1..n}: block k is k, k+m, k+2m, ... up to n."""
+    """The m-steps partition of {1..n}: block k is k, k+m, k+2m, ... up to n.
 
-    n: int
-    m: int
+    With (q, r) = divmod(n, m), blocks 1..r hold q+1 indices and the rest q.
+    """
 
-    def __post_init__(self):
-        euclidean(self.n, self.m)
+    __slots__ = ("n", "m", "q", "r")
 
-    @cached_property
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.q, self.r = euclidean(n, m)
+
+    @property
     def blocks(self) -> tuple:
         return tuple(range(k, self.n + 1, self.m) for k in range(1, self.m + 1))
 
@@ -47,8 +48,7 @@ class Partition:
         holds at the boundary blocks; distinct starts 1..m with common step m
         give disjointness, and the size sum q*m + r = n then gives coverage.
         """
-        n, m = self.n, self.m
-        q, r = euclidean(n, m)
+        n, m, q, r = self.n, self.m, self.q, self.r
         boundary = sorted({1, max(r, 1), min(r + 1, m), m})
         for k in boundary:
             block = range(k, n + 1, m)
@@ -83,22 +83,20 @@ def lifted_bound(
     """Dependent-case deviation bound from an independent-case bound function.
 
     Returns 0 for t above the deviation cap; otherwise the r-weighted form
-    r*base(q+1,t) + (m-r)*base(q,t) + n*beta_at_m, clipped to 1.
-    The size argument is clamped at n, so base(n+1, t) means base(n, t).
+    r*base(q+1,t) + (m-r)*base(q,t) + n*beta_at_m, clipped to 1.  base(q+1, t)
+    is evaluated only when r > 0, where q+1 <= n.  With m = 1 and beta 0 the
+    sum is 1*base(n,t) + n*0.0, so the independent case recovers the base
+    bound bitwise.
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
     q, r = euclidean(n, m)
     if t > deviation_cap:
         return 0.0
-    hi = base(min(q + 1, n), t)
-    lo = base(q, t)
-    if r == 0:
-        # skip the zero-coefficient term so the independent case (m=1) recovers
-        # the base bound bitwise
-        total = m * lo + n * beta_at_m if m > 1 or beta_at_m != 0.0 else lo
+    if r:
+        total = r * base(q + 1, t) + (m - r) * base(q, t) + n * beta_at_m
     else:
-        total = r * hi + (m - r) * lo + n * beta_at_m
+        total = m * base(q, t) + n * beta_at_m
     return min(1.0, total)
 
 
@@ -134,7 +132,7 @@ class UnionBoundReport:
 def union_bound_check(
     sampler: Callable[[int], np.ndarray],
     avg_values: np.ndarray,
-    partition: Partition | Sequence[Sequence[int]],
+    partition: Partition,
     a: float,
     b: float,
     t: float,
@@ -150,17 +148,16 @@ def union_bound_check(
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
-    blocks = partition.blocks if isinstance(partition, Partition) else tuple(partition)
     avg_values = np.asarray(avg_values, dtype=float)
     if avg_values.ndim != 2:
         raise MalformedInputError(f"avg_values must be (members, n), got shape {avg_values.shape}")
-    block_idx = [np.asarray(blk, dtype=int) - 1 for blk in blocks]
+    block_idx = [np.asarray(blk, dtype=int) - 1 for blk in partition.blocks]
 
     avg_term = b * avg_values.mean(axis=1)
     block_avg_terms = [b * avg_values[:, idx].mean(axis=1) for idx in block_idx]
 
     lhs_hits = 0
-    rhs_hits = np.zeros(len(blocks), dtype=int)
+    rhs_hits = np.zeros(len(block_idx), dtype=int)
     for rep in range(replications):
         values = np.asarray(sampler(rep), dtype=float)
         if values.shape != avg_values.shape:

@@ -52,12 +52,6 @@ class BoundParams:
         if self.n < 1 or self.m < 1 or self.m > self.n:
             raise DomainError(f"need 1 <= m <= n, got n={self.n}, m={self.m}")
 
-    def beta_at(self, m: int | None = None) -> float:
-        """Dependence envelope evaluated at lag m (default: the configured m)."""
-        if self.mixing is None:
-            raise DomainError("no mixing envelope configured")
-        return float(self.mixing.envelope(self.m if m is None else m))
-
     def check_weak_error_hypotheses(self) -> None:
         """Raise unless the weak-error theorem's two inequalities hold."""
         lam_cap = (3.0 + math.sqrt(1.0 + 8.0 * self.c)) / 4.0
@@ -71,6 +65,15 @@ class BoundParams:
             raise HypothesisViolationError(
                 f"floor(n/m) >= exp((c^2-71)/(4V)) violated: {q} < {size_floor}"
             )
+
+
+def _beta(params: BoundParams, beta_at_m: float | None) -> float:
+    """beta(m) as given, or else the configured envelope at the configured m."""
+    if beta_at_m is not None:
+        return float(beta_at_m)
+    if params.mixing is None:
+        raise DomainError("no mixing envelope configured")
+    return float(params.mixing.envelope(params.m))
 
 
 def u_constants(c: float, gamma_prime: float) -> tuple:
@@ -115,10 +118,10 @@ def beta_deviation_bound(
     deviation cap 2B (the statistic's coefficients sum to (1-eps)+(1+eps)=2)
     and paying n * beta(m) for the dependence.
     """
-    beta = params.beta_at() if beta_at_m is None else float(beta_at_m)
+    beta = _beta(params, beta_at_m)
 
     def base(size: int, tt: float) -> float:
-        return indep_deviation_bound(params, entropy, min(size, params.n), tt)
+        return indep_deviation_bound(params, entropy, size, tt)
 
     return lifted_bound(base, params.n, params.m, t, beta, deviation_cap=2.0 * params.B)
 
@@ -218,7 +221,7 @@ def weak_error_bound(params: BoundParams, bias: float, beta_at_m: float | None =
     if bias < 0:
         raise DomainError("bias must be nonnegative")
     params.check_weak_error_hypotheses()
-    beta = params.beta_at() if beta_at_m is None else float(beta_at_m)
+    beta = _beta(params, beta_at_m)
     q, _ = euclidean(params.n, params.m)
     theta0, theta1, theta2 = theta_constants(params.c, params.lam, params.n, params.m)
     variance = (params.B**2 / q) * theta0 * (

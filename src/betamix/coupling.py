@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MalformedInputError, SizeError
 from .mixing import pairwise_beta
-from .pmf import JointPmf
+from .pmf import JointPmf, joint_to_json
 
 
 def _maximal_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -57,8 +57,6 @@ class CouplingResult:
         return self.n_original + self.starred_indices.index(k)
 
     def to_json(self) -> dict:
-        from .pmf import joint_to_json
-
         doc = joint_to_json(self.extended_joint)
         doc["n_original"] = self.n_original
         doc["starred_indices"] = list(self.starred_indices)

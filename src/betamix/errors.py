@@ -17,10 +17,6 @@ class SizeError(BetamixError):
     """An exact computation would exceed the configured size cap."""
 
 
-class CapabilityError(BetamixError):
-    """The operation needs information the input does not carry (e.g. exact marginals)."""
-
-
 class DegenerateFitError(BetamixError):
     """An envelope fit has no usable data points."""
 

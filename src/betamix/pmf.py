@@ -165,12 +165,6 @@ class MarkovChainSpec:
     def n_states(self) -> int:
         return len(self.states)
 
-    def marginal_at(self, step: int) -> np.ndarray:
-        """Law of the chain at time ``step`` (1-based; step 1 is the initial law)."""
-        if step < 1:
-            raise MalformedInputError("step must be >= 1")
-        return self.marginal_matrix(step)[-1]
-
     def marginal_matrix(self, n: int) -> np.ndarray:
         """Stacked marginals mu_1..mu_n as an (n, states) array."""
         out = np.empty((n, self.n_states))

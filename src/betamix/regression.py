@@ -1,11 +1,11 @@
 """Truncated least-squares regression over finite hypothesis classes.
 
-Covers the simulation-side regression machinery: the truncation operator, the
-empirical and average means, exhaustive / normal-equation least squares, the
-loss-difference family used by the deviation experiments, and the Monte Carlo
-estimate of the weak (average-mean squared) error of the truncated fit.  A
-sample carries only its observed states and responses; the exact marginal laws
-that average means need come from the generator, once per sample length.
+Covers the simulation-side regression machinery: the truncation operator,
+exhaustive / normal-equation least squares, the loss-difference family used by
+the deviation experiments, and the Monte Carlo estimate of the weak
+(average-mean squared) error of the truncated fit.  A sample carries only its
+observed states and responses; the exact marginal laws that average means need
+come from the generator, once per sample length.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .entropy import FunctionFamily
-from .errors import CapabilityError, DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError
 
 RIDGE = 1e-10
 
@@ -60,24 +60,6 @@ def truncate(value, B: float):
     if B <= 0:
         raise DomainError("B must be positive")
     return np.clip(value, -B, B)
-
-
-def empirical_mean(values) -> float:
-    """Sample average of per-index function values over a nonempty index set."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise DomainError("empty index set")
-    return float(values.mean())
-
-
-def average_mean(values, laws: np.ndarray | None) -> float:
-    """Average over indices of the expectation of ``values`` (one per state) under the exact laws."""
-    if laws is None:
-        raise CapabilityError("average mean requires exact marginal laws")
-    laws = np.asarray(laws, dtype=float)
-    if laws.size == 0:
-        raise DomainError("empty index set")
-    return float((laws @ np.asarray(values, dtype=float)).mean())
 
 
 @dataclass(frozen=True)
@@ -128,7 +110,7 @@ def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> Regres
 
 
 def loss_difference_family(
-    family: FunctionFamily, B: float, truth: np.ndarray | None, responses
+    family: FunctionFamily, B: float, truth: np.ndarray, responses
 ) -> FunctionFamily:
     """The family of excess-loss functions g_f(x, y) = (y - f(x))^2 - (y - truth(x))^2.
 
@@ -136,12 +118,12 @@ def loss_difference_family(
     With responses and members bounded by B = 1/4 every member is [-1, 1]
     valued, the normalization the deviation bounds assume.
     """
-    if truth is None:
-        raise CapabilityError("loss-difference family requires the true regression function")
     if family.table is None:
-        raise CapabilityError("loss-difference family requires an enumerable family")
-    ys = np.asarray(responses, dtype=float)
+        raise DomainError("the loss-difference family needs an enumerable family")
     truth = np.asarray(truth, dtype=float)
+    if truth.shape != (len(family.states),):
+        raise MalformedInputError("truth needs one value per state of the family")
+    ys = np.asarray(responses, dtype=float)
     table = (ys - family.table[:, :, None]) ** 2 - (ys - truth[:, None]) ** 2
     return FunctionFamily(
         tuple((s, y) for s in family.states for y in ys.tolist()),

@@ -57,10 +57,11 @@ def test_partition_example():
 
 
 def test_lifted_bound_hand_computation():
-    # n=7, m=3: (q, r) = (2, 1) so the weights are 1 and 2
-    beta = 0.01
-    val = lifted_bound(lambda size, t: 0.1, 7, 3, 0.5, beta, deviation_cap=2.0)
-    assert val == pytest.approx(1 * 0.1 + 2 * 0.1 + 7 * beta)
+    # n=7, m=3: (q, r) = (2, 1) so the weights are 1 and 2; these values round
+    # differently if the three terms are summed in another order
+    beta = 0.03
+    val = lifted_bound(lambda size, t: {3: 0.05, 2: 0.1}[size], 7, 3, 0.5, beta, deviation_cap=2.0)
+    assert val == 1 * 0.05 + 2 * 0.1 + 7 * beta
 
 
 def test_lifted_bound_clipped_at_one():
@@ -80,16 +81,43 @@ def test_lifted_bound_independent_recovery_bitwise():
             assert lifted_bound(base, n, 1, t, 0.0, deviation_cap=2.0) == min(1.0, base(n, t))
 
 
-def test_lifted_bound_size_clamped_at_n():
-    calls = []
-
-    def base(size, t):
-        calls.append(size)
+def clamped_lifted_bound(base, n, m, t, beta_at_m, deviation_cap):
+    """The lift as it read when it clamped the base size at n, kept as the reference."""
+    if t < 0:
+        raise DomainError("t must be nonnegative")
+    q, r = euclidean(n, m)
+    if t > deviation_cap:
         return 0.0
+    hi = base(min(q + 1, n), t)
+    lo = base(q, t)
+    if r == 0:
+        # skip the zero-coefficient term so the independent case (m=1) recovers
+        # the base bound bitwise
+        total = m * lo + n * beta_at_m if m > 1 or beta_at_m != 0.0 else lo
+    else:
+        total = r * hi + (m - r) * lo + n * beta_at_m
+    return min(1.0, total)
 
-    lifted_bound(base, 5, 5, 0.1, 0.0, deviation_cap=2.0)  # q+1 = 2 <= n, fine
-    lifted_bound(base, 3, 2, 0.1, 0.0, deviation_cap=2.0)
-    assert max(calls) <= 5
+
+@given(st.integers(1, 3000), st.data())
+@settings(max_examples=400, deadline=None)
+def test_lifted_bound_size_clamped_at_n(n, data):
+    m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
+    cap = data.draw(st.floats(0.1, 4.0), label="cap")
+    t = data.draw(st.one_of(st.just(0.0), st.floats(0.0, cap),
+                            st.floats(cap, 10.0, exclude_min=True)), label="t")
+    # n*beta and the weighted base sum mostly stay below the clip at 1
+    beta = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0).map(lambda b: b / n),
+                               st.floats(0.0, 1.0)), label="beta")
+    scale = data.draw(st.floats(0.0, 2.0), label="scale")
+
+    def base(size, tt):
+        if not 1 <= size <= n:
+            raise AssertionError(f"base evaluated at size {size}, outside 1..{n}")
+        return scale / (m + size * tt)
+
+    lifted = lifted_bound(base, n, m, t, beta, deviation_cap=cap)
+    assert lifted.hex() == clamped_lifted_bound(base, n, m, t, beta, cap).hex()
 
 
 def test_union_bound_check_iid_consistency():

@@ -109,6 +109,17 @@ def test_beta_bound_monotone_in_beta():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+def test_beta_from_the_envelope_unless_given():
+    p = make_params(n=1000, m=2)
+    envelope = float(p.mixing.envelope(2))
+    assert weak_error_bound(p, 0.01) == weak_error_bound(p, 0.01, beta_at_m=envelope)
+    bare = make_params(n=1000, m=2, mixing=None)
+    with pytest.raises(DomainError, match="no mixing envelope"):
+        beta_deviation_bound(bare, finite_family_entropy(1), 0.5)
+    with pytest.raises(DomainError, match="no mixing envelope"):
+        weak_error_bound(bare, 0.01)
+
+
 def test_proof_constants_spot_values():
     g0, g1, _ = proof_constants(2.0, 1.5)
     assert g0 == pytest.approx(42.0, rel=1e-12)

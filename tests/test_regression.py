@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betamix.entropy import FunctionFamily
-from betamix.errors import CapabilityError, DomainError, MalformedInputError
+from betamix.errors import DomainError, MalformedInputError
 from betamix.regression import (
     Dataset,
-    average_mean,
-    empirical_mean,
     family_bias,
     fit_least_squares,
     loss_difference_family,
@@ -42,43 +40,6 @@ def test_truncate_idempotent_and_contained(v, B):
     once = truncate(v, B)
     assert -B <= once <= B
     assert truncate(once, B) == once
-
-
-def test_means_constant_function():
-    assert empirical_mean([3.0, 3.0, 3.0]) == 3.0
-    laws = np.full((4, 2), 0.5)
-    assert average_mean([3.0 for s in (0, 1)], laws) == pytest.approx(3.0)
-
-
-def test_average_mean_uniform_identity():
-    laws = np.full((10, 2), 0.5)
-    assert average_mean([float(s) for s in (0, 1)], laws) == pytest.approx(0.5)
-
-
-def test_average_mean_marginal_propagation_oracle():
-    # drifting marginals: brute-force the sum over indices and states
-    rng = np.random.default_rng(0)
-    laws = rng.random((6, 3))
-    laws /= laws.sum(axis=1, keepdims=True)
-    states = (0, 1, 2)
-    f = lambda s: float(s) ** 2
-    oracle = sum(laws[k, i] * f(s) for k in range(6) for i, s in enumerate(states)) / 6
-    assert average_mean([f(s) for s in states], laws) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_means_coincide_for_point_masses():
-    xs = (0, 1, 1, 0)
-    laws = np.array([[1, 0], [0, 1], [0, 1], [1, 0]], dtype=float)
-    f = lambda s: 2.0 * s - 1.0
-    emp = empirical_mean([f(x) for x in xs])
-    assert emp == pytest.approx(average_mean([f(s) for s in (0, 1)], laws), abs=1e-12)
-
-
-def test_means_errors():
-    with pytest.raises(DomainError):
-        empirical_mean([])
-    with pytest.raises(CapabilityError):
-        average_mean([1.0 for s in (0, 1)], None)
 
 
 def test_dataset_validation():
@@ -182,8 +143,12 @@ def test_loss_difference_range_under_quarter_bound():
 
 
 def test_loss_difference_requires_truth():
-    with pytest.raises(CapabilityError):
-        loss_difference_family(state_family([{0: 0.0}]), 0.25, None, responses=(0.0,))
+    family = state_family([{0: 0.0, 1: 0.1}])
+    for truth in (None, [0.0], [0.0, 0.1, 0.2], [[0.0, 0.1]]):
+        with pytest.raises(MalformedInputError, match="one value per state"):
+            loss_difference_family(family, 0.25, truth, responses=(0.0,))
+    with pytest.raises(DomainError, match="enumerable"):
+        loss_difference_family(affine_span((0, 1)), 0.25, [0.0, 0.1], responses=(0.0,))
 
 
 def test_orthogonal_decomposition_identity():
