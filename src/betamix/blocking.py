@@ -151,6 +151,8 @@ def union_bound_check(
     avg_values = np.asarray(avg_values, dtype=float)
     if avg_values.ndim != 2:
         raise MalformedInputError(f"avg_values must be (members, n), got shape {avg_values.shape}")
+    if avg_values.shape[1] != partition.n:
+        raise MalformedInputError(f"partition covers 1..{partition.n}, avg_values has {avg_values.shape[1]} columns")
     block_idx = [np.asarray(blk, dtype=int) - 1 for blk in partition.blocks]
 
     avg_term = b * avg_values.mean(axis=1)

@@ -76,6 +76,16 @@ def _beta(params: BoundParams, beta_at_m: float | None) -> float:
     return float(params.mixing.envelope(params.m))
 
 
+def _envelope(params: BoundParams, model: str) -> MixingFit:
+    """The configured mixing envelope, which must be a ``model`` one (with gamma > 1 if subpolynomial)."""
+    fit = params.mixing
+    if fit is None or fit.model != model:
+        raise DomainError(f"a {model} mixing envelope is required")
+    if model == "subpolynomial" and fit.gamma <= 1.0:
+        raise DomainError(f"mixing exponent must exceed 1, got {fit.gamma}")
+    return fit
+
+
 def u_constants(c: float, gamma_prime: float) -> tuple:
     """(u1, u2) = ((1-1/c)/gamma', (1-1/c)^2 (1-1/gamma')); both in (0,1)."""
     if c <= 1.0 or gamma_prime <= 1.0:
@@ -262,13 +272,12 @@ def statistical_error_curve(params: BoundParams, x_grid, C_sandwich: float) -> R
     x = 2^(1+1/gamma) (log n / b)^(1/gamma), whose value collapses to
     x * alpha + a/n exactly.
     """
-    if params.mixing is None or params.mixing.model != "subexponential":
-        raise DomainError("a subexponential mixing envelope is required")
+    fit = _envelope(params, "subexponential")
     grid = np.asarray(list(x_grid), dtype=float)
     grid = grid[(grid >= 2.0) & (grid <= params.n)]
     if grid.size == 0:
         raise DomainError("empty x grid after restriction to [2, n]")
-    a, b, g = params.mixing.a, params.mixing.b, params.mixing.gamma
+    a, b, g = fit.a, fit.b, fit.gamma
     alpha = variance_rate_coefficient(params, C_sandwich)
     values = alpha * grid + a * params.n * np.exp(-(b / 2.0**g) * grid**g)
     i = int(np.argmin(values))
@@ -285,12 +294,11 @@ def subexp_rate(params: BoundParams, C: float) -> float:
     """
     if C <= 0:
         raise DomainError("the universal constant C must be positive and supplied explicitly")
-    if params.mixing is None or params.mixing.model != "subexponential":
-        raise DomainError("a subexponential mixing envelope is required")
+    fit = _envelope(params, "subexponential")
     lam_cap = (3.0 + math.sqrt(1.0 + 8.0 * math.sqrt(71.0))) / 4.0
     if params.lam > lam_cap:
         raise HypothesisViolationError(f"lambda <= (3+sqrt(1+8 sqrt(71)))/4 violated: {params.lam} > {lam_cap}")
-    a, b, g = params.mixing.a, params.mixing.b, params.mixing.gamma
+    a, b, g = fit.a, fit.b, fit.gamma
     block = (2.0 * math.log(params.n) / b) ** (1.0 / g)
     if not 1.0 <= block <= params.n / 2.0:
         raise HypothesisViolationError(
@@ -309,15 +317,12 @@ def subpoly_rate(params: BoundParams, C: float) -> float:
     """
     if C <= 0:
         raise DomainError("the universal constant C must be positive and supplied explicitly")
-    if params.mixing is None or params.mixing.model != "subpolynomial":
-        raise DomainError("a subpolynomial mixing envelope is required")
-    g = params.mixing.gamma
-    if g <= 1.0:
-        raise DomainError(f"mixing exponent must exceed 1, got {g}")
+    fit = _envelope(params, "subpolynomial")
+    g = fit.gamma
     return (
         C
         * params.n ** (-(g - 1.0) / (g + 1.0))
-        * (params.B**2 * params.V * (1.0 + math.log(params.n)) / (params.lam - 1.0) + params.mixing.a)
+        * (params.B**2 * params.V * (1.0 + math.log(params.n)) / (params.lam - 1.0) + fit.a)
     )
 
 
@@ -327,10 +332,7 @@ def subpoly_tradeoff(params: BoundParams, alpha: float) -> tuple:
     Both terms are of order n^(-(gamma-1)/(gamma+1)); exposed for cross-checking
     the subpolynomial rate.
     """
-    if params.mixing is None or params.mixing.model != "subpolynomial":
-        raise DomainError("a subpolynomial mixing envelope is required")
-    g = params.mixing.gamma
-    if g <= 1.0:
-        raise DomainError(f"mixing exponent must exceed 1, got {g}")
+    fit = _envelope(params, "subpolynomial")
+    g = fit.gamma
     x = math.ceil(params.n ** (2.0 / (g + 1.0)))
-    return x, alpha * x, params.mixing.a * params.n * x ** (-g)
+    return x, alpha * x, fit.a * params.n * x ** (-g)

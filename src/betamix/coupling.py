@@ -11,13 +11,14 @@ the row-normalized couplings over the extended joint's axes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedInputError, SizeError
-from .mixing import pairwise_beta
-from .pmf import JointPmf, joint_to_json
+from .mixing import _dependence, pairwise_beta
+from .pmf import JointPmf, _sum_onto, joint_to_json
 
 
 def _maximal_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -109,8 +110,7 @@ def generalized_berbee(process: JointPmf) -> CouplingResult:
         # that each atom's row sums as it would on its own
         keep = cond_axes + [k]
         others = [ax for ax in range(ext.ndim) if ax not in keep]
-        block = np.transpose(ext, keep + others).sum(axis=tuple(range(len(keep), ext.ndim)))
-        block = np.ascontiguousarray(block)
+        block = np.ascontiguousarray(_sum_onto(ext, keep))
         p_u = block.sum(axis=-1, keepdims=True)
         cond = np.divide(block, p_u, out=np.zeros(block.shape), where=p_u > 0.0)
         coupling = _maximal_coupling(cond, p_w)
@@ -131,11 +131,9 @@ def generalized_berbee(process: JointPmf) -> CouplingResult:
     axes = process.axes + process.axes
     extended = JointPmf(axes, ext, cell_cap=max(process.cell_cap, ext.size))
 
-    mismatch = []
-    for k in range(n):
-        pair = extended.marginal((k, n + k)).probs
-        mismatch.append(max(float(pair.sum() - np.trace(pair)), 0.0))
-    return CouplingResult(extended, n, tuple(range(n)), tuple(mismatch))
+    pairs = (extended.marginal((k, n + k)).probs for k in range(n))
+    mismatch = tuple(max(float(pair.sum() - np.trace(pair)), 0.0) for pair in pairs)
+    return CouplingResult(extended, n, tuple(range(n)), mismatch)
 
 
 @dataclass(frozen=True)
@@ -179,19 +177,12 @@ def verify_coupling(result: CouplingResult, original: JointPmf) -> CouplingRepor
     indep_err = 0.0
     if len(star_axes) > 1:
         block = ext.marginal(star_axes).probs
-        product = np.array(1.0)
-        for ax in star_axes:
-            product = np.multiply.outer(product, ext.marginal_pmf(ax).probs)
+        product = functools.reduce(np.multiply.outer, (ext.marginal_pmf(ax).probs for ax in star_axes))
         indep_err = float(np.abs(block - product).max())
-    for k in sorted(result.starred_indices):
-        past = tuple(range(k))
+    for k in sorted(k for k in result.starred_indices if k > 0):
         future_stars = tuple(result.starred_axis(j) for j in result.starred_indices if j >= k)
-        if not past or not future_stars:
-            continue
-        joint2 = ext.grouped(past, future_stars)
-        left = joint2.sum(axis=1)
-        right = joint2.sum(axis=0)
-        indep_err = max(indep_err, float(np.abs(joint2 - np.outer(left, right)).max()))
+        dependence = _dependence(ext.grouped(tuple(range(k)), future_stars))
+        indep_err = max(indep_err, float(np.abs(dependence).max()))
 
     mm_err = 0.0
     for k, mm in zip(result.starred_indices, result.mismatch_probs):

@@ -26,12 +26,17 @@ def beta_coefficient(joint: JointPmf) -> float:
     """
     if joint.n_axes != 2:
         raise MalformedInputError(f"expected a two-axis joint, got {joint.n_axes} axes")
-    return _beta(joint.probs)
+    return float(_beta(joint.probs))
 
 
-def _beta(p: np.ndarray) -> float:
-    """(1/2) * ||p - p_L (x) p_R||_1 for a two-dimensional probability array p."""
-    return 0.5 * float(np.abs(p - np.outer(p.sum(axis=1), p.sum(axis=0))).sum())
+def _dependence(p: np.ndarray) -> np.ndarray:
+    """p - p_L (x) p_R for each two-dimensional probability array in a stack (..., a, b)."""
+    return p - p.sum(-1)[..., :, None] * p.sum(-2)[..., None, :]
+
+
+def _beta(p: np.ndarray) -> np.ndarray:
+    """(1/2) * ||p - p_L (x) p_R||_1 for each two-dimensional probability array in a stack."""
+    return 0.5 * np.abs(_dependence(p)).sum(axis=(-2, -1))
 
 
 def _resolve_indices(process: JointPmf, indices) -> tuple:
@@ -54,44 +59,45 @@ def beta_m_dependence(process: JointPmf, m: int, l: int, indices: Sequence[int] 
     """
     if m < 1 or l < 1:
         raise MalformedInputError("m and l must be positive")
-    idx = _resolve_indices(process, indices)
+    return _lag_beta(process, m, l, _resolve_indices(process, indices))
+
+
+def _lag_beta(process: JointPmf, m: int, l: int, idx: tuple) -> float:
     left = tuple(pos for pos, j in enumerate(idx) if j <= l - m)
     right = tuple(pos for pos, j in enumerate(idx) if j == l)
     return pairwise_beta(process, left, right)
 
 
 def beta_max(process: JointPmf, m: int, indices: Sequence[int] | None = None) -> float:
-    """Maximal coefficient of m-dependence: sup over l of beta_m_dependence."""
+    """Maximal coefficient of m-dependence: sup over the labels l >= 1 of beta_m_dependence, else 0."""
     idx = _resolve_indices(process, indices)
-    return max(beta_m_dependence(process, m, l, indices=idx) for l in range(1, max(idx) + 1))
+    if m < 1:
+        raise MalformedInputError("m and l must be positive")
+    return max((_lag_beta(process, m, l, idx) for l in idx if l >= 1), default=0.0)
 
 
 def pairwise_beta(process: JointPmf, left: Sequence[int], right: Sequence[int]) -> float:
     """Coefficient between two disjoint groups of axis positions."""
     if not left or not right:
         return 0.0
-    return _beta(process.grouped(left, right))
+    return float(_beta(process.grouped(left, right)))
 
 
 def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
     """Lag-m dependence coefficient of a finite-state Markov chain.
 
     By the Markov property this is sup_n beta(sigma(Z_n), sigma(Z_{n+m})); the
-    sup is scanned for n = 1..horizon.  The joint of (Z_n, Z_{n+m}) is
-    diag(mu_n) P^m with mu_n the n-step marginal.
+    sup is scanned for n = 1..horizon in one batched atom sum over the joints
+    diag(mu_n) P^m of (Z_n, Z_{n+m}), stacked from ``chain.marginal_matrix``.
     """
     if m < 1:
         raise MalformedInputError("m must be >= 1")
     if horizon < 1:
         raise MalformedInputError("horizon must be >= 1")
     step_m = np.linalg.matrix_power(chain.transition, m)
-    mu = chain.initial.probs.copy()
-    best = 0.0
-    for _ in range(horizon):
-        # transition entries within tolerance below 0 are clipped, as a JointPmf would
-        best = max(best, _beta(np.maximum(mu[:, None] * step_m, 0.0)))
-        mu = mu @ chain.transition
-    return best
+    # transition entries within tolerance below 0 are clipped, as a JointPmf would
+    joints = np.maximum(chain.marginal_matrix(horizon)[:, :, None] * step_m, 0.0)
+    return float(_beta(joints).max())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ construction time and keep the full grid in memory (with a hard cell cap).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,6 +18,18 @@ from .errors import MalformedInputError, SizeError
 
 MASS_TOL = 1e-12
 DEFAULT_CELL_CAP = 10**6
+
+
+def _sum_onto(probs: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """``probs`` summed onto the axis positions in ``keep``, in that order (a view if none drop)."""
+    keep = tuple(int(k) for k in keep)
+    if len(set(keep)) != len(keep) or any(k < 0 or k >= probs.ndim for k in keep):
+        raise MalformedInputError(f"invalid axis subset {keep}")
+    drop = tuple(i for i in range(probs.ndim) if i not in keep)
+    probs = np.transpose(probs, keep + drop)
+    if drop:
+        probs = probs.sum(axis=tuple(range(len(keep), probs.ndim)))
+    return probs
 
 
 @dataclass(frozen=True)
@@ -96,25 +109,12 @@ class JointPmf:
     def marginal(self, keep: Sequence[int]) -> "JointPmf":
         """Marginalize onto the axis positions in ``keep`` (preserving their order)."""
         keep = tuple(int(k) for k in keep)
-        probs = self._sum_onto(keep)
+        probs = _sum_onto(self.probs, keep)
         return JointPmf(tuple(self.axes[k] for k in keep), probs, cell_cap=self.cell_cap)
-
-    def _sum_onto(self, keep: Sequence[int]) -> np.ndarray:
-        """Probabilities summed onto the axis positions in ``keep``, in that order."""
-        keep = tuple(int(k) for k in keep)
-        if len(set(keep)) != len(keep) or any(k < 0 or k >= self.n_axes for k in keep):
-            raise MalformedInputError(f"invalid axis subset {keep}")
-        drop = tuple(i for i in range(self.n_axes) if i not in keep)
-        probs = np.transpose(self.probs, keep + drop)
-        if drop:
-            probs = probs.sum(axis=tuple(range(len(keep), self.n_axes)))
-        return probs
 
     def marginal_pmf(self, axis: int) -> FinitePmf:
         """One-dimensional marginal as a FinitePmf."""
-        drop = tuple(i for i in range(self.n_axes) if i != axis)
-        probs = self.probs.sum(axis=drop) if drop else self.probs
-        return FinitePmf(self.axes[axis], probs)
+        return FinitePmf(self.axes[axis], _sum_onto(self.probs, (axis,)))
 
     def grouped(self, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
         """Probabilities of the grouped coordinates as a (left block, right block) array.
@@ -125,15 +125,12 @@ class JointPmf:
         left, right = tuple(left), tuple(right)
         if set(left) & set(right):
             raise MalformedInputError("left and right groups must be disjoint")
-        probs = self._sum_onto(left + right)
+        probs = _sum_onto(self.probs, left + right)
         return probs.reshape(math.prod(probs.shape[: len(left)]), -1)
 
     @staticmethod
     def from_product(factors: Sequence[FinitePmf], cell_cap: int = DEFAULT_CELL_CAP) -> "JointPmf":
-        probs = np.array(1.0)
-        for f in factors:
-            probs = np.multiply.outer(probs, f.probs)
-        probs = probs.reshape(tuple(len(f) for f in factors))
+        probs = functools.reduce(np.multiply.outer, (f.probs for f in factors), np.array(1.0))
         return JointPmf(tuple(f.support for f in factors), probs, cell_cap=cell_cap)
 
 

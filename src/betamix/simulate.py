@@ -68,6 +68,8 @@ class GeneratorSpec:
             raise MalformedInputError("iid kind requires a law")
         if not (abs(sum(self.noise_probs) - 1.0) <= 1e-12 and min(self.noise_probs) >= 0):
             raise MalformedInputError("noise_probs must be a pmf")
+        if len(self.noise_values) != len(self.noise_probs):
+            raise MalformedInputError("noise_values and noise_probs must have matching length")
         k = len(self.states())
         phi = np.zeros(k) if self.phi is None else np.array(self.phi, dtype=float)
         if phi.shape != (k,):

@@ -140,19 +140,22 @@ def test_union_bound_check_iid_consistency():
 
 
 # (shape of avg_values, shape of each sample, start of the message)
+# (averages shape, sample shape, partition, start of the message)
 WRONG_SHAPES = {
-    "more members": ((1, 6), (2, 6), r"sampler\(0\) returned shape"),
-    "shorter sample": ((1, 6), (1, 5), r"sampler\(0\) returned shape"),
-    "one-dimensional averages": ((6,), (6,), "avg_values must be"),
+    "more members": ((1, 6), (2, 6), m_steps_partition(6, 2), r"sampler\(0\) returned shape"),
+    "shorter sample": ((1, 6), (1, 5), m_steps_partition(6, 2), r"sampler\(0\) returned shape"),
+    "one-dimensional averages": ((6,), (6,), m_steps_partition(6, 2), "avg_values must be"),
+    "partition shorter than the sample": ((1, 6), (1, 6), m_steps_partition(4, 2), "partition covers 1..4"),
+    "partition longer than the sample": ((1, 6), (1, 6), m_steps_partition(8, 2), "partition covers 1..8"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
 def test_union_bound_check_rejects_wrong_shapes(case):
-    avg_shape, sample_shape, message = WRONG_SHAPES[case]
+    avg_shape, sample_shape, partition, message = WRONG_SHAPES[case]
     with pytest.raises(MalformedInputError, match=message):
         union_bound_check(lambda rep: np.zeros(sample_shape), np.full(avg_shape, 0.5),
-                          m_steps_partition(6, 2), 1.0, -1.0, 0.1, 3)
+                          partition, 1.0, -1.0, 0.1, 3)
 
 
 def test_union_bound_report_consistency_flag():

@@ -247,3 +247,33 @@ def test_rate_limits_match_independent_shape():
     assert subexp_rate(p_exp, C) == pytest.approx(limit, rel=1e-4)
     p_poly = make_params(n=n, m=1, mixing=MixingFit("subpolynomial", 2.0, None, big_gamma))
     assert subpoly_rate(p_poly, C) == pytest.approx(limit, rel=1e-4)
+
+
+POLY = MixingFit("subpolynomial", 2.0, None, 3.0)
+FLAT_POLY = MixingFit("subpolynomial", 2.0, None, 1.0)
+SUBEXP_REQUIRED = "a subexponential mixing envelope is required"
+SUBPOLY_REQUIRED = "a subpolynomial mixing envelope is required"
+# (evaluator, configured envelope, the whole message), in each evaluator's order of checks
+ENVELOPE_ERRORS = {
+    "curve without an envelope": (lambda p: statistical_error_curve(p, [4.0], 1.0), None, SUBEXP_REQUIRED),
+    "curve with a subpolynomial envelope": (
+        lambda p: statistical_error_curve(p, [4.0], 1.0), POLY, SUBEXP_REQUIRED),
+    "subexp rate checks C first": (lambda p: subexp_rate(p, 0.0), None,
+                                   "the universal constant C must be positive and supplied explicitly"),
+    "subexp rate with a subpolynomial envelope": (lambda p: subexp_rate(p, 1.0), POLY, SUBEXP_REQUIRED),
+    "subpoly rate without an envelope": (lambda p: subpoly_rate(p, 1.0), None, SUBPOLY_REQUIRED),
+    "subpoly rate with exponent 1": (
+        lambda p: subpoly_rate(p, 1.0), FLAT_POLY, "mixing exponent must exceed 1, got 1.0"),
+    "subpoly tradeoff with a subexponential envelope": (
+        lambda p: subpoly_tradeoff(p, 1.0), make_params().mixing, SUBPOLY_REQUIRED),
+    "subpoly tradeoff with exponent 1": (
+        lambda p: subpoly_tradeoff(p, 1.0), FLAT_POLY, "mixing exponent must exceed 1, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENVELOPE_ERRORS))
+def test_rates_name_the_missing_envelope(case):
+    evaluate, fit, message = ENVELOPE_ERRORS[case]
+    with pytest.raises(DomainError) as exc:
+        evaluate(make_params(mixing=fit))
+    assert str(exc.value) == message

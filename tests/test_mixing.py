@@ -18,6 +18,12 @@ from betamix.mixing import (
 from betamix.pmf import FinitePmf, JointPmf, MarkovChainSpec
 
 
+# rows short of 1 within tolerance
+DRIFTING_CHAIN = MarkovChainSpec((0, 1), [[0.5, 0.5 - 9e-13], [0.5, 0.5 - 9e-13]], FinitePmf((0, 1), [0.5, 0.5]))
+# an entry below 0 within tolerance, which the joints clip
+NEGATIVE_ENTRY_CHAIN = MarkovChainSpec((0, 1), [[1 + 5e-13, -5e-13], [0.5, 0.5]], FinitePmf((0, 1), [1.0, 0.0]))
+
+
 def random_joint(rng, shape):
     probs = rng.random(shape)
     probs /= probs.sum()
@@ -120,6 +126,14 @@ def test_m_dependence_custom_indices():
     assert beta_m_dependence(j, 3, 6, indices=(1, 5, 6)) == pytest.approx(expected)
     with pytest.raises(MalformedInputError):
         beta_m_dependence(j, 1, 1, indices=(1, 1, 2))
+    # labels with gaps: the labels absent from the index set have empty groups
+    for labels in ((2, 5, 9), (9, 2, 5), (0, 3, 4)):
+        expected = max(beta_m_dependence(j, 2, l, indices=labels) for l in range(1, 10))
+        assert beta_max(j, 2, indices=labels) == expected
+    # no label l >= 1: every group is empty, and so is the supremum
+    assert beta_max(j, 1, indices=(-2, -1, 0)) == 0.0
+    with pytest.raises(MalformedInputError, match="m and l must be positive"):
+        beta_max(j, 0, indices=(-2, -1, 0))
 
 
 def test_markov_beta_matches_atom_sum_oracle():
@@ -132,14 +146,56 @@ def test_markov_beta_matches_atom_sum_oracle():
     assert markov_beta(chain, m) == pytest.approx(oracle, abs=1e-12)
     # rows short of 1 within tolerance: the marginals drift past the mass
     # tolerance over the scan, which must not be rejected
-    T = np.array([[0.5, 0.5 - 9e-13], [0.5, 0.5 - 9e-13]])
-    chain = MarkovChainSpec((0, 1), T, FinitePmf((0, 1), [0.5, 0.5]))
+    chain, T = DRIFTING_CHAIN, DRIFTING_CHAIN.transition
     mu, oracle = chain.initial.probs, 0.0
     for _ in range(64):
         joint = mu[:, None] * np.linalg.matrix_power(T, m)
         oracle = max(oracle, 0.5 * np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))).sum())
         mu = mu @ T
     assert markov_beta(chain, m) == pytest.approx(oracle, abs=1e-12)
+
+
+def per_n_markov_beta(chain, m, horizon):
+    """The per-n scan that the batched atom sum replaced, as it was: the reference."""
+
+    def _beta(p: np.ndarray) -> float:
+        """(1/2) * ||p - p_L (x) p_R||_1 for a two-dimensional probability array p."""
+        return 0.5 * float(np.abs(p - np.outer(p.sum(axis=1), p.sum(axis=0))).sum())
+
+    step_m = np.linalg.matrix_power(chain.transition, m)
+    mu = chain.initial.probs.copy()
+    best = 0.0
+    for _ in range(horizon):
+        # transition entries within tolerance below 0 are clipped, as a JointPmf would
+        best = max(best, _beta(np.maximum(mu[:, None] * step_m, 0.0)))
+        mu = mu @ chain.transition
+    return best
+
+
+@st.composite
+def markov_chains(draw):
+    """Chains on 2..6 states, started at a point mass or at a random law."""
+    k = draw(st.integers(2, 6))
+
+    def law():
+        weights = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k).filter(any))
+        return [w / sum(weights) for w in weights]
+
+    states = tuple(range(k))
+    if draw(st.booleans()):
+        initial = FinitePmf.point_mass(states, draw(st.sampled_from(states)))
+    else:
+        initial = FinitePmf(states, law())
+    return MarkovChainSpec(states, [law() for _ in states], initial)
+
+
+@given(st.one_of(markov_chains(), st.sampled_from([DRIFTING_CHAIN, NEGATIVE_ENTRY_CHAIN])),
+       st.integers(1, 20), st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+def test_markov_beta_equals_per_n_scan(chain, m, horizon):
+    beta = markov_beta(chain, m, horizon)
+    assert beta == per_n_markov_beta(chain, m, horizon)
+    assert type(beta) is float
 
 
 def test_markov_beta_nonstationary_scan():
