@@ -44,6 +44,8 @@ class Dataset:
             raise MalformedInputError("index and ys must share a positive length")
         if index.min() < 0 or index.max() >= len(self.states):
             raise MalformedInputError(f"state indices must lie in 0..{len(self.states) - 1}")
+        if not np.isfinite(ys).all():
+            raise MalformedInputError("responses must be finite")
         if self.response_bound is not None and np.abs(ys).max() > self.response_bound + 1e-12:
             raise MalformedInputError(
                 f"responses exceed the declared bound {self.response_bound}"

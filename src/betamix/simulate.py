@@ -4,16 +4,19 @@ experiments that test bound dominance.
 Three generator kinds: a finite-state Markov chain (exact lag-m dependence
 coefficients available), an m-dependent sliding-window construction built from
 independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw
-from a fixed law.  ``generate`` is the one sampling path: each replication
-draws from its own counter-based stream derived from (seed, replication), so
-reports are bit-reproducible regardless of execution order.  Samples carry no
-laws; experiments ask the spec for its exact marginals once per n.
+from a fixed law.  Every replication draws from its own counter-based stream
+derived from (seed, replication), so reports are bit-reproducible regardless of
+execution order.  States come from one sampler, ``_sample_states``, which takes
+the first draws of the stream; ``generate`` adds responses to them from the
+draws that follow.  ``deviation_experiment`` reads only the states, so it draws
+them without responses.  Samples carry no laws; experiments ask the spec for
+its exact marginals once per n.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,10 +73,14 @@ class GeneratorSpec:
             raise MalformedInputError("noise_probs must be a pmf")
         if len(self.noise_values) != len(self.noise_probs):
             raise MalformedInputError("noise_values and noise_probs must have matching length")
+        if not np.isfinite(self.noise_values).all():
+            raise MalformedInputError("noise_values must be finite")
         k = len(self.states())
         phi = np.zeros(k) if self.phi is None else np.array(self.phi, dtype=float)
         if phi.shape != (k,):
             raise MalformedInputError(f"phi needs one value per state, got shape {phi.shape}")
+        if not np.isfinite(phi).all():
+            raise MalformedInputError("phi must be finite")
         object.__setattr__(self, "phi", phi)
 
     def states(self) -> tuple:
@@ -118,12 +125,20 @@ def inverse_cdf(probs) -> np.ndarray:
 def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into ``spec.states()`` of one sampled path of length n."""
     if spec.kind == "markov":
-        u = rng.random(n)
-        start = int(np.searchsorted(inverse_cdf(spec.chain.initial.probs), u[0], side="right"))
-        # moves[j][s]: the state that s moves to at step j + 1; the path follows it
-        moves = np.stack([np.searchsorted(row, u[1:], side="right")
-                          for row in inverse_cdf(spec.chain.transition)], axis=1).tolist()
-        return np.array(list(itertools.accumulate(moves, lambda s, row: row[s], initial=start)))
+        # The random map is evaluated only at the current state: bisect_right on a row
+        # of Python floats is searchsorted(side="right") on the same float64 row, so it
+        # skips zero-mass states alike, and inverse_cdf pins every row's total to 1.0.
+        u = rng.random(n).tolist()
+        rows = inverse_cdf(spec.chain.transition).tolist()
+
+        def walk(s):
+            yield s
+            for x in u[1:]:
+                s = bisect_right(rows[s], x)
+                yield s
+
+        start = bisect_right(inverse_cdf(spec.chain.initial.probs).tolist(), u[0])
+        return np.fromiter(walk(start), dtype=np.intp, count=n)
     if spec.kind == "m_dependent":
         k, lag = spec.alphabet_size, spec.dependence_lag
         w = rng.integers(0, k, size=n + lag - 1)
@@ -200,7 +215,7 @@ def deviation_experiment(
 
     stats = np.empty(replications)
     for rep in range(replications):
-        emp = table[:, generate(spec, n, rep).index].mean(axis=1)
+        emp = table[:, _sample_states(spec, n, replication_rng(spec.seed, rep))].mean(axis=1)
         stats[rep] = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max()
 
     rows = []

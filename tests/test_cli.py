@@ -535,6 +535,19 @@ DOMAIN_ERRORS = {
     "cover table with NaN": (
         "entropy", dict(COVER_DOC, entropy="greedy_cover", values=[[NAN], [1.0]], r=0.5),
         "error: a cover needs"),
+    "NaN response (affine span)": (
+        "regress", with_change(GOLDEN_DOCS["regress-affine-span"], "ys", [0.1, NAN] + [0.2] * 6),
+        "error: responses must be finite"),
+    "NaN response (state table)": (
+        "regress", with_change(GOLDEN_DOCS["regress-state-table"], "ys", [0.1, NAN] + [0.2] * 5),
+        "error: responses must be finite"),
+    "NaN phi value": (
+        "simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.phi.2", NAN),
+        "error: phi must be finite"),
+    "infinite noise value": (
+        "simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.noise.values",
+                                [-0.1, float("inf")]),
+        "error: noise_values must be finite"),
 }
 
 

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betamix.bounds import BoundParams
@@ -279,22 +281,67 @@ def per_step_path(spec, n, rng):
     return np.array(path)
 
 
+def normalised(weights):
+    return [w / sum(weights) for w in weights]
+
+
+def chain_spec(weights, initial_weights, seed=13):
+    """A markov spec from nonnegative weights per transition row and for the start law."""
+    states = tuple(range(len(weights)))
+    initial = FinitePmf(states, normalised(initial_weights))
+    chain = MarkovChainSpec(states, [normalised(row) for row in weights], initial)
+    return GeneratorSpec(kind="markov", seed=seed, chain=chain)
+
+
 @st.composite
 def markov_specs(draw):
     """Chains on 1..6 states whose laws may put zero mass on some states."""
     k = draw(st.integers(1, 6))
 
-    def law():
-        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
-        return [w / sum(weights) for w in weights]
+    def weights():
+        return draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
 
-    states = tuple(range(k))
-    chain = MarkovChainSpec(states, [law() for _ in states], FinitePmf(states, law()))
-    return GeneratorSpec(kind="markov", seed=draw(st.integers(0, 2**32 - 1)), chain=chain)
+    return chain_spec([weights() for _ in range(k)], weights(), draw(st.integers(0, 2**32 - 1)))
+
+
+# 40 states, about a fifth of every row and of the start law at zero mass
+LARGE_CHAIN = chain_spec(
+    [[0 if (3 * i + 7 * j) % 5 == 0 else (i + 2 * j) % 9 + 1 for j in range(40)] for i in range(40)],
+    [0 if j % 4 == 1 else j % 6 + 1 for j in range(40)],
+)
 
 
 @given(markov_specs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(LARGE_CHAIN, 2000, 0)
+@example(LARGE_CHAIN, 2000, 2**32 - 1)
+@example(chain_spec([[1]], [1]), 2000, 5)
 @settings(max_examples=150, deadline=None)
 def test_markov_walk_equals_per_step_loop(spec, n, rep):
     path = _sample_states(spec, n, replication_rng(spec.seed, rep))
     assert np.array_equal(path, per_step_path(spec, n, replication_rng(spec.seed, rep)))
+
+
+@st.composite
+def generator_specs(draw):
+    """Specs of every kind, with noise so that responses draw from the stream too."""
+    kind = draw(st.sampled_from(("markov", "m_dependent", "iid")))
+    noise = dict(noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5))
+    if kind == "markov":
+        return dataclasses.replace(draw(markov_specs()), **noise)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "m_dependent":
+        return GeneratorSpec(kind=kind, seed=seed, dependence_lag=draw(st.integers(1, 4)),
+                             alphabet_size=draw(st.integers(2, 6)), **noise)
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(any))
+    law = FinitePmf(tuple(range(len(weights))), normalised(weights))
+    return GeneratorSpec(kind=kind, seed=seed, law=law, **noise)
+
+
+@given(generator_specs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_states_only_draw_equals_generated_index(spec, n, rep):
+    # the deviation experiment draws states without responses: the same states
+    states = _sample_states(spec, n, replication_rng(spec.seed, rep))
+    index = generate(spec, n, rep).index
+    assert states.dtype == index.dtype
+    assert np.array_equal(states, index)
