@@ -24,7 +24,6 @@ from .entropy import (
     covering_number_greedy,
     neural_net_entropy,
     sauer_shelah_entropy,
-    vc_dimension_bound,
 )
 from .errors import (
     BetamixError,

@@ -43,9 +43,9 @@ class BoundParams:
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0,1), got {self.epsilon}")
         for name in ("c", "gamma", "gamma_prime", "lam"):
-            if getattr(self, name) <= 1.0:
+            if not getattr(self, name) > 1.0:
                 raise DomainError(f"{name} must exceed 1, got {getattr(self, name)}")
-        if self.B <= 0.0:
+        if not self.B > 0.0:
             raise DomainError(f"B must be positive, got {self.B}")
         if self.V < 1:
             raise DomainError(f"V must be a positive integer, got {self.V}")
@@ -68,12 +68,20 @@ class BoundParams:
 
 
 def _beta(params: BoundParams, beta_at_m: float | None) -> float:
-    """beta(m) as given, or else the configured envelope at the configured m."""
+    """beta(m) as given, or else the configured envelope at the configured m.
+
+    A beta above 1 passes (a fitted envelope may exceed 1 and still bounds beta);
+    a NaN or negative one does not.
+    """
     if beta_at_m is not None:
-        return float(beta_at_m)
-    if params.mixing is None:
+        beta = float(beta_at_m)
+    elif params.mixing is None:
         raise DomainError("no mixing envelope configured")
-    return float(params.mixing.envelope(params.m))
+    else:
+        beta = float(params.mixing.envelope(params.m))
+    if not beta >= 0.0:
+        raise DomainError(f"beta(m) must be nonnegative, got {beta}")
+    return beta
 
 
 def _envelope(params: BoundParams, model: str) -> MixingFit:

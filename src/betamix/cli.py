@@ -159,8 +159,10 @@ def _run_experiment(args) -> simulate.ExperimentReport:
 
 
 def _cmd_simulate(args) -> int:
+    if args.format == "csv" and args.output is None:
+        build_parser().error("simulate --format csv needs --output PATH")
     report = _run_experiment(args)
-    if args.format == "csv" and args.output:
+    if args.format == "csv":
         report.to_csv(args.output)
     else:
         _emit(report.to_json(), args.output)

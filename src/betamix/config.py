@@ -154,22 +154,16 @@ def entropy_estimate(sec: Section) -> entropy.EntropyEstimate:
 def family(sec: Section, states: tuple) -> entropy.FunctionFamily:
     """A state_table family (one state table per member) or an affine_span over ``states``."""
     kind = sec.kind("kind", ("state_table", "affine_span"))
-    range_bound = sec.get("range_bound", float, None)
     if kind == "state_table":
         tables = [Section(t, f"{sec.prefix}tables[{j}]")
                   for j, t in enumerate(sec.get("tables", _list))]
-        return entropy.FunctionFamily(
-            states,
-            table=[state_values(t, states) for t in tables],
-            declared_vc=sec.get("declared_vc", int, None),
-            range_bound=range_bound,
-        )
+        return entropy.FunctionFamily(states, table=[state_values(t, states) for t in tables])
     scale = sec.get("scale", float, 1.0)
     try:
         design = [[1.0, scale * float(s)] for s in states]
     except ValueError as exc:
         raise ConfigError(f"{sec.prefix}kind: affine_span needs numeric states: {exc}") from exc
-    return entropy.FunctionFamily(states, design=design, range_bound=range_bound)
+    return entropy.FunctionFamily(states, design=design)
 
 
 def law(sec: Section) -> pmf.FinitePmf:

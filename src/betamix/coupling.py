@@ -8,6 +8,13 @@ get zero rows.  The single-pair coupling weights these couplings by P(v).  The
 sequence version proceeds by backward induction: each step couples V_k against
 the block formed by the original past and the already-starred future, and lays
 the row-normalized couplings over the extended joint's axes.
+
+The sequence version holds its extended joint in one fixed layout throughout:
+V_1..V_N, then the stars in reverse, V*_N..V*_1, each a single cell until it
+is drawn.  The result is a transposed view, V_1..V_N, V*_1..V*_N, of that
+memory.  The stars stay reversed in memory because the pair marginals behind
+the mismatch probabilities sum in memory order: another order changes the
+mismatches in their last bits.
 """
 from __future__ import annotations
 
@@ -94,8 +101,7 @@ def generalized_berbee(process: JointPmf) -> CouplingResult:
     """
     n = process.n_axes
     shape = process.probs.shape
-    ext = process.probs.copy()
-    star_pos: dict[int, int] = {}
+    ext = process.probs.reshape(shape + (1,) * n)  # the fixed layout, no star drawn yet
 
     for k in range(n - 1, 0, -1):
         sk = shape[k]
@@ -104,32 +110,24 @@ def generalized_berbee(process: JointPmf) -> CouplingResult:
                 f"extended joint while starring axis {k} needs {ext.size * sk} cells "
                 f"(cap {process.cell_cap})"
             )
-        cond_axes = list(range(k)) + [star_pos[j] for j in range(k + 1, n)]
         p_w = process.marginal_pmf(k).probs
-        # joint of the conditioning block and V_k, block axes leading; C order so
-        # that each atom's row sums as it would on its own
-        keep = cond_axes + [k]
-        others = [ax for ax in range(ext.ndim) if ax not in keep]
+        # joint of the conditioning block (V_{1:k-1}, V*_{N..k+1}) and V_k, block
+        # axes leading; C order so that each atom's row sums as it would on its own
+        keep = [*range(k), *range(n, 2 * n - 1 - k), k]
         block = np.ascontiguousarray(_sum_onto(ext, keep))
         p_u = block.sum(axis=-1, keepdims=True)
         cond = np.divide(block, p_u, out=np.zeros(block.shape), where=p_u > 0.0)
         coupling = _maximal_coupling(cond, p_w)
         # P(V*_k | block, V_k), indexed (block atom, V_k, V*_k), laid over ext's axes
         rows = np.divide(coupling, cond[..., None], out=np.zeros(coupling.shape), where=cond[..., None] > 0.0)
-        rows = rows.reshape(rows.shape[:-1] + (1,) * len(others) + (sk,))
-        ext = ext[..., None] * np.transpose(rows, [*np.argsort(keep + others), ext.ndim])
-        star_pos[k] = ext.ndim - 1
+        singles = (*range(k + 1, n), *range(2 * n - k, 2 * n))
+        ext = ext * np.expand_dims(np.moveaxis(rows, -2, k), singles)
 
-    # V*_1 is V_1 itself: append a diagonal copy of axis 0
+    # V*_1 is V_1 itself: a diagonal copy of axis 0 in the last axis
     s0 = shape[0]
-    eye = np.eye(s0)
-    ext = ext[..., None] * eye.reshape(s0, *([1] * (ext.ndim - 1)), s0)
-    star_pos[0] = ext.ndim - 1
-
-    perm = list(range(n)) + [star_pos[k] for k in range(n)]
-    ext = np.transpose(ext, perm)
-    axes = process.axes + process.axes
-    extended = JointPmf(axes, ext, cell_cap=max(process.cell_cap, ext.size))
+    ext = ext * np.eye(s0).reshape(s0, *([1] * (2 * n - 2)), s0)
+    ext = np.transpose(ext, [*range(n), *range(2 * n - 1, n - 1, -1)])
+    extended = JointPmf(process.axes + process.axes, ext, cell_cap=max(process.cell_cap, ext.size))
 
     pairs = (extended.marginal((k, n + k)).probs for k in range(n))
     mismatch = tuple(max(float(pair.sum() - np.trace(pair)), 0.0) for pair in pairs)

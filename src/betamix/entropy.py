@@ -28,14 +28,12 @@ class FunctionFamily:
 
     A finite family carries a member-by-state value ``table``.  A truncated
     linear span carries a state-by-basis ``design`` instead; it is fitted, not
-    enumerated, and declares the VC bound dim + 1 unless told otherwise.
+    enumerated.
     """
 
     states: tuple
     table: np.ndarray | None = None
     design: np.ndarray | None = None
-    declared_vc: int | None = None
-    range_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -46,8 +44,6 @@ class FunctionFamily:
         if values.ndim != 2 or values.shape[axis] != len(self.states) or values.size == 0:
             raise MalformedInputError(f"{name} {values.shape} is not a nonempty array over the states")
         object.__setattr__(self, name, values)
-        if name == "design" and self.declared_vc is None:
-            object.__setattr__(self, "declared_vc", vc_dimension_bound(values.shape[1]))
 
 
 def l1_distances(values: np.ndarray) -> np.ndarray:
@@ -144,13 +140,6 @@ def neural_net_entropy(N: int, d: int, B: float, r: float) -> float:
     if not 0.0 < r < B / 2.0:
         raise DomainError(f"radius must lie in (0, B/2), got {r}")
     return ((2 * d + 5) * N + 1) * (1.0 + math.log(12.0) + math.log(B / r) + math.log(N + 1.0))
-
-
-def vc_dimension_bound(linear_dim: int) -> int:
-    """Declared VC upper bound for the truncation of a linear span: dim + 1."""
-    if linear_dim < 1:
-        raise DomainError("linear dimension must be >= 1")
-    return linear_dim + 1
 
 
 EntropyEstimate = Callable[[int, float], float]  # (sample size, radius) -> log covering bound

@@ -46,6 +46,8 @@ class Dataset:
             raise MalformedInputError(f"state indices must lie in 0..{len(self.states) - 1}")
         if not np.isfinite(ys).all():
             raise MalformedInputError("responses must be finite")
+        if self.response_bound is not None and not self.response_bound >= 0.0:
+            raise MalformedInputError(f"response_bound must be nonnegative, got {self.response_bound}")
         if self.response_bound is not None and np.abs(ys).max() > self.response_bound + 1e-12:
             raise MalformedInputError(
                 f"responses exceed the declared bound {self.response_bound}"
@@ -130,8 +132,6 @@ def loss_difference_family(
     return FunctionFamily(
         tuple((s, y) for s in family.states for y in ys.tolist()),
         table=table.reshape(table.shape[0], -1),
-        declared_vc=family.declared_vc,
-        range_bound=1.0,
     )
 
 

@@ -75,6 +75,8 @@ class GeneratorSpec:
             raise MalformedInputError("noise_values and noise_probs must have matching length")
         if not np.isfinite(self.noise_values).all():
             raise MalformedInputError("noise_values must be finite")
+        if self.response_bound is not None and not self.response_bound >= 0.0:
+            raise MalformedInputError(f"response_bound must be nonnegative, got {self.response_bound}")
         k = len(self.states())
         phi = np.zeros(k) if self.phi is None else np.array(self.phi, dtype=float)
         if phi.shape != (k,):

@@ -190,7 +190,6 @@ def test_criterion_07_beta_version_dominance():
         chain.states,
         table=[[float(s) for s in chain.states], [1.0 - float(s) for s in chain.states],
                [0.5 for s in chain.states]],
-        range_bound=1.0,
     )
     entropy = finite_family_entropy(3)
     non_vacuous = 0
@@ -223,7 +222,7 @@ def test_criterion_08_weak_error_dominance_and_trend():
         phi=phi, noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5),
         response_bound=0.25,
     )
-    family = FunctionFamily(states, design=[[1.0, float(s)] for s in states], range_bound=0.25)
+    family = FunctionFamily(states, design=[[1.0, float(s)] for s in states])
     params = BoundParams(
         epsilon=0.5, c=2.0, gamma=2.0, gamma_prime=2.0, lam=1.5,
         B=0.25, V=3, n=100, m=2,

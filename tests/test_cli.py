@@ -174,6 +174,16 @@ def test_simulate_subcommand_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_simulate_csv_without_output_is_a_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, "exp.json", experiment_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", cfg, "--format", "csv"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "--output" in out.err
+
+
 def test_simulate_byte_identical_given_seed(tmp_path, capsys):
     cfg = write(tmp_path, "exp.json", experiment_doc())
     code1, out1, _ = run(capsys, ["simulate", cfg, "--seed", "5"])
@@ -548,6 +558,25 @@ DOMAIN_ERRORS = {
         "simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.noise.values",
                                 [-0.1, float("inf")]),
         "error: noise_values must be finite"),
+    "NaN response bound (regress)": (
+        "regress", {"xs": [0, 1, 0, 1], "ys": [0.1, 5.0, 0.2, 0.0], "response_bound": NAN,
+                    "family": {"kind": "affine_span"}, "B": 1.0},
+        "error: response_bound must be nonnegative"),
+    "NaN response bound (deviation simulate)": (
+        "simulate", with_change(experiment_doc(), "generator.response_bound", NAN),
+        "error: response_bound must be nonnegative"),
+    # bound inputs that would print a wrong bound
+    "negative beta_at_m": (
+        "bound", dict(GOLDEN_DOCS["bound-beta-deviation"], beta_at_m=-0.5),
+        "error: beta(m) must be nonnegative"),
+    "negative mixing envelope": (
+        "bound", with_change(GOLDEN_DOCS["bound-beta-deviation"], "params.mixing.a", -1.0),
+        "error: beta(m) must be nonnegative"),
+    "NaN c": (
+        "bound", with_change(GOLDEN_DOCS["bound-beta-deviation"], "params.c", NAN),
+        "error: c must exceed 1"),
+    "NaN B (weak error)": (
+        "bound", with_change(BOUND_DOC, "params.B", NAN), "error: B must be positive"),
 }
 
 

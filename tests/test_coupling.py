@@ -225,6 +225,8 @@ def test_berbee_couple_equals_per_atom_loop(seed, sv, sw):
        st.lists(ALPHABET, min_size=1, max_size=4).filter(lambda shape: math.prod(shape) <= 200))
 @example(seed=0, shape=[2, 9, 2])  # a nine-atom axis summed out of a transposed block
 @example(seed=1, shape=[1, 10, 3, 1])
+@example(seed=2, shape=[2, 1, 3, 2, 2])  # beyond four axes, with a one-atom axis
+@example(seed=3, shape=[2, 2, 1, 2, 2, 2])
 @settings(max_examples=100, deadline=None)
 def test_generalized_berbee_equals_per_atom_loop(seed, shape):
     process = sparse_joint(seed, tuple(shape))

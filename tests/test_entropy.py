@@ -15,7 +15,6 @@ from betamix.entropy import (
     neural_net_entropy,
     sauer_shelah_entropy,
     sauer_shelah_estimate,
-    vc_dimension_bound,
     zero_entropy,
 )
 from betamix.errors import DomainError, MalformedInputError, SizeError
@@ -125,12 +124,6 @@ def test_neural_net_spot_value_and_domain():
         neural_net_entropy(1, 1, 1.0, 0.75)
 
 
-def test_vc_dimension_bound():
-    assert vc_dimension_bound(2) == 3
-    with pytest.raises(DomainError):
-        vc_dimension_bound(0)
-
-
 def test_entropy_estimates_callable():
     est = sauer_shelah_estimate(1, 1.0)
     assert est(10, 0.1) == pytest.approx(sauer_shelah_entropy(1, 1.0, 0.1))
@@ -159,11 +152,11 @@ def test_threshold_family_within_sauer_shelah():
             assert math.exp(sauer_shelah_entropy(1, B, r)) >= covering_number_exact(values, r)
 
 
-def test_linear_span_declares_vc():
+def test_linear_span_holds_design():
     states = (0, 1)
-    fam = FunctionFamily(states, design=[[1.0, float(s)] for s in states], range_bound=1.0)
-    assert fam.design is not None and fam.table is None
-    assert fam.declared_vc == 3
+    fam = FunctionFamily(states, design=[[1.0, float(s)] for s in states])
+    assert fam.table is None
+    assert fam.design.shape == (2, 2)
 
 
 def test_function_family_arrays_must_fit_states():

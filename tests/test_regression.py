@@ -139,7 +139,6 @@ def test_loss_difference_range_under_quarter_bound():
     )
     assert g.table.shape == (5, 2 * 51)
     assert np.abs(g.table).max() <= 1.0 + 1e-12
-    assert g.range_bound == 1.0
 
 
 def test_loss_difference_requires_truth():
