@@ -88,7 +88,7 @@ def lifted_bound(
     sum is 1*base(n,t) + n*0.0, so the independent case recovers the base
     bound bitwise.
     """
-    if t < 0:
+    if not t >= 0.0:
         raise DomainError("t must be nonnegative")
     q, r = euclidean(n, m)
     if t > deviation_cap:

@@ -85,11 +85,13 @@ def _beta(params: BoundParams, beta_at_m: float | None) -> float:
 
 
 def _envelope(params: BoundParams, model: str) -> MixingFit:
-    """The configured mixing envelope, which must be a ``model`` one (with gamma > 1 if subpolynomial)."""
+    """The configured ``model`` envelope, with a >= 0 (and gamma > 1 if subpolynomial); NaN fails."""
     fit = params.mixing
     if fit is None or fit.model != model:
         raise DomainError(f"a {model} mixing envelope is required")
-    if model == "subpolynomial" and fit.gamma <= 1.0:
+    if not fit.a >= 0.0:
+        raise DomainError(f"mixing amplitude must be nonnegative, got {fit.a}")
+    if model == "subpolynomial" and not fit.gamma > 1.0:
         raise DomainError(f"mixing exponent must exceed 1, got {fit.gamma}")
     return fit
 
@@ -114,7 +116,7 @@ def indep_deviation_bound(
     """
     if size < 1:
         raise DomainError("size must be >= 1")
-    if t < 0:
+    if not t >= 0.0:
         raise DomainError("t must be nonnegative")
     threshold = (params.B * params.c / 2.0) * math.sqrt(params.gamma / size)
     if t < threshold:
@@ -184,7 +186,7 @@ def ls_deviation_bound(c: float, lam: float, V: int, n: int, m: int, t: float) -
     exp(-b_exp * floor(n/m) * t).  Used for Monte Carlo dominance tests; the
     weak-error bound integrates this shape in closed form instead.
     """
-    if t < 0:
+    if not t >= 0.0:
         raise DomainError("t must be nonnegative")
     q, _ = euclidean(n, m)
     if t < t0_threshold(c, lam, q):
@@ -236,7 +238,7 @@ def weak_error_bound(params: BoundParams, bias: float, beta_at_m: float | None =
     dependence price = 16 B^2 (1 + lam) n beta(m); bias enters scaled by lam.
     Raises when the theorem's hypotheses fail, naming the violated inequality.
     """
-    if bias < 0:
+    if not bias >= 0.0:
         raise DomainError("bias must be nonnegative")
     params.check_weak_error_hypotheses()
     beta = _beta(params, beta_at_m)
@@ -261,7 +263,7 @@ class RateCurve:
 
 def variance_rate_coefficient(params: BoundParams, C_sandwich: float) -> float:
     """alpha = 2 C B^2 V (log sqrt(71) + log n) / ((lam - 1) n), the per-block variance slope."""
-    if C_sandwich <= 0:
+    if not C_sandwich > 0.0:
         raise DomainError("the sandwich constant must be positive and supplied explicitly")
     return (
         2.0
@@ -300,7 +302,7 @@ def subexp_rate(params: BoundParams, C: float) -> float:
     (C/n) (B^2 V (1 + log n)/(lam - 1) + a) (2 log n / b)^(1/gamma), valid when
     the block choice fits in [1, n/2] and lam is below its universal cap.
     """
-    if C <= 0:
+    if not C > 0.0:
         raise DomainError("the universal constant C must be positive and supplied explicitly")
     fit = _envelope(params, "subexponential")
     lam_cap = (3.0 + math.sqrt(1.0 + 8.0 * math.sqrt(71.0))) / 4.0
@@ -323,7 +325,7 @@ def subpoly_rate(params: BoundParams, C: float) -> float:
     C n^(-(gamma-1)/(gamma+1)) (B^2 V (1 + log n)/(lam - 1) + a); requires the
     mixing exponent gamma > 1.
     """
-    if C <= 0:
+    if not C > 0.0:
         raise DomainError("the universal constant C must be positive and supplied explicitly")
     fit = _envelope(params, "subpolynomial")
     g = fit.gamma

@@ -1,13 +1,15 @@
 """Constructive Berbee couplings on finite spaces.
 
-Both constructions materialize the extended joint law explicitly, and both are
-array operations over every conditioning atom at once.  The maximal coupling of
-each conditional law P(.|v) with P(w) places the overlap mass min(P(w|v), P(w))
-on the diagonal and matches the residuals proportionally; atoms of zero mass
-get zero rows.  The single-pair coupling weights these couplings by P(v).  The
-sequence version proceeds by backward induction: each step couples V_k against
-the block formed by the original past and the already-starred future, and lays
-the row-normalized couplings over the extended joint's axes.
+Both constructions materialize the extended joint law explicitly, after
+checking its cell count against ``pmf.CELL_CAP`` and before building any array,
+and both are array operations over every conditioning atom at once.  The
+maximal coupling of each conditional law P(.|v) with P(w) places the overlap
+mass min(P(w|v), P(w)) on the diagonal and matches the residuals
+proportionally; atoms of zero mass get zero rows.  The single-pair coupling
+weights these couplings by P(v).  The sequence version proceeds by backward
+induction: each step couples V_k against the block formed by the original past
+and the already-starred future, and lays the row-normalized couplings over the
+extended joint's axes.
 
 The sequence version holds its extended joint in one fixed layout throughout:
 V_1..V_N, then the stars in reverse, V*_N..V*_1, each a single cell until it
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInputError, SizeError
+from .errors import MalformedInputError
 from .mixing import _dependence, pairwise_beta
-from .pmf import JointPmf, _sum_onto, joint_to_json
+from .pmf import JointPmf, _check_cells, _sum_onto, joint_to_json
 
 
 def _maximal_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -57,9 +59,6 @@ class CouplingResult:
     starred_indices: tuple
     mismatch_probs: tuple
 
-    def original_marginal(self) -> JointPmf:
-        return self.extended_joint.marginal(tuple(range(self.n_original)))
-
     def starred_axis(self, k: int) -> int:
         """Position in the extended joint of the starred copy of original axis k."""
         return self.n_original + self.starred_indices.index(k)
@@ -82,12 +81,13 @@ def berbee_couple(joint: JointPmf) -> CouplingResult:
     if joint.n_axes != 2:
         raise MalformedInputError(f"expected a two-axis joint, got {joint.n_axes} axes")
     p = joint.probs
+    _check_cells(p.size * p.shape[1])
     p_v = p.sum(axis=1, keepdims=True)
     cond = np.divide(p, p_v, out=np.zeros(p.shape), where=p_v > 0.0)
     ext = p_v[..., None] * _maximal_coupling(cond, p.sum(axis=0))
     # off-diagonal mass, exactly zero when the coupling is diagonal
     mismatch = float(ext.sum() - np.einsum("vww->", ext))
-    extended = JointPmf(joint.axes + (joint.axes[1],), ext, cell_cap=joint.cell_cap)
+    extended = JointPmf(joint.axes + (joint.axes[1],), ext)
     return CouplingResult(extended, 2, (1,), (max(mismatch, 0.0),))
 
 
@@ -101,16 +101,11 @@ def generalized_berbee(process: JointPmf) -> CouplingResult:
     """
     n = process.n_axes
     shape = process.probs.shape
+    _check_cells(process.probs.size**2)  # each step only grows ext: the result is the largest
     ext = process.probs.reshape(shape + (1,) * n)  # the fixed layout, no star drawn yet
 
     for k in range(n - 1, 0, -1):
-        sk = shape[k]
-        if ext.size * sk > process.cell_cap:
-            raise SizeError(
-                f"extended joint while starring axis {k} needs {ext.size * sk} cells "
-                f"(cap {process.cell_cap})"
-            )
-        p_w = process.marginal_pmf(k).probs
+        p_w = process.marginal((k,))
         # joint of the conditioning block (V_{1:k-1}, V*_{N..k+1}) and V_k, block
         # axes leading; C order so that each atom's row sums as it would on its own
         keep = [*range(k), *range(n, 2 * n - 1 - k), k]
@@ -127,9 +122,9 @@ def generalized_berbee(process: JointPmf) -> CouplingResult:
     s0 = shape[0]
     ext = ext * np.eye(s0).reshape(s0, *([1] * (2 * n - 2)), s0)
     ext = np.transpose(ext, [*range(n), *range(2 * n - 1, n - 1, -1)])
-    extended = JointPmf(process.axes + process.axes, ext, cell_cap=max(process.cell_cap, ext.size))
+    extended = JointPmf(process.axes + process.axes, ext)
 
-    pairs = (extended.marginal((k, n + k)).probs for k in range(n))
+    pairs = (extended.marginal((k, n + k)) for k in range(n))
     mismatch = tuple(max(float(pair.sum() - np.trace(pair)), 0.0) for pair in pairs)
     return CouplingResult(extended, n, tuple(range(n)), mismatch)
 
@@ -165,17 +160,17 @@ def verify_coupling(result: CouplingResult, original: JointPmf) -> CouplingRepor
     if original.n_axes != n:
         raise MalformedInputError("original joint has wrong axis count")
 
-    marg_err = float(np.abs(result.original_marginal().probs - original.probs).max())
+    marg_err = float(np.abs(ext.marginal(range(n)) - original.probs).max())
     for k in result.starred_indices:
-        star = ext.marginal_pmf(result.starred_axis(k)).probs
-        orig = original.marginal_pmf(k).probs
+        star = ext.marginal((result.starred_axis(k),))
+        orig = original.marginal((k,))
         marg_err = max(marg_err, float(np.abs(star - orig).max()))
 
     star_axes = tuple(result.starred_axis(k) for k in result.starred_indices)
     indep_err = 0.0
     if len(star_axes) > 1:
-        block = ext.marginal(star_axes).probs
-        product = functools.reduce(np.multiply.outer, (ext.marginal_pmf(ax).probs for ax in star_axes))
+        block = ext.marginal(star_axes)
+        product = functools.reduce(np.multiply.outer, (ext.marginal((ax,)) for ax in star_axes))
         indep_err = float(np.abs(block - product).max())
     for k in sorted(k for k in result.starred_indices if k > 0):
         future_stars = tuple(result.starred_axis(j) for j in result.starred_indices if j >= k)

@@ -115,9 +115,9 @@ def sauer_shelah_entropy(V: int, B: float, r: float) -> float:
     """
     if V < 1:
         raise DomainError("V must be a positive integer")
-    if B <= 0:
+    if not B > 0.0:
         raise DomainError("B must be positive")
-    if r <= 0:
+    if not r > 0.0:
         raise DomainError("radius must be positive")
     if r > B:
         return 0.0
@@ -135,7 +135,7 @@ def neural_net_entropy(N: int, d: int, B: float, r: float) -> float:
     """
     if N < 1 or d < 1:
         raise DomainError("N and d must be positive integers")
-    if B <= 0:
+    if not B > 0.0:
         raise DomainError("B must be positive")
     if not 0.0 < r < B / 2.0:
         raise DomainError(f"radius must lie in (0, B/2), got {r}")

@@ -155,7 +155,7 @@ def fit_mixing_rate(
 
     if model == "subexponential":
         g = 1.0 if gamma is None else float(gamma)
-        if g <= 0:
+        if not g > 0.0:
             raise MalformedInputError("gamma must be positive")
         if b is None:
             if len(pos) == 1:

@@ -3,13 +3,15 @@
 These are the substrate for everything else in the package: dependence
 coefficients and couplings are computed by explicit atom sums over dense
 joint grids, so all types here validate total mass and nonnegativity at
-construction time and keep the full grid in memory (with a hard cell cap).
+construction time and keep the full grid in memory: at most ``CELL_CAP`` cells,
+a coupling's extended joint included (checked before it is built).  Marginals
+and grouped blocks of a joint are plain arrays.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +19,12 @@ import numpy as np
 from .errors import MalformedInputError, SizeError
 
 MASS_TOL = 1e-12
-DEFAULT_CELL_CAP = 10**6
+CELL_CAP = 10**6
+
+
+def _check_cells(cells: int) -> None:
+    if cells > CELL_CAP:
+        raise SizeError(f"joint with {cells} cells exceeds cap {CELL_CAP}")
 
 
 def _sum_onto(probs: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -57,9 +64,6 @@ class FinitePmf:
             raise MalformedInputError(f"total mass {probs.sum()} != 1")
         object.__setattr__(self, "probs", np.maximum(probs, 0.0))
 
-    def __len__(self) -> int:
-        return len(self.support)
-
     @staticmethod
     def uniform(support: Sequence) -> "FinitePmf":
         k = len(tuple(support))
@@ -77,14 +81,11 @@ class FinitePmf:
 class JointPmf:
     """A pmf over the product grid of finitely many finite alphabets.
 
-    ``probs`` is a dense array with one axis per coordinate.  The total cell
-    count is capped (``cell_cap``) because the coupling construction needs
-    explicit joints; exceeding the cap is a hard error.
+    ``probs`` is a dense array with one axis per coordinate.
     """
 
     axes: tuple
     probs: np.ndarray
-    cell_cap: int = field(default=DEFAULT_CELL_CAP, compare=False)
 
     def __post_init__(self):
         axes = tuple(tuple(ax) for ax in self.axes)
@@ -94,8 +95,7 @@ class JointPmf:
             raise MalformedInputError(
                 f"probs shape {probs.shape} does not match axes {tuple(len(a) for a in axes)}"
             )
-        if probs.size > self.cell_cap:
-            raise SizeError(f"joint with {probs.size} cells exceeds cap {self.cell_cap}")
+        _check_cells(probs.size)
         if not probs.min() >= -MASS_TOL:
             raise MalformedInputError(f"negative cell probability {probs.min()}")
         if not abs(probs.sum() - 1.0) <= MASS_TOL:
@@ -106,15 +106,9 @@ class JointPmf:
     def n_axes(self) -> int:
         return len(self.axes)
 
-    def marginal(self, keep: Sequence[int]) -> "JointPmf":
-        """Marginalize onto the axis positions in ``keep`` (preserving their order)."""
-        keep = tuple(int(k) for k in keep)
-        probs = _sum_onto(self.probs, keep)
-        return JointPmf(tuple(self.axes[k] for k in keep), probs, cell_cap=self.cell_cap)
-
-    def marginal_pmf(self, axis: int) -> FinitePmf:
-        """One-dimensional marginal as a FinitePmf."""
-        return FinitePmf(self.axes[axis], _sum_onto(self.probs, (axis,)))
+    def marginal(self, keep: Sequence[int]) -> np.ndarray:
+        """Probabilities of the axes in ``keep``, in that order; may share memory with ``probs``."""
+        return _sum_onto(self.probs, keep)
 
     def grouped(self, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
         """Probabilities of the grouped coordinates as a (left block, right block) array.
@@ -129,9 +123,9 @@ class JointPmf:
         return probs.reshape(math.prod(probs.shape[: len(left)]), -1)
 
     @staticmethod
-    def from_product(factors: Sequence[FinitePmf], cell_cap: int = DEFAULT_CELL_CAP) -> "JointPmf":
+    def from_product(factors: Sequence[FinitePmf]) -> "JointPmf":
         probs = functools.reduce(np.multiply.outer, (f.probs for f in factors), np.array(1.0))
-        return JointPmf(tuple(f.support for f in factors), probs, cell_cap=cell_cap)
+        return JointPmf(tuple(f.support for f in factors), probs)
 
 
 @dataclass(frozen=True)

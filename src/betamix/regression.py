@@ -61,7 +61,7 @@ class Dataset:
 
 def truncate(value, B: float):
     """Clamp to [-B, B]; the identity on values already inside."""
-    if B <= 0:
+    if not B > 0.0:
         raise DomainError("B must be positive")
     return np.clip(value, -B, B)
 
@@ -93,7 +93,7 @@ def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> Regres
     linear spans are solved by normal equations, falling back to a small ridge
     when the design is singular.
     """
-    if B <= 0:
+    if not B > 0.0:
         raise DomainError("B must be positive")
     if family.states != data.states:
         raise MalformedInputError("the family and the data must share one state alphabet")

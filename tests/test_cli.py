@@ -447,6 +447,9 @@ BETA_DOC = {"chain": {"states": [0, 1], "transition": [[0.75, 0.25], [0.25, 0.75
                       "initial": [0.5, 0.5]}, "m": 2}
 BOUND_DOC = {"bound": "weak_error", "params": params_doc(), "bias": 0.0, "beta_at_m": 0.0}
 SUBEXP = {"model": "subexponential", "a": 0.5, "b": 0.7, "gamma": 1.0}
+SUBPOLY = {"model": "subpolynomial", "a": 0.5, "gamma": 2.0}
+RATE_DOCS = {kind: {"bound": kind, "params": params_doc(mixing=mixing), "C": 1.0}
+             for kind, mixing in (("subexp_rate", SUBEXP), ("subpoly_rate", SUBPOLY))}
 # (command, document, field named in the message); every case exits 2
 CONFIG_ERRORS = {
     "m not an integer (beta)": ("beta", with_change(BETA_DOC, "m", "abc"), "m"),
@@ -577,6 +580,35 @@ DOMAIN_ERRORS = {
         "error: c must exceed 1"),
     "NaN B (weak error)": (
         "bound", with_change(BOUND_DOC, "params.B", NAN), "error: B must be positive"),
+    "negative envelope (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.mixing.a", -1.0),
+        "error: mixing amplitude must be nonnegative"),
+    "NaN envelope (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.mixing.a", NAN),
+        "error: mixing amplitude must be nonnegative"),
+    "negative envelope (subpoly rate)": (
+        "bound", with_change(RATE_DOCS["subpoly_rate"], "params.mixing.a", -1.0),
+        "error: mixing amplitude must be nonnegative"),
+    "NaN mixing exponent (subpoly rate)": (
+        "bound", with_change(RATE_DOCS["subpoly_rate"], "params.mixing.gamma", NAN),
+        "error: mixing exponent must exceed 1"),
+    "NaN C (subexp rate)": (
+        "bound", dict(RATE_DOCS["subexp_rate"], C=NAN), "error: the universal constant C"),
+    "NaN t (beta deviation)": (
+        "bound", dict(GOLDEN_DOCS["bound-beta-deviation"], t=NAN), "error: t must be nonnegative"),
+    "NaN t (indep deviation)": (
+        "bound", dict(GOLDEN_DOCS["bound-beta-deviation"], bound="indep_deviation", t=NAN),
+        "error: t must be nonnegative"),
+    "NaN bias (weak error)": (
+        "bound", dict(BOUND_DOC, bias=NAN), "error: bias must be nonnegative"),
+    "NaN t_grid point": (
+        "simulate", with_change(experiment_doc(), "t_grid", [0.9, NAN]),
+        "error: t must be nonnegative"),
+    "NaN radius (sauer_shelah)": (
+        "entropy", {"entropy": "sauer_shelah", "V": 1, "B": 1.0, "r": NAN},
+        "error: radius must be positive"),
+    "NaN B (regress)": (
+        "regress", dict(GOLDEN_DOCS["regress-affine-span"], B=NAN), "error: B must be positive"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,11 +106,29 @@ def test_generalized_independent_process_is_diagonal():
 
 def test_generalized_cell_cap():
     rng = np.random.default_rng(5)
-    probs = rng.random((4, 4, 4))
-    probs /= probs.sum()
-    proc = JointPmf(tuple((0, 1, 2, 3) for _ in range(3)), probs, cell_cap=100)
+    proc = random_joint(rng, (4,) * 6)  # 4096 cells, an extended joint of 4096**2
     with pytest.raises(SizeError):
         generalized_berbee(proc)
+
+
+def test_generalized_cap_counts_the_extended_joint():
+    # 2**10 cells, and an extended joint of 2**20 > 10**6 cells
+    proc = JointPmf.from_product([FinitePmf((0, 1), [0.5, 0.5])] * 10)
+    with pytest.raises(SizeError):
+        generalized_berbee(proc)
+
+
+def test_pair_cap_checked_before_allocating():
+    # 62,500 cells whose extension would hold 15,625,000
+    proc = random_joint(np.random.default_rng(7), (250, 250))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            berbee_couple(proc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_coupling_json_document():
@@ -157,7 +176,7 @@ def per_atom_generalized_berbee(process):
     for k in range(n - 1, 0, -1):
         sk = shape[k]
         cond_axes = list(range(k)) + [star_pos[j] for j in range(k + 1, n)]
-        p_w = process.marginal_pmf(k).probs
+        p_w = process.marginal((k,))
         keep = cond_axes + [k]
         others = [ax for ax in range(ext.ndim) if ax not in keep]
         block = np.transpose(ext, keep + others)
@@ -184,10 +203,10 @@ def per_atom_generalized_berbee(process):
     ext = ext[..., None] * np.eye(s0).reshape(s0, *([1] * (ext.ndim - 1)), s0)
     star_pos[0] = ext.ndim - 1
     ext = np.transpose(ext, list(range(n)) + [star_pos[k] for k in range(n)])
-    extended = JointPmf(process.axes + process.axes, ext, cell_cap=max(process.cell_cap, ext.size))
+    extended = JointPmf(process.axes + process.axes, ext)
     mismatch = []
     for k in range(n):
-        pair = extended.marginal((k, n + k)).probs
+        pair = extended.marginal((k, n + k))
         mismatch.append(max(float(pair.sum() - np.trace(pair)), 0.0))
     return extended.probs, tuple(mismatch)
 
