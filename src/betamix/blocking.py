@@ -145,6 +145,9 @@ def union_bound_check(
     integrals of the members under the exact marginals, same shape.  The left
     side is the frequency of sup_g (a*empirical + b*average) mean over 1..n
     exceeding t; the right side sums the corresponding per-block frequencies.
+    Every replication is drawn first, in order, and held as one stack of
+    replications*members*n doubles; each frequency is then one reduction over
+    that stack.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -153,26 +156,21 @@ def union_bound_check(
         raise MalformedInputError(f"avg_values must be (members, n), got shape {avg_values.shape}")
     if avg_values.shape[1] != partition.n:
         raise MalformedInputError(f"partition covers 1..{partition.n}, avg_values has {avg_values.shape[1]} columns")
-    block_idx = [np.asarray(blk, dtype=int) - 1 for blk in partition.blocks]
 
-    avg_term = b * avg_values.mean(axis=1)
-    block_avg_terms = [b * avg_values[:, idx].mean(axis=1) for idx in block_idx]
-
-    lhs_hits = 0
-    rhs_hits = np.zeros(len(block_idx), dtype=int)
+    samples = np.empty((replications,) + avg_values.shape)
     for rep in range(replications):
         values = np.asarray(sampler(rep), dtype=float)
         if values.shape != avg_values.shape:
             raise MalformedInputError(
                 f"sampler({rep}) returned shape {values.shape}, avg_values has {avg_values.shape}")
-        stat = (a * values.mean(axis=1) + avg_term).max()
-        if stat >= t:
-            lhs_hits += 1
-        for i, idx in enumerate(block_idx):
-            stat_j = (a * values[:, idx].mean(axis=1) + block_avg_terms[i]).max()
-            if stat_j >= t:
-                rhs_hits[i] += 1
+        samples[rep] = values  # a copy: a sampler may reuse one buffer between calls
 
+    def hits(idx) -> int:
+        stat = a * samples[:, :, idx].mean(axis=2) + b * avg_values[:, idx].mean(axis=1)
+        return int((stat.max(axis=1) >= t).sum())
+
+    lhs_hits = hits(slice(None))
+    rhs_hits = np.array([hits(np.asarray(blk, dtype=int) - 1) for blk in partition.blocks])
     lhs_freq = lhs_hits / replications
     lhs_se = wilson_stderr(lhs_hits, replications)
     rhs_freqs = rhs_hits / replications

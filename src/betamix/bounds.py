@@ -96,10 +96,15 @@ def _envelope(params: BoundParams, model: str) -> MixingFit:
     return fit
 
 
+def _check_above_one(c: float, other: float, other_name: str) -> None:
+    """Raise unless c and the other constant both exceed 1; NaN fails."""
+    if not c > 1.0 or not other > 1.0:
+        raise DomainError(f"c and {other_name} must exceed 1")
+
+
 def u_constants(c: float, gamma_prime: float) -> tuple:
     """(u1, u2) = ((1-1/c)/gamma', (1-1/c)^2 (1-1/gamma')); both in (0,1)."""
-    if c <= 1.0 or gamma_prime <= 1.0:
-        raise DomainError("c and gamma' must exceed 1")
+    _check_above_one(c, gamma_prime, "gamma'")
     u1 = (1.0 - 1.0 / c) / gamma_prime
     u2 = (1.0 - 1.0 / c) ** 2 * (1.0 - 1.0 / gamma_prime)
     return u1, u2
@@ -152,8 +157,7 @@ def proof_constants(c: float, lam: float) -> tuple:
     G0 = 2(c+1)(2c+3); G1 = (1/8)(1/(lam(c-1)+1))(1-1/c);
     b_exp = (1/2) (1-1/c)^3 (lam/(lam-1)) / ((1/3)(1-1/c) + (2 lam - 1) lam/(lam-1))^2.
     """
-    if c <= 1.0 or lam <= 1.0:
-        raise DomainError("c and lambda must exceed 1")
+    _check_above_one(c, lam, "lambda")
     g0 = 2.0 * (c + 1.0) * (2.0 * c + 3.0)
     g1 = (1.0 / 8.0) * (1.0 / (lam * (c - 1.0) + 1.0)) * (1.0 - 1.0 / c)
     denom = ((1.0 / 3.0) * (1.0 - 1.0 / c) + (2.0 * lam - 1.0) * lam / (lam - 1.0)) ** 2
@@ -165,8 +169,7 @@ def t0_threshold(c: float, lam: float, size: int) -> float:
     """Minimal valid deviation level: (-(lam-1) + sqrt((lam-1)^2 + c(c+1) lam^2/size))/2."""
     if size < 1:
         raise DomainError("size must be >= 1")
-    if c <= 1.0 or lam <= 1.0:
-        raise DomainError("c and lambda must exceed 1")
+    _check_above_one(c, lam, "lambda")
     d = lam - 1.0
     return 0.5 * (-d + math.sqrt(d * d + c * (c + 1.0) * lam * lam / size))
 
@@ -197,8 +200,7 @@ def ls_deviation_bound(c: float, lam: float, V: int, n: int, m: int, t: float) -
 
 def theta_constants(c: float, lam: float, n: int, m: int) -> tuple:
     """The three theta constants of the weak-error bound."""
-    if c <= 1.0 or lam <= 1.0:
-        raise DomainError("c and lambda must exceed 1")
+    _check_above_one(c, lam, "lambda")
     q, _ = euclidean(n, m)
     theta0 = (
         32.0

@@ -137,10 +137,6 @@ class CouplingReport:
     independence_error: float
     mismatch_error: float
 
-    @property
-    def max_error(self) -> float:
-        return max(self.marginal_error, self.independence_error, self.mismatch_error)
-
 
 def verify_coupling(result: CouplingResult, original: JointPmf) -> CouplingReport:
     """Exhaustively check marginal preservation, independence, and mismatch equality.

@@ -145,6 +145,11 @@ def fit_mixing_rate(
     if model not in MIXING_MODELS:
         raise MalformedInputError(f"unknown model {model!r}")
     pts = [(float(m), float(v)) for m, v in points]
+    if not all(math.isfinite(m) and math.isfinite(v) for m, v in pts):
+        raise MalformedInputError("lag and beta values must be finite")
+    for name, value in (("gamma", gamma), ("b", b)):
+        if value is not None and not math.isfinite(value):
+            raise MalformedInputError(f"{name} must be finite, got {value}")
     if any(m < 1 for m, _ in pts):
         raise MalformedInputError("lag values must be >= 1")
     pos = [(m, v) for m, v in pts if v > 0.0]

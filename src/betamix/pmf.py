@@ -9,7 +9,6 @@ and grouped blocks of a joint are plain arrays.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -64,18 +63,6 @@ class FinitePmf:
             raise MalformedInputError(f"total mass {probs.sum()} != 1")
         object.__setattr__(self, "probs", np.maximum(probs, 0.0))
 
-    @staticmethod
-    def uniform(support: Sequence) -> "FinitePmf":
-        k = len(tuple(support))
-        return FinitePmf(tuple(support), np.full(k, 1.0 / k))
-
-    @staticmethod
-    def point_mass(support: Sequence, atom) -> "FinitePmf":
-        support = tuple(support)
-        probs = np.zeros(len(support))
-        probs[support.index(atom)] = 1.0
-        return FinitePmf(support, probs)
-
 
 @dataclass(frozen=True)
 class JointPmf:
@@ -121,11 +108,6 @@ class JointPmf:
             raise MalformedInputError("left and right groups must be disjoint")
         probs = _sum_onto(self.probs, left + right)
         return probs.reshape(math.prod(probs.shape[: len(left)]), -1)
-
-    @staticmethod
-    def from_product(factors: Sequence[FinitePmf]) -> "JointPmf":
-        probs = functools.reduce(np.multiply.outer, (f.probs for f in factors), np.array(1.0))
-        return JointPmf(tuple(f.support for f in factors), probs)
 
 
 @dataclass(frozen=True)

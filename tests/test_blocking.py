@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from betamix.blocking import (
     Partition,
+    UnionBoundReport,
     euclidean,
     lifted_bound,
     m_steps_partition,
     union_bound_check,
+    wilson_stderr,
 )
 from betamix.errors import DomainError, MalformedInputError
 
@@ -137,6 +141,81 @@ def test_union_bound_check_iid_consistency():
     assert report.replications == reps
     assert 0.0 <= report.lhs_frequency <= 1.0
     assert report.consistent
+
+
+def per_replication_union_bound_check(sampler, avg_values, partition, a, b, t, replications):
+    """The check as it read with one statistic per replication and per block, kept as the reference."""
+    block_idx = [np.asarray(blk, dtype=int) - 1 for blk in partition.blocks]
+    avg_term = b * avg_values.mean(axis=1)
+    block_avg_terms = [b * avg_values[:, idx].mean(axis=1) for idx in block_idx]
+    lhs_hits = 0
+    rhs_hits = np.zeros(len(block_idx), dtype=int)
+    for rep in range(replications):
+        values = np.asarray(sampler(rep), dtype=float)
+        if (a * values.mean(axis=1) + avg_term).max() >= t:
+            lhs_hits += 1
+        for i, idx in enumerate(block_idx):
+            if (a * values[:, idx].mean(axis=1) + block_avg_terms[i]).max() >= t:
+                rhs_hits[i] += 1
+    rhs_ses = np.array([wilson_stderr(h, replications) for h in rhs_hits])
+    return UnionBoundReport(
+        lhs_frequency=lhs_hits / replications,
+        lhs_stderr=wilson_stderr(lhs_hits, replications),
+        rhs_sum=float((rhs_hits / replications).sum()),
+        rhs_stderr=float(np.sqrt((rhs_ses**2).sum())),
+        replications=replications,
+    )
+
+
+# (members, whether the tables hold only 0 and 1).  No one-member float table:
+# the reference sums a one-row block pairwise but several rows in index order,
+# so there a block mean may differ in its last bit and flip a tie with t
+UNION_TABLES = [(2, False), (3, False), (4, False), (1, True), (3, True)]
+
+
+@pytest.mark.parametrize("members, zero_one", UNION_TABLES)
+def test_union_bound_check_matches_per_replication_loop(members, zero_one):
+    for seed in range(40):
+        rng = np.random.default_rng([members, zero_one, seed])
+        n = int(rng.integers(1, 80))
+        m = int(rng.integers(1, n + 1))
+        reps = int(rng.integers(1, 30))
+        part = m_steps_partition(n, m)
+
+        def table(gen):
+            return gen.integers(0, 2, (members, n)).astype(float) if zero_one else gen.normal(size=(members, n))
+
+        def sampler(rep):
+            return table(np.random.default_rng([seed, rep]))
+
+        avg = table(rng)
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        # t equal to a sampled full or block statistic, so that ">= t" meets a tie
+        values = sampler(int(rng.integers(reps)))
+        idx = slice(None) if rng.random() < 0.5 else np.asarray(part.blocks[int(rng.integers(m))]) - 1
+        t = (a * values[:, idx].mean(axis=1) + b * avg[:, idx].mean(axis=1)).max()
+
+        report = union_bound_check(sampler, avg, part, a, b, t, reps)
+        reference = per_replication_union_bound_check(sampler, avg, part, a, b, t, reps)
+        assert [float(x).hex() for x in astuple(report)] == [float(x).hex() for x in astuple(reference)]
+
+
+def test_union_bound_check_copies_a_reused_buffer():
+    n, reps = 30, 50
+    tables = np.array([[0.0, 1.0], [1.0, 0.0]])
+    buffer = np.empty((2, n))
+
+    def fresh(rep):
+        return tables[:, np.random.default_rng(rep).integers(0, 2, size=n)]
+
+    def reused(rep):
+        buffer[:] = fresh(rep)
+        return buffer
+
+    args = (np.full((2, n), 0.5), m_steps_partition(n, 3), 1.0, -1.0, 0.1, reps)
+    report = union_bound_check(reused, *args)
+    assert 0.0 < report.lhs_frequency < 1.0
+    assert report == union_bound_check(fresh, *args)
 
 
 # (shape of avg_values, shape of each sample, start of the message)

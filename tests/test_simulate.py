@@ -45,7 +45,7 @@ def test_spec_validation():
 def test_spec_rejects_noise_values_and_probs_of_different_lengths(values, probs):
     # one value short used to index past the values; one prob short never drew the rest
     with pytest.raises(MalformedInputError, match="noise_values and noise_probs"):
-        GeneratorSpec(kind="iid", seed=0, law=FinitePmf.uniform((0, 1)), noise_values=values, noise_probs=probs)
+        GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5]), noise_values=values, noise_probs=probs)
 
 
 def test_generator_determinism():
