@@ -139,12 +139,21 @@ class MarkovChainSpec:
         return len(self.states)
 
     def marginal_matrix(self, n: int) -> np.ndarray:
-        """Stacked marginals mu_1..mu_n as an (n, states) array."""
+        """Stacked marginals mu_1..mu_n as an (n, states) array.
+
+        The recursion mu_{j+1} = mu_j P stops at its first exact fixed point,
+        where mu_j P equals mu_j bit for bit, and fills the remaining rows with
+        it: the recursion is deterministic, so every later row would repeat it.
+        """
         out = np.empty((n, self.n_states))
         mu = self.initial.probs.copy()
         for j in range(n):
             out[j] = mu
-            mu = mu @ self.transition
+            step = mu @ self.transition
+            if step.tobytes() == mu.tobytes():
+                out[j + 1:] = mu
+                break
+            mu = step
         return out
 
 

@@ -6,11 +6,14 @@ coefficients available), an m-dependent sliding-window construction built from
 independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw
 from a fixed law.  Every replication draws from its own counter-based stream
 derived from (seed, replication), so reports are bit-reproducible regardless of
-execution order.  States come from one sampler, ``_sample_states``, which takes
-the first draws of the stream; ``generate`` adds responses to them from the
-draws that follow.  ``deviation_experiment`` reads only the states, so it draws
-them without responses.  Samples carry no laws; experiments ask the spec for
-its exact marginals once per n.
+execution order.  A spec builds its sampling tables (the CDFs its draws are
+inverted through) once, when it is constructed, and every draw reads them.
+States come from one sampler, ``_sample_states``, which takes the first draws
+of the stream; ``generate`` adds responses to them from the draws that follow,
+except under a one-point noise law, which draws nothing.
+``deviation_experiment`` reads only the states, so it draws them without
+responses.  Samples carry no laws; experiments ask the spec for its exact
+marginals once per n.
 """
 from __future__ import annotations
 
@@ -44,6 +47,12 @@ class GeneratorSpec:
     ``dependence_lag`` over i.i.d. uniform seeds modulo ``alphabet_size``),
     "iid" (needs ``law``).  Responses are phi(x) plus discrete noise, with
     ``phi`` given as its value at each of ``states()`` (zero when omitted).
+    ``seed`` is an integer in [0, 2**63).
+
+    The sampling tables are built from the fields at construction and held
+    beside them, not as fields, so equality, ``repr`` and
+    ``dataclasses.replace`` see the fields alone (and ``replace`` builds the
+    tables anew).
     """
 
     kind: str
@@ -60,6 +69,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("markov", "m_dependent", "iid"):
             raise MalformedInputError(f"unknown generator kind {self.kind!r}")
+        # written so that a NaN fails it
+        if not 0 <= self.seed < 2**63:
+            raise MalformedInputError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.kind == "markov" and self.chain is None:
             raise MalformedInputError("markov kind requires a chain")
         if self.kind == "m_dependent" and (
@@ -84,6 +96,17 @@ class GeneratorSpec:
         if not np.isfinite(phi).all():
             raise MalformedInputError("phi must be finite")
         object.__setattr__(self, "phi", phi)
+        # Sampling tables.  bisect_right on a tuple of Python floats is
+        # searchsorted(side="right") on the same float64 row, so the Markov walk
+        # skips zero-mass states alike, and inverse_cdf pins every total to 1.0.
+        if self.kind == "markov":
+            start, rows = inverse_cdf(self.chain.initial.probs), inverse_cdf(self.chain.transition)
+            object.__setattr__(self, "_start_cdf", tuple(start.tolist()))
+            object.__setattr__(self, "_row_cdfs", tuple(map(tuple, rows.tolist())))
+        if self.kind == "iid":
+            object.__setattr__(self, "_law_cdf", inverse_cdf(self.law.probs))
+        object.__setattr__(self, "_noise_cdf", inverse_cdf(self.noise_probs))
+        object.__setattr__(self, "_noise_values", np.asarray(self.noise_values, dtype=float))
 
     def states(self) -> tuple:
         if self.kind == "markov":
@@ -127,11 +150,9 @@ def inverse_cdf(probs) -> np.ndarray:
 def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into ``spec.states()`` of one sampled path of length n."""
     if spec.kind == "markov":
-        # The random map is evaluated only at the current state: bisect_right on a row
-        # of Python floats is searchsorted(side="right") on the same float64 row, so it
-        # skips zero-mass states alike, and inverse_cdf pins every row's total to 1.0.
+        # the random map is evaluated only at the current state
         u = rng.random(n).tolist()
-        rows = inverse_cdf(spec.chain.transition).tolist()
+        rows = spec._row_cdfs
 
         def walk(s):
             yield s
@@ -139,25 +160,29 @@ def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.
                 s = bisect_right(rows[s], x)
                 yield s
 
-        start = bisect_right(inverse_cdf(spec.chain.initial.probs).tolist(), u[0])
-        return np.fromiter(walk(start), dtype=np.intp, count=n)
+        return np.fromiter(walk(bisect_right(spec._start_cdf, u[0])), dtype=np.intp, count=n)
     if spec.kind == "m_dependent":
         k, lag = spec.alphabet_size, spec.dependence_lag
         w = rng.integers(0, k, size=n + lag - 1)
         return np.convolve(w, np.ones(lag, dtype=int), mode="valid") % k
-    return np.searchsorted(inverse_cdf(spec.law.probs), rng.random(n), side="right")
+    return np.searchsorted(spec._law_cdf, rng.random(n), side="right")
 
 
 def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
-    """Draw one replication of length n from its own stream."""
+    """Draw one replication of length n from its own stream.
+
+    A one-point noise law adds its value without drawing: every draw would map
+    to it, and no later draw reads the stream.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = replication_rng(spec.seed, replication)
     index = _sample_states(spec, n, rng)
-    noise_values = np.asarray(spec.noise_values, dtype=float)
-    noise = noise_values[
-        np.searchsorted(inverse_cdf(spec.noise_probs), rng.random(n), side="right")
-    ]
+    values = spec._noise_values
+    if values.size == 1:
+        noise = values[0]
+    else:
+        noise = values[np.searchsorted(spec._noise_cdf, rng.random(n), side="right")]
     return Dataset(
         states=spec.states(),
         index=index,

@@ -565,6 +565,12 @@ DOMAIN_ERRORS = {
         "regress", {"xs": [0, 1, 0, 1], "ys": [0.1, 5.0, 0.2, 0.0], "response_bound": NAN,
                     "family": {"kind": "affine_span"}, "B": 1.0},
         "error: response_bound must be nonnegative"),
+    "negative seed": (
+        "simulate", with_change(experiment_doc(), "generator.seed", -1),
+        "error: seed must be in [0, 2**63), got -1"),
+    "seed of 2**64": (
+        "simulate", with_change(experiment_doc(), "generator.seed", 2**64),
+        "error: seed must be in [0, 2**63), got 18446744073709551616"),
     "NaN response bound (deviation simulate)": (
         "simulate", with_change(experiment_doc(), "generator.response_bound", NAN),
         "error: response_bound must be nonnegative"),
@@ -619,3 +625,13 @@ def test_domain_error_exits_one(tmp_path, capsys, case):
     assert code == 1
     assert out == ""
     assert err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("seed", ["-1", str(2**63), str(2**64)])
+def test_out_of_range_seed_flag_exits_one(tmp_path, capsys, command, seed):
+    # -1 used to run with numpy's platform cast of the key, 2**64 to die in an OverflowError
+    code, out, err = run(capsys, [command, write(tmp_path, "exp.json", experiment_doc()), "--seed", seed])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: seed must be in [0, 2**63), got {seed}\n"

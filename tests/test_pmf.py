@@ -75,6 +75,38 @@ def test_markov_marginal_propagation():
         mu = mu @ chain.transition
 
 
+def plain_marginal_loop(chain, n):
+    """The mu @ P recursion run for all n rows: the reference."""
+    out = np.empty((n, chain.n_states))
+    mu = chain.initial.probs.copy()
+    for j in range(n):
+        out[j] = mu
+        mu = mu @ chain.transition
+    return out
+
+
+MARGINAL_CHAINS = {
+    # criterion 7's stationary chain: a fixed point from the first row
+    "stationary": ((0, 1), [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5]),
+    "three states from a point mass": (
+        (0, 1, 2), [[0.7, 0.2, 0.1], [0.25, 0.5, 0.25], [0.1, 0.3, 0.6]], [0.0, 1.0, 0.0]),
+    # never reaches a fixed point
+    "periodic": ((0, 1), [[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0]),
+    # rows short of 1 within tolerance: the mass drains a little every step
+    "mass deficit": ((0, 1), [[0.5, 0.5 - 9e-13], [0.5, 0.5 - 9e-13]], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("name", sorted(MARGINAL_CHAINS))
+def test_marginal_matrix_equals_plain_loop(name, n):
+    states, transition, initial = MARGINAL_CHAINS[name]
+    chain = MarkovChainSpec(states, transition, FinitePmf(states, initial))
+    got, want = chain.marginal_matrix(n), plain_marginal_loop(chain, n)
+    assert got.shape == want.shape == (n, len(states))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_chain_json_roundtrip():
     doc = {"states": [0, 1], "transition": [[0.5, 0.5], [0.2, 0.8]], "initial": [1.0, 0.0]}
     chain = config.chain(config.Section(doc))

@@ -48,6 +48,15 @@ def test_spec_rejects_noise_values_and_probs_of_different_lengths(values, probs)
         GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5]), noise_values=values, noise_probs=probs)
 
 
+def test_seed_must_lie_in_the_key_range():
+    law = FinitePmf((0, 1), [0.5, 0.5])
+    for seed in (-1, 2**63, 2**64, float("nan")):
+        with pytest.raises(MalformedInputError, match=r"seed must be in \[0, 2\*\*63\)"):
+            GeneratorSpec(kind="iid", seed=seed, law=law)
+    for seed in (0, 2**63 - 1):
+        assert generate(GeneratorSpec(kind="iid", seed=seed, law=law), 3).index.shape == (3,)
+
+
 def test_generator_determinism():
     spec = GeneratorSpec(kind="markov", seed=42, chain=two_state_chain())
     a = generate(spec, 50, replication=3)
@@ -345,3 +354,68 @@ def test_states_only_draw_equals_generated_index(spec, n, rep):
     index = generate(spec, n, rep).index
     assert states.dtype == index.dtype
     assert np.array_equal(states, index)
+
+
+def per_call_draw(spec, n, replication):
+    """One replication with every CDF derived again and the noise always drawn: the reference."""
+    rng = replication_rng(spec.seed, replication)
+    if spec.kind == "markov":
+        index = per_step_path(spec, n, rng)
+    elif spec.kind == "m_dependent":
+        k, lag = spec.alphabet_size, spec.dependence_lag
+        index = np.convolve(rng.integers(0, k, size=n + lag - 1), np.ones(lag, dtype=int), mode="valid") % k
+    else:
+        index = np.searchsorted(inverse_cdf(spec.law.probs), rng.random(n), side="right")
+    values = np.asarray(spec.noise_values, dtype=float)
+    noise = values[np.searchsorted(inverse_cdf(spec.noise_probs), rng.random(n), side="right")]
+    return index, spec.phi[index] + noise
+
+
+REFERENCE_SPECS = {
+    "markov": chain_spec([[1, 0, 2], [3, 1, 0], [0, 2, 2]], [0, 1, 1], seed=17),
+    "iid": GeneratorSpec(kind="iid", seed=18, law=FinitePmf((0, 1, 2), [0.2, 0.0, 0.8])),
+    "m_dependent": GeneratorSpec(kind="m_dependent", seed=19, dependence_lag=2, alphabet_size=4),
+}
+NOISE_LAWS = {"one point": ((0.25,), (1.0,)), "two points": ((-0.1, 0.1), (0.3, 0.7))}
+
+
+@pytest.mark.parametrize("noise", sorted(NOISE_LAWS))
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SPECS))
+def test_generate_equals_per_call_reference(kind, noise):
+    base = REFERENCE_SPECS[kind]
+    values, probs = NOISE_LAWS[noise]
+    phi = [0.1 * s - 0.05 for s in range(len(base.states()))]
+    spec = dataclasses.replace(base, phi=phi, noise_values=values, noise_probs=probs)
+    for n in (1, 2, 257):
+        for rep in (0, 1, 2**32 - 1):
+            index, ys = per_call_draw(spec, n, rep)
+            data = generate(spec, n, rep)
+            assert np.array_equal(data.index, index)
+            assert data.ys.tobytes() == ys.tobytes()
+            assert np.array_equal(_sample_states(spec, n, replication_rng(spec.seed, rep)), index)
+
+
+def test_sampling_tables_are_not_fields():
+    names = [f.name for f in dataclasses.fields(GeneratorSpec)]
+    assert names == ["kind", "seed", "chain", "dependence_lag", "alphabet_size", "law", "phi",
+                     "noise_values", "noise_probs", "response_bound"]
+    # one state, so phi compares as one value; the two-point noise table would not
+    law = FinitePmf(("a",), [1.0])
+    spec = GeneratorSpec(kind="iid", seed=3, law=law, noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5))
+    twin = GeneratorSpec(kind="iid", seed=3, law=law, noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5))
+    assert spec == twin
+    assert spec != dataclasses.replace(spec, seed=4)
+    assert repr(spec) == (
+        f"GeneratorSpec(kind='iid', seed=3, chain=None, dependence_lag=None, alphabet_size=None, "
+        f"law={law!r}, phi={spec.phi!r}, noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5), "
+        f"response_bound=None)"
+    )
+
+
+def test_replaced_chain_samples_the_new_chain():
+    stay = chain_spec([[1, 0], [0, 1]], [1, 0], seed=23)
+    flip = MarkovChainSpec((0, 1), [[0.0, 1.0], [1.0, 0.0]], FinitePmf((0, 1), [1.0, 0.0]))
+    spec = dataclasses.replace(stay, chain=flip)
+    assert list(generate(stay, 6).index) == [0] * 6
+    assert list(generate(spec, 6).index) == [0, 1, 0, 1, 0, 1]
+    assert list(_sample_states(spec, 6, replication_rng(spec.seed, 0))) == [0, 1, 0, 1, 0, 1]
