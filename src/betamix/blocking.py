@@ -3,7 +3,9 @@
 The partition splits 1..n into m arithmetic progressions of common difference
 m, so the within-block index gap is exactly m; the lifting combinator converts
 any independent-case bound function into a dependent-case bound by paying the
-per-index dependence price n * beta(m).
+per-index dependence price n * beta(m).  The Monte Carlo check of that union
+bound takes every block's frequency from one gather per block size: the blocks
+of q+1 indices are the rows of one index matrix, those of q indices of another.
 """
 from __future__ import annotations
 
@@ -146,8 +148,10 @@ def union_bound_check(
     side is the frequency of sup_g (a*empirical + b*average) mean over 1..n
     exceeding t; the right side sums the corresponding per-block frequencies.
     Every replication is drawn first, in order, and held as one stack of
-    replications*members*n doubles; each frequency is then one reduction over
-    that stack.
+    replications*members*n doubles.  The left side is one reduction over that
+    stack; the block frequencies come from one gather per block size (the first
+    r blocks hold q+1 columns, the other m-r blocks q), each block a row of an
+    index matrix, reduced together.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -165,12 +169,16 @@ def union_bound_check(
                 f"sampler({rep}) returned shape {values.shape}, avg_values has {avg_values.shape}")
         samples[rep] = values  # a copy: a sampler may reuse one buffer between calls
 
-    def hits(idx) -> int:
-        stat = a * samples[:, :, idx].mean(axis=2) + b * avg_values[:, idx].mean(axis=1)
-        return int((stat.max(axis=1) >= t).sum())
+    def stats(cols):
+        # a 2-D cols stacks one block per row; advanced indexing lays the indexed
+        # axes outermost, so each block mean sums its columns in index order
+        return a * samples[:, :, cols].mean(axis=-1) + b * avg_values[:, cols].mean(axis=-1)
 
-    lhs_hits = hits(slice(None))
-    rhs_hits = np.array([hits(np.asarray(blk, dtype=int) - 1) for blk in partition.blocks])
+    m, q, r = partition.m, partition.q, partition.r
+    block_stats = np.concatenate([stats(np.arange(r)[:, None] + m * np.arange(q + 1)),
+                                  stats(np.arange(r, m)[:, None] + m * np.arange(q))], axis=-1)
+    lhs_hits = int((stats(slice(None)).max(axis=1) >= t).sum())
+    rhs_hits = (block_stats.max(axis=1) >= t).sum(axis=0)
     lhs_freq = lhs_hits / replications
     lhs_se = wilson_stderr(lhs_hits, replications)
     rhs_freqs = rhs_hits / replications

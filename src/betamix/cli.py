@@ -79,11 +79,11 @@ def _beta(doc) -> dict:
     source = doc.one_of(("chain", "joint", "process"))
     if source == "chain":
         chain = config.chain(doc.section("chain"))
-        m, horizon = doc.get("m", int, 1), doc.get("horizon", int, 64)
+        m, horizon = doc.get("m", config.integer, 1), doc.get("horizon", config.integer, 64)
         return {"beta": mixing.markov_beta(chain, m, horizon=horizon), "m": m, "horizon": horizon}
     if source == "joint":
         return {"beta": mixing.beta_coefficient(config.joint(doc.section("joint")))}
-    process, m = config.joint(doc.section("process")), doc.get("m", int, 1)
+    process, m = config.joint(doc.section("process")), doc.get("m", config.integer, 1)
     return {"beta_max": mixing.beta_max(process, m), "m": m}
 
 
@@ -110,7 +110,7 @@ def _entropy(doc) -> dict:
     r = doc.get("r", float)
     if kind in covers:
         return {"covering_number": covers[kind](doc.get("values", config.floats(None, None)), r), "r": r}
-    est, size = config.entropy_estimate(doc), doc.get("size", int, 1)
+    est, size = config.entropy_estimate(doc), doc.get("size", config.integer, 1)
     return {"entropy": est(size, r), "r": r}
 
 
@@ -127,7 +127,8 @@ def _bound(doc) -> dict:
         return {"rate": rate(params, doc.get("C", float))}
     est, t = config.entropy_estimate(doc.section("entropy_spec")), doc.get("t", float)
     if kind == "indep_deviation":
-        return {"bound": bounds.indep_deviation_bound(params, est, doc.get("size", int, params.n), t)}
+        size = doc.get("size", config.integer, params.n)
+        return {"bound": bounds.indep_deviation_bound(params, est, size, t)}
     return {"bound": bounds.beta_deviation_bound(params, est, t, doc.get("beta_at_m", float, None))}
 
 
@@ -148,7 +149,7 @@ def _run_experiment(args) -> simulate.ExperimentReport:
     kind = doc.kind("experiment", ("deviation", "weak_error"), "deviation")
     spec = config.generator(doc.section("generator"), args.seed)
     family = config.family(doc.section("family"), spec.states())
-    params, replications = config.params(doc.section("params")), doc.get("replications", int)
+    params, replications = config.params(doc.section("params")), doc.get("replications", config.integer)
     if kind == "deviation":
         est = config.entropy_estimate(doc.section("entropy_spec"))
         t_grid = doc.get("t_grid", config.grid).tolist()

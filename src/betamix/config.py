@@ -2,7 +2,8 @@
 
 Every document the command line reads goes through ``Section``, whose reads raise
 ``ConfigError`` naming the field's path (``generator.chain.states``) when it is
-missing, does not convert, names an unknown kind or has the wrong shape.  Range
+missing, does not convert, names an unknown kind or has the wrong shape; an
+integer field refuses a bool and a number with a fractional part.  Range
 and mass checks stay with the objects built.  State tables map each state's
 string form to a value.
 """
@@ -74,6 +75,13 @@ def _list(value) -> list:
     return value
 
 
+def integer(value) -> int:
+    """An integer field; an integral float such as 2.0 counts, a bool or a fraction does not."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def labels(value) -> tuple:
     if not all(isinstance(v, (str, int, float)) for v in _list(value)):
         raise ValueError("state labels must be strings or numbers")
@@ -131,8 +139,8 @@ def params(sec: Section) -> bounds.BoundParams:
         fit = mixing.MixingFit(model, mx.get("a", float), b, mx.get("gamma", float))
     reals = {key: sec.get(key, float) for key in ("epsilon", "c", "gamma", "gamma_prime", "B")}
     return bounds.BoundParams(
-        **reals, lam=sec.get("lambda", float), V=sec.get("V", int), n=sec.get("n", int),
-        m=sec.get("m", int, 1), mixing=fit,
+        **reals, lam=sec.get("lambda", float), V=sec.get("V", integer), n=sec.get("n", integer),
+        m=sec.get("m", integer, 1), mixing=fit,
     )
 
 
@@ -143,11 +151,11 @@ def entropy_estimate(sec: Section) -> entropy.EntropyEstimate:
     """A closed-form entropy estimate named by "entropy" (default sauer_shelah)."""
     kind = sec.kind("entropy", ENTROPY_ESTIMATES, "sauer_shelah")
     if kind == "sauer_shelah":
-        return entropy.sauer_shelah_estimate(sec.get("V", int), sec.get("B", float))
+        return entropy.sauer_shelah_estimate(sec.get("V", integer), sec.get("B", float))
     if kind == "neural_net":
-        return entropy.neural_net_estimate(sec.get("N", int), sec.get("d", int), sec.get("B", float))
+        return entropy.neural_net_estimate(sec.get("N", integer), sec.get("d", integer), sec.get("B", float))
     if kind == "finite":
-        return entropy.finite_family_entropy(sec.get("n_members", int))
+        return entropy.finite_family_entropy(sec.get("n_members", integer))
     return entropy.zero_entropy()
 
 
@@ -179,10 +187,10 @@ def generator(sec: Section, seed: int | None = None) -> simulate.GeneratorSpec:
     values = noise.get("values", floats(None)).tolist()
     spec = simulate.GeneratorSpec(
         kind=kind,
-        seed=sec.get("seed", int, 0) if seed is None else seed,
+        seed=sec.get("seed", integer, 0) if seed is None else seed,
         chain=chain(sec.section("chain")) if kind == "markov" else None,
-        dependence_lag=sec.get("dependence_lag", int) if kind == "m_dependent" else None,
-        alphabet_size=sec.get("alphabet_size", int) if kind == "m_dependent" else None,
+        dependence_lag=sec.get("dependence_lag", integer) if kind == "m_dependent" else None,
+        alphabet_size=sec.get("alphabet_size", integer) if kind == "m_dependent" else None,
         law=law(sec.section("law")) if kind == "iid" else None,
         noise_values=tuple(values),
         noise_probs=tuple(noise.get("probs", floats(len(values))).tolist()),

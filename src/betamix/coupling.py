@@ -157,16 +157,15 @@ def verify_coupling(result: CouplingResult, original: JointPmf) -> CouplingRepor
         raise MalformedInputError("original joint has wrong axis count")
 
     marg_err = float(np.abs(ext.marginal(range(n)) - original.probs).max())
-    for k in result.starred_indices:
-        star = ext.marginal((result.starred_axis(k),))
-        orig = original.marginal((k,))
-        marg_err = max(marg_err, float(np.abs(star - orig).max()))
-
     star_axes = tuple(result.starred_axis(k) for k in result.starred_indices)
+    stars = [ext.marginal((ax,)) for ax in star_axes]
+    for k, star in zip(result.starred_indices, stars):
+        marg_err = max(marg_err, float(np.abs(star - original.marginal((k,))).max()))
+
     indep_err = 0.0
     if len(star_axes) > 1:
         block = ext.marginal(star_axes)
-        product = functools.reduce(np.multiply.outer, (ext.marginal((ax,)) for ax in star_axes))
+        product = functools.reduce(np.multiply.outer, stars)
         indep_err = float(np.abs(block - product).max())
     for k in sorted(k for k in result.starred_indices if k > 0):
         future_stars = tuple(result.starred_axis(j) for j in result.starred_indices if j >= k)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, MalformedInputError
-from .pmf import JointPmf, MarkovChainSpec
+from .pmf import CELL_CAP, JointPmf, MarkovChainSpec
 
 MIXING_MODELS = ("subexponential", "subpolynomial")
 
@@ -87,17 +87,22 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
     """Lag-m dependence coefficient of a finite-state Markov chain.
 
     By the Markov property this is sup_n beta(sigma(Z_n), sigma(Z_{n+m})); the
-    sup is scanned for n = 1..horizon in one batched atom sum over the joints
-    diag(mu_n) P^m of (Z_n, Z_{n+m}), stacked from ``chain.marginal_matrix``.
+    sup is scanned for n = 1..horizon by batched atom sums over the joints
+    diag(mu_n) P^m of (Z_n, Z_{n+m}), stacked from ``chain.marginal_matrix``
+    in blocks of starting times holding at most ``CELL_CAP`` cells (one joint
+    per block if a joint alone exceeds it).  Each joint's sum does not depend
+    on the block around it, so the blocks do not change the result.
     """
     if m < 1:
         raise MalformedInputError("m must be >= 1")
     if horizon < 1:
         raise MalformedInputError("horizon must be >= 1")
     step_m = np.linalg.matrix_power(chain.transition, m)
+    mus = chain.marginal_matrix(horizon)
+    rows = max(1, CELL_CAP // step_m.size)
     # transition entries within tolerance below 0 are clipped, as a JointPmf would
-    joints = np.maximum(chain.marginal_matrix(horizon)[:, :, None] * step_m, 0.0)
-    return float(_beta(joints).max())
+    return max(float(_beta(np.maximum(mus[i:i + rows, :, None] * step_m, 0.0)).max())
+               for i in range(0, horizon, rows))
 
 
 @dataclass(frozen=True)

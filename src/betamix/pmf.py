@@ -10,7 +10,7 @@ and grouped blocks of a joint are plain arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +38,32 @@ def _sum_onto(probs: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     return probs
 
 
+def _eq_by_value(self, other):
+    """``__eq__`` of a dataclass with array fields: each array compares by shape and value.
+
+    The generated ``__eq__`` compares tuples of fields, which asks an array with
+    more than one element for a single truth value and raises.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for field in fields(self):
+        x, y = getattr(self, field.name), getattr(other, field.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif not x == y:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FinitePmf:
     """A probability mass function over a finite ordered alphabet."""
 
     support: tuple
     probs: np.ndarray
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         support = tuple(self.support)
@@ -73,6 +93,8 @@ class JointPmf:
 
     axes: tuple
     probs: np.ndarray
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         axes = tuple(tuple(ax) for ax in self.axes)
@@ -117,6 +139,8 @@ class MarkovChainSpec:
     states: tuple
     transition: np.ndarray
     initial: FinitePmf
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         states = tuple(self.states)

@@ -55,8 +55,12 @@ class Dataset:
 
     @property
     def xs(self) -> tuple:
-        """The observed inputs as state labels."""
-        return tuple(self.states[i] for i in self.index.tolist())
+        """The observed inputs as state labels, read with one gather.
+
+        ``fromiter`` keeps each label whole, a tuple label included.
+        """
+        labels = np.fromiter(self.states, dtype=object, count=len(self.states))
+        return tuple(labels[self.index].tolist())
 
 
 def truncate(value, B: float):

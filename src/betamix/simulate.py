@@ -30,7 +30,7 @@ from .bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError
 from .mixing import markov_beta
-from .pmf import FinitePmf, MarkovChainSpec
+from .pmf import FinitePmf, MarkovChainSpec, _eq_by_value
 from .regression import Dataset, weak_error
 
 
@@ -65,6 +65,8 @@ class GeneratorSpec:
     noise_values: tuple = (0.0,)
     noise_probs: tuple = (1.0,)
     response_bound: float | None = None
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         if self.kind not in ("markov", "m_dependent", "iid"):

@@ -200,6 +200,59 @@ def test_union_bound_check_matches_per_replication_loop(members, zero_one):
         assert [float(x).hex() for x in astuple(report)] == [float(x).hex() for x in astuple(reference)]
 
 
+def per_block_union_bound_check(sampler, avg_values, partition, a, b, t, replications):
+    """The check as it read with one gather and one reduction per block, kept as the reference."""
+    samples = np.stack([np.asarray(sampler(rep), dtype=float) for rep in range(replications)])
+
+    def hits(idx) -> int:
+        stat = a * samples[:, :, idx].mean(axis=2) + b * avg_values[:, idx].mean(axis=1)
+        return int((stat.max(axis=1) >= t).sum())
+
+    lhs_hits = hits(slice(None))
+    rhs_hits = np.array([hits(np.asarray(blk, dtype=int) - 1) for blk in partition.blocks])
+    rhs_ses = np.array([wilson_stderr(h, replications) for h in rhs_hits])
+    return UnionBoundReport(
+        lhs_frequency=lhs_hits / replications,
+        lhs_stderr=wilson_stderr(lhs_hits, replications),
+        rhs_sum=float((rhs_hits / replications).sum()),
+        rhs_stderr=float(np.sqrt((rhs_ses**2).sum())),
+        replications=replications,
+    )
+
+
+# (n, m, members, zero_one): r = 0 and r > 0, m = 1 and m = n, one-member float tables
+GROUPED_CASES = [
+    (60, 4, 2, False), (61, 4, 2, False), (37, 1, 3, False), (37, 37, 3, False),
+    (50, 7, 1, False), (48, 6, 1, False), (29, 1, 1, False), (29, 29, 1, False),
+    (45, 8, 3, True), (1, 1, 1, False), (200, 20, 2, False), (200, 13, 1, False),
+]
+
+
+@pytest.mark.parametrize("n, m, members, zero_one", GROUPED_CASES)
+def test_union_bound_check_matches_per_block_gathers(n, m, members, zero_one):
+    part = m_steps_partition(n, m)
+    for seed in range(15):
+        rng = np.random.default_rng([n, m, members, seed])
+        reps = int(rng.choice([1, 2, int(rng.integers(3, 40))]))
+
+        def table(gen):
+            return gen.integers(0, 2, (members, n)).astype(float) if zero_one else gen.normal(size=(members, n))
+
+        def sampler(rep):
+            return table(np.random.default_rng([seed, rep]))
+
+        avg = table(rng)
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        # t equal to a sampled block statistic of the stack, so that ">= t" meets a tie
+        stack = np.stack([sampler(rep) for rep in range(reps)])
+        idx = np.asarray(part.blocks[int(rng.integers(m))]) - 1
+        t = (a * stack[:, :, idx].mean(axis=2) + b * avg[:, idx].mean(axis=1))[int(rng.integers(reps))].max()
+
+        report = union_bound_check(sampler, avg, part, a, b, t, reps)
+        reference = per_block_union_bound_check(sampler, avg, part, a, b, t, reps)
+        assert [float(x).hex() for x in astuple(report)] == [float(x).hex() for x in astuple(reference)]
+
+
 def test_union_bound_check_copies_a_reused_buffer():
     n, reps = 30, 50
     tables = np.array([[0.0, 1.0], [1.0, 0.0]])

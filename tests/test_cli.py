@@ -479,6 +479,21 @@ CONFIG_ERRORS = {
     "empty t_grid": ("verify", with_change(experiment_doc(), "t_grid", []), "t_grid"),
     "empty n_grid": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "n_grid", []), "n_grid"),
+    # integer fields used to truncate these silently (1.5 and true ran as 1); inf raised OverflowError
+    "fractional seed": (
+        "simulate", with_change(experiment_doc(), "generator.seed", 1.5),
+        "generator.seed: expected an integer, got 1.5"),
+    "boolean seed": (
+        "simulate", with_change(experiment_doc(), "generator.seed", True),
+        "generator.seed: expected an integer, got true"),
+    "fractional replications": (
+        "verify", with_change(experiment_doc(), "replications", 2.5),
+        "replications: expected an integer, got 2.5"),
+    "fractional m (beta)": ("beta", with_change(BETA_DOC, "m", 1.5), "m: expected an integer, got 1.5"),
+    "fractional m (params)": (
+        "bound", with_change(BOUND_DOC, "params.m", 1.5), "params.m: expected an integer, got 1.5"),
+    "infinite m (beta)": (
+        "beta", with_change(BETA_DOC, "m", math.inf), "m: expected an integer, got Infinity"),
 }
 
 
@@ -489,6 +504,19 @@ def test_config_error_exits_two_naming_the_field(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith(f"config error: {field}")
+
+
+def test_integral_float_config_fields_read_as_integers(tmp_path, capsys):
+    for command, doc, changes in (
+        ("beta", BETA_DOC, {"m": 2, "horizon": 16}),
+        ("simulate", experiment_doc(), {"generator.seed": 22, "replications": 30, "params.m": 2}),
+    ):
+        ints, floats = doc, doc
+        for path, value in changes.items():
+            ints, floats = with_change(ints, path, value), with_change(floats, path, float(value))
+        expected = run(capsys, [command, write(tmp_path, "int.json", ints)])
+        assert run(capsys, [command, write(tmp_path, "float.json", floats)]) == expected
+        assert expected[0] == 0
 
 
 # flags a subcommand does not read are rejected by argparse (exit 2)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from betamix.errors import DegenerateFitError, MalformedInputError
 from betamix.mixing import (
     MixingFit,
+    _beta,
     beta_coefficient,
     beta_m_dependence,
     beta_max,
@@ -15,7 +17,7 @@ from betamix.mixing import (
     markov_beta,
     pairwise_beta,
 )
-from betamix.pmf import FinitePmf, JointPmf, MarkovChainSpec
+from betamix.pmf import CELL_CAP, FinitePmf, JointPmf, MarkovChainSpec
 
 
 # rows short of 1 within tolerance
@@ -197,6 +199,33 @@ def test_markov_beta_equals_per_n_scan(chain, m, horizon):
     beta = markov_beta(chain, m, horizon)
     assert beta == per_n_markov_beta(chain, m, horizon)
     assert type(beta) is float
+
+
+def test_markov_beta_scans_in_blocks_within_the_cell_cap():
+    # 200 states drifting along a cycle from a point mass: the horizon's joints
+    # hold 64 * 200**2 cells, and the largest coefficient lies past the first block
+    k, m, horizon = 200, 3, 64
+    rng = np.random.default_rng(1)
+    transition = 0.02 * rng.random((k, k))
+    transition[np.arange(k), (np.arange(k) + 1) % k] += 1.0
+    transition[np.arange(k), np.arange(k)] += rng.random(k)
+    transition /= transition.sum(axis=1, keepdims=True)
+    states = tuple(range(k))
+    chain = MarkovChainSpec(states, transition, FinitePmf(states, np.eye(k)[0]))
+    assert horizon * k * k > CELL_CAP
+    step_m = np.linalg.matrix_power(transition, m)
+    stack = _beta(np.maximum(chain.marginal_matrix(horizon)[:, :, None] * step_m, 0.0))
+    assert stack.argmax() >= CELL_CAP // (k * k)
+
+    tracemalloc.start()
+    try:
+        beta = markov_beta(chain, m, horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert beta.hex() == float(stack.max()).hex()
+    # a few temporaries of one block each; one unblocked stack needs about 60 MB
+    assert peak < 4 * CELL_CAP * 8
 
 
 def test_markov_beta_nonstationary_scan():

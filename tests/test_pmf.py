@@ -119,3 +119,30 @@ def test_joint_json_roundtrip():
     back = config.joint(config.Section(joint_to_json(j)))
     assert np.allclose(back.probs, j.probs)
     assert back.axes == j.axes
+
+
+def equality_cases():
+    """(object, a twin built apart, a copy with one cell changed), one per class."""
+    law = FinitePmf((0, 1, 2), [0.25, 0.25, 0.5])
+    joint = JointPmf(((0, 1), ("a", "b", "c")), np.full((2, 3), 1 / 6))
+    probs = np.full((2, 3), 1 / 6)
+    probs[1, 2], probs[1, 1] = 1 / 12, 1 / 4
+    chain = MarkovChainSpec((0, 1, 2), np.full((3, 3), 1 / 3), law)
+    transition = np.full((3, 3), 1 / 3)
+    transition[2] = [0.5, 0.25, 0.25]
+    return {
+        "FinitePmf": (law, FinitePmf((0, 1, 2), [0.25, 0.25, 0.5]), FinitePmf((0, 1, 2), [0.25, 0.5, 0.25])),
+        "JointPmf": (joint, JointPmf(((0, 1), ("a", "b", "c")), np.full((2, 3), 1 / 6)),
+                     JointPmf(((0, 1), ("a", "b", "c")), probs)),
+        "MarkovChainSpec": (chain, MarkovChainSpec((0, 1, 2), np.full((3, 3), 1 / 3), law),
+                            MarkovChainSpec((0, 1, 2), transition, law)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(equality_cases()))
+def test_equality_compares_arrays_by_value(name):
+    obj, twin, changed = equality_cases()[name]
+    assert obj == twin and not obj != twin
+    assert obj != changed and not obj == changed
+    assert obj != "not a pmf"
+    assert repr(obj) == repr(twin)

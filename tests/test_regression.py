@@ -51,6 +51,26 @@ def test_dataset_validation():
         Dataset((0, 1), index=(0, 2), ys=np.array([0.1, 0.2]))
 
 
+# (states, index): int, str and tuple labels, a one-point sample, a state that never occurs
+XS_CASES = [
+    ((0, 1, 2), (2, 0, 0, 1, 2)),
+    (("a", "bc", ""), (1, 1, 2, 0)),
+    (((0, 1), (1, 0), (1, 1)), (0, 2, 2, 0)),
+    (((0, (1, 2)), "x", 3), (1, 0, 2)),
+    ((7,), (0,)),
+    (((0, 0), (0, 1)), (1,)),
+    ((0, 1, 2, 3), (3, 0, 3)),
+]
+
+
+@pytest.mark.parametrize("states, index", XS_CASES)
+def test_dataset_xs_reads_the_labels(states, index):
+    data = Dataset(states, index, np.zeros(len(index)))
+    xs = data.xs
+    assert xs == tuple(states[i] for i in index)
+    assert all(type(x) is type(states[i]) for x, i in zip(xs, index))
+
+
 def test_fit_recovers_truth_noiseless():
     truth = {0: 0.1, 1: -0.2}
     fam = state_family([{0: 0.0, 1: 0.0}, truth, {0: 0.3, 1: 0.3}])

@@ -412,6 +412,25 @@ def test_sampling_tables_are_not_fields():
     )
 
 
+def test_spec_equality_compares_arrays_by_value():
+    specs = [
+        GeneratorSpec(kind="m_dependent", seed=1, dependence_lag=2, alphabet_size=4),
+        GeneratorSpec(kind="iid", seed=1, law=FinitePmf((0, 1), [0.5, 0.5]), phi=[0.1, -0.1],
+                      noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5)),
+        chain_spec([[0.5, 0.5], [0.25, 0.75]], [1, 0], seed=5),
+    ]
+    for spec in specs:
+        assert spec == dataclasses.replace(spec)
+        phi = spec.phi.copy()
+        phi[-1] += 0.5
+        assert spec != dataclasses.replace(spec, phi=phi)
+        assert spec != dataclasses.replace(spec, seed=spec.seed + 1)
+    chain = specs[2].chain
+    assert specs[2] != dataclasses.replace(specs[2], chain=dataclasses.replace(
+        chain, transition=[[0.5, 0.5], [0.5, 0.5]]))
+    assert specs[1] != dataclasses.replace(specs[1], law=FinitePmf((0, 1), [0.25, 0.75]))
+
+
 def test_replaced_chain_samples_the_new_chain():
     stay = chain_spec([[1, 0], [0, 1]], [1, 0], seed=23)
     flip = MarkovChainSpec((0, 1), [[0.0, 1.0], [1.0, 0.0]], FinitePmf((0, 1), [1.0, 0.0]))
