@@ -65,9 +65,6 @@ class Partition:
         if r * (q + 1) + (m - r) * q != n:
             raise AssertionError(f"sizes of ({n},{m}) do not sum to n")
 
-    def to_lists(self) -> list:
-        return [list(b) for b in self.blocks]
-
 
 def m_steps_partition(n: int, m: int) -> Partition:
     """Partition {1..n} into m blocks of indices in arithmetic progression."""

@@ -117,7 +117,8 @@ def indep_deviation_bound(
 
     Returns 1 below the validity threshold t >= (Bc/2) sqrt(gamma/size) (the
     hidden-restriction convention); above it,
-    (2 gamma / (gamma - 1)) * exp(-u2 eps size t / (2B) + entropy(size, u1 t / 2)).
+    (2 gamma / (gamma - 1)) * exp(-u2 eps size t / (2B) + entropy(size, u1 t / 2)),
+    which is inf where the exponential overflows.
     """
     if size < 1:
         raise DomainError("size must be >= 1")
@@ -128,7 +129,10 @@ def indep_deviation_bound(
         return 1.0
     u1, u2 = u_constants(params.c, params.gamma_prime)
     exponent = -u2 * params.epsilon * size * t / (2.0 * params.B) + entropy(size, u1 * t / 2.0)
-    return (2.0 * params.gamma / (params.gamma - 1.0)) * math.exp(exponent)
+    try:
+        return (2.0 * params.gamma / (params.gamma - 1.0)) * math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def beta_deviation_bound(

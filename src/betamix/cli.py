@@ -7,15 +7,19 @@ inequality), 2 on I/O or parse failures.  Configs are validated before any
 computation starts and outputs are written whole or not at all.
 
 Every answer is one JSON document in the stdlib encoder's ``indent=2`` layout
-(``partition`` writes compact JSON), and its bytes are fixed by the config and
-the seed.  The writer hands each scalar and each container of scalars to the
-stdlib's C encoder, which the stdlib uses only without ``indent``.
+(``partition`` writes compact JSON, ``simulate --format csv`` one CSV row per
+report row), and its bytes are fixed by the config and the seed.  The library
+returns values and result objects; this module lays out every document from
+them, a joint in the layout ``config.joint_doc`` gives it.  The writer hands
+each scalar and each container of scalars to the stdlib's C encoder, which the
+stdlib uses only without ``indent``.
 ``main(argv)`` may be called any number of times in one process: the argument
 parser is built on the first call and every call parses into a fresh namespace.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
@@ -92,15 +96,19 @@ def _couple(doc) -> dict:
     original = config.joint(doc.section(source))
     couple = coupling.berbee_couple if source == "joint" else coupling.generalized_berbee
     result = couple(original)
-    out = result.to_json()
-    out["verification"] = dataclasses.asdict(coupling.verify_coupling(result, original))
-    return out
+    return {
+        **config.joint_doc(result.extended_joint),
+        "n_original": result.n_original,
+        "starred_indices": list(result.starred_indices),
+        "mismatch_probs": list(result.mismatch_probs),
+        "verification": dataclasses.asdict(coupling.verify_coupling(result, original)),
+    }
 
 
 def _cmd_partition(args) -> int:
     part = m_steps_partition(args.n, args.m)
     part.check()
-    _emit(part.to_lists(), args.output, compact=True)
+    _emit([list(b) for b in part.blocks], args.output, compact=True)
     return 0
 
 
@@ -155,8 +163,12 @@ def _run_experiment(args) -> simulate.ExperimentReport:
         t_grid = doc.get("t_grid", config.grid).tolist()
         return simulate.deviation_experiment(spec, family, params, est, t_grid, replications)
     truth = config.state_values(doc.section("truth"), spec.states())
-    n_grid = doc.get("n_grid", config.grid).astype(int).tolist()
+    n_grid = doc.get("n_grid", lambda value: [config.integer(n) for n in config.grid(value).tolist()])
     return simulate.weak_error_experiment(spec, family, params, truth, n_grid, replications)
+
+
+def _emit_report(report: simulate.ExperimentReport, output_path) -> None:
+    _emit({"metadata": report.metadata, "rows": list(report.rows)}, output_path)
 
 
 def _cmd_simulate(args) -> int:
@@ -164,15 +176,18 @@ def _cmd_simulate(args) -> int:
         build_parser().error("simulate --format csv needs --output PATH")
     report = _run_experiment(args)
     if args.format == "csv":
-        report.to_csv(args.output)
+        with open(args.output, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(report.rows[0]))
+            writer.writeheader()
+            writer.writerows(report.rows)
     else:
-        _emit(report.to_json(), args.output)
+        _emit_report(report, args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = _run_experiment(args)
-    _emit(report.to_json(), args.output)
+    _emit_report(report, args.output)
     if not report.all_dominant:
         sys.stderr.write("dominance violated: at least one frequency + 3*stderr exceeds its bound\n")
         return 1

@@ -5,7 +5,8 @@ Every document the command line reads goes through ``Section``, whose reads rais
 missing, does not convert, names an unknown kind or has the wrong shape; an
 integer field refuses a bool and a number with a fractional part.  Range
 and mass checks stay with the objects built.  State tables map each state's
-string form to a value.
+string form to a value.  ``joint_doc``, the inverse of ``joint``, writes a
+joint's document, so that one format has one owner for reading and writing.
 """
 from __future__ import annotations
 
@@ -127,6 +128,11 @@ def joint(sec: Section) -> pmf.JointPmf:
     if probs.size != math.prod(shape):
         raise ConfigError(f"{sec.prefix}probs: {probs.size} probabilities do not fit axes {shape}")
     return pmf.JointPmf(axes, probs.reshape(shape))
+
+
+def joint_doc(joint_pmf: pmf.JointPmf) -> dict:
+    """The document that ``joint`` reads back as ``joint_pmf``: axes as lists, probs row-major."""
+    return {"axes": [list(ax) for ax in joint_pmf.axes], "probs": joint_pmf.probs.ravel().tolist()}
 
 
 def params(sec: Section) -> bounds.BoundParams:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .mixing import _dependence, pairwise_beta
-from .pmf import JointPmf, _check_cells, _sum_onto, joint_to_json
+from .pmf import JointPmf, _check_cells, _sum_onto
 
 
 def _maximal_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -62,13 +62,6 @@ class CouplingResult:
     def starred_axis(self, k: int) -> int:
         """Position in the extended joint of the starred copy of original axis k."""
         return self.n_original + self.starred_indices.index(k)
-
-    def to_json(self) -> dict:
-        doc = joint_to_json(self.extended_joint)
-        doc["n_original"] = self.n_original
-        doc["starred_indices"] = list(self.starred_indices)
-        doc["mismatch_probs"] = list(self.mismatch_probs)
-        return doc
 
 
 def berbee_couple(joint: JointPmf) -> CouplingResult:

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, SizeError
+from .pmf import _eq_by_value
 
 EXACT_COVER_MAX_MEMBERS = 20
 # strict d < r implemented with a margin to avoid boundary flapping
@@ -34,6 +35,8 @@ class FunctionFamily:
     states: tuple
     table: np.ndarray | None = None
     design: np.ndarray | None = None
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, MalformedInputError
+from .errors import DegenerateFitError, MalformedInputError, SizeError
 from .pmf import CELL_CAP, JointPmf, MarkovChainSpec
 
 MIXING_MODELS = ("subexponential", "subpolynomial")
@@ -91,12 +91,17 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
     diag(mu_n) P^m of (Z_n, Z_{n+m}), stacked from ``chain.marginal_matrix``
     in blocks of starting times holding at most ``CELL_CAP`` cells (one joint
     per block if a joint alone exceeds it).  Each joint's sum does not depend
-    on the block around it, so the blocks do not change the result.
+    on the block around it, so the blocks do not change the result.  A horizon
+    whose marginals alone exceed ``CELL_CAP`` cells raises SizeError before
+    any array is built.
     """
     if m < 1:
         raise MalformedInputError("m must be >= 1")
     if horizon < 1:
         raise MalformedInputError("horizon must be >= 1")
+    if horizon * chain.n_states > CELL_CAP:
+        raise SizeError(f"horizon {horizon} needs {horizon * chain.n_states} marginal cells, "
+                        f"above cap {CELL_CAP}")
     step_m = np.linalg.matrix_power(chain.transition, m)
     mus = chain.marginal_matrix(horizon)
     rows = max(1, CELL_CAP // step_m.size)

@@ -179,10 +179,3 @@ class MarkovChainSpec:
                 break
             mu = step
         return out
-
-
-def joint_to_json(joint: JointPmf) -> dict:
-    return {
-        "axes": [list(ax) for ax in joint.axes],
-        "probs": joint.probs.ravel().tolist(),
-    }

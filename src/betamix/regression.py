@@ -17,6 +17,7 @@ import numpy as np
 
 from .entropy import FunctionFamily
 from .errors import DomainError, MalformedInputError
+from .pmf import _eq_by_value
 
 RIDGE = 1e-10
 
@@ -33,6 +34,8 @@ class Dataset:
     index: np.ndarray
     ys: np.ndarray
     response_bound: float | None = None
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         index = np.asarray(self.index, dtype=np.intp)

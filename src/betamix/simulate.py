@@ -17,7 +17,6 @@ marginals once per n.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -199,16 +198,6 @@ class ExperimentReport:
 
     rows: tuple
     metadata: dict
-
-    def to_csv(self, path) -> None:
-        fieldnames = list(self.rows[0].keys())
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(self.rows)
-
-    def to_json(self) -> dict:
-        return {"metadata": self.metadata, "rows": list(self.rows)}
 
     @property
     def all_dominant(self) -> bool:

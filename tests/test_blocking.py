@@ -21,7 +21,7 @@ def exhaustive_verify(part: Partition):
     """Element-wise oracle for the partition invariants."""
     n, m = part.n, part.m
     q, r = divmod(n, m)
-    blocks = part.to_lists()
+    blocks = [list(b) for b in part.blocks]
     seen = [i for b in blocks for i in b]
     assert sorted(seen) == list(range(1, n + 1))  # disjoint + covering
     for k, block in enumerate(blocks, start=1):
@@ -57,7 +57,7 @@ def test_partition_check_matches_exhaustive_small():
 
 
 def test_partition_example():
-    assert m_steps_partition(7, 3).to_lists() == [[1, 4, 7], [2, 5], [3, 6]]
+    assert [list(b) for b in m_steps_partition(7, 3).blocks] == [[1, 4, 7], [2, 5], [3, 6]]
 
 
 def test_lifted_bound_hand_computation():

@@ -23,7 +23,7 @@ from betamix.bounds import (
     variance_rate_coefficient,
     weak_error_bound,
 )
-from betamix.entropy import finite_family_entropy, zero_entropy
+from betamix.entropy import finite_family_entropy, sauer_shelah_estimate, zero_entropy
 from betamix.errors import DomainError, HypothesisViolationError
 from betamix.mixing import MixingFit
 
@@ -83,6 +83,22 @@ def test_indep_bound_decreasing_in_t_and_size():
     assert all(a >= b for a, b in zip(vals_t, vals_t[1:]))
     vals_n = [indep_deviation_bound(p, ent, n, 0.5) for n in (100, 400, 1600)]
     assert all(a >= b for a, b in zip(vals_n, vals_n[1:]))
+
+
+def test_overflowing_indep_bound_is_infinite_and_lifts_to_vacuous():
+    # criterion-7 shape: the entropy term of V=200 takes the exponent past exp's range
+    p = make_params(epsilon=0.9, c=4.0, n=1000, m=20,
+                    mixing=MixingFit("subexponential", 0.5, math.log(2.0), 1.0))
+    for ent in (sauer_shelah_estimate(200, 1.0), finite_family_entropy(10**400)):
+        assert indep_deviation_bound(p, ent, p.n, 1.2) == math.inf
+        assert indep_deviation_bound(p, ent, p.n // p.m, 1.2) == math.inf
+        assert beta_deviation_bound(p, ent, 1.2) == 1.0
+    # below the overflow the formula's value is returned as it was
+    ent = sauer_shelah_estimate(150, 1.0)
+    u1, u2 = u_constants(p.c, p.gamma_prime)
+    exponent = -u2 * p.epsilon * p.n * 1.2 / (2.0 * p.B) + ent(p.n, u1 * 1.2 / 2.0)
+    expected = (2.0 * p.gamma / (p.gamma - 1.0)) * math.exp(exponent)
+    assert 1.0 < indep_deviation_bound(p, ent, p.n, 1.2) == expected < math.inf
 
 
 def test_beta_bound_independent_recovery():

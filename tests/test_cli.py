@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import betamix
 from betamix.cli import _indented, main
+from betamix.pmf import CELL_CAP
 
 
 def write(tmp_path, name, doc):
@@ -494,6 +495,11 @@ CONFIG_ERRORS = {
         "bound", with_change(BOUND_DOC, "params.m", 1.5), "params.m: expected an integer, got 1.5"),
     "infinite m (beta)": (
         "beta", with_change(BETA_DOC, "m", math.inf), "m: expected an integer, got Infinity"),
+    # a fractional sample size used to run truncated (100.5 as 100)
+    "fractional n_grid": (
+        "simulate",
+        with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "n_grid", [100.5, 400.5, 1600.5]),
+        "n_grid: expected an integer, got 100.5"),
 }
 
 
@@ -510,13 +516,17 @@ def test_integral_float_config_fields_read_as_integers(tmp_path, capsys):
     for command, doc, changes in (
         ("beta", BETA_DOC, {"m": 2, "horizon": 16}),
         ("simulate", experiment_doc(), {"generator.seed": 22, "replications": 30, "params.m": 2}),
+        ("simulate", GOLDEN_DOCS["simulate-mdep-weak-error"], {"n_grid": [100, 400]}),
     ):
         ints, floats = doc, doc
         for path, value in changes.items():
-            ints, floats = with_change(ints, path, value), with_change(floats, path, float(value))
+            as_float = [float(v) for v in value] if isinstance(value, list) else float(value)
+            ints, floats = with_change(ints, path, value), with_change(floats, path, as_float)
         expected = run(capsys, [command, write(tmp_path, "int.json", ints)])
         assert run(capsys, [command, write(tmp_path, "float.json", floats)]) == expected
         assert expected[0] == 0
+
+
 
 
 # flags a subcommand does not read are rejected by argparse (exit 2)
@@ -539,6 +549,23 @@ NAN = float("nan")
 DRIFTING_CHAIN = {"states": [0, 1], "transition": [[0.5, 0.5 - 9e-13], [0.5, 0.5 - 9e-13]],
                   "initial": [0.5, 0.5]}
 COVER_DOC = {"entropy": "exact_cover", "values": [[0.0, 1.0], [1.0, 0.0]], "r": 1e-13}
+# criterion-7 shape; a Sauer-Shelah entropy of V=200 takes the independent bound's
+# exponential past exp's range, which used to end in an OverflowError traceback
+CRITERION7_PARAMS = params_doc(epsilon=0.9, c=4.0, n=1000, m=20,
+                               mixing=dict(SUBEXP, b=math.log(2.0)))
+LARGE_ENTROPY = {"entropy": "sauer_shelah", "V": 200, "B": 1.0}
+CRITERION7_DOC = {
+    "experiment": "deviation",
+    "generator": {"kind": "markov", "seed": 7, "chain": BETA_DOC["chain"]},
+    "family": {"kind": "state_table",
+               "tables": [{"0": 0.0, "1": 1.0}, {"0": 1.0, "1": 0.0}, {"0": 0.5, "1": 0.5}]},
+    "params": CRITERION7_PARAMS,
+    "entropy_spec": LARGE_ENTROPY,
+    "t_grid": [1.2],
+    "replications": 45,
+}
+LARGE_BOUND_DOC = {"bound": "beta_deviation", "params": CRITERION7_PARAMS, "entropy_spec": LARGE_ENTROPY,
+                   "t": 1.2}
 # valid inputs at floating-point edges: (command, document, expected answer)
 FLOAT_EDGES = {
     "chain rows short of 1 within tolerance": (
@@ -547,6 +574,15 @@ FLOAT_EDGES = {
         "entropy", COVER_DOC, lambda doc: doc["covering_number"] == 2),
     "greedy cover below the strictness margin": (
         "entropy", dict(COVER_DOC, entropy="greedy_cover"), lambda doc: doc["covering_number"] == 2),
+    "overflowing entropy term (verify)": (
+        "verify", CRITERION7_DOC, lambda doc: doc["rows"][0]["vacuous"] and doc["rows"][0]["bound"] == 1.0),
+    "overflowing entropy term (beta deviation)": (
+        "bound", LARGE_BOUND_DOC, lambda doc: doc["bound"] == 1.0),
+    "overflowing entropy term (indep deviation)": (
+        "bound", dict(LARGE_BOUND_DOC, bound="indep_deviation"), lambda doc: doc["bound"] == math.inf),
+    "overflowing entropy term (finite family)": (
+        "bound", dict(LARGE_BOUND_DOC, entropy_spec={"entropy": "finite", "n_members": 10**400}),
+        lambda doc: doc["bound"] == 1.0),
 }
 
 
@@ -643,6 +679,11 @@ DOMAIN_ERRORS = {
         "error: radius must be positive"),
     "NaN B (regress)": (
         "regress", dict(GOLDEN_DOCS["regress-affine-span"], B=NAN), "error: B must be positive"),
+    # horizons whose marginals pass the cell cap: 1e300 used to die in a numpy traceback
+    "horizon of 1e300": ("beta", dict(BETA_DOC, horizon=1e300), f"error: horizon {int(1e300)} needs"),
+    "horizon one past the cap": (
+        "beta", dict(BETA_DOC, horizon=CELL_CAP // 2 + 1),
+        f"error: horizon {CELL_CAP // 2 + 1} needs {CELL_CAP + 2} marginal cells, above cap {CELL_CAP}"),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betamix import config
+from betamix.cli import main
 from betamix.coupling import (
     _maximal_coupling,
     berbee_couple,
@@ -130,10 +133,13 @@ def test_pair_cap_checked_before_allocating():
     assert peak < 10 * 2**20
 
 
-def test_coupling_json_document():
+def test_coupling_json_document(tmp_path, capsys):
     rng = np.random.default_rng(6)
     j = random_joint(rng, (2, 2))
-    doc = berbee_couple(j).to_json()
+    cfg = tmp_path / "couple.json"
+    cfg.write_text(json.dumps({"joint": config.joint_doc(j)}))
+    assert main(["couple", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["n_original"] == 2
     assert doc["starred_indices"] == [1]
     assert len(doc["probs"]) == 8

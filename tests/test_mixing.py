@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betamix.errors import DegenerateFitError, MalformedInputError
+from betamix.errors import DegenerateFitError, MalformedInputError, SizeError
 from betamix.mixing import (
     MixingFit,
     _beta,
@@ -226,6 +226,19 @@ def test_markov_beta_scans_in_blocks_within_the_cell_cap():
     assert beta.hex() == float(stack.max()).hex()
     # a few temporaries of one block each; one unblocked stack needs about 60 MB
     assert peak < 4 * CELL_CAP * 8
+
+
+@pytest.mark.parametrize("horizon", [CELL_CAP // 2 + 1, int(1e300)], ids=["one past the cap", "1e300"])
+def test_markov_beta_rejects_a_horizon_past_the_cell_cap_before_allocating(horizon):
+    chain = MarkovChainSpec((0, 1), [[0.75, 0.25], [0.25, 0.75]], FinitePmf((0, 1), [0.5, 0.5]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=f"horizon {horizon} needs"):
+            markov_beta(chain, 2, horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_markov_beta_nonstationary_scan():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from betamix import config
+from betamix.entropy import FunctionFamily
 from betamix.errors import MalformedInputError, SizeError
-from betamix.pmf import FinitePmf, JointPmf, MarkovChainSpec, joint_to_json
+from betamix.pmf import FinitePmf, JointPmf, MarkovChainSpec
+from betamix.regression import Dataset
 
 
 def test_finite_pmf_validation():
@@ -116,13 +118,16 @@ def test_chain_json_roundtrip():
 
 def test_joint_json_roundtrip():
     j = JointPmf(((0, 1), ("x", "y")), np.array([[0.1, 0.2], [0.3, 0.4]]))
-    back = config.joint(config.Section(joint_to_json(j)))
+    back = config.joint(config.Section(config.joint_doc(j)))
     assert np.allclose(back.probs, j.probs)
     assert back.axes == j.axes
 
 
 def equality_cases():
-    """(object, a twin built apart, a copy with one cell changed), one per class."""
+    """(object, a twin built apart, a copy with one cell changed), one per class.
+
+    A design family's third entry holds the same values as a table instead.
+    """
     law = FinitePmf((0, 1, 2), [0.25, 0.25, 0.5])
     joint = JointPmf(((0, 1), ("a", "b", "c")), np.full((2, 3), 1 / 6))
     probs = np.full((2, 3), 1 / 6)
@@ -130,12 +135,19 @@ def equality_cases():
     chain = MarkovChainSpec((0, 1, 2), np.full((3, 3), 1 / 3), law)
     transition = np.full((3, 3), 1 / 3)
     transition[2] = [0.5, 0.25, 0.25]
+    rows = [[1.0, 0.0], [1.0, 1.0]]
     return {
         "FinitePmf": (law, FinitePmf((0, 1, 2), [0.25, 0.25, 0.5]), FinitePmf((0, 1, 2), [0.25, 0.5, 0.25])),
         "JointPmf": (joint, JointPmf(((0, 1), ("a", "b", "c")), np.full((2, 3), 1 / 6)),
                      JointPmf(((0, 1), ("a", "b", "c")), probs)),
         "MarkovChainSpec": (chain, MarkovChainSpec((0, 1, 2), np.full((3, 3), 1 / 3), law),
                             MarkovChainSpec((0, 1, 2), transition, law)),
+        "Dataset": (Dataset((0, 1), [0, 1], [0.1, 0.2]), Dataset((0, 1), [0, 1], [0.1, 0.2]),
+                    Dataset((0, 1), [0, 1], [0.1, 0.25])),
+        "FunctionFamily (table)": (FunctionFamily((0, 1), table=rows), FunctionFamily((0, 1), table=rows),
+                                   FunctionFamily((0, 1), table=[[1.0, 0.0], [1.0, 0.5]])),
+        "FunctionFamily (design)": (FunctionFamily((0, 1), design=rows), FunctionFamily((0, 1), design=rows),
+                                    FunctionFamily((0, 1), table=rows)),
     }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from betamix.errors import MalformedInputError
 from betamix.mixing import MixingFit, markov_beta
 from betamix.pmf import FinitePmf, MarkovChainSpec
 from betamix import config
+from betamix.cli import main
 from betamix.simulate import (
     GeneratorSpec,
     _sample_states,
@@ -226,13 +228,18 @@ def test_weak_error_experiment_rows_and_slope():
 
 
 def test_report_csv_roundtrip(tmp_path):
-    spec = GeneratorSpec(kind="iid", seed=11, law=FinitePmf((0, 1), [0.5, 0.5]))
-    fam = state_family([{0: 0.0, 1: 0.0}])
-    report = deviation_experiment(
-        spec, fam, make_params(), finite_family_entropy(1), [0.1], 20
-    )
-    out = tmp_path / "report.csv"
-    report.to_csv(out)
+    doc = {
+        "generator": {"kind": "iid", "seed": 11, "law": {"support": [0, 1], "probs": [0.5, 0.5]}},
+        "family": {"kind": "state_table", "tables": [{"0": 0.0, "1": 0.0}]},
+        "params": {"epsilon": 0.5, "c": 2.0, "gamma": 2.0, "gamma_prime": 2.0, "lambda": 1.5,
+                   "B": 1.0, "V": 1, "n": 100, "m": 1},
+        "entropy_spec": {"entropy": "finite", "n_members": 1},
+        "t_grid": [0.1],
+        "replications": 20,
+    }
+    cfg, out = tmp_path / "exp.json", tmp_path / "report.csv"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", str(cfg), "--format", "csv", "--output", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,m,t,frequency,stderr,bound,dominant,vacuous"
     assert len(lines) == 2
