@@ -289,6 +289,17 @@ GOLDEN_DOCS = {
         "probs": [w / sum(GOLDEN_BINARY5_WEIGHTS) for w in GOLDEN_BINARY5_WEIGHTS]}, "m": 2},
     "entropy-exact-cover": {"entropy": "exact_cover", "r": 0.3,
                             "values": [[0.0, 0.5], [0.1, 0.45], [1.0, 0.0], [0.9, 0.2], [0.5, 0.5]]},
+    "entropy-sauer-shelah": {"entropy": "sauer_shelah", "V": 3, "B": 2.0, "r": 0.07, "size": 40},
+    "entropy-neural-net": {"entropy": "neural_net", "N": 4, "d": 2, "B": 3.0, "r": 0.2, "size": 25},
+    "entropy-finite": {"entropy": "finite", "n_members": 7, "r": 0.4},
+    "entropy-zero": {"entropy": "zero", "r": 0.5},
+    "bound-indep-deviation": {
+        "bound": "indep_deviation",
+        "params": params_doc(epsilon=0.5, c=2.0, B=0.5, n=5000, m=1),
+        "entropy_spec": {"entropy": "sauer_shelah", "V": 2, "B": 0.5},
+        "t": 0.45,
+        "size": 1000,
+    },
     "bound-beta-deviation": {
         "bound": "beta_deviation",
         "params": params_doc(epsilon=0.9, c=4.0,
@@ -314,6 +325,8 @@ GOLDEN = {
         "383b614b6806a99d542cfd659a45dcc6e98037bb6f3aad4ab8ed65f57573a734",
     ("bound-beta-deviation", "bound", ()):
         "bdf1f55c2bfe5447ad8bec7bbbee5cdd924e05d466bbc07cb32f0293c2fa9b01",
+    ("bound-indep-deviation", "bound", ()):
+        "6207b43bccd29da85aa03b4deca153743e21df058d07a33ee1449929dd29b3e4",
     ("bound-weak-error", "bound", ()):
         "f96a90cba988c84fe344665719ce58879c7435d4cb2c0acc6676c84ac942cc0b",
     ("couple-binary7", "couple", ()):
@@ -324,6 +337,14 @@ GOLDEN = {
         "e0ca26241f08a6b9630909a958390d32b28e10588dfdf3d7b991ddbad7eec80a",
     ("entropy-exact-cover", "entropy", ()):
         "c38d666e6817cc70818ae9d78fa4f5a74c4cfa2af568269b7a99de49c159d6a9",
+    ("entropy-finite", "entropy", ()):
+        "1e4a14440fc4c3facf98895d97b29e38a7958a369cd568d3b81ee2d24657fe7b",
+    ("entropy-neural-net", "entropy", ()):
+        "e4b73775d1c24bc5309f769f6653b386cba4f20053715b70d4fa90e44231b462",
+    ("entropy-sauer-shelah", "entropy", ()):
+        "af3e1bae6ecd3ee33eb39d626ba5d78cac61c932516fac4b364fedc2af0601a9",
+    ("entropy-zero", "entropy", ()):
+        "7984823b956477b98e5174bee824645df07becc06e31f5f4f8a89f6aeb131998",
     ("partition", "partition", ("10", "3")):
         "213c671b3cea852ce3953624e227e527fbef7c503b57699b7e5b6bf3f1bf6c39",
     ("regress-affine-span", "regress", ()):
