@@ -99,16 +99,19 @@ def lifted_bound(
     return min(1.0, total)
 
 
-def wilson_stderr(successes: int, trials: int, z: float = 3.0) -> float:
+_Z = 3.0  # the Wilson score's normal quantile
+
+
+def wilson_stderr(successes: int, trials: int) -> float:
     """Wilson-score standard error of a Monte Carlo (binomial) frequency.
 
-    Shrinks toward 1/2 with strength z**2 pseudo-counts so the error never
+    Shrinks toward 1/2 with _Z**2 = 9 pseudo-counts so the error never
     collapses to zero at observed frequencies of 0 or 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    center = (successes + z * z / 2.0) / (trials + z * z)
-    return math.sqrt(center * (1.0 - center) / (trials + z * z))
+    center = (successes + _Z * _Z / 2.0) / (trials + _Z * _Z)
+    return math.sqrt(center * (1.0 - center) / (trials + _Z * _Z))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ inputs and never defaulted.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,8 +118,9 @@ def indep_deviation_bound(
 
     Returns 1 below the validity threshold t >= (Bc/2) sqrt(gamma/size) (the
     hidden-restriction convention); above it,
-    (2 gamma / (gamma - 1)) * exp(-u2 eps size t / (2B) + entropy(size, u1 t / 2)),
-    which is inf where the exponential overflows.
+    (2 gamma / (gamma - 1)) * exp(-u2 eps size t / (2B) + entropy(u1 t / 2)),
+    which is inf where the exponential overflows.  The entropy term is uniform,
+    the same for every sample size, so only the first term reads ``size``.
     """
     if size < 1:
         raise DomainError("size must be >= 1")
@@ -128,7 +130,7 @@ def indep_deviation_bound(
     if t < threshold:
         return 1.0
     u1, u2 = u_constants(params.c, params.gamma_prime)
-    exponent = -u2 * params.epsilon * size * t / (2.0 * params.B) + entropy(size, u1 * t / 2.0)
+    exponent = -u2 * params.epsilon * size * t / (2.0 * params.B) + entropy(u1 * t / 2.0)
     try:
         return (2.0 * params.gamma / (params.gamma - 1.0)) * math.exp(exponent)
     except OverflowError:
@@ -148,10 +150,7 @@ def beta_deviation_bound(
     and paying n * beta(m) for the dependence.
     """
     beta = _beta(params, beta_at_m)
-
-    def base(size: int, tt: float) -> float:
-        return indep_deviation_bound(params, entropy, size, tt)
-
+    base = functools.partial(indep_deviation_bound, params, entropy)
     return lifted_bound(base, params.n, params.m, t, beta, deviation_cap=2.0 * params.B)
 
 

@@ -118,8 +118,7 @@ def _entropy(doc) -> dict:
     r = doc.get("r", float)
     if kind in covers:
         return {"covering_number": covers[kind](doc.get("values", config.floats(None, None)), r), "r": r}
-    est, size = config.entropy_estimate(doc), doc.get("size", config.integer, 1)
-    return {"entropy": est(size, r), "r": r}
+    return {"entropy": config.entropy_estimate(doc)(r), "r": r}
 
 
 def _bound(doc) -> dict:

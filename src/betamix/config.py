@@ -11,6 +11,7 @@ joint's document, so that one format has one owner for reading and writing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -157,12 +158,12 @@ def entropy_estimate(sec: Section) -> entropy.EntropyEstimate:
     """A closed-form entropy estimate named by "entropy" (default sauer_shelah)."""
     kind = sec.kind("entropy", ENTROPY_ESTIMATES, "sauer_shelah")
     if kind == "sauer_shelah":
-        return entropy.sauer_shelah_estimate(sec.get("V", integer), sec.get("B", float))
+        return functools.partial(entropy.sauer_shelah_entropy, sec.get("V", integer), sec.get("B", float))
     if kind == "neural_net":
-        return entropy.neural_net_estimate(sec.get("N", integer), sec.get("d", integer), sec.get("B", float))
-    if kind == "finite":
-        return entropy.finite_family_entropy(sec.get("n_members", integer))
-    return entropy.zero_entropy()
+        return functools.partial(entropy.neural_net_entropy, sec.get("N", integer), sec.get("d", integer),
+                                 sec.get("B", float))
+    # "zero" is a one-member class: log(1) is exactly 0.0
+    return entropy.finite_family_entropy(sec.get("n_members", integer) if kind == "finite" else 1)
 
 
 def family(sec: Section, states: tuple) -> entropy.FunctionFamily:

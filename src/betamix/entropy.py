@@ -5,6 +5,8 @@ Exact covering numbers are minimal internal covers found by exhaustive set
 cover (small families only); the greedy farthest-point cover provides an upper
 bound for larger families.  The closed forms are the Sauer-Shelah estimate for
 classes of bounded VC dimension and the bounded-weight network estimate.
+Every estimate is uniform: it bounds the log covering number at a radius for
+every sample size, so an ``EntropyEstimate`` is a function of the radius alone.
 """
 from __future__ import annotations
 
@@ -145,23 +147,11 @@ def neural_net_entropy(N: int, d: int, B: float, r: float) -> float:
     return ((2 * d + 5) * N + 1) * (1.0 + math.log(12.0) + math.log(B / r) + math.log(N + 1.0))
 
 
-EntropyEstimate = Callable[[int, float], float]  # (sample size, radius) -> log covering bound
-
-
-def sauer_shelah_estimate(V: int, B: float) -> EntropyEstimate:
-    return lambda size, r: sauer_shelah_entropy(V, B, r)
-
-
-def neural_net_estimate(N: int, d: int, B: float) -> EntropyEstimate:
-    return lambda size, r: neural_net_entropy(N, d, B, r)
+EntropyEstimate = Callable[[float], float]  # radius -> log covering bound, the same for every sample size
 
 
 def finite_family_entropy(n_members: int) -> EntropyEstimate:
     """log(n_members) is always a valid uniform entropy estimate for a finite class."""
     if n_members < 1:
         raise DomainError("n_members must be >= 1")
-    return lambda size, r: math.log(n_members)
-
-
-def zero_entropy() -> EntropyEstimate:
-    return lambda size, r: 0.0
+    return lambda r: math.log(n_members)

@@ -39,41 +39,28 @@ def _beta(p: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(_dependence(p)).sum(axis=(-2, -1))
 
 
-def _resolve_indices(process: JointPmf, indices) -> tuple:
-    if indices is None:
-        return tuple(range(1, process.n_axes + 1))
-    indices = tuple(int(i) for i in indices)
-    if len(indices) != process.n_axes:
-        raise MalformedInputError("one index label per axis is required")
-    if len(set(indices)) != len(indices):
-        raise MalformedInputError("index labels must be distinct")
-    return indices
+def beta_m_dependence(process: JointPmf, m: int, l: int) -> float:
+    """l-th coefficient of m-dependence of a finite process whose axes are the times 1..N.
 
-
-def beta_m_dependence(process: JointPmf, m: int, l: int, indices: Sequence[int] | None = None) -> float:
-    """l-th coefficient of m-dependence of a finite process.
-
-    The coefficient between the coordinate at index ``l`` and the coordinates at
-    indices <= l - m, computed by marginalizing onto the two groups.  Empty
-    groups (e.g. l not in the index set) give 0 by convention.
+    The coefficient between the coordinate at time ``l`` and the coordinates at
+    times <= l - m, computed by marginalizing onto the two groups.  Empty
+    groups (l - m < 1, or l > N) give 0 by convention.
     """
     if m < 1 or l < 1:
         raise MalformedInputError("m and l must be positive")
-    return _lag_beta(process, m, l, _resolve_indices(process, indices))
+    return _lag_beta(process, m, l)
 
 
-def _lag_beta(process: JointPmf, m: int, l: int, idx: tuple) -> float:
-    left = tuple(pos for pos, j in enumerate(idx) if j <= l - m)
-    right = tuple(pos for pos, j in enumerate(idx) if j == l)
-    return pairwise_beta(process, left, right)
+def _lag_beta(process: JointPmf, m: int, l: int) -> float:
+    right = (l - 1,) if l <= process.n_axes else ()
+    return pairwise_beta(process, tuple(range(l - m)), right)
 
 
-def beta_max(process: JointPmf, m: int, indices: Sequence[int] | None = None) -> float:
-    """Maximal coefficient of m-dependence: sup over the labels l >= 1 of beta_m_dependence, else 0."""
-    idx = _resolve_indices(process, indices)
+def beta_max(process: JointPmf, m: int) -> float:
+    """Maximal coefficient of m-dependence: max over the times l = 1..N of beta_m_dependence, else 0."""
     if m < 1:
         raise MalformedInputError("m and l must be positive")
-    return max((_lag_beta(process, m, l, idx) for l in idx if l >= 1), default=0.0)
+    return max((_lag_beta(process, m, l) for l in range(1, process.n_axes + 1)), default=0.0)
 
 
 def pairwise_beta(process: JointPmf, left: Sequence[int], right: Sequence[int]) -> float:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -74,6 +75,17 @@ def test_lifted_bound_clipped_at_one():
 
 def test_lifted_bound_zero_above_cap():
     assert lifted_bound(lambda size, t: 0.9, 7, 3, 2.5, 0.5, deviation_cap=2.0) == 0.0
+
+
+def test_wilson_stderr_is_the_z3_score_bitwise():
+    z = 3.0
+    for trials in (1, 40, 1000):
+        for successes in (0, trials // 2, trials):
+            center = (successes + z * z / 2.0) / (trials + z * z)
+            expected = math.sqrt(center * (1.0 - center) / (trials + z * z))
+            assert wilson_stderr(successes, trials).hex() == expected.hex()
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        wilson_stderr(0, 0)
 
 
 def test_lifted_bound_independent_recovery_bitwise():

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from betamix.bounds import (
     variance_rate_coefficient,
     weak_error_bound,
 )
-from betamix.entropy import finite_family_entropy, sauer_shelah_estimate, zero_entropy
+from betamix.entropy import finite_family_entropy, sauer_shelah_entropy
 from betamix.errors import DomainError, HypothesisViolationError
 from betamix.mixing import MixingFit
 
@@ -60,7 +61,7 @@ def test_u_constants_exact():
 
 def test_indep_bound_threshold_convention():
     p = make_params()
-    ent = zero_entropy()
+    ent = finite_family_entropy(1)
     thr = (p.B * p.c / 2.0) * math.sqrt(p.gamma / 100)
     assert indep_deviation_bound(p, ent, 100, thr * 0.99) == 1.0
     above = indep_deviation_bound(p, ent, 100, thr * 1.01)
@@ -78,7 +79,7 @@ def test_indep_bound_formula_hand_check():
 
 def test_indep_bound_decreasing_in_t_and_size():
     p = make_params()
-    ent = zero_entropy()
+    ent = finite_family_entropy(1)
     vals_t = [indep_deviation_bound(p, ent, 500, t) for t in (0.3, 0.5, 0.8, 1.2)]
     assert all(a >= b for a, b in zip(vals_t, vals_t[1:]))
     vals_n = [indep_deviation_bound(p, ent, n, 0.5) for n in (100, 400, 1600)]
@@ -89,14 +90,14 @@ def test_overflowing_indep_bound_is_infinite_and_lifts_to_vacuous():
     # criterion-7 shape: the entropy term of V=200 takes the exponent past exp's range
     p = make_params(epsilon=0.9, c=4.0, n=1000, m=20,
                     mixing=MixingFit("subexponential", 0.5, math.log(2.0), 1.0))
-    for ent in (sauer_shelah_estimate(200, 1.0), finite_family_entropy(10**400)):
+    for ent in (functools.partial(sauer_shelah_entropy, 200, 1.0), finite_family_entropy(10**400)):
         assert indep_deviation_bound(p, ent, p.n, 1.2) == math.inf
         assert indep_deviation_bound(p, ent, p.n // p.m, 1.2) == math.inf
         assert beta_deviation_bound(p, ent, 1.2) == 1.0
     # below the overflow the formula's value is returned as it was
-    ent = sauer_shelah_estimate(150, 1.0)
+    ent = functools.partial(sauer_shelah_entropy, 150, 1.0)
     u1, u2 = u_constants(p.c, p.gamma_prime)
-    exponent = -u2 * p.epsilon * p.n * 1.2 / (2.0 * p.B) + ent(p.n, u1 * 1.2 / 2.0)
+    exponent = -u2 * p.epsilon * p.n * 1.2 / (2.0 * p.B) + ent(u1 * 1.2 / 2.0)
     expected = (2.0 * p.gamma / (p.gamma - 1.0)) * math.exp(exponent)
     assert 1.0 < indep_deviation_bound(p, ent, p.n, 1.2) == expected < math.inf
 

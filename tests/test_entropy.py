@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betamix import config
 from betamix.entropy import (
     FunctionFamily,
     _cover_from_distances,
@@ -14,8 +15,6 @@ from betamix.entropy import (
     l1_distances,
     neural_net_entropy,
     sauer_shelah_entropy,
-    sauer_shelah_estimate,
-    zero_entropy,
 )
 from betamix.errors import DomainError, MalformedInputError, SizeError
 
@@ -125,17 +124,19 @@ def test_neural_net_spot_value_and_domain():
 
 
 def test_entropy_estimates_callable():
-    est = sauer_shelah_estimate(1, 1.0)
-    assert est(10, 0.1) == pytest.approx(sauer_shelah_entropy(1, 1.0, 0.1))
-    assert finite_family_entropy(5)(3, 0.01) == pytest.approx(math.log(5))
-    assert zero_entropy()(100, 0.001) == 0.0
+    def estimate(**doc):
+        return config.entropy_estimate(config.Section(doc))
+
+    assert estimate(V=1, B=1.0)(0.1) == pytest.approx(sauer_shelah_entropy(1, 1.0, 0.1))
+    assert finite_family_entropy(5)(0.01) == pytest.approx(math.log(5))
+    assert estimate(entropy="zero")(0.001) == 0.0
 
 
 def test_finite_family_entropy_dominates_exact_cover():
     rng = np.random.default_rng(1)
     values = rng.random((8, 6))
     for r in (0.05, 0.2):
-        bound = math.exp(finite_family_entropy(8)(6, r))
+        bound = math.exp(finite_family_entropy(8)(r))
         assert bound * (1 + 1e-9) >= covering_number_exact(values, r)
 
 

@@ -121,22 +121,32 @@ def test_m_dependence_empty_groups():
     assert beta_m_dependence(j, 1, 9) == 0.0
 
 
+def on_times(joint, times, horizon):
+    """The process on times 1..horizon that observes ``joint``'s axis k at times[k] and
+    holds a one-atom axis at every other time, which carries no information."""
+    order = np.argsort(times)
+    probs = np.transpose(joint.probs, order)
+    axes = [("*",)] * horizon
+    for k, t in enumerate(times):
+        axes[t - 1] = joint.axes[k]
+    return JointPmf(axes, probs.reshape([len(ax) for ax in axes]))
+
+
 def test_m_dependence_custom_indices():
     rng = np.random.default_rng(5)
     j = random_joint(rng, (2, 2, 2))
-    # indices (1, 5, 6): at lag 3, only index 1 is far enough in the past of 6
+    # observed at times (1, 5, 6): at lag 3, only time 1 is far enough in the past of 6
     expected = pairwise_beta(j, (0,), (2,))
-    assert beta_m_dependence(j, 3, 6, indices=(1, 5, 6)) == pytest.approx(expected)
-    with pytest.raises(MalformedInputError):
-        beta_m_dependence(j, 1, 1, indices=(1, 1, 2))
-    # labels with gaps: the labels absent from the index set have empty groups
-    for labels in ((2, 5, 9), (9, 2, 5), (0, 3, 4)):
-        expected = max(beta_m_dependence(j, 2, l, indices=labels) for l in range(1, 10))
-        assert beta_max(j, 2, indices=labels) == expected
-    # no label l >= 1: every group is empty, and so is the supremum
-    assert beta_max(j, 1, indices=(-2, -1, 0)) == 0.0
+    assert beta_m_dependence(on_times(j, (1, 5, 6), 6), 3, 6) == pytest.approx(expected)
+    # times with gaps: the one-atom times have empty groups
+    for times in ((2, 5, 9), (9, 2, 5)):
+        process = on_times(j, times, 9)
+        expected = max(beta_m_dependence(process, 2, l) for l in range(1, 10))
+        assert beta_max(process, 2) == expected
+    # a single time has no past: every group is empty, and so is the supremum
+    assert beta_max(on_times(random_joint(rng, (3,)), (1,), 1), 1) == 0.0
     with pytest.raises(MalformedInputError, match="m and l must be positive"):
-        beta_max(j, 0, indices=(-2, -1, 0))
+        beta_max(j, 0)
 
 
 def test_markov_beta_matches_atom_sum_oracle():
