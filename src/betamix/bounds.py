@@ -61,7 +61,10 @@ class BoundParams:
                 f"lambda <= (3+sqrt(1+8c))/4 violated: {self.lam} > {lam_cap}"
             )
         q, _ = euclidean(self.n, self.m)
-        size_floor = math.exp((self.c**2 - 71.0) / (4.0 * self.V))
+        try:
+            size_floor = math.exp((self.c**2 - 71.0) / (4.0 * self.V))
+        except OverflowError:
+            size_floor = math.inf
         if q < size_floor:
             raise HypothesisViolationError(
                 f"floor(n/m) >= exp((c^2-71)/(4V)) violated: {q} < {size_floor}"

@@ -27,9 +27,9 @@ import numpy as np
 from .blocking import wilson_stderr
 from .bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from .entropy import EntropyEstimate, FunctionFamily
-from .errors import DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
-from .pmf import FinitePmf, MarkovChainSpec, _eq_by_value
+from .pmf import CELL_CAP, FinitePmf, MarkovChainSpec, _eq_by_value
 from .regression import Dataset, weak_error
 
 
@@ -117,12 +117,17 @@ class GeneratorSpec:
         return self.law.support
 
     def marginal_laws(self, n: int) -> np.ndarray:
-        """Exact per-index laws of X_1..X_n, one row per index."""
+        """Exact per-index laws of X_1..X_n, one row per index.
+
+        More than ``CELL_CAP`` cells raise SizeError before any array is built.
+        """
+        k = len(self.states())
+        if n * k > CELL_CAP:
+            raise SizeError(f"n {n} needs {n * k} marginal cells, above cap {CELL_CAP}")
         if self.kind == "markov":
             return self.chain.marginal_matrix(n)
         if self.kind == "m_dependent":
             # sums of i.i.d. uniforms modulo the alphabet size stay uniform
-            k = self.alphabet_size
             return np.full((n, k), 1.0 / k)
         return np.tile(self.law.probs, (n, 1))
 
@@ -275,9 +280,9 @@ def weak_error_experiment(
     of the measured error over the grid for trend checks.
     """
     rows = []
+    beta = spec.beta_at(params.m)
     for n in n_grid:
         p = dataclasses.replace(params, n=int(n))
-        beta = spec.beta_at(p.m)
         samples = (generate(spec, p.n, rep) for rep in range(replications))
         est = weak_error(samples, family, p.B, truth, spec.marginal_laws(p.n))
         breakdown = weak_error_bound(p, est.bias, beta_at_m=beta)

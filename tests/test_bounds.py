@@ -232,6 +232,15 @@ def test_weak_error_hypothesis_violations_named():
         weak_error_bound(p, 0.0, beta_at_m=0.0)
 
 
+def test_weak_error_size_floor_past_exp_range_is_infinite():
+    # exp((c^2 - 71)/(4V)) at c = 100 overflows; it used to raise OverflowError
+    p = make_params(c=100.0, B=0.25, n=100, m=2, mixing=None)
+    with pytest.raises(HypothesisViolationError, match=r"floor\(n/m\) >= exp\(\(c\^2-71\)/\(4V\)\) violated: 50 < inf"):
+        p.check_weak_error_hypotheses()
+    with pytest.raises(HypothesisViolationError, match="violated: 50 < inf"):
+        weak_error_bound(p, 0.0, beta_at_m=0.0)
+
+
 def test_curve_analytic_identity():
     p = make_params(n=1000, m=1, mixing=MixingFit("subexponential", 0.8, 0.7, 1.0))
     curve = statistical_error_curve(p, np.linspace(2, 500, 2000), C_sandwich=1.0)

@@ -702,6 +702,15 @@ DOMAIN_ERRORS = {
         "regress", dict(GOLDEN_DOCS["regress-affine-span"], B=NAN), "error: B must be positive"),
     # horizons whose marginals pass the cell cap: 1e300 used to die in a numpy traceback
     "horizon of 1e300": ("beta", dict(BETA_DOC, horizon=1e300), f"error: horizon {int(1e300)} needs"),
+    # a weak-error size floor past exp's range used to end in an OverflowError traceback
+    "weak-error size floor past exp's range": (
+        "bound", with_change(BOUND_DOC, "params.c", 100.0),
+        "error: floor(n/m) >= exp((c^2-71)/(4V)) violated: 500 < inf"),
+    # experiments whose marginal laws pass the cell cap: 1e300 used to die in a numpy traceback
+    "n of 1e300": ("verify", with_change(CRITERION7_DOC, "params.n", 1e300), f"error: n {int(1e300)} needs"),
+    "n one past the cap": (
+        "simulate", with_change(CRITERION7_DOC, "params.n", CELL_CAP // 2 + 1),
+        f"error: n {CELL_CAP // 2 + 1} needs {CELL_CAP + 2} marginal cells, above cap {CELL_CAP}"),
     "horizon one past the cap": (
         "beta", dict(BETA_DOC, horizon=CELL_CAP // 2 + 1),
         f"error: horizon {CELL_CAP // 2 + 1} needs {CELL_CAP + 2} marginal cells, above cap {CELL_CAP}"),

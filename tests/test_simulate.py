@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from betamix.bounds import BoundParams
 from betamix.entropy import FunctionFamily, finite_family_entropy
-from betamix.errors import MalformedInputError
+from betamix.errors import MalformedInputError, SizeError
 from betamix.mixing import MixingFit, markov_beta
-from betamix.pmf import FinitePmf, MarkovChainSpec
+from betamix.pmf import CELL_CAP, FinitePmf, MarkovChainSpec
 from betamix import config
 from betamix.cli import main
 from betamix.simulate import (
@@ -48,6 +49,28 @@ def test_spec_rejects_noise_values_and_probs_of_different_lengths(values, probs)
     # one value short used to index past the values; one prob short never drew the rest
     with pytest.raises(MalformedInputError, match="noise_values and noise_probs"):
         GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5]), noise_values=values, noise_probs=probs)
+
+
+CAPPED_SPECS = {
+    "markov": GeneratorSpec(kind="markov", seed=0, chain=two_state_chain()),
+    "m_dependent": GeneratorSpec(kind="m_dependent", seed=0, dependence_lag=2, alphabet_size=4),
+    "iid": GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1, 2), [0.2, 0.3, 0.5])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CAPPED_SPECS))
+def test_marginal_laws_reject_n_past_the_cell_cap_before_allocating(kind):
+    spec = CAPPED_SPECS[kind]
+    k = len(spec.states())
+    for n in (CELL_CAP // k + 1, int(1e300)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=f"n {n} needs {n * k} marginal cells, above cap {CELL_CAP}"):
+                spec.marginal_laws(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_seed_must_lie_in_the_key_range():
