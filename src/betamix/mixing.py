@@ -48,19 +48,16 @@ def beta_m_dependence(process: JointPmf, m: int, l: int) -> float:
     """
     if m < 1 or l < 1:
         raise MalformedInputError("m and l must be positive")
-    return _lag_beta(process, m, l)
-
-
-def _lag_beta(process: JointPmf, m: int, l: int) -> float:
-    right = (l - 1,) if l <= process.n_axes else ()
-    return pairwise_beta(process, tuple(range(l - m)), right)
+    if l > process.n_axes:
+        return 0.0
+    return pairwise_beta(process, tuple(range(l - m)), (l - 1,))
 
 
 def beta_max(process: JointPmf, m: int) -> float:
     """Maximal coefficient of m-dependence: max over the times l = 1..N of beta_m_dependence, else 0."""
     if m < 1:
         raise MalformedInputError("m and l must be positive")
-    return max((_lag_beta(process, m, l) for l in range(1, process.n_axes + 1)), default=0.0)
+    return max((beta_m_dependence(process, m, l) for l in range(1, process.n_axes + 1)), default=0.0)
 
 
 def pairwise_beta(process: JointPmf, left: Sequence[int], right: Sequence[int]) -> float:

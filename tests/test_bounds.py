@@ -230,9 +230,6 @@ def test_weak_error_hypothesis_violations_named():
     p = make_params(c=20.0, n=100, m=1, mixing=None)
     with pytest.raises(HypothesisViolationError, match="floor"):
         weak_error_bound(p, 0.0, beta_at_m=0.0)
-
-
-def test_weak_error_size_floor_past_exp_range_is_infinite():
     # exp((c^2 - 71)/(4V)) at c = 100 overflows; it used to raise OverflowError
     p = make_params(c=100.0, B=0.25, n=100, m=2, mixing=None)
     with pytest.raises(HypothesisViolationError, match=r"floor\(n/m\) >= exp\(\(c\^2-71\)/\(4V\)\) violated: 50 < inf"):
