@@ -45,21 +45,20 @@ class Partition:
     def check(self) -> None:
         """Assert the partition invariants in O(1).
 
-        The block size k -> floor((n-k)/m) + 1 is nonincreasing in k, so the
-        size pattern ((q+1) for k <= r, q for k > r) holds for all k once it
-        holds at the boundary blocks; distinct starts 1..m with common step m
-        give disjointness, and the size sum q*m + r = n then gives coverage.
+        Block k is the progression k, k+m, ... of (n-k)//m + 1 indices, so it
+        starts at k with step m by construction.  Its size is nonincreasing in
+        k, so the size pattern ((q+1) for k <= r, q for k > r) holds for all k
+        once it holds at the boundary blocks; distinct starts 1..m with common
+        step m give disjointness, and the size sum q*m + r = n then gives
+        coverage.
         """
         n, m, q, r = self.n, self.m, self.q, self.r
-        boundary = sorted({1, max(r, 1), min(r + 1, m), m})
-        for k in boundary:
-            block = range(k, n + 1, m)
+        for k in (1, max(r, 1), min(r + 1, m), m):
+            size = (n - k) // m + 1
             expected = q + 1 if k <= r else q
-            if len(block) != expected:
-                raise AssertionError(f"block {k} of ({n},{m}) has size {len(block)} != {expected}")
-            if block[0] != k or (len(block) > 1 and block[1] - block[0] != m):
-                raise AssertionError(f"block {k} of ({n},{m}) is not a step-{m} progression from {k}")
-            last = block[-1]
+            if size != expected:
+                raise AssertionError(f"block {k} of ({n},{m}) has size {size} != {expected}")
+            last = k + (size - 1) * m
             if last > n or last + m <= n:
                 raise AssertionError(f"block {k} of ({n},{m}) stops at {last}, not maximal in 1..{n}")
         if r * (q + 1) + (m - r) * q != n:

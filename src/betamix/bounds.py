@@ -89,7 +89,8 @@ def _beta(params: BoundParams, beta_at_m: float | None) -> float:
 
 
 def _envelope(params: BoundParams, model: str) -> MixingFit:
-    """The configured ``model`` envelope, with a >= 0 (and gamma > 1 if subpolynomial); NaN fails."""
+    """The configured ``model`` envelope, with a >= 0, and gamma > 1 if subpolynomial,
+    b > 0 and gamma > 0 if subexponential (the rates divide by both); NaN fails."""
     fit = params.mixing
     if fit is None or fit.model != model:
         raise DomainError(f"a {model} mixing envelope is required")
@@ -97,6 +98,8 @@ def _envelope(params: BoundParams, model: str) -> MixingFit:
         raise DomainError(f"mixing amplitude must be nonnegative, got {fit.a}")
     if model == "subpolynomial" and not fit.gamma > 1.0:
         raise DomainError(f"mixing exponent must exceed 1, got {fit.gamma}")
+    if model == "subexponential" and not (fit.b > 0.0 and fit.gamma > 0.0):
+        raise DomainError(f"mixing rate and exponent must be positive, got b={fit.b}, gamma={fit.gamma}")
     return fit
 
 
@@ -181,17 +184,22 @@ def t0_threshold(c: float, lam: float, size: int) -> float:
 
 
 def a0_constant(c: float, lam: float, size: int, V: int) -> float:
-    """Entropy prefactor 3 G0 (e/(G1 t0) log(3e/(2 G1 t0)))^V of the deviation tail."""
+    """Entropy prefactor 3 G0 (e/(G1 t0) log(3e/(2 G1 t0)))^V of the deviation tail;
+    inf where the power overflows."""
     g0, g1, _ = proof_constants(c, lam)
     t0 = t0_threshold(c, lam, size)
     x = g1 * t0
-    return 3.0 * g0 * (math.e / x * math.log(3.0 * math.e / (2.0 * x))) ** V
+    try:
+        return 3.0 * g0 * (math.e / x * math.log(3.0 * math.e / (2.0 * x))) ** V
+    except OverflowError:
+        return math.inf
 
 
 def ls_deviation_bound(c: float, lam: float, V: int, n: int, m: int, t: float) -> float:
     """Distribution-function form of the least-squares deviation tail.
 
-    1 below t0(floor(n/m)); otherwise m * a0(c, lam, floor(n/m)+1) *
+    1 below t0(floor(n/m)), and 1 where the prefactor a0 overflows (the tail
+    says nothing there); otherwise m * a0(c, lam, floor(n/m)+1) *
     exp(-b_exp * floor(n/m) * t).  Used for Monte Carlo dominance tests; the
     weak-error bound integrates this shape in closed form instead.
     """
@@ -201,7 +209,10 @@ def ls_deviation_bound(c: float, lam: float, V: int, n: int, m: int, t: float) -
     if t < t0_threshold(c, lam, q):
         return 1.0
     _, _, b_exp = proof_constants(c, lam)
-    return m * a0_constant(c, lam, q + 1, V) * math.exp(-b_exp * q * t)
+    a0 = a0_constant(c, lam, q + 1, V)
+    if a0 == math.inf:
+        return 1.0
+    return m * a0 * math.exp(-b_exp * q * t)
 
 
 def theta_constants(c: float, lam: float, n: int, m: int) -> tuple:

@@ -75,9 +75,11 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
     diag(mu_n) P^m of (Z_n, Z_{n+m}), stacked from ``chain.marginal_matrix``
     in blocks of starting times holding at most ``CELL_CAP`` cells (one joint
     per block if a joint alone exceeds it).  Each joint's sum does not depend
-    on the block around it, so the blocks do not change the result.  A horizon
-    whose marginals alone exceed ``CELL_CAP`` cells raises SizeError before
-    any array is built.
+    on the block around it, so the blocks do not change the result.  Once a
+    marginal equals the one before it, every later one does too (the
+    recursion is deterministic), and so do their joints: the scan stops there.
+    A horizon whose marginals alone exceed ``CELL_CAP`` cells raises SizeError
+    before any array is built.
     """
     if m < 1:
         raise MalformedInputError("m must be >= 1")
@@ -88,10 +90,13 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
                         f"above cap {CELL_CAP}")
     step_m = np.linalg.matrix_power(chain.transition, m)
     mus = chain.marginal_matrix(horizon)
+    repeats = np.flatnonzero((mus[1:] == mus[:-1]).all(axis=1))
+    if repeats.size:
+        mus = mus[:repeats[0] + 1]
     rows = max(1, CELL_CAP // step_m.size)
     # transition entries within tolerance below 0 are clipped, as a JointPmf would
     return max(float(_beta(np.maximum(mus[i:i + rows, :, None] * step_m, 0.0)).max())
-               for i in range(0, horizon, rows))
+               for i in range(0, len(mus), rows))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,17 @@ States come from one sampler, ``_sample_states``, which takes the first draws
 of the stream; ``generate`` adds responses to them from the draws that follow,
 except under a one-point noise law, which draws nothing.
 ``deviation_experiment`` reads only the states, so it draws them without
-responses.  Samples carry no laws; experiments ask the spec for its exact
-marginals once per n.
+responses, in stacks of max(1, STACK_DRAWS // n) replications, each still
+drawn from its own stream: the same states.  A Markov stack whose step table
+(the chain's random map, see ``_step_table``) holds at most
+``STEP_TABLE_CAP`` cells is walked by ``_walk_stack``, every path of the
+stack at once; a larger table walks each path alone.  Samples carry no laws;
+experiments ask the spec for its exact marginals once per n.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,6 +36,12 @@ from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
 from .pmf import CELL_CAP, FinitePmf, MarkovChainSpec, _eq_by_value
 from .regression import Dataset, weak_error
+
+
+# draws in one stack of replications of the deviation experiment
+STACK_DRAWS = 2**15
+# the most (interval, state) cells of a step table that the stacked walk takes
+STEP_TABLE_CAP = 2**15
 
 
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
@@ -104,6 +115,7 @@ class GeneratorSpec:
             start, rows = inverse_cdf(self.chain.initial.probs), inverse_cdf(self.chain.transition)
             object.__setattr__(self, "_start_cdf", tuple(start.tolist()))
             object.__setattr__(self, "_row_cdfs", tuple(map(tuple, rows.tolist())))
+            object.__setattr__(self, "_steps", _step_table(self._row_cdfs))
         if self.kind == "iid":
             object.__setattr__(self, "_law_cdf", inverse_cdf(self.law.probs))
         object.__setattr__(self, "_noise_cdf", inverse_cdf(self.noise_probs))
@@ -131,17 +143,20 @@ class GeneratorSpec:
             return np.full((n, k), 1.0 / k)
         return np.tile(self.law.probs, (n, 1))
 
-    def beta_at(self, m: int) -> float:
-        """Lag-m dependence coefficient of the inputs.
+    def beta_at(self, m: int, n: int) -> float:
+        """Lag-m dependence coefficient of the inputs X_1..X_n.
 
-        Exact for markov and iid kinds; for the m_dependent kind, exactly 0 at
-        or beyond the lag and the trivial bound 1 below it.
+        0 when m >= n: no two of the times are m apart.  Exact for the markov
+        kind: the largest beta(X_s, X_{s+m}) over s = 1..n-m, which by the
+        Markov property is the coefficient between the past up to s and the
+        future from s+m.  0 for the iid kind; for the m_dependent kind, exactly
+        0 at or beyond the lag and the trivial bound 1 below it.
         """
+        if m >= n or self.kind == "iid":
+            return 0.0
         if self.kind == "markov":
-            return markov_beta(self.chain, m)
-        if self.kind == "m_dependent":
-            return 0.0 if m >= self.dependence_lag else 1.0
-        return 0.0
+            return markov_beta(self.chain, m, horizon=n - m)
+        return 0.0 if m >= self.dependence_lag else 1.0
 
 
 def inverse_cdf(probs) -> np.ndarray:
@@ -151,6 +166,77 @@ def inverse_cdf(probs) -> np.ndarray:
     cum = np.cumsum(probs, axis=-1)
     cum[cum >= cum[..., -1:]] = 1.0
     return cum
+
+
+def _step_table(rows: tuple) -> tuple | None:
+    """The chain's random map as ``(edges, steps)``, or None above ``STEP_TABLE_CAP`` cells.
+
+    ``edges`` holds every row's CDF breakpoints below 1.0, sorted.  A draw is
+    below 1.0, so its interval ``searchsorted(edges, u, side="right")`` decides
+    every comparison that ``bisect_right(rows[s], u)`` makes, and
+    ``steps[interval * k + s]`` is the next state from s.  Breakpoints are
+    gathered row by row and stop once the cap is passed.
+    """
+    k = len(rows)
+    edges = set()
+    for row in rows:
+        edges.update(x for x in row if x < 1.0)
+        if (len(edges) + 1) * k > STEP_TABLE_CAP:
+            return None
+    edges = sorted(edges)
+    # -1.0 lies below every breakpoint: the interval below the first edge
+    steps = [bisect_right(row, x) for x in [-1.0] + edges for row in rows]
+    return np.array(edges), np.array(steps, dtype=np.intp)
+
+
+def _walk_stack(spec: GeneratorSpec, U: np.ndarray) -> np.ndarray:
+    """Indices of the Markov paths driven by the rows of the uniforms ``U``, (paths, n).
+
+    Row r is the path that ``_sample_states`` walks from the draws ``U[r]``.
+    The n-1 steps are cut into B blocks of L = isqrt(n-1), the last padded
+    with steps whose states fall past n and are dropped.  Pass 1 follows every block from every state at once
+    (L gathers over (paths, B, k)); the block starts then chain through those
+    ends (B gathers over the paths); pass 2 walks each block again from its own
+    start (L gathers over (paths, B)).
+    """
+    edges, steps = spec._steps
+    paths, n = U.shape
+    start = np.searchsorted(spec._start_cdf, U[:, 0], side="right")
+    if n == 1:
+        return start[:, None]
+    k = len(spec.states())
+    L = math.isqrt(n - 1)
+    B = -(-(n - 1) // L)
+    codes = np.zeros((paths, B * L), dtype=np.intp)
+    np.multiply(np.searchsorted(edges, U[:, 1:], side="right"), k, out=codes[:, :n - 1])
+    codes = codes.reshape(paths, B, L)
+    # ends[r, b, s]: where block b of path r ends when it starts at state s
+    ends = np.broadcast_to(np.arange(k), (paths, B, k))
+    for j in range(L):
+        ends = steps[codes[:, :, j, None] + ends]
+    starts = np.empty((paths, B), dtype=np.intp)
+    starts[:, 0] = start
+    every = np.arange(paths)
+    for b in range(B - 1):
+        starts[:, b + 1] = ends[every, b, starts[:, b]]
+    out = np.empty((paths, 1 + B * L), dtype=np.intp)
+    out[:, 0] = start
+    walk = out[:, 1:].reshape(paths, B, L)  # a view: only the contiguous last axis splits
+    state = starts
+    for j in range(L):
+        state = steps[codes[:, :, j] + state]
+        walk[:, :, j] = state
+    return out[:, :n]
+
+
+def _stack_states(spec: GeneratorSpec, n: int, reps: range) -> np.ndarray:
+    """The states of the replications ``reps``, one row each: those ``_sample_states`` draws."""
+    if spec.kind == "markov" and spec._steps is not None:
+        U = np.empty((len(reps), n))
+        for row, rep in zip(U, reps):
+            replication_rng(spec.seed, rep).random(out=row)
+        return _walk_stack(spec, U)
+    return np.stack([_sample_states(spec, n, replication_rng(spec.seed, rep)) for rep in reps])
 
 
 def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,7 +308,11 @@ def deviation_experiment(
     The statistic per replication is sup over family members of
     (1-eps) * empirical mean - (1+eps) * average mean of the member over the
     sample; frequencies of {statistic >= t} are paired with the dependent-case
-    deviation bound at each t on the grid.
+    deviation bound at each t on the grid.  Replications are drawn in stacks
+    of max(1, STACK_DRAWS // n), and the means of every member over several
+    replications are taken in one gather: ``table[:, states]`` lays out its
+    values as ``table[:, path]`` does for one path, so each mean adds the
+    same values in the same order.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -234,12 +324,18 @@ def deviation_experiment(
     n, m = params.n, params.m
     laws = spec.marginal_laws(n)
     avg = (laws @ table.T).mean(axis=0)  # per-member average mean
-    beta = spec.beta_at(m)
+    beta = spec.beta_at(m, n)
 
     stats = np.empty(replications)
-    for rep in range(replications):
-        emp = table[:, _sample_states(spec, n, replication_rng(spec.seed, rep))].mean(axis=1)
-        stats[rep] = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max()
+    size = max(1, STACK_DRAWS // n)
+    # replications per gather of (members, replications, n) values, at most STACK_DRAWS of them
+    part = max(1, STACK_DRAWS // (n * len(table)))
+    for first in range(0, replications, size):
+        states = _stack_states(spec, n, range(first, min(first + size, replications)))
+        for i in range(0, len(states), part):
+            emp = table[:, states[i:i + part]].mean(axis=-1)  # (members, replications)
+            stats[first + i:first + i + emp.shape[1]] = (
+                (1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg[:, None]).max(axis=0)
 
     rows = []
     for t in t_grid:
@@ -280,12 +376,11 @@ def weak_error_experiment(
     of the measured error over the grid for trend checks.
     """
     rows = []
-    beta = spec.beta_at(params.m)
     for n in n_grid:
         p = dataclasses.replace(params, n=int(n))
         samples = (generate(spec, p.n, rep) for rep in range(replications))
         est = weak_error(samples, family, p.B, truth, spec.marginal_laws(p.n))
-        breakdown = weak_error_bound(p, est.bias, beta_at_m=beta)
+        breakdown = weak_error_bound(p, est.bias, beta_at_m=spec.beta_at(p.m, p.n))
         dominant = est.mean <= breakdown.total + 3.0 * est.stderr
         rows.append(
             {

@@ -170,6 +170,15 @@ def test_ls_deviation_bound_shape():
     assert hi < lo
 
 
+def test_overflowing_a0_is_infinite_and_the_tail_vacuous():
+    # (e/x log(3e/(2x)))**V past float range used to raise OverflowError
+    assert a0_constant(2.0, 1.5, 100, 500) == math.inf
+    assert ls_deviation_bound(2.0, 1.5, 500, 1000, 2, 0.5) == 1.0
+    # a finite prefactor keeps the unclipped tail, above 1 or not
+    assert ls_deviation_bound(2.0, 1.5, 50, 1000, 2, 0.5) == 2 * a0_constant(2.0, 1.5, 501, 50) * math.exp(
+        -proof_constants(2.0, 1.5)[2] * 500 * 0.5)
+
+
 def test_theta0_fraction_oracle():
     lam, c = Fraction(3, 2), Fraction(2)
     expected = (
@@ -307,6 +316,17 @@ ENVELOPE_ERRORS = {
     "subexp rate checks C first": (lambda p: subexp_rate(p, 0.0), None,
                                    "the universal constant C must be positive and supplied explicitly"),
     "subexp rate with a subpolynomial envelope": (lambda p: subexp_rate(p, 1.0), POLY, SUBEXP_REQUIRED),
+    # the rates divide by b and gamma: zero used to raise ZeroDivisionError, a negative b overflowed exp
+    "subexp rate with rate 0": (lambda p: subexp_rate(p, 1.0), MixingFit("subexponential", 2.0, 0.0, 1.0),
+                                "mixing rate and exponent must be positive, got b=0.0, gamma=1.0"),
+    "subexp rate with exponent 0": (lambda p: subexp_rate(p, 1.0), MixingFit("subexponential", 2.0, 1.0, 0.0),
+                                    "mixing rate and exponent must be positive, got b=1.0, gamma=0.0"),
+    "curve with a negative rate": (
+        lambda p: statistical_error_curve(p, [2.0, 10.0, 1000.0], 1.0), MixingFit("subexponential", 2.0, -5.0, 1.0),
+        "mixing rate and exponent must be positive, got b=-5.0, gamma=1.0"),
+    "curve with a NaN rate": (
+        lambda p: statistical_error_curve(p, [4.0], 1.0), MixingFit("subexponential", 2.0, NAN, 1.0),
+        "mixing rate and exponent must be positive, got b=nan, gamma=1.0"),
     "subpoly rate without an envelope": (lambda p: subpoly_rate(p, 1.0), None, SUBPOLY_REQUIRED),
     "subpoly rate with exponent 1": (
         lambda p: subpoly_rate(p, 1.0), FLAT_POLY, "mixing exponent must exceed 1, got 1.0"),

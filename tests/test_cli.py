@@ -683,6 +683,16 @@ DOMAIN_ERRORS = {
     "NaN mixing exponent (subpoly rate)": (
         "bound", with_change(RATE_DOCS["subpoly_rate"], "params.mixing.gamma", NAN),
         "error: mixing exponent must exceed 1"),
+    # rates that divide by b or gamma: zero used to end in a ZeroDivisionError traceback
+    "zero rate (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.mixing.b", 0.0),
+        "error: mixing rate and exponent must be positive, got b=0.0, gamma=1.0"),
+    "zero exponent (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.mixing.gamma", 0.0),
+        "error: mixing rate and exponent must be positive, got b=0.7, gamma=0.0"),
+    "negative rate (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.mixing.b", -5.0),
+        "error: mixing rate and exponent must be positive, got b=-5.0, gamma=1.0"),
     "NaN C (subexp rate)": (
         "bound", dict(RATE_DOCS["subexp_rate"], C=NAN), "error: the universal constant C"),
     "NaN t (beta deviation)": (

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betamix.errors import DegenerateFitError, MalformedInputError, SizeError
@@ -202,8 +202,16 @@ def markov_chains(draw):
     return MarkovChainSpec(states, [law() for _ in states], initial)
 
 
+# a stationary start, whose scan stops after one joint, and a sticky chain whose marginals
+# have not settled after 995 steps
+STATIONARY_CHAIN = MarkovChainSpec((0, 1), [[0.75, 0.25], [0.25, 0.75]], FinitePmf((0, 1), [0.5, 0.5]))
+STICKY_CHAIN = MarkovChainSpec((0, 1), [[0.998, 0.002], [0.002, 0.998]], FinitePmf((0, 1), [1.0, 0.0]))
+
+
 @given(st.one_of(markov_chains(), st.sampled_from([DRIFTING_CHAIN, NEGATIVE_ENTRY_CHAIN])),
        st.integers(1, 20), st.integers(1, 64))
+@example(STATIONARY_CHAIN, 20, 980)
+@example(STICKY_CHAIN, 5, 995)
 @settings(max_examples=300, deadline=None)
 def test_markov_beta_equals_per_n_scan(chain, m, horizon):
     beta = markov_beta(chain, m, horizon)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betamix.bounds import BoundParams
+from betamix.blocking import wilson_stderr
+from betamix.bounds import BoundParams, beta_deviation_bound
 from betamix.entropy import FunctionFamily, finite_family_entropy
 from betamix.errors import MalformedInputError, SizeError
 from betamix.mixing import MixingFit, markov_beta
@@ -15,8 +16,11 @@ from betamix.pmf import CELL_CAP, FinitePmf, MarkovChainSpec
 from betamix import config
 from betamix.cli import main
 from betamix.simulate import (
+    STACK_DRAWS,
     GeneratorSpec,
     _sample_states,
+    _stack_states,
+    _walk_stack,
     deviation_experiment,
     generate,
     inverse_cdf,
@@ -139,9 +143,9 @@ def test_m_dependent_marginals_uniform_and_beta_zero():
     assert np.allclose(spec.marginal_laws(1000), 0.25)
     counts = np.bincount(np.array(data.xs), minlength=4) / 1000
     assert np.abs(counts - 0.25).max() < 0.06
-    assert spec.beta_at(2) == 0.0
-    assert spec.beta_at(5) == 0.0
-    assert spec.beta_at(1) == 1.0
+    assert spec.beta_at(2, 1000) == 0.0
+    assert spec.beta_at(5, 1000) == 0.0
+    assert spec.beta_at(1, 1000) == 1.0
 
 
 def test_m_dependent_pairs_beyond_lag_independent():
@@ -159,7 +163,7 @@ def test_iid_kind():
     law = FinitePmf((0, 1, 2), [0.2, 0.3, 0.5])
     spec = GeneratorSpec(kind="iid", seed=3, law=law)
     data = generate(spec, 5000)
-    assert spec.beta_at(1) == 0.0
+    assert spec.beta_at(1, 5000) == 0.0
     freq = np.bincount(np.array(data.xs), minlength=3) / 5000
     assert np.abs(freq - law.probs).max() < 0.03
 
@@ -360,6 +364,23 @@ def test_markov_walk_equals_per_step_loop(spec, n, rep):
     assert np.array_equal(path, per_step_path(spec, n, replication_rng(spec.seed, rep)))
 
 
+def uniforms(spec, n, reps):
+    """The draws of the replications ``reps`` that a path of length n reads, one row each."""
+    return np.stack([replication_rng(spec.seed, rep).random(n) for rep in reps])
+
+
+@given(markov_specs(), st.sampled_from([1, 2, 3, 17, 2000]), st.integers(0, 2**32 - 40), st.integers(1, 40))
+@example(chain_spec([[1]], [1]), 2000, 5, 3)
+@settings(max_examples=60, deadline=None)
+def test_stacked_walk_equals_per_step_loop(spec, n, first, count):
+    reps = range(first, first + count)
+    assert spec._steps is not None
+    paths = _walk_stack(spec, uniforms(spec, n, reps))
+    assert paths.shape == (count, n)
+    for path, rep in zip(paths, reps):
+        assert np.array_equal(path, per_step_path(spec, n, replication_rng(spec.seed, rep)))
+
+
 @st.composite
 def generator_specs(draw):
     """Specs of every kind, with noise so that responses draw from the stream too."""
@@ -384,6 +405,120 @@ def test_states_only_draw_equals_generated_index(spec, n, rep):
     index = generate(spec, n, rep).index
     assert states.dtype == index.dtype
     assert np.array_equal(states, index)
+
+
+@given(generator_specs(), st.sampled_from([1, 2, 3, 17, 300]), st.integers(0, 2**32 - 40), st.integers(1, 40))
+# a step table above the cap: each path is walked alone
+@example(LARGE_CHAIN, 1, 14, 17)
+@example(LARGE_CHAIN, 2, 14, 17)
+@example(LARGE_CHAIN, 3, 14, 17)
+@example(LARGE_CHAIN, 17, 14, 17)
+@example(LARGE_CHAIN, 2000, 14, 17)
+@settings(max_examples=60, deadline=None)
+def test_stacked_states_equal_one_replication_at_a_time(spec, n, first, count):
+    reps = range(first, first + count)
+    states = _stack_states(spec, n, reps)
+    assert states.shape == (count, n)
+    for row, rep in zip(states, reps):
+        assert np.array_equal(row, _sample_states(spec, n, replication_rng(spec.seed, rep)))
+
+
+def per_replication_stats(spec, family, params, replications):
+    """The deviation statistic one replication at a time, Markov paths by the per-step loop: the reference."""
+    n, eps = params.n, params.epsilon
+    table = family.table
+    avg = (spec.marginal_laws(n) @ table.T).mean(axis=0)
+    stats = []
+    for rep in range(replications):
+        rng = replication_rng(spec.seed, rep)
+        index = per_step_path(spec, n, rng) if spec.kind == "markov" else _sample_states(spec, n, rng)
+        emp = table[:, index].mean(axis=1)
+        stats.append(((1.0 - eps) * emp - (1.0 + eps) * avg).max())
+    return stats
+
+
+SIGNED_FAMILY_SPECS = {
+    "markov": chain_spec([[1, 0, 2], [3, 1, 0], [0, 2, 2]], [0, 1, 1], seed=31),
+    "markov above the step-table cap": dataclasses.replace(LARGE_CHAIN, seed=32),
+    "iid": GeneratorSpec(kind="iid", seed=33, law=FinitePmf((0, 1, 2), [0.2, 0.0, 0.8])),
+    "m_dependent": GeneratorSpec(kind="m_dependent", seed=34, dependence_lag=2, alphabet_size=3),
+}
+
+
+@pytest.mark.parametrize("members", [1, 4])
+@pytest.mark.parametrize("n, replications", [(17, 5), (1000, 45), (2000, 33)])
+@pytest.mark.parametrize("kind", sorted(SIGNED_FAMILY_SPECS))
+def test_deviation_experiment_equals_per_replication_loop(kind, n, replications, members):
+    # one member's gather is contiguous and its mean sums pairwise; more members
+    # lay the member axis innermost, and each mean sums in index order
+    spec = SIGNED_FAMILY_SPECS[kind]
+    if kind.startswith("markov"):
+        # about 40 * 39 breakpoints put LARGE_CHAIN's 40-state table above the cap
+        assert (spec._steps is None) == kind.endswith("cap")
+    k = len(spec.states())
+    # members centred under the sample's laws, so that about half the statistics are nonnegative
+    raw = np.array([[np.sin(3.0 * j + s) for s in range(k)] for j in range(members)])
+    family = FunctionFamily(spec.states(), table=raw - (spec.marginal_laws(n) @ raw.T).mean(axis=0)[:, None])
+    params = make_params(epsilon=0.1, n=n, m=2)
+    entropy = finite_family_entropy(members)
+    stats = per_replication_stats(spec, family, params, replications)
+    # every nonnegative statistic is a threshold: a statistic one ulp off moves a frequency
+    t_grid = sorted(stat for stat in stats if stat >= 0.0) + [0.0]
+    assert len(t_grid) > 1
+    assert replications > max(1, STACK_DRAWS // n) or n == 17
+    beta = spec.beta_at(2, n)
+    report = deviation_experiment(spec, family, params, entropy, t_grid, replications)
+    for row, t in zip(report.rows, t_grid, strict=True):
+        hits = sum(stat >= t for stat in stats)
+        freq, se = hits / replications, wilson_stderr(hits, replications)
+        bound = beta_deviation_bound(params, entropy, t, beta_at_m=beta)
+        assert row == {"n": n, "m": 2, "t": t, "frequency": freq, "stderr": se, "bound": bound,
+                       "dominant": bound >= 1.0 or freq + 3.0 * se <= bound, "vacuous": bound >= 1.0}
+    assert report.metadata == {"seed": spec.seed, "replications": replications, "beta_at_m": beta, "kind": spec.kind}
+
+
+def sticky_spec(seed=0):
+    """Two states that stay put with probability 0.998, started at state 0."""
+    chain = MarkovChainSpec((0, 1), [[0.998, 0.002], [0.002, 0.998]], FinitePmf((0, 1), [1.0, 0.0]))
+    return GeneratorSpec(kind="markov", seed=seed, chain=chain)
+
+
+def per_time_beta(chain, m, n):
+    """max over s = 1..n-m of the atom sum of (X_s, X_{s+m}), one time at a time: the reference."""
+    step_m = np.linalg.matrix_power(chain.transition, m)
+    mu, best = chain.initial.probs.copy(), 0.0
+    for _ in range(n - m):
+        joint = mu[:, None] * step_m
+        best = max(best, 0.5 * float(np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))).sum()))
+        mu = mu @ chain.transition
+    return best
+
+
+def test_beta_at_is_exact_over_the_sample():
+    spec = sticky_spec()
+    beta = spec.beta_at(5, 1000)
+    assert beta == pytest.approx(per_time_beta(spec.chain, 5, 1000), rel=1e-12)
+    assert round(beta, 4) == 0.4899
+    # the 64 starting times that the chain's default scan covers miss the largest coefficient
+    assert round(markov_beta(spec.chain, 5), 4) == 0.1943
+    assert spec.beta_at(5, 30) == pytest.approx(per_time_beta(spec.chain, 5, 30), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(CAPPED_SPECS))
+def test_beta_at_with_no_split_time_is_zero(kind):
+    assert CAPPED_SPECS[kind].beta_at(5, 5) == 0.0
+
+
+def test_weak_error_experiment_takes_beta_per_n():
+    spec = dataclasses.replace(sticky_spec(seed=3), phi=[0.0, 0.1], noise_values=(-0.1, 0.1),
+                               noise_probs=(0.5, 0.5), response_bound=0.25)
+    fam = FunctionFamily((0, 1), design=[[1.0, 0.0], [1.0, 1.0]])
+    params = make_params(B=0.25, V=2, m=5, n=100)
+    report = weak_error_experiment(spec, fam, params, [0.0, 0.1], [50, 400], 4)
+    betas = [spec.beta_at(5, n) for n in (50, 400)]
+    assert betas[0] < betas[1]
+    for row, beta in zip(report.rows, betas):
+        assert row["bound_beta"] == 16.0 * 0.25**2 * 2.5 * row["n"] * beta
 
 
 def per_call_draw(spec, n, replication):
