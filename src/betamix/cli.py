@@ -27,7 +27,8 @@ import sys
 
 from . import bounds, config, coupling, entropy, mixing, regression, simulate
 from .blocking import m_steps_partition
-from .errors import BetamixError, ConfigError
+from .errors import BetamixError, ConfigError, SizeError
+from .pmf import CELL_CAP
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -107,6 +108,8 @@ def _couple(doc) -> dict:
 
 def _cmd_partition(args) -> int:
     part = m_steps_partition(args.n, args.m)
+    if part.n > CELL_CAP:
+        raise SizeError(f"partition of {part.n} indices is above the listing cap {CELL_CAP}")
     part.check()
     _emit([list(b) for b in part.blocks], args.output, compact=True)
     return 0
@@ -187,10 +190,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     report = _run_experiment(args)
     _emit_report(report, args.output)
-    if not report.all_dominant:
-        sys.stderr.write("dominance violated: at least one frequency + 3*stderr exceeds its bound\n")
-        return 1
-    return 0
+    if report.all_dominant:
+        return 0
+    row = next(row for row in report.rows if not row["dominant"])
+    if "t" in row:
+        rule = f"t={row['t']!r}: frequency + 3*stderr exceeds the bound"
+    else:
+        rule = f"n={row['n']}: weak_error exceeds bound_total + 3*stderr"
+    sys.stderr.write(f"dominance violated at {rule}\n")
+    return 1
 
 
 @functools.cache

@@ -3,8 +3,9 @@ numbers, and closed-form uniform entropy estimates.
 
 Exact covering numbers are minimal internal covers found by exhaustive set
 cover (small families only); the greedy farthest-point cover provides an upper
-bound for larger families.  The closed forms are the Sauer-Shelah estimate for
-classes of bounded VC dimension and the bounded-weight network estimate.
+bound for larger families, up to ``CELL_CAP`` pairwise distances.  The closed
+forms are the Sauer-Shelah estimate for classes of bounded VC dimension and
+the bounded-weight network estimate.
 Every estimate is uniform: it bounds the log covering number at a radius for
 every sample size, so an ``EntropyEstimate`` is a function of the radius alone.
 """
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, SizeError
-from .pmf import _eq_by_value
+from .pmf import CELL_CAP, _eq_by_value
 
 EXACT_COVER_MAX_MEMBERS = 20
 # strict d < r implemented with a margin to avoid boundary flapping
@@ -48,15 +49,30 @@ class FunctionFamily:
         values = np.array(getattr(self, name), dtype=float)
         if values.ndim != 2 or values.shape[axis] != len(self.states) or values.size == 0:
             raise MalformedInputError(f"{name} {values.shape} is not a nonempty array over the states")
+        if not np.isfinite(values).all():
+            raise MalformedInputError(f"{name} values must be finite")
         object.__setattr__(self, name, values)
 
 
 def l1_distances(values: np.ndarray) -> np.ndarray:
-    """Pairwise empirical L1 seminorm distances between family members."""
+    """Pairwise empirical L1 seminorm distances between family members.
+
+    More than ``CELL_CAP`` distances raise SizeError before any is computed.
+    The differences are taken for blocks of rows of at most ``CELL_CAP`` cells
+    (one row at least); each distance is the mean of its own row of
+    differences, so the blocks do not change it.
+    """
     values = np.asarray(values, dtype=float)
+    members = len(values)
+    if members**2 > CELL_CAP:
+        raise SizeError(f"{members} members need {members**2} distance cells, above cap {CELL_CAP}")
     if values.size == 0 or not np.isfinite(values).all():
         raise MalformedInputError("a cover needs a nonempty table of finite values")
-    return np.abs(values[:, None, :] - values[None, :, :]).mean(axis=2)
+    dist = np.empty((members, members))
+    rows = max(1, CELL_CAP // values.size)
+    for i in range(0, members, rows):
+        dist[i:i + rows] = np.abs(values[i:i + rows, None, :] - values).mean(axis=2)
+    return dist
 
 
 def _closed_radius(r: float) -> float:

@@ -12,12 +12,12 @@ States come from one sampler, ``_sample_states``, which takes the first draws
 of the stream; ``generate`` adds responses to them from the draws that follow,
 except under a one-point noise law, which draws nothing.
 ``deviation_experiment`` reads only the states, so it draws them without
-responses, in stacks of max(1, STACK_DRAWS // n) replications, each still
-drawn from its own stream: the same states.  A Markov stack whose step table
-(the chain's random map, see ``_step_table``) holds at most
-``STEP_TABLE_CAP`` cells is walked by ``_walk_stack``, every path of the
-stack at once; a larger table walks each path alone.  Samples carry no laws;
-experiments ask the spec for its exact marginals once per n.
+responses, in stacks of replications, each still drawn from its own stream:
+the same states, of which the statistic reads only each path's state counts.
+A Markov stack whose step table (the chain's random map, see ``_step_table``)
+holds at most ``STEP_TABLE_CAP`` cells is walked by ``_walk_stack``, every
+path of the stack at once; a larger table walks each path alone.  Samples
+carry no laws; experiments ask the spec for its exact marginals once per n.
 """
 from __future__ import annotations
 
@@ -91,6 +91,9 @@ class GeneratorSpec:
             or self.dependence_lag < 1 or self.alphabet_size < 2
         ):
             raise MalformedInputError("m_dependent kind requires dependence_lag >= 1 and alphabet_size >= 2")
+        if self.kind == "m_dependent" and max(self.dependence_lag, self.alphabet_size) > CELL_CAP:
+            raise SizeError(f"dependence_lag and alphabet_size must be at most {CELL_CAP}, got "
+                            f"{self.dependence_lag} and {self.alphabet_size}")
         if self.kind == "iid" and self.law is None:
             raise MalformedInputError("iid kind requires a law")
         if not (abs(sum(self.noise_probs) - 1.0) <= 1e-12 and min(self.noise_probs) >= 0):
@@ -283,6 +286,18 @@ def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
     )
 
 
+def _count_means(states: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each member's mean over each path, (paths, members): sum_s counts[:, s] * table[:, s] / n over
+    the visited states, one state column at a time so that a path's means do not depend on its stack."""
+    (paths, n), k = states.shape, table.shape[1]
+    flat = (states + k * np.arange(paths)[:, None]).ravel()  # state s of path r at r * k + s
+    counts = np.bincount(flat, minlength=paths * k).reshape(paths, k)
+    total = np.zeros((paths, len(table)))
+    for s in np.flatnonzero(counts.any(axis=0)):  # an unvisited state would add only zeros
+        total += counts[:, s, None] * table[:, s]
+    return total / n
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Row-per-configuration Monte Carlo report with dominance flags."""
@@ -309,10 +324,10 @@ def deviation_experiment(
     (1-eps) * empirical mean - (1+eps) * average mean of the member over the
     sample; frequencies of {statistic >= t} are paired with the dependent-case
     deviation bound at each t on the grid.  Replications are drawn in stacks
-    of max(1, STACK_DRAWS // n), and the means of every member over several
-    replications are taken in one gather: ``table[:, states]`` lays out its
-    values as ``table[:, path]`` does for one path, so each mean adds the
-    same values in the same order.
+    of max(1, STACK_DRAWS // max(n, members, states)), so that a stack's
+    paths, state counts and member means each hold at most STACK_DRAWS cells.
+    The empirical mean is a function of each path's state counts (see
+    ``_count_means``), and each stack adds its hits per t to one counter.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -326,37 +341,22 @@ def deviation_experiment(
     avg = (laws @ table.T).mean(axis=0)  # per-member average mean
     beta = spec.beta_at(m, n)
 
-    stats = np.empty(replications)
-    size = max(1, STACK_DRAWS // n)
-    # replications per gather of (members, replications, n) values, at most STACK_DRAWS of them
-    part = max(1, STACK_DRAWS // (n * len(table)))
+    t_values = np.array(t_grid, dtype=float)
+    hits = np.zeros(len(t_values), dtype=np.int64)
+    size = max(1, STACK_DRAWS // max(n, *table.shape))
     for first in range(0, replications, size):
-        states = _stack_states(spec, n, range(first, min(first + size, replications)))
-        for i in range(0, len(states), part):
-            emp = table[:, states[i:i + part]].mean(axis=-1)  # (members, replications)
-            stats[first + i:first + i + emp.shape[1]] = (
-                (1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg[:, None]).max(axis=0)
+        emp = _count_means(_stack_states(spec, n, range(first, min(first + size, replications))), table)
+        stat = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max(axis=1)
+        hits += (stat[:, None] >= t_values).sum(axis=0)
+        del emp, stat  # no array of a stack outlives it
 
     rows = []
-    for t in t_grid:
-        hits = int((stats >= t).sum())
-        freq = hits / replications
-        se = wilson_stderr(hits, replications)
+    for t, count in zip(t_grid, hits.tolist()):
+        freq, se = count / replications, wilson_stderr(count, replications)
         bound = beta_deviation_bound(params, entropy, float(t), beta_at_m=beta)
         vacuous = bound >= 1.0
-        dominant = vacuous or freq + 3.0 * se <= bound
-        rows.append(
-            {
-                "n": n,
-                "m": m,
-                "t": float(t),
-                "frequency": freq,
-                "stderr": se,
-                "bound": bound,
-                "dominant": dominant,
-                "vacuous": vacuous,
-            }
-        )
+        rows.append({"n": n, "m": m, "t": float(t), "frequency": freq, "stderr": se, "bound": bound,
+                     "dominant": vacuous or freq + 3.0 * se <= bound, "vacuous": vacuous})
     meta = {"seed": spec.seed, "replications": replications, "beta_at_m": beta, "kind": spec.kind}
     return ExperimentReport(tuple(rows), meta)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import betamix
-from betamix.cli import _indented, main
+from betamix import simulate
+from betamix.cli import _indented, build_parser, main
 from betamix.pmf import CELL_CAP
 
 
@@ -656,6 +658,9 @@ DOMAIN_ERRORS = {
     "seed of 2**64": (
         "simulate", with_change(experiment_doc(), "generator.seed", 2**64),
         "error: seed must be in [0, 2**63), got 18446744073709551616"),
+    # a count-based mean would carry a NaN of a state that no path visits into every mean
+    "NaN family value (deviation simulate)": (
+        "simulate", with_change(experiment_doc(), "family.tables.0.1", NAN), "error: table values must be finite"),
     "NaN response bound (deviation simulate)": (
         "simulate", with_change(experiment_doc(), "generator.response_bound", NAN),
         "error: response_bound must be nonnegative"),
@@ -724,6 +729,18 @@ DOMAIN_ERRORS = {
     "horizon one past the cap": (
         "beta", dict(BETA_DOC, horizon=CELL_CAP // 2 + 1),
         f"error: horizon {CELL_CAP // 2 + 1} needs {CELL_CAP + 2} marginal cells, above cap {CELL_CAP}"),
+    # m_dependent sizes past the cap: 3e7 states used to take 40 s and 5.5 GB before exiting 1,
+    # a lag of 1e15 to die in numpy's _ArrayMemoryError traceback
+    "alphabet past the cap": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.alphabet_size", 3 * 10**7),
+        f"error: dependence_lag and alphabet_size must be at most {CELL_CAP}, got 2 and 30000000"),
+    "dependence lag of 1e15": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.dependence_lag", 10**15),
+        f"error: dependence_lag and alphabet_size must be at most {CELL_CAP}, got {10**15} and 4"),
+    # a greedy cover used to build every member's differences to every other at once
+    "greedy cover past the cap": (
+        "entropy", {"entropy": "greedy_cover", "r": 0.5, "values": [[float(i)] for i in range(1001)]},
+        f"error: 1001 members need 1002001 distance cells, above cap {CELL_CAP}"),
 }
 
 
@@ -744,3 +761,65 @@ def test_out_of_range_seed_flag_exits_one(tmp_path, capsys, command, seed):
     assert code == 1
     assert out == ""
     assert err == f"error: seed must be in [0, 2**63), got {seed}\n"
+
+
+# (arguments, message) of partitions too long to list
+LONG_PARTITIONS = {
+    "partition one past the cap": (
+        ["partition", str(CELL_CAP + 1), "3"],
+        f"error: partition of {CELL_CAP + 1} indices is above the listing cap {CELL_CAP}\n"),
+    "partition of 1e18": (
+        ["partition", str(10**18), "3"],
+        f"error: partition of {10**18} indices is above the listing cap {CELL_CAP}\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_PARTITIONS) + [
+    "alphabet past the cap", "dependence lag of 1e15", "greedy cover past the cap"])
+def test_size_errors_exit_one_before_allocating(tmp_path, capsys, case):
+    if case in LONG_PARTITIONS:
+        argv, message = LONG_PARTITIONS[case]
+    else:
+        command, doc, message = DOMAIN_ERRORS[case]
+        argv = [command, write(tmp_path, "large.json", doc)]
+    build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+    assert peak < 2**20
+
+
+def stub_report(rows):
+    report = simulate.ExperimentReport(tuple(rows), {"seed": 1, "replications": 10})
+    return lambda *args: report
+
+
+# (document, experiment, report rows, message): the first row that is not dominant is named
+FAILING_REPORTS = {
+    "deviation": (
+        experiment_doc(), "deviation_experiment",
+        [{"t": 0.3, "frequency": 0.0, "stderr": 0.01, "bound": 0.5, "dominant": True},
+         {"t": 0.4, "frequency": 0.6, "stderr": 0.02, "bound": 0.5, "dominant": False},
+         {"t": 0.5, "frequency": 0.6, "stderr": 0.02, "bound": 0.4, "dominant": False}],
+        "dominance violated at t=0.4: frequency + 3*stderr exceeds the bound\n"),
+    "weak_error": (
+        GOLDEN_DOCS["simulate-mdep-weak-error"], "weak_error_experiment",
+        [{"n": 100, "weak_error": 0.9, "stderr": 0.001, "bound_total": 0.5, "dominant": False},
+         {"n": 400, "weak_error": 0.8, "stderr": 0.001, "bound_total": 0.5, "dominant": False}],
+        "dominance violated at n=100: weak_error exceeds bound_total + 3*stderr\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING_REPORTS))
+def test_verify_names_the_rule_and_the_first_failing_row(tmp_path, capsys, monkeypatch, kind):
+    doc, experiment, rows, message = FAILING_REPORTS[kind]
+    monkeypatch.setattr(simulate, experiment, stub_report(rows))
+    code, out, err = run(capsys, ["verify", write(tmp_path, "exp.json", doc)])
+    assert code == 1
+    assert out == json.dumps({"metadata": {"seed": 1, "replications": 10}, "rows": rows}, indent=2) + "\n"
+    assert err == message

@@ -17,6 +17,7 @@ from betamix.entropy import (
     sauer_shelah_entropy,
 )
 from betamix.errors import DomainError, MalformedInputError, SizeError
+from betamix.pmf import CELL_CAP
 
 
 def test_l1_distances_hand_case():
@@ -170,3 +171,27 @@ def test_function_family_arrays_must_fit_states():
         FunctionFamily(states, design=[[1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(MalformedInputError):
         FunctionFamily(states)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_function_family_values_must_be_finite(value):
+    with pytest.raises(MalformedInputError, match="table values must be finite"):
+        FunctionFamily((0, 1), table=[[0.0, value]])
+    with pytest.raises(MalformedInputError, match="design values must be finite"):
+        FunctionFamily((0, 1), design=[[1.0, 0.0], [1.0, value]])
+
+# every shape but (5, 3) and (1000, 1) has more than CELL_CAP differences: two or more row blocks
+@pytest.mark.parametrize("members, points", [(5, 3), (100, 101), (150, 100), (20, 5000), (1000, 1), (1000, 2)])
+def test_l1_distances_in_row_blocks_equal_the_one_piece_formula(members, points):
+    rng = np.random.default_rng(members * points)
+    values = rng.standard_normal((members, points)) * 10.0 ** rng.integers(-3, 4, size=(members, 1))
+    one_piece = np.abs(values[:, None, :] - values[None, :, :]).mean(axis=2)
+    assert np.array_equal(l1_distances(values), one_piece)
+
+
+def test_covers_past_the_distance_cap_are_rejected():
+    message = f"1001 members need 1002001 distance cells, above cap {CELL_CAP}"
+    with pytest.raises(SizeError, match=message):
+        l1_distances(np.zeros((1001, 1)))
+    with pytest.raises(SizeError, match=message):
+        covering_number_greedy(np.zeros((1001, 1)), 0.5)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from betamix.cli import main
 from betamix.simulate import (
     STACK_DRAWS,
     GeneratorSpec,
+    _count_means,
     _sample_states,
     _stack_states,
     _walk_stack,
@@ -75,6 +77,23 @@ def test_marginal_laws_reject_n_past_the_cell_cap_before_allocating(kind):
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+@pytest.mark.parametrize("field", ["alphabet_size", "dependence_lag"])
+def test_m_dependent_sizes_past_the_cell_cap_are_rejected_before_allocating(field):
+    # 3e7 states used to build a 3e7-tuple and more before exiting 1, a lag of 1e15 to die in numpy
+    for size in (CELL_CAP + 1, 10**15):
+        fields = {"dependence_lag": 2, "alphabet_size": 4, field: size}
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=f"at most {CELL_CAP}, got {fields['dependence_lag']} and "
+                                                f"{fields['alphabet_size']}"):
+                GeneratorSpec(kind="m_dependent", seed=0, **fields)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert GeneratorSpec(kind="m_dependent", seed=0, dependence_lag=CELL_CAP, alphabet_size=2).states() == (0, 1)
 
 
 def test_seed_must_lie_in_the_key_range():
@@ -432,7 +451,7 @@ def per_replication_stats(spec, family, params, replications):
     for rep in range(replications):
         rng = replication_rng(spec.seed, rep)
         index = per_step_path(spec, n, rng) if spec.kind == "markov" else _sample_states(spec, n, rng)
-        emp = table[:, index].mean(axis=1)
+        emp = sum(count * table[:, s] for s, count in enumerate(np.bincount(index, minlength=table.shape[1]))) / n
         stats.append(((1.0 - eps) * emp - (1.0 + eps) * avg).max())
     return stats
 
@@ -449,8 +468,7 @@ SIGNED_FAMILY_SPECS = {
 @pytest.mark.parametrize("n, replications", [(17, 5), (1000, 45), (2000, 33)])
 @pytest.mark.parametrize("kind", sorted(SIGNED_FAMILY_SPECS))
 def test_deviation_experiment_equals_per_replication_loop(kind, n, replications, members):
-    # one member's gather is contiguous and its mean sums pairwise; more members
-    # lay the member axis innermost, and each mean sums in index order
+    # each mean adds count * value one state at a time, whatever the stack around its path
     spec = SIGNED_FAMILY_SPECS[kind]
     if kind.startswith("markov"):
         # about 40 * 39 breakpoints put LARGE_CHAIN's 40-state table above the cap
@@ -475,6 +493,42 @@ def test_deviation_experiment_equals_per_replication_loop(kind, n, replications,
         assert row == {"n": n, "m": 2, "t": t, "frequency": freq, "stderr": se, "bound": bound,
                        "dominant": bound >= 1.0 or freq + 3.0 * se <= bound, "vacuous": bound >= 1.0}
     assert report.metadata == {"seed": spec.seed, "replications": replications, "beta_at_m": beta, "kind": spec.kind}
+
+
+@given(st.integers(1, 40), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_count_means_stay_within_rounding_of_the_n_term_mean(k, n, seed):
+    # The counts mean rounds k products, k - 1 sums and one division: (k + 1) u max|f| at most.
+    # numpy's mean of one member's n values sums runs of at most 128 terms in 8 partial sums of
+    # at most 16 terms plus up to 7 terms one by one, halves longer runs and divides once:
+    # (log2 n + 26) u max|f| at most.  u is the unit roundoff, eps / 2.
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((3, k)) * 10.0 ** rng.integers(-3, 4, size=(3, 1))
+    states = rng.choice(k, size=(4, n), p=rng.dirichlet(np.full(k, 0.3)))
+    gap = (math.log2(n) + k + 27) * np.finfo(float).eps / 2 * np.abs(table).max(axis=1)
+    for path, means in zip(states, _count_means(states, table), strict=True):
+        direct = np.array([values[path].mean() for values in table])
+        assert (np.abs(means - direct) <= gap).all()
+
+
+def test_deviation_experiment_memory_does_not_grow_with_the_stacks():
+    # one statistic per replication, or a stack's paths kept while the next is drawn, would grow the peak
+    spec = chain_spec([[3, 1], [1, 3]], [1, 1], seed=5)
+    family = state_family([{0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}])
+    params = make_params(epsilon=0.1, n=1000, m=2)
+    one = STACK_DRAWS // params.n
+
+    def peak(replications):
+        tracemalloc.start()
+        try:
+            deviation_experiment(spec, family, params, finite_family_entropy(2), [0.0, 0.2], replications)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(one)  # first-call allocations
+    # replication numbers past 256 are new Python ints: a few hundred bytes, against 256 KB per stack of paths
+    assert peak(30 * one) <= peak(one) + 2**11
 
 
 def sticky_spec(seed=0):
