@@ -14,14 +14,21 @@ except under a one-point noise law, which draws nothing.
 ``deviation_experiment`` reads only the states, so it draws them without
 responses, in stacks of replications, each still drawn from its own stream:
 the same states, of which the statistic reads only each path's state counts.
-A Markov stack whose step table (the chain's random map, see ``_step_table``)
-holds at most ``STEP_TABLE_CAP`` cells is walked by ``_walk_stack``, every
-path of the stack at once; a larger table walks each path alone.  Samples
-carry no laws; experiments ask the spec for its exact marginals once per n.
+A stack's streams come from one Philox, re-keyed to (seed, replication) for
+each row.  A Markov stack whose step table (the chain's random map, see
+``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is walked by
+``_walk_stack``, every path of the stack at once: each draw is coded by its
+interval through a table over dyadic cells of [0, 1) (by binary search where a
+cell holds too many breakpoints), and the walk moves d steps per gather
+through the map composed over d steps (``_chunk_table``, built once per
+experiment, with d as large as the same cap allows).  A larger step table
+walks each path alone.  Samples carry no laws; experiments ask the spec for
+its exact marginals once per n.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -40,13 +47,38 @@ from .regression import Dataset, weak_error
 
 # draws in one stack of replications of the deviation experiment
 STACK_DRAWS = 2**15
-# the most (interval, state) cells of a step table that the stacked walk takes
+# the most (interval, state) cells of a step table that the stacked walk takes,
+# and the most cells of that table composed over d steps (see _chunk_table)
 STEP_TABLE_CAP = 2**15
+
+
+@functools.cache
+def _unused_seed() -> np.random.SeedSequence:
+    """Seeds every Philox that ``_start_stream`` then re-keys.  A new seed sequence per
+    stream would cost more than the stream's start (with only a key given, Philox builds
+    one from OS entropy), and one built at import would load numpy.random for every
+    command, sampling or not."""
+    return np.random.SeedSequence(0)
+
+
+def _start_stream(bitgen: np.random.Philox, seed: int, replication: int) -> np.random.Philox:
+    """Set ``bitgen`` to the start of the stream of (seed, replication), and return it.
+
+    The stream is Philox's with key [seed, replication], from counter 0 with no
+    draws buffered: the state in which ``Philox(key=[seed, replication])`` starts
+    for a replication below 2**63, where numpy keeps the key list integral.
+    """
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([seed, replication], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return bitgen
 
 
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
     """Counter-based stream for one replication: independent of execution order."""
-    return np.random.Generator(np.random.Philox(key=[seed, replication]))
+    return np.random.Generator(_start_stream(np.random.Philox(_unused_seed()), seed, replication))
 
 
 @dataclass(frozen=True)
@@ -172,13 +204,20 @@ def inverse_cdf(probs) -> np.ndarray:
 
 
 def _step_table(rows: tuple) -> tuple | None:
-    """The chain's random map as ``(edges, steps)``, or None above ``STEP_TABLE_CAP`` cells.
+    """The chain's random map as ``(edges, cells, steps)``, or None above ``STEP_TABLE_CAP`` cells.
 
-    ``edges`` holds every row's CDF breakpoints below 1.0, sorted.  A draw is
-    below 1.0, so its interval ``searchsorted(edges, u, side="right")`` decides
-    every comparison that ``bisect_right(rows[s], u)`` makes, and
-    ``steps[interval * k + s]`` is the next state from s.  Breakpoints are
-    gathered row by row and stop once the cap is passed.
+    The breakpoints below 1.0 of every row, sorted (``edges``), cut [0, 1) into I intervals.
+    A draw is below 1.0, so its interval ``searchsorted(edges, u, side="right")``
+    decides every comparison that ``bisect_right(rows[s], u)`` makes, and
+    ``steps[interval, s]`` is the next state from s.  ``cells = (lut, inner)``
+    reads that interval off the 2**p dyadic cells of [0, 1), 2**p the power of two
+    in (2I, 4I] (see ``_interval_codes``): ``lut[c]`` counts the breakpoints at or
+    below the cell's low end c / 2**p, and ``inner[j, c]`` is the cell's j-th
+    breakpoint strictly inside it, +inf where it has fewer.  Each row of ``inner``
+    is one more pass over the draws, so ``cells`` is None where some cell holds
+    more breakpoints than I has bits, about the steps of a binary search: a sticky
+    chain packs most of its breakpoints into the cells at 0 and 1.  Breakpoints
+    are gathered row by row and stop once the cap is passed.
     """
     k = len(rows)
     edges = set()
@@ -186,59 +225,143 @@ def _step_table(rows: tuple) -> tuple | None:
         edges.update(x for x in row if x < 1.0)
         if (len(edges) + 1) * k > STEP_TABLE_CAP:
             return None
-    edges = sorted(edges)
+    edges = np.array(sorted(edges))
     # -1.0 lies below every breakpoint: the interval below the first edge
-    steps = [bisect_right(row, x) for x in [-1.0] + edges for row in rows]
-    return np.array(edges), np.array(steps, dtype=np.intp)
+    steps = np.array([[bisect_right(row, x) for row in rows] for x in [-1.0, *edges.tolist()]], dtype=np.int32)
+    intervals = len(edges) + 1
+    size = 2 ** (intervals.bit_length() + 1)
+    # scaling by a power of two is exact: cell c holds the draws in [c / size, (c + 1) / size)
+    lut = np.searchsorted(edges, np.arange(size) / size, side="right").astype(np.int32)
+    cell = (edges * size).astype(np.intp)
+    inside = np.flatnonzero(edges * size != cell)
+    rank = inside - lut[cell[inside]]  # the place of a breakpoint among those inside its cell
+    depth = rank.max(initial=-1) + 1  # the most breakpoints inside one cell
+    if depth > intervals.bit_length():
+        return edges, None, steps
+    inner = np.full((depth, size), np.inf)
+    inner[rank, cell[inside]] = edges[inside]
+    return edges, (lut, inner), steps
 
 
-def _walk_stack(spec: GeneratorSpec, U: np.ndarray) -> np.ndarray:
+def _interval_codes(edges: np.ndarray, cells: tuple | None, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(edges, u, side="right")`` for draws u in [0, 1), from ``_step_table``'s cells.
+
+    A draw's cell is u * 2**p rounded down, exactly; its interval is ``lut`` of the
+    cell plus the cell's inner breakpoints at or below u, with no search.
+    Without cells, the search itself.
+    """
+    if cells is None:
+        return np.searchsorted(edges, u, side="right")
+    lut, inner = cells
+    cell = np.multiply(u, lut.size, out=np.empty(u.shape, dtype=np.int32), casting="unsafe")
+    codes = lut.take(cell)
+    for row in inner:
+        codes += u >= row.take(cell)
+    return codes
+
+
+def _chunk_table(spec: GeneratorSpec, n: int) -> np.ndarray | None:
+    """The chain's random map composed over d steps, or None where ``_stack_states`` walks paths alone.
+
+    Row ``code * k + s`` holds the d states visited from state s when the d draws
+    fall in intervals i_0..i_{d-1}, with code = sum_j i_j * I**j.  d is the most
+    steps whose table of I**d * k * d cells stays within ``STEP_TABLE_CAP``, and at
+    most n - 1, so that a chain with one interval stops.  At d = 1 it is the step
+    table.  The columns are built by doubling: steps a..2a-1 from state s under a
+    code are steps 0..a-1 under the code's digits from a on, from where step a-1
+    ends.
+    """
+    if spec.kind != "markov" or spec._steps is None:
+        return None
+    steps = spec._steps[2]
+    intervals, k = steps.shape
+    d = 1
+    while d < n - 1 and intervals ** (d + 1) * k * (d + 1) <= STEP_TABLE_CAP:
+        d += 1
+    columns = np.empty((d, intervals ** d * k), dtype=np.int32)  # columns[j, code * k + s]
+    columns[0].reshape(-1, intervals * k)[:] = steps.ravel()
+    done = 1
+    while done < d:
+        more = min(done, d - done)
+        # for code = hi * I**done + lo, ends[hi, lo * k + s] is where step done - 1 ends
+        ends = columns[done - 1].reshape(-1, intervals ** done * k)
+        rows = (k * np.arange(len(ends)))[:, None] + ends
+        columns[done:done + more] = columns[:more].take(rows.ravel(), axis=1)
+        done += more
+    return columns.T.copy()
+
+
+def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Indices of the Markov paths driven by the rows of the uniforms ``U``, (paths, n).
 
-    Row r is the path that ``_sample_states`` walks from the draws ``U[r]``.
-    The n-1 steps are cut into B blocks of L = isqrt(n-1), the last padded
-    with steps whose states fall past n and are dropped.  Pass 1 follows every block from every state at once
-    (L gathers over (paths, B, k)); the block starts then chain through those
-    ends (B gathers over the paths); pass 2 walks each block again from its own
-    start (L gathers over (paths, B)).
+    Row r is the path that ``_sample_states`` walks from the draws ``U[r]``.  Each
+    draw after the first is coded by its interval (``_interval_codes``), and the
+    n-1 steps are cut into N chunks of the d steps of ``visits`` (``_chunk_table``),
+    each read by one chunk code.  The N chunk steps are cut into B blocks of
+    L = isqrt(N); padding steps at the end fall past n and are dropped.  Pass 1
+    follows every block from every state at once (L gathers over (paths, B, k));
+    the block starts then chain through those ends (B gathers over the paths);
+    pass 2 walks each block again from its own start (L gathers over (paths, B),
+    each writing d states).
     """
-    edges, steps = spec._steps
+    edges, cells, steps = spec._steps
+    intervals, k = steps.shape
     paths, n = U.shape
     start = np.searchsorted(spec._start_cdf, U[:, 0], side="right")
     if n == 1:
         return start[:, None]
-    k = len(spec.states())
-    L = math.isqrt(n - 1)
-    B = -(-(n - 1) // L)
-    codes = np.zeros((paths, B * L), dtype=np.intp)
-    np.multiply(np.searchsorted(edges, U[:, 1:], side="right"), k, out=codes[:, :n - 1])
-    codes = codes.reshape(paths, B, L)
+    d = visits.shape[1]
+    chunks = -(-(n - 1) // d)
+    L = math.isqrt(chunks)
+    B = -(-chunks // L)
+    # int32 halves the per-draw arrays: a code times k stays below STEP_TABLE_CAP
+    draws = np.zeros((paths, B * L * d), dtype=np.int32)
+    draws[:, :n - 1] = _interval_codes(edges, cells, U[:, 1:])
+    # codes[r, b, j]: k times the code of chunk j of block b of path r
+    codes = draws.reshape(paths, B, L, d) @ (k * intervals ** np.arange(d, dtype=np.int32))
+    last = visits[:, -1].copy()
     # ends[r, b, s]: where block b of path r ends when it starts at state s
     ends = np.broadcast_to(np.arange(k), (paths, B, k))
     for j in range(L):
-        ends = steps[codes[:, :, j, None] + ends]
+        ends = last.take(codes[:, :, j, None] + ends)
     starts = np.empty((paths, B), dtype=np.intp)
     starts[:, 0] = start
     every = np.arange(paths)
     for b in range(B - 1):
         starts[:, b + 1] = ends[every, b, starts[:, b]]
-    out = np.empty((paths, 1 + B * L), dtype=np.intp)
+    out = np.empty((paths, 1 + B * L * d), dtype=np.intp)
     out[:, 0] = start
-    walk = out[:, 1:].reshape(paths, B, L)  # a view: only the contiguous last axis splits
+    walk = out[:, 1:].reshape(paths, B, L, d)  # a view: only the contiguous last axis splits
     state = starts
     for j in range(L):
-        state = steps[codes[:, :, j] + state]
-        walk[:, :, j] = state
+        walk[:, :, j] = visits.take(codes[:, :, j] + state, axis=0)
+        state = walk[:, :, j, -1]
     return out[:, :n]
 
 
-def _stack_states(spec: GeneratorSpec, n: int, reps: range) -> np.ndarray:
-    """The states of the replications ``reps``, one row each: those ``_sample_states`` draws."""
-    if spec.kind == "markov" and spec._steps is not None:
-        U = np.empty((len(reps), n))
-        for row, rep in zip(U, reps):
-            replication_rng(spec.seed, rep).random(out=row)
-        return _walk_stack(spec, U)
+def _stack_uniforms(seed: int, n: int, reps: range) -> np.ndarray:
+    """``replication_rng(seed, rep).random(n)`` for each rep of ``reps``, one row each.
+
+    One Philox fills every row, restarted by ``_start_stream`` for each: a new
+    Philox per row would cost most of a short row's time.
+    """
+    bitgen = np.random.Philox(_unused_seed())
+    rng = np.random.Generator(bitgen)
+    U = np.empty((len(reps), n))
+    for row, rep in zip(U, reps):
+        _start_stream(bitgen, seed, rep)
+        rng.random(out=row)
+    return U
+
+
+def _stack_states(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None) -> np.ndarray:
+    """The states of the replications ``reps``, one row each: those ``_sample_states`` draws.
+
+    ``visits`` is ``_chunk_table(spec, n)``: a Markov stack with a chunk table is
+    walked at once, and any other stack one replication at a time.
+    """
+    if visits is not None:
+        return _walk_stack(spec, visits, _stack_uniforms(spec.seed, n, reps))
     return np.stack([_sample_states(spec, n, replication_rng(spec.seed, rep)) for rep in reps])
 
 
@@ -344,8 +467,9 @@ def deviation_experiment(
     t_values = np.array(t_grid, dtype=float)
     hits = np.zeros(len(t_values), dtype=np.int64)
     size = max(1, STACK_DRAWS // max(n, *table.shape))
+    visits = _chunk_table(spec, n)
     for first in range(0, replications, size):
-        emp = _count_means(_stack_states(spec, n, range(first, min(first + size, replications))), table)
+        emp = _count_means(_stack_states(spec, n, range(first, min(first + size, replications)), visits), table)
         stat = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max(axis=1)
         hits += (stat[:, None] >= t_values).sum(axis=0)
         del emp, stat  # no array of a stack outlives it

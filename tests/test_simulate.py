@@ -18,10 +18,14 @@ from betamix import config
 from betamix.cli import main
 from betamix.simulate import (
     STACK_DRAWS,
+    STEP_TABLE_CAP,
     GeneratorSpec,
+    _chunk_table,
     _count_means,
+    _interval_codes,
     _sample_states,
     _stack_states,
+    _stack_uniforms,
     _walk_stack,
     deviation_experiment,
     generate,
@@ -388,16 +392,118 @@ def uniforms(spec, n, reps):
     return np.stack([replication_rng(spec.seed, rep).random(n) for rep in reps])
 
 
+def breakpoints(spec):
+    """The sorted CDF breakpoints below 1 of every transition row: the intervals' edges."""
+    return np.array(sorted({x for row in inverse_cdf(spec.chain.transition) for x in row if x < 1.0}))
+
+
+def chunk_steps(spec):
+    """The d of a chain with at least two intervals, for n past it: the most steps whose
+    visit table of I**d * k * d cells fits the cap."""
+    intervals, k = len(breakpoints(spec)) + 1, len(spec.states())
+    return max(d for d in range(1, 16) if intervals ** d * k * d <= STEP_TABLE_CAP)
+
+
+# breakpoints 1/4, 2/5 and 4/5 with three states: 4 intervals, chunks of 5 steps
+CHUNKED_CHAIN = chain_spec([[1, 3, 0], [2, 0, 3], [4, 1, 0]], [1, 1, 1], seed=17)
+# breakpoints .26, .27 and .28, strictly inside [1/4, 5/16), one of the 16 cells that 4 intervals get:
+# three comparisons after the cell's count, no more than the 3 bits of I = 4
+CELL_CHAIN = chain_spec([[26, 74, 0], [27, 0, 73], [28, 72, 0]], [1, 1, 1], seed=22)
+# every breakpoint lies strictly inside [9/32, 5/16), one of the 32 cells that 11 intervals get:
+# ten comparisons, more than the 4 bits of I = 11, so its draws are coded by binary search
+ONE_CELL_CHAIN = chain_spec(
+    [[3000, 1, 2, 6997], [3001, 3, 1, 6995], [2990, 4, 1, 7005], [2995, 1, 1, 7003]], [1, 2, 3, 4], seed=18
+)
+# 16 states that stay put with probability about .999: their breakpoints crowd the cells at 0 and 1
+LAZY_CHAIN = chain_spec([[45000 if i == j else (7 * i + 3 * j) % 5 + 1 for j in range(16)] for i in range(16)],
+                        [1] * 16, seed=21)
+# 20 states with every weight nonzero: hundreds of intervals, so d = 1
+DENSE_CHAIN = chain_spec([[(3 * i + 7 * j) % 11 + 1 for j in range(20)] for i in range(20)], [1] * 20, seed=19)
+ONE_STATE_CHAIN = chain_spec([[1]], [1])
+D = chunk_steps(CHUNKED_CHAIN)
+
+
 @given(markov_specs(), st.sampled_from([1, 2, 3, 17, 2000]), st.integers(0, 2**32 - 40), st.integers(1, 40))
-@example(chain_spec([[1]], [1]), 2000, 5, 3)
+@example(ONE_STATE_CHAIN, 2000, 5, 3)
+@example(CHUNKED_CHAIN, D, 5, 33)
+@example(CHUNKED_CHAIN, D + 1, 5, 33)
+@example(CHUNKED_CHAIN, 2 * D + 1, 2**32 - 40, 40)
+@example(CHUNKED_CHAIN, 2000, 0, 16)
+@example(CELL_CHAIN, 17, 3, 40)
+@example(CELL_CHAIN, 1000, 3, 32)
+@example(ONE_CELL_CHAIN, 1000, 3, 32)
+@example(LAZY_CHAIN, 1000, 3, 32)
+@example(DENSE_CHAIN, 2, 7, 40)
+@example(DENSE_CHAIN, 1000, 7, 32)
 @settings(max_examples=60, deadline=None)
 def test_stacked_walk_equals_per_step_loop(spec, n, first, count):
     reps = range(first, first + count)
     assert spec._steps is not None
-    paths = _walk_stack(spec, uniforms(spec, n, reps))
+    visits = _chunk_table(spec, n)
+    # d is the longest chunk, up to n - 1 steps, whose table fits the cap
+    intervals, k, d = len(breakpoints(spec)) + 1, len(spec.states()), visits.shape[1]
+    assert visits.shape == (intervals ** d * k, d)
+    assert d * intervals ** d * k <= STEP_TABLE_CAP
+    assert d == max(1, n - 1) or (d < n - 1 and (d + 1) * intervals ** (d + 1) * k > STEP_TABLE_CAP)
+    paths = _walk_stack(spec, visits, uniforms(spec, n, reps))
     assert paths.shape == (count, n)
     for path, rep in zip(paths, reps):
         assert np.array_equal(path, per_step_path(spec, n, replication_rng(spec.seed, rep)))
+
+
+def cell_size(spec):
+    """The number of dyadic cells of [0, 1) that the chain's intervals get: the power of two in (2I, 4I]."""
+    return 2 ** ((len(breakpoints(spec)) + 1).bit_length() + 1)
+
+
+def test_example_chains_have_the_shapes_they_stand_for():
+    assert D == 5 and chunk_steps(CELL_CHAIN) == 5 and chunk_steps(DENSE_CHAIN) == 1
+    # one more breakpoint in CELL_CHAIN's cell: four comparisons, more than the 3 bits of I = 5
+    crowded = chain_spec([[26, 74, 0, 0], [27, 0, 73, 0], [28, 0, 0, 72], [29, 71, 0, 0]], [1] * 4)
+    for spec, count, depth in [(CELL_CHAIN, 3, 3), (crowded, 4, None), (ONE_CELL_CHAIN, 10, None)]:
+        edges, size = breakpoints(spec), cell_size(spec)
+        cells = np.floor(edges * size)
+        assert len(edges) == count and (cells == cells[0]).all() and (edges * size != cells).all()
+        _, table, _ = spec._steps
+        assert (table is None) if depth is None else len(table[1]) == depth
+    # 65 and 91 breakpoints in the cells at 0 and 1 of 512, against the 8 bits of I = 157
+    assert len(breakpoints(LAZY_CHAIN)) == 156 and LAZY_CHAIN._steps[1] is None
+    assert len(DENSE_CHAIN._steps[1][1]) == 7  # within the 8 bits of I = 210
+
+
+# zero mass on the first state of a row: its breakpoint is 0.0
+ZERO_FIRST_CHAIN = chain_spec([[0, 1, 1], [1, 0, 3], [0, 2, 1]], [0, 1, 1], seed=20)
+
+
+@pytest.mark.parametrize("spec", [CHUNKED_CHAIN, CELL_CHAIN, ONE_CELL_CHAIN, LAZY_CHAIN, DENSE_CHAIN,
+                                  ZERO_FIRST_CHAIN, chain_spec([[1, 1], [1, 3]], [1, 1]), ONE_STATE_CHAIN])
+def test_interval_codes_equal_searchsorted_on_adversarial_draws(spec):
+    edges, cells, _ = spec._steps
+    assert np.array_equal(edges, breakpoints(spec))
+    size = cell_size(spec)
+    assert cells is None or cells[0].size == size
+    boundaries = np.arange(size + 1) / size
+    near = np.concatenate([edges, boundaries])
+    draws = np.concatenate([[0.0, 1.0 - 2.0**-53], near, np.nextafter(near, -1.0), np.nextafter(near, 2.0)])
+    draws = draws[(0.0 <= draws) & (draws < 1.0)]  # a draw lies in [0, 1)
+    assert 0.0 in edges or spec is not ZERO_FIRST_CHAIN
+    codes = _interval_codes(edges, cells, draws)
+    assert np.array_equal(codes, np.searchsorted(edges, draws, side="right"))
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1])
+@pytest.mark.parametrize("reps", [range(0, 3), range(2**32 - 3, 2**32)])
+@pytest.mark.parametrize("n", [1, 5, 8, 1001])
+def test_stacked_uniforms_equal_the_replication_streams(seed, reps, n):
+    U = _stack_uniforms(seed, n, reps)
+    assert U.shape == (len(reps), n)
+    for row, rep in zip(U, reps, strict=True):
+        rng = replication_rng(seed, rep)
+        assert np.array_equal(row, rng.random(n))
+        # the stream is Philox's with key [seed, rep]
+        assert np.array_equal(row, np.random.Generator(np.random.Philox(key=[seed, rep])).random(n))
+    # a row of 1, 5 or 1001 draws leaves the next row's key set mid-buffer: 4 draws per Philox block
+    assert (rng.bit_generator.state["buffer_pos"] == 4) == (n % 4 == 0)
 
 
 @st.composite
@@ -433,10 +539,18 @@ def test_states_only_draw_equals_generated_index(spec, n, rep):
 @example(LARGE_CHAIN, 3, 14, 17)
 @example(LARGE_CHAIN, 17, 14, 17)
 @example(LARGE_CHAIN, 2000, 14, 17)
+@example(ONE_STATE_CHAIN, 300, 2**32 - 40, 40)
+@example(CHUNKED_CHAIN, D, 5, 33)
+@example(CHUNKED_CHAIN, D + 1, 5, 33)
+@example(CHUNKED_CHAIN, 2 * D + 1, 5, 33)
+@example(CELL_CHAIN, 300, 3, 40)
+@example(ONE_CELL_CHAIN, 300, 3, 40)
+@example(LAZY_CHAIN, 300, 3, 40)
+@example(DENSE_CHAIN, 300, 7, 40)
 @settings(max_examples=60, deadline=None)
 def test_stacked_states_equal_one_replication_at_a_time(spec, n, first, count):
     reps = range(first, first + count)
-    states = _stack_states(spec, n, reps)
+    states = _stack_states(spec, n, reps, _chunk_table(spec, n))
     assert states.shape == (count, n)
     for row, rep in zip(states, reps):
         assert np.array_equal(row, _sample_states(spec, n, replication_rng(spec.seed, rep)))
