@@ -5,8 +5,9 @@ Every document the command line reads goes through ``Section``, whose reads rais
 missing, does not convert, names an unknown kind or has the wrong shape; an
 integer field refuses a bool and a number with a fractional part.  Range
 and mass checks stay with the objects built.  State tables map each state's
-string form to a value.  ``joint_doc``, the inverse of ``joint``, writes a
-joint's document, so that one format has one owner for reading and writing.
+string form to a value, so states that share one (0 and "0") are refused.
+``joint_doc``, the inverse of ``joint``, writes a joint's document, so that
+one format has one owner for reading and writing.
 """
 from __future__ import annotations
 
@@ -109,8 +110,14 @@ def grid(value) -> np.ndarray:
 
 
 def state_values(sec: Section, states: tuple) -> np.ndarray:
-    """A state table's values over ``states``; a missing state is a missing field."""
-    return np.array([sec.get(str(s), float) for s in states])
+    """A state table's values over ``states``; a missing state is a missing field, and two
+    states with one string form would share its entry."""
+    keys = {}
+    for s in states:
+        if str(s) in keys:
+            raise ConfigError(f"{sec.path}: states {keys[str(s)]!r} and {s!r} share the key {str(s)!r}")
+        keys[str(s)] = s
+    return np.array([sec.get(key, float) for key in keys])
 
 
 def chain(sec: Section) -> pmf.MarkovChainSpec:

@@ -18,8 +18,8 @@ A stack's streams come from one Philox, re-keyed to (seed, replication) for
 each row.  A Markov stack whose step table (the chain's random map, see
 ``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is walked by
 ``_walk_stack``, every path of the stack at once: each draw is coded by its
-interval through a table over dyadic cells of [0, 1) (by binary search where a
-cell holds too many breakpoints), and the walk moves d steps per gather
+interval through a table over dyadic cells of [0, 1) (by binary search for the
+draws in cells that a breakpoint splits), and the walk moves d steps per gather
 through the map composed over d steps (``_chunk_table``, built once per
 experiment, with d as large as the same cap allows).  A larger step table
 walks each path alone.  Samples carry no laws; experiments ask the spec for
@@ -204,20 +204,16 @@ def inverse_cdf(probs) -> np.ndarray:
 
 
 def _step_table(rows: tuple) -> tuple | None:
-    """The chain's random map as ``(edges, cells, steps)``, or None above ``STEP_TABLE_CAP`` cells.
+    """The chain's random map as ``(edges, lut, steps)``, or None above ``STEP_TABLE_CAP`` cells.
 
     The breakpoints below 1.0 of every row, sorted (``edges``), cut [0, 1) into I intervals.
     A draw is below 1.0, so its interval ``searchsorted(edges, u, side="right")``
     decides every comparison that ``bisect_right(rows[s], u)`` makes, and
-    ``steps[interval, s]`` is the next state from s.  ``cells = (lut, inner)``
-    reads that interval off the 2**p dyadic cells of [0, 1), 2**p the power of two
-    in (2I, 4I] (see ``_interval_codes``): ``lut[c]`` counts the breakpoints at or
-    below the cell's low end c / 2**p, and ``inner[j, c]`` is the cell's j-th
-    breakpoint strictly inside it, +inf where it has fewer.  Each row of ``inner``
-    is one more pass over the draws, so ``cells`` is None where some cell holds
-    more breakpoints than I has bits, about the steps of a binary search: a sticky
-    chain packs most of its breakpoints into the cells at 0 and 1.  Breakpoints
-    are gathered row by row and stop once the cap is passed.
+    ``steps[interval, s]`` is the next state from s.  ``lut`` reads that interval off
+    the 2**p dyadic cells of [0, 1), 2**p the power of two in (8I, 16I] (see
+    ``_interval_codes``): ``lut[c]`` is the interval of every draw in cell c, or -1
+    where a breakpoint lies strictly inside the cell, which is at most one cell in
+    eight.  Breakpoints are gathered row by row and stop once the cap is passed.
     """
     k = len(rows)
     edges = set()
@@ -228,35 +224,24 @@ def _step_table(rows: tuple) -> tuple | None:
     edges = np.array(sorted(edges))
     # -1.0 lies below every breakpoint: the interval below the first edge
     steps = np.array([[bisect_right(row, x) for row in rows] for x in [-1.0, *edges.tolist()]], dtype=np.int32)
-    intervals = len(edges) + 1
-    size = 2 ** (intervals.bit_length() + 1)
+    size = 2 ** ((len(edges) + 1).bit_length() + 3)
     # scaling by a power of two is exact: cell c holds the draws in [c / size, (c + 1) / size)
     lut = np.searchsorted(edges, np.arange(size) / size, side="right").astype(np.int32)
-    cell = (edges * size).astype(np.intp)
-    inside = np.flatnonzero(edges * size != cell)
-    rank = inside - lut[cell[inside]]  # the place of a breakpoint among those inside its cell
-    depth = rank.max(initial=-1) + 1  # the most breakpoints inside one cell
-    if depth > intervals.bit_length():
-        return edges, None, steps
-    inner = np.full((depth, size), np.inf)
-    inner[rank, cell[inside]] = edges[inside]
-    return edges, (lut, inner), steps
+    scaled = edges * size
+    lut[scaled[scaled != np.floor(scaled)].astype(np.intp)] = -1
+    return edges, lut, steps
 
 
-def _interval_codes(edges: np.ndarray, cells: tuple | None, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(edges, u, side="right")`` for draws u in [0, 1), from ``_step_table``'s cells.
+def _interval_codes(edges: np.ndarray, lut: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(edges, u, side="right")`` for draws u in [0, 1), from ``_step_table``'s ``lut``.
 
     A draw's cell is u * 2**p rounded down, exactly; its interval is ``lut`` of the
-    cell plus the cell's inner breakpoints at or below u, with no search.
-    Without cells, the search itself.
+    cell, and only the draws in split cells are searched.
     """
-    if cells is None:
-        return np.searchsorted(edges, u, side="right")
-    lut, inner = cells
     cell = np.multiply(u, lut.size, out=np.empty(u.shape, dtype=np.int32), casting="unsafe")
     codes = lut.take(cell)
-    for row in inner:
-        codes += u >= row.take(cell)
+    split = codes < 0
+    codes[split] = np.searchsorted(edges, u[split], side="right")
     return codes
 
 
@@ -304,7 +289,7 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
     pass 2 walks each block again from its own start (L gathers over (paths, B),
     each writing d states).
     """
-    edges, cells, steps = spec._steps
+    edges, lut, steps = spec._steps
     intervals, k = steps.shape
     paths, n = U.shape
     start = np.searchsorted(spec._start_cdf, U[:, 0], side="right")
@@ -316,7 +301,7 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
     B = -(-chunks // L)
     # int32 halves the per-draw arrays: a code times k stays below STEP_TABLE_CAP
     draws = np.zeros((paths, B * L * d), dtype=np.int32)
-    draws[:, :n - 1] = _interval_codes(edges, cells, U[:, 1:])
+    draws[:, :n - 1] = _interval_codes(edges, lut, U[:, 1:])
     # codes[r, b, j]: k times the code of chunk j of block b of path r
     codes = draws.reshape(paths, B, L, d) @ (k * intervals ** np.arange(d, dtype=np.int32))
     last = visits[:, -1].copy()
@@ -497,7 +482,8 @@ def weak_error_experiment(
 
     ``truth`` holds the true regression function's value at each generator
     state.  One row per n on the grid; the metadata carries the log-log slope
-    of the measured error over the grid for trend checks.
+    of the measured error over the grid for trend checks, None unless the grid
+    holds at least two distinct n and every error is positive.
     """
     rows = []
     for n in n_grid:
@@ -522,7 +508,7 @@ def weak_error_experiment(
             }
         )
     slope = None
-    if len(rows) > 1 and all(r["weak_error"] > 0 for r in rows):
+    if len({r["n"] for r in rows}) > 1 and all(r["weak_error"] > 0 for r in rows):
         logs_n = np.log([r["n"] for r in rows])
         logs_e = np.log([r["weak_error"] for r in rows])
         slope = float(np.polyfit(logs_n, logs_e, 1)[0])

@@ -523,6 +523,19 @@ CONFIG_ERRORS = {
         "simulate",
         with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "n_grid", [100.5, 400.5, 1600.5]),
         "n_grid: expected an integer, got 100.5"),
+    # states whose string forms collide would share every state table's entry for that string
+    "chain states sharing a key": (
+        "verify", with_change(GOLDEN_DOCS["simulate-markov"], "generator.chain.states", [0, 1, "0"]),
+        "family.tables[0]: states 0 and '0' share the key '0'"),
+    "chain states sharing a key (phi)": (
+        "simulate", with_change(with_change(GOLDEN_DOCS["simulate-markov"], "generator.chain.states", ["1", 1, 2]),
+                                "generator.phi", {"1": 0.0, "2": 1.0}),
+        "generator.phi: states '1' and 1 share the key '1'"),
+    "regress xs sharing a key": (
+        "regress",
+        {"family": {"kind": "state_table", "tables": [{"0": 0.0}, {"0": 1.0}]},
+         "xs": [0, "0", 0], "ys": [1.0, 0.0, 1.0], "B": 1.0},
+        "family.tables[0]: states 0 and '0' share the key '0'"),
 }
 
 
@@ -533,6 +546,15 @@ def test_config_error_exits_two_naming_the_field(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith(f"config error: {field}")
+
+
+def test_weak_error_grid_of_one_distinct_n_has_no_slope(tmp_path, capsys):
+    # a slope needs two distinct sample sizes; a fit through one would be noise (and a numpy warning)
+    doc = with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "n_grid", [100, 100])
+    code, out, err = run(capsys, ["verify", write(tmp_path, "one_n.json", doc)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["metadata"]["loglog_slope"] is None and [row["n"] for row in report["rows"]] == [100, 100]
 
 
 def test_integral_float_config_fields_read_as_integers(tmp_path, capsys):

@@ -406,11 +406,11 @@ def chunk_steps(spec):
 
 # breakpoints 1/4, 2/5 and 4/5 with three states: 4 intervals, chunks of 5 steps
 CHUNKED_CHAIN = chain_spec([[1, 3, 0], [2, 0, 3], [4, 1, 0]], [1, 1, 1], seed=17)
-# breakpoints .26, .27 and .28, strictly inside [1/4, 5/16), one of the 16 cells that 4 intervals get:
-# three comparisons after the cell's count, no more than the 3 bits of I = 4
+# breakpoints .26, .27 and .28, none of them dyadic, in two of the 64 cells that 4 intervals get:
+# .27 and .28 split the same cell
 CELL_CHAIN = chain_spec([[26, 74, 0], [27, 0, 73], [28, 72, 0]], [1, 1, 1], seed=22)
-# every breakpoint lies strictly inside [9/32, 5/16), one of the 32 cells that 11 intervals get:
-# ten comparisons, more than the 4 bits of I = 11, so its draws are coded by binary search
+# every breakpoint lies strictly inside [19/64, 39/128), one of the 128 cells that 11 intervals get:
+# the one split cell, holding ten breakpoints
 ONE_CELL_CHAIN = chain_spec(
     [[3000, 1, 2, 6997], [3001, 3, 1, 6995], [2990, 4, 1, 7005], [2995, 1, 1, 7003]], [1, 2, 3, 4], seed=18
 )
@@ -452,43 +452,61 @@ def test_stacked_walk_equals_per_step_loop(spec, n, first, count):
 
 
 def cell_size(spec):
-    """The number of dyadic cells of [0, 1) that the chain's intervals get: the power of two in (2I, 4I]."""
-    return 2 ** ((len(breakpoints(spec)) + 1).bit_length() + 1)
+    """The number of dyadic cells of [0, 1) that the chain's intervals get: the power of two in (8I, 16I]."""
+    return 2 ** ((len(breakpoints(spec)) + 1).bit_length() + 3)
 
 
 def test_example_chains_have_the_shapes_they_stand_for():
     assert D == 5 and chunk_steps(CELL_CHAIN) == 5 and chunk_steps(DENSE_CHAIN) == 1
-    # one more breakpoint in CELL_CHAIN's cell: four comparisons, more than the 3 bits of I = 5
-    crowded = chain_spec([[26, 74, 0, 0], [27, 0, 73, 0], [28, 0, 0, 72], [29, 71, 0, 0]], [1] * 4)
-    for spec, count, depth in [(CELL_CHAIN, 3, 3), (crowded, 4, None), (ONE_CELL_CHAIN, 10, None)]:
+    # breakpoints, split cells and the most breakpoints in one split cell
+    for spec, count, split, crowd in [(CHUNKED_CHAIN, 3, 2, 1), (CELL_CHAIN, 3, 2, 2), (ONE_CELL_CHAIN, 10, 1, 10),
+                                      (LAZY_CHAIN, 156, 6, 54), (DENSE_CHAIN, 209, 194, 2)]:
         edges, size = breakpoints(spec), cell_size(spec)
-        cells = np.floor(edges * size)
-        assert len(edges) == count and (cells == cells[0]).all() and (edges * size != cells).all()
-        _, table, _ = spec._steps
-        assert (table is None) if depth is None else len(table[1]) == depth
-    # 65 and 91 breakpoints in the cells at 0 and 1 of 512, against the 8 bits of I = 157
-    assert len(breakpoints(LAZY_CHAIN)) == 156 and LAZY_CHAIN._steps[1] is None
-    assert len(DENSE_CHAIN._steps[1][1]) == 7  # within the 8 bits of I = 210
+        _, lut, _ = spec._steps
+        assert len(edges) == count and lut.size == size
+        scaled = edges * size
+        cells = np.floor(scaled[scaled != np.floor(scaled)]).astype(np.intp)  # where non-dyadic breakpoints fall
+        assert np.array_equal(np.flatnonzero(lut == -1), np.unique(cells))
+        assert np.count_nonzero(lut == -1) == split and np.bincount(cells).max() == crowd
+        assert 8 * split <= size
+        # every other cell holds the one interval of its draws
+        whole = np.flatnonzero(lut >= 0)
+        assert np.array_equal(lut[whole], np.searchsorted(edges, whole / size, side="right"))
+    # CHUNKED_CHAIN's 1/4 is dyadic: a cell's low end, which splits no cell
+    assert 0.25 in breakpoints(CHUNKED_CHAIN)
 
 
 # zero mass on the first state of a row: its breakpoint is 0.0
 ZERO_FIRST_CHAIN = chain_spec([[0, 1, 1], [1, 0, 3], [0, 2, 1]], [0, 1, 1], seed=20)
 
 
-@pytest.mark.parametrize("spec", [CHUNKED_CHAIN, CELL_CHAIN, ONE_CELL_CHAIN, LAZY_CHAIN, DENSE_CHAIN,
-                                  ZERO_FIRST_CHAIN, chain_spec([[1, 1], [1, 3]], [1, 1]), ONE_STATE_CHAIN])
-def test_interval_codes_equal_searchsorted_on_adversarial_draws(spec):
-    edges, cells, _ = spec._steps
+def assert_codes_on_adversarial_draws(spec):
+    """The interval codes equal searchsorted on 0, 1 - 2**-53, every breakpoint and every cell's low end,
+    each also one ulp either side."""
+    edges, lut, _ = spec._steps
     assert np.array_equal(edges, breakpoints(spec))
     size = cell_size(spec)
-    assert cells is None or cells[0].size == size
+    assert lut.size == size
     boundaries = np.arange(size + 1) / size
     near = np.concatenate([edges, boundaries])
     draws = np.concatenate([[0.0, 1.0 - 2.0**-53], near, np.nextafter(near, -1.0), np.nextafter(near, 2.0)])
     draws = draws[(0.0 <= draws) & (draws < 1.0)]  # a draw lies in [0, 1)
-    assert 0.0 in edges or spec is not ZERO_FIRST_CHAIN
-    codes = _interval_codes(edges, cells, draws)
+    codes = _interval_codes(edges, lut, draws)
     assert np.array_equal(codes, np.searchsorted(edges, draws, side="right"))
+
+
+@pytest.mark.parametrize("spec", [CHUNKED_CHAIN, CELL_CHAIN, ONE_CELL_CHAIN, LAZY_CHAIN, DENSE_CHAIN,
+                                  ZERO_FIRST_CHAIN, chain_spec([[1, 1], [1, 3]], [1, 1]), ONE_STATE_CHAIN])
+def test_interval_codes_equal_searchsorted_on_adversarial_draws(spec):
+    assert 0.0 in breakpoints(spec) or spec is not ZERO_FIRST_CHAIN
+    assert_codes_on_adversarial_draws(spec)
+
+
+@given(markov_specs())
+@settings(max_examples=100, deadline=None)
+def test_interval_codes_equal_searchsorted_on_random_chains(spec):
+    # which cells are split, and so which draws are searched, depends on the chain
+    assert_codes_on_adversarial_draws(spec)
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 - 1])
