@@ -98,19 +98,21 @@ def lifted_bound(
     return min(1.0, total)
 
 
-_Z = 3.0  # the Wilson score's normal quantile
+# standard errors of Monte Carlo slack: the Wilson score's normal quantile, and the
+# multiplier of every dominance and consistency rule
+Z = 3.0
 
 
 def wilson_stderr(successes: int, trials: int) -> float:
     """Wilson-score standard error of a Monte Carlo (binomial) frequency.
 
-    Shrinks toward 1/2 with _Z**2 = 9 pseudo-counts so the error never
+    Shrinks toward 1/2 with Z**2 = 9 pseudo-counts so the error never
     collapses to zero at observed frequencies of 0 or 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    center = (successes + _Z * _Z / 2.0) / (trials + _Z * _Z)
-    return math.sqrt(center * (1.0 - center) / (trials + _Z * _Z))
+    center = (successes + Z * Z / 2.0) / (trials + Z * Z)
+    return math.sqrt(center * (1.0 - center) / (trials + Z * Z))
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ class UnionBoundReport:
 
     @property
     def consistent(self) -> bool:
-        """lhs <= rhs within three combined standard errors."""
-        slack = 3.0 * math.hypot(self.lhs_stderr, self.rhs_stderr)
+        """lhs <= rhs within Z combined standard errors."""
+        slack = Z * math.hypot(self.lhs_stderr, self.rhs_stderr)
         return self.lhs_frequency <= self.rhs_sum + slack
 
 

@@ -5,7 +5,8 @@ uniform deviation bound in entropy form, its dependent version obtained
 through the blocking lift, the weak L2-error bound with all of its proof
 constants, and the two mixing-rate corollaries.  Universal constants that the
 theory leaves unspecified (C and the variance-sandwich constant) are mandatory
-inputs and never defaulted.
+inputs and never defaulted.  A term that overflows a float is inf (``_or_inf``),
+and so is every bound it enters, except where the bound is clipped to 1.
 """
 from __future__ import annotations
 
@@ -19,6 +20,15 @@ from .blocking import euclidean, lifted_bound
 from .entropy import EntropyEstimate
 from .errors import DomainError, HypothesisViolationError
 from .mixing import MixingFit
+
+
+def _or_inf(term) -> float:
+    """The value of ``term()``, or inf where it overflows a float: a term past float
+    range is infinite, and so is the bound it enters."""
+    try:
+        return term()
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -61,10 +71,7 @@ class BoundParams:
                 f"lambda <= (3+sqrt(1+8c))/4 violated: {self.lam} > {lam_cap}"
             )
         q, _ = euclidean(self.n, self.m)
-        try:
-            size_floor = math.exp((self.c**2 - 71.0) / (4.0 * self.V))
-        except OverflowError:
-            size_floor = math.inf
+        size_floor = _or_inf(lambda: math.exp((self.c**2 - 71.0) / (4.0 * self.V)))
         if q < size_floor:
             raise HypothesisViolationError(
                 f"floor(n/m) >= exp((c^2-71)/(4V)) violated: {q} < {size_floor}"
@@ -137,10 +144,7 @@ def indep_deviation_bound(
         return 1.0
     u1, u2 = u_constants(params.c, params.gamma_prime)
     exponent = -u2 * params.epsilon * size * t / (2.0 * params.B) + entropy(u1 * t / 2.0)
-    try:
-        return (2.0 * params.gamma / (params.gamma - 1.0)) * math.exp(exponent)
-    except OverflowError:
-        return math.inf
+    return (2.0 * params.gamma / (params.gamma - 1.0)) * _or_inf(lambda: math.exp(exponent))
 
 
 def beta_deviation_bound(
@@ -189,10 +193,7 @@ def a0_constant(c: float, lam: float, size: int, V: int) -> float:
     g0, g1, _ = proof_constants(c, lam)
     t0 = t0_threshold(c, lam, size)
     x = g1 * t0
-    try:
-        return 3.0 * g0 * (math.e / x * math.log(3.0 * math.e / (2.0 * x))) ** V
-    except OverflowError:
-        return math.inf
+    return 3.0 * g0 * _or_inf(lambda: (math.e / x * math.log(3.0 * math.e / (2.0 * x))) ** V)
 
 
 def ls_deviation_bound(c: float, lam: float, V: int, n: int, m: int, t: float) -> float:
@@ -255,7 +256,9 @@ def weak_error_bound(params: BoundParams, bias: float, beta_at_m: float | None =
 
     variance = (B^2/floor(n/m)) theta0 (1 + theta1 + V (theta2 + log theta2));
     dependence price = 16 B^2 (1 + lam) n beta(m); bias enters scaled by lam.
-    Raises when the theorem's hypotheses fail, naming the violated inequality.
+    A B^2 past float range makes both terms inf, except that a zero beta(m)
+    prices nothing.  Raises when the theorem's hypotheses fail, naming the
+    violated inequality.
     """
     if not bias >= 0.0:
         raise DomainError("bias must be nonnegative")
@@ -263,10 +266,12 @@ def weak_error_bound(params: BoundParams, bias: float, beta_at_m: float | None =
     beta = _beta(params, beta_at_m)
     q, _ = euclidean(params.n, params.m)
     theta0, theta1, theta2 = theta_constants(params.c, params.lam, params.n, params.m)
-    variance = (params.B**2 / q) * theta0 * (
+    b_squared = _or_inf(lambda: params.B**2)
+    variance = (b_squared / q) * theta0 * (
         1.0 + theta1 + params.V * (theta2 + math.log(theta2))
     )
-    beta_error = 16.0 * params.B**2 * (1.0 + params.lam) * params.n * beta
+    # a zero beta is returned as it is: inf * 0 would be NaN
+    beta_error = beta and 16.0 * b_squared * (1.0 + params.lam) * params.n * beta
     return WeakErrorBreakdown(variance, beta_error, params.lam * bias)
 
 
@@ -287,7 +292,7 @@ def variance_rate_coefficient(params: BoundParams, C_sandwich: float) -> float:
     return (
         2.0
         * C_sandwich
-        * params.B**2
+        * _or_inf(lambda: params.B**2)
         * params.V
         * (math.log(math.sqrt(71.0)) + math.log(params.n))
         / ((params.lam - 1.0) * params.n)
@@ -328,13 +333,13 @@ def subexp_rate(params: BoundParams, C: float) -> float:
     if params.lam > lam_cap:
         raise HypothesisViolationError(f"lambda <= (3+sqrt(1+8 sqrt(71)))/4 violated: {params.lam} > {lam_cap}")
     a, b, g = fit.a, fit.b, fit.gamma
-    block = (2.0 * math.log(params.n) / b) ** (1.0 / g)
+    block = _or_inf(lambda: (2.0 * math.log(params.n) / b) ** (1.0 / g))
     if not 1.0 <= block <= params.n / 2.0:
         raise HypothesisViolationError(
             f"1 <= (2 log n / b)^(1/gamma) <= n/2 violated: got {block} for n={params.n}"
         )
     return (C / params.n) * (
-        params.B**2 * params.V * (1.0 + math.log(params.n)) / (params.lam - 1.0) + a
+        _or_inf(lambda: params.B**2) * params.V * (1.0 + math.log(params.n)) / (params.lam - 1.0) + a
     ) * block
 
 
@@ -351,7 +356,7 @@ def subpoly_rate(params: BoundParams, C: float) -> float:
     return (
         C
         * params.n ** (-(g - 1.0) / (g + 1.0))
-        * (params.B**2 * params.V * (1.0 + math.log(params.n)) / (params.lam - 1.0) + fit.a)
+        * (_or_inf(lambda: params.B**2) * params.V * (1.0 + math.log(params.n)) / (params.lam - 1.0) + fit.a)
     )
 
 

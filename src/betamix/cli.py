@@ -26,7 +26,7 @@ import json
 import sys
 
 from . import bounds, config, coupling, entropy, mixing, regression, simulate
-from .blocking import m_steps_partition
+from .blocking import Z, m_steps_partition
 from .errors import BetamixError, ConfigError, SizeError
 from .pmf import CELL_CAP
 
@@ -84,7 +84,7 @@ def _beta(doc) -> dict:
     source = doc.one_of(("chain", "joint", "process"))
     if source == "chain":
         chain = config.chain(doc.section("chain"))
-        m, horizon = doc.get("m", config.integer, 1), doc.get("horizon", config.integer, 64)
+        m, horizon = doc.get("m", config.integer, 1), doc.get("horizon", config.integer, mixing.HORIZON)
         return {"beta": mixing.markov_beta(chain, m, horizon=horizon), "m": m, "horizon": horizon}
     if source == "joint":
         return {"beta": mixing.beta_coefficient(config.joint(doc.section("joint")))}
@@ -194,9 +194,9 @@ def _cmd_verify(args) -> int:
         return 0
     row = next(row for row in report.rows if not row["dominant"])
     if "t" in row:
-        rule = f"t={row['t']!r}: frequency + 3*stderr exceeds the bound"
+        rule = f"t={row['t']!r}: frequency + {Z:g}*stderr exceeds the bound"
     else:
-        rule = f"n={row['n']}: weak_error exceeds bound_total + 3*stderr"
+        rule = f"n={row['n']}: weak_error exceeds bound_total + {Z:g}*stderr"
     sys.stderr.write(f"dominance violated at {rule}\n")
     return 1
 

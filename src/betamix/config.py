@@ -196,7 +196,7 @@ def law(sec: Section) -> pmf.FinitePmf:
 
 def generator(sec: Section, seed: int | None = None) -> simulate.GeneratorSpec:
     """A generator fragment; ``seed`` overrides its "seed"."""
-    kind = sec.kind("kind", ("markov", "m_dependent", "iid"))
+    kind = sec.kind("kind", simulate.GENERATOR_KINDS)
     noise = sec.section("noise") if "noise" in sec else Section({"values": [0.0], "probs": [1.0]})
     values = noise.get("values", floats(None)).tolist()
     spec = simulate.GeneratorSpec(

@@ -16,6 +16,8 @@ from .errors import DegenerateFitError, MalformedInputError, SizeError
 from .pmf import CELL_CAP, JointPmf, MarkovChainSpec
 
 MIXING_MODELS = ("subexponential", "subpolynomial")
+# the starting times that markov_beta scans unless told otherwise
+HORIZON = 64
 
 
 def beta_coefficient(joint: JointPmf) -> float:
@@ -67,7 +69,7 @@ def pairwise_beta(process: JointPmf, left: Sequence[int], right: Sequence[int]) 
     return float(_beta(process.grouped(left, right)))
 
 
-def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = 64) -> float:
+def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = HORIZON) -> float:
     """Lag-m dependence coefficient of a finite-state Markov chain.
 
     By the Markov property this is sup_n beta(sigma(Z_n), sigma(Z_{n+m})); the
@@ -119,11 +121,13 @@ class MixingFit:
             raise MalformedInputError("the subexponential model needs a rate b")
 
     def envelope(self, m) -> float:
+        """The envelope at m; a power past float range is inf, so a subexponential one reads 0."""
         m = np.asarray(m, dtype=float)
-        if self.model == "subexponential":
-            val = self.a * np.exp(-self.b * m**self.gamma)
-        else:
-            val = self.a * m ** (-self.gamma)
+        with np.errstate(over="ignore"):
+            if self.model == "subexponential":
+                val = self.a * np.exp(-self.b * m**self.gamma)
+            else:
+                val = self.a * m ** (-self.gamma)
         return float(val) if val.ndim == 0 else val
 
 

@@ -36,15 +36,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocking import wilson_stderr
+from .blocking import Z, wilson_stderr
 from .bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
-from .pmf import CELL_CAP, FinitePmf, MarkovChainSpec, _eq_by_value
+from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _eq_by_value
 from .regression import Dataset, weak_error
 
 
+GENERATOR_KINDS = ("markov", "m_dependent", "iid")
 # draws in one stack of replications of the deviation experiment
 STACK_DRAWS = 2**15
 # the most (interval, state) cells of a step table that the stacked walk takes,
@@ -91,8 +92,8 @@ class GeneratorSpec:
     ``phi`` given as its value at each of ``states()`` (zero when omitted).
     ``seed`` is an integer in [0, 2**63).
 
-    The sampling tables are built from the fields at construction and held
-    beside them, not as fields, so equality, ``repr`` and
+    The states and the sampling tables are built from the fields at
+    construction and held beside them, not as fields, so equality, ``repr`` and
     ``dataclasses.replace`` see the fields alone (and ``replace`` builds the
     tables anew).
     """
@@ -111,11 +112,13 @@ class GeneratorSpec:
     __eq__ = _eq_by_value
 
     def __post_init__(self):
-        if self.kind not in ("markov", "m_dependent", "iid"):
+        if self.kind not in GENERATOR_KINDS:
             raise MalformedInputError(f"unknown generator kind {self.kind!r}")
         # written so that a NaN fails it
         if not 0 <= self.seed < 2**63:
             raise MalformedInputError(f"seed must be in [0, 2**63), got {self.seed}")
+        if isinstance(self.seed, bool) or self.seed != int(self.seed):
+            raise MalformedInputError(f"seed must be an integer, got {self.seed!r}")
         if self.kind == "markov" and self.chain is None:
             raise MalformedInputError("markov kind requires a chain")
         if self.kind == "m_dependent" and (
@@ -128,7 +131,7 @@ class GeneratorSpec:
                             f"{self.dependence_lag} and {self.alphabet_size}")
         if self.kind == "iid" and self.law is None:
             raise MalformedInputError("iid kind requires a law")
-        if not (abs(sum(self.noise_probs) - 1.0) <= 1e-12 and min(self.noise_probs) >= 0):
+        if not (abs(sum(self.noise_probs) - 1.0) <= MASS_TOL and min(self.noise_probs) >= 0):
             raise MalformedInputError("noise_probs must be a pmf")
         if len(self.noise_values) != len(self.noise_probs):
             raise MalformedInputError("noise_values and noise_probs must have matching length")
@@ -136,7 +139,14 @@ class GeneratorSpec:
             raise MalformedInputError("noise_values must be finite")
         if self.response_bound is not None and not self.response_bound >= 0.0:
             raise MalformedInputError(f"response_bound must be nonnegative, got {self.response_bound}")
-        k = len(self.states())
+        if self.kind == "markov":
+            states = self.chain.states
+        elif self.kind == "m_dependent":
+            states = tuple(range(self.alphabet_size))
+        else:
+            states = self.law.support
+        object.__setattr__(self, "_states", states)
+        k = len(states)
         phi = np.zeros(k) if self.phi is None else np.array(self.phi, dtype=float)
         if phi.shape != (k,):
             raise MalformedInputError(f"phi needs one value per state, got shape {phi.shape}")
@@ -157,11 +167,7 @@ class GeneratorSpec:
         object.__setattr__(self, "_noise_values", np.asarray(self.noise_values, dtype=float))
 
     def states(self) -> tuple:
-        if self.kind == "markov":
-            return self.chain.states
-        if self.kind == "m_dependent":
-            return tuple(range(self.alphabet_size))
-        return self.law.support
+        return self._states
 
     def marginal_laws(self, n: int) -> np.ndarray:
         """Exact per-index laws of X_1..X_n, one row per index.
@@ -465,7 +471,7 @@ def deviation_experiment(
         bound = beta_deviation_bound(params, entropy, float(t), beta_at_m=beta)
         vacuous = bound >= 1.0
         rows.append({"n": n, "m": m, "t": float(t), "frequency": freq, "stderr": se, "bound": bound,
-                     "dominant": vacuous or freq + 3.0 * se <= bound, "vacuous": vacuous})
+                     "dominant": vacuous or freq + Z * se <= bound, "vacuous": vacuous})
     meta = {"seed": spec.seed, "replications": replications, "beta_at_m": beta, "kind": spec.kind}
     return ExperimentReport(tuple(rows), meta)
 
@@ -491,7 +497,7 @@ def weak_error_experiment(
         samples = (generate(spec, p.n, rep) for rep in range(replications))
         est = weak_error(samples, family, p.B, truth, spec.marginal_laws(p.n))
         breakdown = weak_error_bound(p, est.bias, beta_at_m=spec.beta_at(p.m, p.n))
-        dominant = est.mean <= breakdown.total + 3.0 * est.stderr
+        dominant = est.mean <= breakdown.total + Z * est.stderr
         rows.append(
             {
                 "n": int(n),
@@ -504,7 +510,7 @@ def weak_error_experiment(
                 "bound_variance": breakdown.variance_term,
                 "bound_beta": breakdown.beta_error_term,
                 "dominant": dominant,
-                "vacuous": False,
+                "vacuous": breakdown.total == math.inf,
             }
         )
     slope = None

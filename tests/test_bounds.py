@@ -224,6 +224,13 @@ def test_weak_error_bound_structure():
     assert out.beta_error_term == pytest.approx(16.0 * (1 + 1.5) * 1000 * 1e-5)
 
 
+def test_weak_error_bound_past_float_range():
+    # B**2 overflows to inf; a zero beta still prices nothing, where inf * 0 would be NaN
+    out = weak_error_bound(make_params(B=1e200, mixing=None), 0.0, beta_at_m=0.0)
+    assert out.variance_term == out.total == math.inf
+    assert out.beta_error_term == 0.0
+
+
 def test_weak_error_bound_monotonicities():
     p = make_params(n=1000, m=2, mixing=None)
     base = weak_error_bound(p, 0.01, beta_at_m=1e-5).total

@@ -628,6 +628,23 @@ FLOAT_EDGES = {
     "overflowing entropy term (finite family)": (
         "bound", dict(LARGE_BOUND_DOC, entropy_spec={"entropy": "finite", "n_members": 10**400}),
         lambda doc: doc["bound"] == 1.0),
+    # B**2 past float range used to end in an OverflowError traceback
+    "B squared past float range (weak error)": (
+        "bound", with_change(dict(BOUND_DOC, beta_at_m=0.5), "params.B", 1e200),
+        lambda doc: doc["variance_term"] == doc["beta_error_term"] == doc["total"] == math.inf),
+    "B squared past float range (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.B", 1e200), lambda doc: doc["rate"] == math.inf),
+    "B squared past float range (subpoly rate)": (
+        "bound", with_change(RATE_DOCS["subpoly_rate"], "params.B", 1e200), lambda doc: doc["rate"] == math.inf),
+    # beta is 0 at m = lag = 2, and a zero beta prices nothing even against an infinite B**2
+    "B squared past float range (verify weak error)": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "params.B", 1e200),
+        lambda doc: all(row["bound_total"] == math.inf and row["bound_beta"] == 0.0 and row["vacuous"]
+                        for row in doc["rows"])),
+    # m**gamma past float range used to make numpy warn "overflow encountered in power"
+    "envelope power past float range": (
+        "bound", with_change(with_change(LARGE_BOUND_DOC, "params.mixing.gamma", 2000.0), "params.m", 2),
+        lambda doc: doc["bound"] == 1.0),
 }
 
 
@@ -635,7 +652,8 @@ FLOAT_EDGES = {
 def test_float_edge_inputs_exit_zero(tmp_path, capsys, case):
     command, doc, expected = FLOAT_EDGES[case]
     code, out, err = run(capsys, [command, write(tmp_path, "edge.json", doc)])
-    assert code == 0, err
+    assert (code, err) == (0, "")
+    assert "NaN" not in out
     assert expected(json.loads(out))
 
 
@@ -743,6 +761,10 @@ DOMAIN_ERRORS = {
     "weak-error size floor past exp's range": (
         "bound", with_change(BOUND_DOC, "params.c", 100.0),
         "error: floor(n/m) >= exp((c^2-71)/(4V)) violated: 500 < inf"),
+    # a block power past float range used to end in an OverflowError traceback
+    "subexp block past float range": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.mixing", dict(SUBEXP, b=1e-300, gamma=0.001)),
+        "error: 1 <= (2 log n / b)^(1/gamma) <= n/2 violated: got inf for n=1000"),
     # experiments whose marginal laws pass the cell cap: 1e300 used to die in a numpy traceback
     "n of 1e300": ("verify", with_change(CRITERION7_DOC, "params.n", 1e300), f"error: n {int(1e300)} needs"),
     "n one past the cap": (

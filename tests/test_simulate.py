@@ -105,8 +105,20 @@ def test_seed_must_lie_in_the_key_range():
     for seed in (-1, 2**63, 2**64, float("nan")):
         with pytest.raises(MalformedInputError, match=r"seed must be in \[0, 2\*\*63\)"):
             GeneratorSpec(kind="iid", seed=seed, law=law)
-    for seed in (0, 2**63 - 1):
+    # a bool or a fraction used to draw the streams of seed 1
+    for seed in (1.5, True):
+        with pytest.raises(MalformedInputError, match=f"seed must be an integer, got {seed!r}"):
+            GeneratorSpec(kind="iid", seed=seed, law=law)
+    for seed in (0, 2**63 - 1, np.int64(7), 2.0):
         assert generate(GeneratorSpec(kind="iid", seed=seed, law=law), 3).index.shape == (3,)
+
+
+def test_states_are_resolved_once():
+    for spec in (GeneratorSpec(kind="markov", seed=1, chain=two_state_chain()),
+                 GeneratorSpec(kind="m_dependent", seed=1, dependence_lag=2, alphabet_size=5),
+                 GeneratorSpec(kind="iid", seed=1, law=FinitePmf((0, 1), [0.5, 0.5]))):
+        assert spec.states() is spec.states()
+        assert generate(spec, 4).states is spec.states()
 
 
 def test_generator_determinism():
