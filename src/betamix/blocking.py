@@ -170,20 +170,24 @@ def union_bound_check(
                 f"sampler({rep}) returned shape {values.shape}, avg_values has {avg_values.shape}")
         samples[rep] = values  # a copy: a sampler may reuse one buffer between calls
 
-    def stats(cols):
+    def stats(cols, size):
         # a 2-D cols stacks one block per row; advanced indexing lays the indexed
-        # axes outermost, so each block mean sums its columns in index order
-        return a * samples[:, :, cols].mean(axis=-1) + b * avg_values[:, cols].mean(axis=-1)
+        # axes outermost, so each block mean sums its columns in index order.  The
+        # sum over the last axis divided by its size is what .mean(axis=-1) computes.
+        return (a * (np.add.reduce(samples[:, :, cols], axis=-1) / size)
+                + b * (np.add.reduce(avg_values[:, cols], axis=-1) / size))
 
-    m, q, r = partition.m, partition.q, partition.r
-    block_stats = np.concatenate([stats(np.arange(r)[:, None] + m * np.arange(q + 1)),
-                                  stats(np.arange(r, m)[:, None] + m * np.arange(q))], axis=-1)
-    lhs_hits = int((stats(slice(None)).max(axis=1) >= t).sum())
+    n, m, q, r = partition.n, partition.m, partition.q, partition.r
+    block_stats = stats(np.arange(r, m)[:, None] + m * np.arange(q), q)
+    if r:  # m does not divide n: the first r blocks hold one index more
+        block_stats = np.concatenate([stats(np.arange(r)[:, None] + m * np.arange(q + 1), q + 1), block_stats],
+                                     axis=-1)
+    lhs_hits = int((stats(slice(None), n).max(axis=1) >= t).sum())
     rhs_hits = (block_stats.max(axis=1) >= t).sum(axis=0)
     lhs_freq = lhs_hits / replications
     lhs_se = wilson_stderr(lhs_hits, replications)
     rhs_freqs = rhs_hits / replications
-    rhs_ses = np.array([wilson_stderr(h, replications) for h in rhs_hits])
+    rhs_ses = np.array([wilson_stderr(h, replications) for h in rhs_hits.tolist()])
     return UnionBoundReport(
         lhs_frequency=lhs_freq,
         lhs_stderr=lhs_se,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,11 @@ class BoundParams:
             raise DomainError(f"V must be a positive integer, got {self.V}")
         if self.n < 1 or self.m < 1 or self.m > self.n:
             raise DomainError(f"need 1 <= m <= n, got n={self.n}, m={self.m}")
+        # the bounds take n as a float, and m, which is at most n
+        try:
+            float(self.n)
+        except OverflowError:
+            raise DomainError(f"n must be at most the largest float, {sys.float_info.max:g}") from None
 
     def check_weak_error_hypotheses(self) -> None:
         """Raise unless the weak-error theorem's two inequalities hold."""

@@ -3,33 +3,40 @@ experiments that test bound dominance.
 
 Three generator kinds: a finite-state Markov chain (exact lag-m dependence
 coefficients available), an m-dependent sliding-window construction built from
-independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw
-from a fixed law.  Every replication draws from its own counter-based stream
-derived from (seed, replication), so reports are bit-reproducible regardless of
-execution order.  A spec builds its sampling tables (the CDFs its draws are
-inverted through) once, when it is constructed, and every draw reads them.
-States come from one sampler, ``_sample_states``, which takes the first draws
-of the stream; ``generate`` adds responses to them from the draws that follow,
-except under a one-point noise law, which draws nothing.
-``deviation_experiment`` reads only the states, so it draws them without
-responses, in stacks of replications, each still drawn from its own stream:
-the same states, of which the statistic reads only each path's state counts.
-A stack's streams come from one Philox, re-keyed to (seed, replication) for
-each row.  A Markov stack whose step table (the chain's random map, see
+independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw from
+a fixed law.  Every replication draws from its own counter-based stream derived
+from (seed, replication), so reports are bit-reproducible regardless of
+execution order.  ``generate``, and a stack drawn one path at a time, re-key
+this thread's one Philox to that stream (``_stream``), so a call builds no
+generator; ``replication_rng`` builds a fresh one, which its caller may hold.
+A spec builds its sampling tables (the CDFs its draws are inverted through)
+once, when it is constructed, and every draw reads them.  States come from one
+sampler, ``_sample_states``, which takes the first draws of the stream;
+``generate`` adds responses to them from the draws that follow, except under a
+one-point noise law, which draws nothing.  ``deviation_experiment`` reads only
+the states, so it draws them without responses, in stacks of replications, each
+still drawn from its own stream: the same states, of which the statistic reads
+only each path's state counts.  A walked stack's uniforms come from one Philox
+built for the stack and re-keyed to (seed, replication) for each row
+(``_stack_uniforms``): one build is small against a stack's draws, and the
+thread's shared Philox moved the deviation experiment by a few per cent either
+way between measurements, as a stack's time follows the order of its large
+allocations.  A Markov stack whose step table (the chain's random map, see
 ``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is walked by
 ``_walk_stack``, every path of the stack at once: each draw is coded by its
 interval through a table over dyadic cells of [0, 1) (by binary search for the
 draws in cells that a breakpoint splits), and the walk moves d steps per gather
 through the map composed over d steps (``_chunk_table``, built once per
-experiment, with d as large as the same cap allows).  A larger step table
-walks each path alone.  Samples carry no laws; experiments ask the spec for
-its exact marginals once per n.
+experiment, with d as large as the same cap allows).  A larger step table walks
+each path alone.  Samples carry no laws; experiments ask the spec for its exact
+marginals once per n.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -78,8 +85,31 @@ def _start_stream(bitgen: np.random.Philox, seed: int, replication: int) -> np.r
 
 
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
-    """Counter-based stream for one replication: independent of execution order."""
+    """Counter-based stream for one replication: independent of execution order.
+
+    A new generator each call, which the caller may hold while drawing others.
+    """
     return np.random.Generator(_start_stream(np.random.Philox(_unused_seed()), seed, replication))
+
+
+_local = threading.local()
+
+
+def _stream(seed: int, replication: int) -> np.random.Generator:
+    """The stream of ``replication_rng(seed, replication)`` from this thread's one generator.
+
+    The generator's Philox is re-keyed by ``_start_stream`` on every call, which costs
+    a fraction of building one, so the stream is valid only until this thread's next
+    call: for draws made at once, as ``generate`` makes them.
+    """
+    try:
+        bitgen, rng = _local.pair
+    except AttributeError:
+        bitgen = np.random.Philox(_unused_seed())
+        rng = np.random.Generator(bitgen)
+        _local.pair = bitgen, rng
+    _start_stream(bitgen, seed, replication)
+    return rng
 
 
 @dataclass(frozen=True)
@@ -353,7 +383,7 @@ def _stack_states(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray |
     """
     if visits is not None:
         return _walk_stack(spec, visits, _stack_uniforms(spec.seed, n, reps))
-    return np.stack([_sample_states(spec, n, replication_rng(spec.seed, rep)) for rep in reps])
+    return np.stack([_sample_states(spec, n, _stream(spec.seed, rep)) for rep in reps])
 
 
 def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -362,14 +392,12 @@ def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.
         # the random map is evaluated only at the current state
         u = rng.random(n).tolist()
         rows = spec._row_cdfs
-
-        def walk(s):
-            yield s
-            for x in u[1:]:
-                s = bisect_right(rows[s], x)
-                yield s
-
-        return np.fromiter(walk(bisect_right(spec._start_cdf, u[0])), dtype=np.intp, count=n)
+        s = bisect_right(spec._start_cdf, u[0])
+        path = [s]
+        for x in u[1:]:
+            s = bisect_right(rows[s], x)
+            path.append(s)
+        return np.array(path, dtype=np.intp)
     if spec.kind == "m_dependent":
         k, lag = spec.alphabet_size, spec.dependence_lag
         w = rng.integers(0, k, size=n + lag - 1)
@@ -385,7 +413,7 @@ def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = replication_rng(spec.seed, replication)
+    rng = _stream(spec.seed, replication)
     index = _sample_states(spec, n, rng)
     values = spec._noise_values
     if values.size == 1:

@@ -232,11 +232,14 @@ def per_block_union_bound_check(sampler, avg_values, partition, a, b, t, replica
     )
 
 
-# (n, m, members, zero_one): r = 0 and r > 0, m = 1 and m = n, one-member float tables
+# (n, m, members, zero_one): r = 0 and r > 0, m = 1 and m = n, one-member float tables, and the
+# benchmark's n = 200, m = 5 (r = 0: one block size) beside n = 203 (r = 3), with 0/1 tables, whose
+# block means are exact, and float tables, whose block means round
 GROUPED_CASES = [
     (60, 4, 2, False), (61, 4, 2, False), (37, 1, 3, False), (37, 37, 3, False),
     (50, 7, 1, False), (48, 6, 1, False), (29, 1, 1, False), (29, 29, 1, False),
     (45, 8, 3, True), (1, 1, 1, False), (200, 20, 2, False), (200, 13, 1, False),
+    (200, 5, 2, True), (200, 5, 2, False), (203, 5, 2, True), (203, 5, 2, False),
 ]
 
 

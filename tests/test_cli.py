@@ -765,6 +765,15 @@ DOMAIN_ERRORS = {
     "subexp block past float range": (
         "bound", with_change(RATE_DOCS["subexp_rate"], "params.mixing", dict(SUBEXP, b=1e-300, gamma=0.001)),
         "error: 1 <= (2 log n / b)^(1/gamma) <= n/2 violated: got inf for n=1000"),
+    # an n past float range (JSON reads it as an exact int) used to end in an OverflowError traceback
+    "n past float range (weak error)": (
+        "bound", with_change(BOUND_DOC, "params.n", 10**400), "error: n must be at most the largest float"),
+    "n past float range (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.n", 10**400),
+        "error: n must be at most the largest float"),
+    "n past float range (subpoly rate)": (
+        "bound", with_change(RATE_DOCS["subpoly_rate"], "params.n", 10**400),
+        "error: n must be at most the largest float"),
     # experiments whose marginal laws pass the cell cap: 1e300 used to die in a numpy traceback
     "n of 1e300": ("verify", with_change(CRITERION7_DOC, "params.n", 1e300), f"error: n {int(1e300)} needs"),
     "n one past the cap": (

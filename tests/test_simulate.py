@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -670,7 +672,7 @@ def test_deviation_experiment_memory_does_not_grow_with_the_stacks():
         finally:
             tracemalloc.stop()
 
-    peak(one)  # first-call allocations
+    peak(30 * one)  # first-call allocations, made by the longer run so that both measured runs find them done
     # replication numbers past 256 are new Python ints: a few hundred bytes, against 256 KB per stack of paths
     assert peak(30 * one) <= peak(one) + 2**11
 
@@ -756,6 +758,53 @@ def test_generate_equals_per_call_reference(kind, noise):
             assert np.array_equal(data.index, index)
             assert data.ys.tobytes() == ys.tobytes()
             assert np.array_equal(_sample_states(spec, n, replication_rng(spec.seed, rep)), index)
+
+
+def shared_stream_cases():
+    """(spec, n, replication) over every kind, two seeds and three replications, ordered so that
+    each call follows one of another (seed, replication)."""
+    values, probs = NOISE_LAWS["two points"]
+    specs = [dataclasses.replace(base, seed=seed, phi=[0.1 * s for s in range(len(base.states()))],
+                                 noise_values=values, noise_probs=probs)
+             for base in REFERENCE_SPECS.values() for seed in (base.seed, 2**63 - 1)]
+    return [(spec, n, rep) for rep in (0, 5, 2**32 - 1) for n in (1, 7, 257) for spec in specs]
+
+
+def assert_drawn_from_fresh_streams(cases, datasets):
+    for case, data in zip(cases, datasets, strict=True):
+        index, ys = per_call_draw(*case)
+        assert np.array_equal(data.index, index)
+        assert data.ys.tobytes() == ys.tobytes()
+
+
+def test_interleaved_generate_calls_draw_each_replication_stream():
+    cases = shared_stream_cases()
+    assert_drawn_from_fresh_streams(cases, [generate(*case) for case in cases])
+
+
+def test_generate_from_two_threads_at_once_draws_each_replication_stream():
+    cases = shared_stream_cases()
+    orders = {"forward": cases * 3, "backward": cases[::-1] * 3}
+    datasets = {}
+    start = threading.Barrier(len(orders))
+
+    def draw(name):
+        start.wait()
+        datasets[name] = [generate(*case) for case in orders[name]]
+
+    threads = [threading.Thread(target=draw, args=(name,)) for name in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between as many draws as the interpreter allows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(datasets) == sorted(orders)
+    for name, order in orders.items():
+        assert_drawn_from_fresh_streams(order, datasets[name])
 
 
 def test_sampling_tables_are_not_fields():
