@@ -6,30 +6,25 @@ coefficients available), an m-dependent sliding-window construction built from
 independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw from
 a fixed law.  Every replication draws from its own counter-based stream derived
 from (seed, replication), so reports are bit-reproducible regardless of
-execution order.  ``generate``, and a stack drawn one path at a time, re-key
-this thread's one Philox to that stream (``_stream``), so a call builds no
-generator; ``replication_rng`` builds a fresh one, which its caller may hold.
-A spec builds its sampling tables (the CDFs its draws are inverted through)
-once, when it is constructed, and every draw reads them.  States come from one
-sampler, ``_sample_states``, which takes the first draws of the stream;
-``generate`` adds responses to them from the draws that follow, except under a
-one-point noise law, which draws nothing.  ``deviation_experiment`` reads only
-the states, so it draws them without responses, in stacks of replications, each
+execution order.  ``generate`` and every stack re-key this thread's one Philox
+to that stream (``_stream``), so a call builds no generator;
+``replication_rng`` builds a fresh one, which its caller may hold.  A spec
+builds its sampling tables (the CDFs its draws are inverted through) once, when
+it is constructed, and every draw reads them.  States come from one sampler,
+``_sample_states``, which takes the first draws of the stream; ``generate``
+adds responses to them from the draws that follow, except under a one-point
+noise law, which draws nothing.  ``deviation_experiment`` reads only the
+states, so it draws them without responses, in stacks of replications, each
 still drawn from its own stream: the same states, of which the statistic reads
-only each path's state counts.  A walked stack's uniforms come from one Philox
-built for the stack and re-keyed to (seed, replication) for each row
-(``_stack_uniforms``): one build is small against a stack's draws, and the
-thread's shared Philox moved the deviation experiment by a few per cent either
-way between measurements, as a stack's time follows the order of its large
-allocations.  A Markov stack whose step table (the chain's random map, see
-``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is walked by
-``_walk_stack``, every path of the stack at once: each draw is coded by its
-interval through a table over dyadic cells of [0, 1) (by binary search for the
-draws in cells that a breakpoint splits), and the walk moves d steps per gather
-through the map composed over d steps (``_chunk_table``, built once per
-experiment, with d as large as the same cap allows).  A larger step table walks
-each path alone.  Samples carry no laws; experiments ask the spec for its exact
-marginals once per n.
+only each path's state counts.  A Markov stack whose step table (the chain's
+random map, see ``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is
+walked by ``_walk_stack``, every path of the stack at once: each draw is coded
+by its interval through a table over dyadic cells of [0, 1) (by binary search
+for the draws in cells that a breakpoint splits), and the walk moves d steps
+per gather through the map composed over d steps (``_chunk_table``, built once
+per experiment, with d as large as the same cap allows).  A larger step table
+walks each path alone.  Samples carry no laws; experiments ask the spec for its
+exact marginals once per n.
 """
 from __future__ import annotations
 
@@ -100,7 +95,7 @@ def _stream(seed: int, replication: int) -> np.random.Generator:
 
     The generator's Philox is re-keyed by ``_start_stream`` on every call, which costs
     a fraction of building one, so the stream is valid only until this thread's next
-    call: for draws made at once, as ``generate`` makes them.
+    call: for draws made at once, as ``generate`` and each row of a stack make them.
     """
     try:
         bitgen, rng = _local.pair
@@ -361,17 +356,10 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
 
 
 def _stack_uniforms(seed: int, n: int, reps: range) -> np.ndarray:
-    """``replication_rng(seed, rep).random(n)`` for each rep of ``reps``, one row each.
-
-    One Philox fills every row, restarted by ``_start_stream`` for each: a new
-    Philox per row would cost most of a short row's time.
-    """
-    bitgen = np.random.Philox(_unused_seed())
-    rng = np.random.Generator(bitgen)
+    """``replication_rng(seed, rep).random(n)`` for each rep of ``reps``, one row each."""
     U = np.empty((len(reps), n))
     for row, rep in zip(U, reps):
-        _start_stream(bitgen, seed, rep)
-        rng.random(out=row)
+        _stream(seed, rep).random(out=row)
     return U
 
 
