@@ -43,7 +43,7 @@ from .mixing import (
     markov_beta,
 )
 from .pmf import FinitePmf, JointPmf, MarkovChainSpec
-from .regression import Dataset, fit_least_squares, loss_difference_family, truncate, weak_error
+from .regression import Dataset, fit_least_squares, loss_difference_family, truncate
 from .simulate import (
     ExperimentReport,
     GeneratorSpec,

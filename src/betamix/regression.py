@@ -2,16 +2,17 @@
 
 Covers the simulation-side regression machinery: the truncation operator,
 exhaustive / normal-equation least squares, the loss-difference family used by
-the deviation experiments, and the Monte Carlo estimate of the weak
-(average-mean squared) error of the truncated fit.  A sample carries only its
-observed states and responses; the exact marginal laws that average means need
-come from the generator, once per sample length.
+the deviation experiments, and the average-mean squared distance and family
+bias that the weak-error experiment (``simulate.weak_error_experiment``) scores
+each fit with.  A sample carries only its observed states and responses; the
+exact marginal laws that average means need come from the generator, once per
+sample length.  ``fit_least_squares`` checks a ``Dataset`` against its family
+and fits it through ``_fit``, which the experiment calls on each replication's
+arrays; ``_check_responses`` owns the response rules of both.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -47,14 +48,7 @@ class Dataset:
             raise MalformedInputError("index and ys must share a positive length")
         if index.min() < 0 or index.max() >= len(self.states):
             raise MalformedInputError(f"state indices must lie in 0..{len(self.states) - 1}")
-        if not np.isfinite(ys).all():
-            raise MalformedInputError("responses must be finite")
-        if self.response_bound is not None and not self.response_bound >= 0.0:
-            raise MalformedInputError(f"response_bound must be nonnegative, got {self.response_bound}")
-        if self.response_bound is not None and np.abs(ys).max() > self.response_bound + 1e-12:
-            raise MalformedInputError(
-                f"responses exceed the declared bound {self.response_bound}"
-            )
+        _check_responses(ys, self.response_bound)
 
     @property
     def xs(self) -> tuple:
@@ -64,6 +58,17 @@ class Dataset:
         """
         labels = np.fromiter(self.states, dtype=object, count=len(self.states))
         return tuple(labels[self.index].tolist())
+
+
+def _check_responses(ys: np.ndarray, response_bound: float | None) -> None:
+    """Finite responses, within ``response_bound`` when one is declared: what a
+    generator's tables cannot promise, since phi + noise may overflow or pass the bound."""
+    if not np.isfinite(ys).all():
+        raise MalformedInputError("responses must be finite")
+    if response_bound is not None and not response_bound >= 0.0:
+        raise MalformedInputError(f"response_bound must be nonnegative, got {response_bound}")
+    if response_bound is not None and np.abs(ys).max() > response_bound + 1e-12:
+        raise MalformedInputError(f"responses exceed the declared bound {response_bound}")
 
 
 def truncate(value, B: float):
@@ -104,16 +109,20 @@ def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> Regres
         raise DomainError("B must be positive")
     if family.states != data.states:
         raise MalformedInputError("the family and the data must share one state alphabet")
-    ys = data.ys
+    return _fit(family, data.index, data.ys, B)
+
+
+def _fit(family: FunctionFamily, index: np.ndarray, ys: np.ndarray, B: float) -> RegressionResult:
+    """``fit_least_squares`` of the sample (index, ys), with no check of the pair."""
     if family.design is not None:
-        design = family.design[data.index]
+        design = family.design[index]
         coef, ridge_used = _solve_normal(design.T @ design, design.T @ ys)
         # one basis column at a time, so each value rounds as the scalar sum
         # c_0 g_0(s) + c_1 g_1(s) + ... does (a matrix product may fuse steps)
         fitted = sum(c * column for c, column in zip(coef, family.design.T))
         risk = float(np.mean((design @ coef - ys) ** 2))
         return RegressionResult(fitted, truncate(fitted, B), risk, coefficients=coef, ridge_used=ridge_used)
-    values = family.table[:, data.index]
+    values = family.table[:, index]
     risks = ((values - ys[None, :]) ** 2).mean(axis=1)
     i = int(np.argmin(risks))
     fitted = family.table[i]
@@ -164,45 +173,3 @@ def family_bias(family: FunctionFamily, truth: np.ndarray, laws: np.ndarray, B: 
         proj = np.clip(design @ coef, -B, B)
         return float(weights @ (proj - truth) ** 2)
     return min(_average_sq_distance(truncate(row, B), truth, laws) for row in family.table)
-
-
-@dataclass(frozen=True)
-class WeakErrorEstimate:
-    """Monte Carlo estimate of the weak error of the truncated fit."""
-
-    mean: float
-    stderr: float
-    bias: float
-    replications: int
-
-
-def weak_error(
-    samples: Iterable[Dataset],
-    family: FunctionFamily,
-    B: float,
-    truth: np.ndarray,
-    laws: np.ndarray,
-) -> WeakErrorEstimate:
-    """Estimate E[average-mean |T_B fit - truth|^2] over independent samples.
-
-    ``truth`` holds the true regression function's value at each of the
-    family's states and ``laws`` the exact law of X_k over those states, one
-    row per index, as the generator gives it.  One replication per sample; the
-    bias inf over the family is computed once from ``laws``.
-    """
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (len(family.states),):
-        raise MalformedInputError("truth needs one value per state of the family")
-    laws = np.asarray(laws, dtype=float)
-    errors = []
-    for data in samples:
-        if laws.shape != (data.ys.shape[0], len(family.states)):
-            raise MalformedInputError("laws must be (n, n_states) for every sample")
-        fit = fit_least_squares(data, family, B)
-        errors.append(_average_sq_distance(fit.truncated, truth, laws))
-    if not errors:
-        raise DomainError("weak error needs at least one sample")
-    errors, replications = np.array(errors), len(errors)
-    stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-    bias = family_bias(family, truth, laws, B)
-    return WeakErrorEstimate(float(errors.mean()), stderr, bias, replications)

@@ -23,8 +23,11 @@ by its interval through a table over dyadic cells of [0, 1) (by binary search
 for the draws in cells that a breakpoint splits), and the walk moves d steps
 per gather through the map composed over d steps (``_chunk_table``, built once
 per experiment, with d as large as the same cap allows).  A larger step table
-walks each path alone.  Samples carry no laws; experiments ask the spec for its
-exact marginals once per n.
+walks each path alone.  ``weak_error_experiment`` draws each replication as
+arrays with ``_draw``, the draw that ``generate`` wraps in a ``Dataset``, and
+fits and scores those arrays itself, checking the experiment's inputs once and
+each replication's responses.  Samples carry no laws; experiments ask the spec
+for its exact marginals once per n.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
 from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _eq_by_value
-from .regression import Dataset, weak_error
+from .regression import Dataset, _average_sq_distance, _check_responses, _fit, family_bias
 
 
 GENERATOR_KINDS = ("markov", "m_dependent", "iid")
@@ -393,14 +396,12 @@ def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.
     return np.searchsorted(spec._law_cdf, rng.random(n), side="right")
 
 
-def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
-    """Draw one replication of length n from its own stream.
+def _draw(spec: GeneratorSpec, n: int, replication: int) -> tuple:
+    """(state indices, responses) of one replication of length n, from its own stream.
 
     A one-point noise law adds its value without drawing: every draw would map
     to it, and no later draw reads the stream.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
     rng = _stream(spec.seed, replication)
     index = _sample_states(spec, n, rng)
     values = spec._noise_values
@@ -408,12 +409,15 @@ def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
         noise = values[0]
     else:
         noise = values[np.searchsorted(spec._noise_cdf, rng.random(n), side="right")]
-    return Dataset(
-        states=spec.states(),
-        index=index,
-        ys=spec.phi[index] + noise,
-        response_bound=spec.response_bound,
-    )
+    return index, spec.phi[index] + noise
+
+
+def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
+    """Draw one replication of length n from its own stream, as a checked ``Dataset``."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    index, ys = _draw(spec, n, replication)
+    return Dataset(states=spec.states(), index=index, ys=ys, response_bound=spec.response_bound)
 
 
 def _count_means(states: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -503,25 +507,43 @@ def weak_error_experiment(
     """Measured weak error of the truncated fit against its closed-form bound.
 
     ``truth`` holds the true regression function's value at each generator
-    state.  One row per n on the grid; the metadata carries the log-log slope
-    of the measured error over the grid for trend checks, None unless the grid
-    holds at least two distinct n and every error is positive.
+    state.  Each replication is drawn (``_draw``), its responses checked
+    (``_check_responses``), fitted (``_fit``) and scored by its average-mean
+    squared distance to the truth under the exact laws of X_1..X_n; the bias,
+    inf over the family of that distance, is computed once per n.  One row per
+    n on the grid; the metadata carries the log-log slope of the measured error
+    over the grid for trend checks, None unless the grid holds at least two
+    distinct n and every error is positive.
     """
+    if replications < 1:
+        raise DomainError("replications must be >= 1")
+    if family.states != spec.states():
+        raise MalformedInputError("the family must be tabulated over the generator's states")
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (len(family.states),):
+        raise MalformedInputError("truth needs one value per state of the family")
     rows = []
     for n in n_grid:
         p = dataclasses.replace(params, n=int(n))
-        samples = (generate(spec, p.n, rep) for rep in range(replications))
-        est = weak_error(samples, family, p.B, truth, spec.marginal_laws(p.n))
-        breakdown = weak_error_bound(p, est.bias, beta_at_m=spec.beta_at(p.m, p.n))
-        dominant = est.mean <= breakdown.total + Z * est.stderr
+        laws = spec.marginal_laws(p.n)
+        errors = np.empty(replications)
+        for rep in range(replications):
+            index, ys = _draw(spec, p.n, rep)
+            _check_responses(ys, spec.response_bound)
+            errors[rep] = _average_sq_distance(_fit(family, index, ys, p.B).truncated, truth, laws)
+        mean = float(errors.mean())
+        stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+        bias = family_bias(family, truth, laws, p.B)
+        breakdown = weak_error_bound(p, bias, beta_at_m=spec.beta_at(p.m, p.n))
+        dominant = mean <= breakdown.total + Z * stderr
         rows.append(
             {
                 "n": int(n),
                 "m": p.m,
                 "replications": replications,
-                "weak_error": est.mean,
-                "stderr": est.stderr,
-                "bias": est.bias,
+                "weak_error": mean,
+                "stderr": stderr,
+                "bias": bias,
                 "bound_total": breakdown.total,
                 "bound_variance": breakdown.variance_term,
                 "bound_beta": breakdown.beta_error_term,

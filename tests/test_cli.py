@@ -790,6 +790,14 @@ DOMAIN_ERRORS = {
     "dependence lag of 1e15": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.dependence_lag", 10**15),
         f"error: dependence_lag and alphabet_size must be at most {CELL_CAP}, got {10**15} and 4"),
+    # the weak-error experiment checks its inputs once, before any draw
+    "no replications (verify weak error)": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "replications", 0),
+        "error: replications must be >= 1\n"),
+    # phi + noise reaches 0.2: each replication's responses are checked against the declared bound
+    "responses past the declared bound (verify weak error)": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.response_bound", 0.15),
+        "error: responses exceed the declared bound 0.15\n"),
     # a greedy cover used to build every member's differences to every other at once
     "greedy cover past the cap": (
         "entropy", {"entropy": "greedy_cover", "r": 0.5, "values": [[float(i)] for i in range(1001)]},

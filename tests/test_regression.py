@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betamix.bounds import BoundParams
 from betamix.entropy import FunctionFamily
 from betamix.errors import DomainError, MalformedInputError
 from betamix.regression import (
@@ -13,8 +14,9 @@ from betamix.regression import (
     fit_least_squares,
     loss_difference_family,
     truncate,
-    weak_error,
 )
+from betamix.pmf import FinitePmf
+from betamix.simulate import GeneratorSpec, weak_error_experiment
 
 
 def state_family(tables):
@@ -198,23 +200,11 @@ def test_family_bias_zero_when_truth_in_family():
 
 
 def test_weak_error_unbiased_noiseless_shrinks():
-    rng_tables = {0: 0.05, 1: -0.05}
-    truth = [rng_tables[s] for s in (0, 1)]
+    truth = [0.05, -0.05]
     fam = affine_span((0, 1))
-
-    # direct small simulation without the simulate module
-    def samples(n):
-        for rep in range(60):
-            rng = np.random.default_rng(1000 * n + rep)
-            xs = tuple(int(x) for x in rng.integers(0, 2, size=n))
-            ys = np.array([truth[x] for x in xs]) + rng.choice([-0.02, 0.02], size=n)
-            yield Dataset((0, 1), xs, ys)
-
-    est_small = weak_error(samples(40), fam, 0.25, truth, np.full((40, 2), 0.5))
-    est_big = weak_error(samples(640), fam, 0.25, truth, np.full((640, 2), 0.5))
-    assert est_small.bias == pytest.approx(0.0, abs=1e-12)
-    assert est_big.mean < est_small.mean
-    with pytest.raises(DomainError):
-        weak_error([], fam, 0.25, truth, np.full((40, 2), 0.5))
-    with pytest.raises(MalformedInputError):
-        weak_error(samples(40), fam, 0.25, truth, np.full((41, 2), 0.5))
+    spec = GeneratorSpec(kind="iid", seed=7, law=FinitePmf((0, 1), [0.5, 0.5]), phi=truth,
+                         noise_values=(-0.02, 0.02), noise_probs=(0.5, 0.5), response_bound=0.25)
+    params = BoundParams(epsilon=0.5, c=2.0, gamma=2.0, gamma_prime=2.0, lam=1.5, B=0.25, V=2, n=40, m=1)
+    small, big = weak_error_experiment(spec, fam, params, truth, [40, 640], 60).rows
+    assert [small["bias"], big["bias"]] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert big["weak_error"] < small["weak_error"]

@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betamix.blocking import wilson_stderr
-from betamix.bounds import BoundParams, beta_deviation_bound
+from betamix.bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from betamix.entropy import FunctionFamily, finite_family_entropy
-from betamix.errors import MalformedInputError, SizeError
+from betamix.errors import DomainError, MalformedInputError, SizeError
 from betamix.mixing import MixingFit, markov_beta
 from betamix.pmf import CELL_CAP, FinitePmf, MarkovChainSpec
-from betamix import config
+from betamix.regression import Dataset, _average_sq_distance, family_bias, fit_least_squares
+from betamix import config, simulate
 from betamix.cli import main
 from betamix.simulate import (
     STACK_DRAWS,
@@ -721,6 +722,122 @@ def test_weak_error_experiment_takes_beta_per_n():
     assert betas[0] < betas[1]
     for row, beta in zip(report.rows, betas):
         assert row["bound_beta"] == 16.0 * 0.25**2 * 2.5 * row["n"] * beta
+
+
+def per_replication_weak_error_rows(spec, family, params, truth, n_grid, replications):
+    """The weak-error rows from one checked ``Dataset`` per replication: the reference."""
+    truth = np.asarray(truth, dtype=float)
+    rows = []
+    for n in n_grid:
+        p = dataclasses.replace(params, n=n)
+        laws = spec.marginal_laws(n)
+        errors = np.array([
+            _average_sq_distance(fit_least_squares(generate(spec, n, rep), family, p.B).truncated, truth, laws)
+            for rep in range(replications)])
+        mean = float(errors.mean())
+        stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+        bias = family_bias(family, truth, laws, p.B)
+        bound = weak_error_bound(p, bias, beta_at_m=spec.beta_at(p.m, n))
+        rows.append({"n": n, "m": p.m, "replications": replications, "weak_error": mean, "stderr": stderr,
+                     "bias": bias, "bound_total": bound.total, "bound_variance": bound.variance_term,
+                     "bound_beta": bound.beta_error_term, "dominant": mean <= bound.total + 3.0 * stderr,
+                     "vacuous": bound.total == math.inf})
+    return tuple(rows)
+
+
+WEAK_ERROR_SPECS = {
+    "markov": chain_spec([[1, 0, 2], [3, 1, 0], [0, 2, 2]], [0, 1, 1], seed=41),
+    "iid": GeneratorSpec(kind="iid", seed=42, law=FinitePmf((0, 1, 2), [0.2, 0.0, 0.8])),
+    "m_dependent": GeneratorSpec(kind="m_dependent", seed=43, dependence_lag=2, alphabet_size=3),
+}
+WEAK_ERROR_FAMILIES = {
+    "affine span": FunctionFamily((0, 1, 2), design=[[1.0, float(s)] for s in range(3)]),
+    "state table": FunctionFamily((0, 1, 2), table=[[0.1, -0.05, 0.0], [0.0, 0.2, -0.2], [0.3, 0.3, 0.3]]),
+}
+
+
+def weak_error_spec(kind):
+    return dataclasses.replace(WEAK_ERROR_SPECS[kind], phi=[-0.1, 0.12, 0.02], noise_values=(-0.1, 0.1),
+                               noise_probs=(0.3, 0.7), response_bound=0.25)
+
+
+@pytest.mark.parametrize("replications", [1, 9])
+@pytest.mark.parametrize("family", sorted(WEAK_ERROR_FAMILIES))
+@pytest.mark.parametrize("kind", sorted(WEAK_ERROR_SPECS))
+def test_weak_error_experiment_equals_per_replication_loop(kind, family, replications):
+    # n = 1 leaves the affine design singular, so its fit takes the ridge
+    spec, fam = weak_error_spec(kind), WEAK_ERROR_FAMILIES[family]
+    params = make_params(B=0.25, V=2, m=1)
+    truth = [-0.1, 0.12, 0.02]
+    n_grid = [1, 17, 300]
+    report = weak_error_experiment(spec, fam, params, truth, n_grid, replications)
+    expected = per_replication_weak_error_rows(spec, fam, params, truth, n_grid, replications)
+    # repr prints each float's shortest round trip: equal text is equal bits
+    assert repr(report.rows) == repr(expected)
+    assert all(row["stderr"] == 0.0 for row in report.rows) == (replications == 1)
+    slope = report.metadata.pop("loglog_slope")
+    assert report.metadata == {"seed": spec.seed, "replications": replications}
+    errors = [row["weak_error"] for row in expected]
+    assert slope == (float(np.polyfit(np.log(n_grid), np.log(errors), 1)[0]) if min(errors) > 0 else None)
+
+
+def test_weak_error_experiment_builds_no_dataset(monkeypatch):
+    spec, fam = weak_error_spec("m_dependent"), WEAK_ERROR_FAMILIES["affine span"]
+    args = (spec, fam, make_params(B=0.25, V=2, m=1), [-0.1, 0.12, 0.02], [5, 50], 4)
+    expected = weak_error_experiment(*args)
+
+    def no_dataset(self):
+        raise AssertionError("a Dataset was built")
+
+    monkeypatch.setattr(Dataset, "__post_init__", no_dataset)
+    with pytest.raises(AssertionError, match="a Dataset was built"):
+        generate(spec, 5)
+    assert weak_error_experiment(*args) == expected
+
+
+def no_draw(*args):
+    raise AssertionError("drawn before the experiment's inputs were checked")
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"replications": 0}, DomainError, "replications must be >= 1"),
+    ({"family": FunctionFamily((0, 1, 3), design=[[1.0, 0.0], [1.0, 1.0], [1.0, 3.0]])},
+     MalformedInputError, "the family must be tabulated over the generator's states"),
+    ({"truth": [0.0, 0.1]}, MalformedInputError, "truth needs one value per state of the family"),
+])
+def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
+    args = dict(spec=weak_error_spec("iid"), family=WEAK_ERROR_FAMILIES["affine span"],
+                params=make_params(B=0.25, V=2, m=1), truth=[-0.1, 0.12, 0.02], n_grid=[5], replications=3)
+    monkeypatch.setattr(simulate, "_draw", no_draw)
+    with pytest.raises(error, match=f"^{message}$"):
+        weak_error_experiment(**dict(args, **change))
+
+
+@pytest.mark.parametrize("bad, message", [(1.0, "responses exceed the declared bound 0.25"),
+                                          (math.inf, "responses must be finite")])
+def test_weak_error_experiment_checks_the_responses_of_every_replication(monkeypatch, bad, message):
+    spec = weak_error_spec("markov")
+    draw = simulate._draw
+
+    def last_one_bad(spec, n, rep):
+        index, ys = draw(spec, n, rep)
+        if (n, rep) == (40, 5):
+            ys[-1] = bad
+        return index, ys
+
+    monkeypatch.setattr(simulate, "_draw", last_one_bad)
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        weak_error_experiment(spec, WEAK_ERROR_FAMILIES["state table"], make_params(B=0.25, V=2, m=1),
+                              [-0.1, 0.12, 0.02], [10, 40], 6)
+
+
+def test_weak_error_experiment_rejects_responses_past_float_range():
+    spec = GeneratorSpec(kind="iid", seed=44, law=FinitePmf((0, 1), [0.5, 0.5]), phi=[1e308, 0.0],
+                         noise_values=(1e308,), noise_probs=(1.0,))
+    family = FunctionFamily((0, 1), design=[[1.0, 0.0], [1.0, 1.0]])
+    # the sum overflows to inf; numpy's overflow warning is silenced so that the check is what raises
+    with np.errstate(over="ignore"), pytest.raises(MalformedInputError, match="^responses must be finite$"):
+        weak_error_experiment(spec, family, make_params(B=0.25, V=2, m=1), [0.0, 0.0], [50], 2)
 
 
 def per_call_draw(spec, n, replication):
