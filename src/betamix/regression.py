@@ -6,9 +6,13 @@ the deviation experiments, and the average-mean squared distance and family
 bias that the weak-error experiment (``simulate.weak_error_experiment``) scores
 each fit with.  A sample carries only its observed states and responses; the
 exact marginal laws that average means need come from the generator, once per
-sample length.  ``fit_least_squares`` checks a ``Dataset`` against its family
-and fits it through ``_fit``, which the experiment calls on each replication's
-arrays; ``_check_responses`` owns the response rules of both.
+sample length.  ``_fit`` fits a stack of samples at once, a linear span by one
+batched solve of every sample's normal equations (with the ridge only for the
+singular ones), a finite family by one argmin over every member's risk on every
+sample; each sample's fit has the bits of its fit alone.  The weak-error
+experiment calls it on each stack of replications; ``fit_least_squares`` checks
+a ``Dataset`` against its family, fits it as a stack of one and adds its
+empirical risk.  ``_check_responses`` owns the response rules of both.
 """
 from __future__ import annotations
 
@@ -60,15 +64,30 @@ class Dataset:
         return tuple(labels[self.index].tolist())
 
 
+def _broken_response_rule(ys: np.ndarray, response_bound: float | None) -> str | None:
+    """The message of the first response rule that ``ys`` breaks, or None if it keeps them all."""
+    if not np.isfinite(ys).all():
+        return "responses must be finite"
+    if response_bound is not None:
+        if not response_bound >= 0.0:
+            return f"response_bound must be nonnegative, got {response_bound}"
+        if not np.abs(ys).max() <= response_bound + 1e-12:
+            return f"responses exceed the declared bound {response_bound}"
+    return None
+
+
 def _check_responses(ys: np.ndarray, response_bound: float | None) -> None:
     """Finite responses, within ``response_bound`` when one is declared: what a
-    generator's tables cannot promise, since phi + noise may overflow or pass the bound."""
-    if not np.isfinite(ys).all():
-        raise MalformedInputError("responses must be finite")
-    if response_bound is not None and not response_bound >= 0.0:
-        raise MalformedInputError(f"response_bound must be nonnegative, got {response_bound}")
-    if response_bound is not None and np.abs(ys).max() > response_bound + 1e-12:
-        raise MalformedInputError(f"responses exceed the declared bound {response_bound}")
+    generator's tables cannot promise, since phi + noise may overflow or pass the bound.
+
+    ``ys`` is one sample, or a stack of one sample per row; the whole stack is checked
+    at once, and only if it fails is the first failing row found, to name its rule."""
+    if _broken_response_rule(ys, response_bound) is None:
+        return
+    for row in np.atleast_2d(ys):
+        message = _broken_response_rule(row, response_bound)
+        if message is not None:
+            raise MalformedInputError(message)
 
 
 def truncate(value, B: float):
@@ -103,30 +122,47 @@ def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> Regres
 
     Finite families are searched exhaustively with lexicographic tie-break;
     linear spans are solved by normal equations, falling back to a small ridge
-    when the design is singular.
+    when the design is singular.  The sample is fitted by ``_fit`` as a stack of one.
     """
     if not B > 0.0:
         raise DomainError("B must be positive")
     if family.states != data.states:
         raise MalformedInputError("the family and the data must share one state alphabet")
-    return _fit(family, data.index, data.ys, B)
-
-
-def _fit(family: FunctionFamily, index: np.ndarray, ys: np.ndarray, B: float) -> RegressionResult:
-    """``fit_least_squares`` of the sample (index, ys), with no check of the pair."""
+    fitted, found, detail = _fit(family, data.index[None], data.ys[None])
     if family.design is not None:
-        design = family.design[index]
-        coef, ridge_used = _solve_normal(design.T @ design, design.T @ ys)
+        risk = float(np.mean((family.design[data.index] @ found[0] - data.ys) ** 2))
+        return RegressionResult(fitted[0], truncate(fitted[0], B), risk, coefficients=found[0],
+                                ridge_used=bool(detail[0]))
+    i = int(found[0])
+    return RegressionResult(fitted[0], truncate(fitted[0], B), float(detail[i, 0]), member_index=i)
+
+
+def _fit(family: FunctionFamily, index: np.ndarray, ys: np.ndarray) -> tuple:
+    """Least-squares fits of the samples (index, ys), one per row, with no check of them.
+
+    Returns the fitted values over the family's states, one row per sample, and for
+    a linear span the coefficients and whether each fit took the ridge, or for a
+    finite family the chosen members and every (member, sample) empirical risk.  A
+    span's normal equations are built and solved for the whole stack at once; if any
+    is singular, each is solved again by ``_solve_normal``, so the ridge goes only to
+    the singular ones.  Each sample's numbers are those of its fit alone.
+    """
+    if family.design is not None:
+        design = family.design.take(index, axis=0)  # (samples, n, basis)
+        dt = design.transpose(0, 2, 1)
+        gram, rhs = dt @ design, dt @ ys[..., None]
+        try:
+            coef, ridge = np.linalg.solve(gram, rhs)[..., 0], np.zeros(len(ys), dtype=bool)
+        except np.linalg.LinAlgError:
+            solved = [_solve_normal(g, r) for g, r in zip(gram, rhs)]
+            coef, ridge = np.stack([c[:, 0] for c, _ in solved]), np.array([used for _, used in solved])
         # one basis column at a time, so each value rounds as the scalar sum
         # c_0 g_0(s) + c_1 g_1(s) + ... does (a matrix product may fuse steps)
-        fitted = sum(c * column for c, column in zip(coef, family.design.T))
-        risk = float(np.mean((design @ coef - ys) ** 2))
-        return RegressionResult(fitted, truncate(fitted, B), risk, coefficients=coef, ridge_used=ridge_used)
-    values = family.table[:, index]
-    risks = ((values - ys[None, :]) ** 2).mean(axis=1)
-    i = int(np.argmin(risks))
-    fitted = family.table[i]
-    return RegressionResult(fitted, truncate(fitted, B), float(risks[i]), member_index=i)
+        fitted = sum(c[:, None] * column for c, column in zip(coef.T, family.design.T))
+        return fitted, coef, ridge
+    risks = ((family.table[:, index] - ys) ** 2).mean(axis=2)  # (members, samples)
+    members = risks.argmin(axis=0)
+    return family.table[members], members, risks
 
 
 def loss_difference_family(

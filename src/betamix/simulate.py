@@ -10,24 +10,29 @@ execution order.  ``generate`` and every stack re-key this thread's one Philox
 to that stream (``_stream``), so a call builds no generator;
 ``replication_rng`` builds a fresh one, which its caller may hold.  A spec
 builds its sampling tables (the CDFs its draws are inverted through) once, when
-it is constructed, and every draw reads them.  States come from one sampler,
-``_sample_states``, which takes the first draws of the stream; ``generate``
-adds responses to them from the draws that follow, except under a one-point
-noise law, which draws nothing.  ``deviation_experiment`` reads only the
-states, so it draws them without responses, in stacks of replications, each
-still drawn from its own stream: the same states, of which the statistic reads
-only each path's state counts.  A Markov stack whose step table (the chain's
-random map, see ``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is
-walked by ``_walk_stack``, every path of the stack at once: each draw is coded
-by its interval through a table over dyadic cells of [0, 1) (by binary search
-for the draws in cells that a breakpoint splits), and the walk moves d steps
-per gather through the map composed over d steps (``_chunk_table``, built once
-per experiment, with d as large as the same cap allows).  A larger step table
-walks each path alone.  ``weak_error_experiment`` draws each replication as
-arrays with ``_draw``, the draw that ``generate`` wraps in a ``Dataset``, and
-fits and scores those arrays itself, checking the experiment's inputs once and
-each replication's responses.  Samples carry no laws; experiments ask the spec
-for its exact marginals once per n.
+it is constructed, and every draw reads them.  Every draw goes through one
+sampler: ``_stack_draws`` fills a stack of replications, each row from its own
+stream, first with its states' draws (``_path_draws``) and then, when responses
+are wanted, with its noise draws; ``_paths`` maps the stack's state draws at
+once (i.i.d. states by one searchsorted, m-dependent window sums by one integer
+cumulative sum, Markov paths as below).  ``_draw`` adds responses (noise values
+by one searchsorted, phi + noise by one add), except under a one-point noise
+law, which draws nothing.  ``generate`` is ``_draw``'s stack of one, wrapped in
+a ``Dataset``; ``_sample_states`` maps the draws of one given stream.
+``deviation_experiment`` reads only the states, so its stacks draw no
+responses: the same states, of which the statistic reads only each path's state
+counts.  A Markov stack whose step table (the chain's random map, see
+``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is walked by
+``_walk_stack``, every path of the stack at once: each draw is coded by its
+interval through a table over dyadic cells of [0, 1) (by binary search for the
+draws in cells that a breakpoint splits), and the walk moves d steps per gather
+through the map composed over d steps (``_chunk_table``, built once per
+experiment and n, with d as large as the same cap allows).  A larger step table
+walks each path alone.  ``weak_error_experiment`` draws (``_draw``),
+checks and fits its replications in stacks of at most ``STACK_DRAWS`` cells,
+fitting each stack with ``regression._fit``, and scores each fit on its own.
+Samples carry no laws; experiments ask the spec for its exact marginals once
+per n.
 """
 from __future__ import annotations
 
@@ -47,11 +52,11 @@ from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
 from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _eq_by_value
-from .regression import Dataset, _average_sq_distance, _check_responses, _fit, family_bias
+from .regression import Dataset, _average_sq_distance, _check_responses, _fit, family_bias, truncate
 
 
 GENERATOR_KINDS = ("markov", "m_dependent", "iid")
-# draws in one stack of replications of the deviation experiment
+# cells in one stack of replications of the deviation and weak-error experiments
 STACK_DRAWS = 2**15
 # the most (interval, state) cells of a step table that the stacked walk takes,
 # and the most cells of that table composed over d steps (see _chunk_table)
@@ -193,6 +198,11 @@ class GeneratorSpec:
             object.__setattr__(self, "_law_cdf", inverse_cdf(self.law.probs))
         object.__setattr__(self, "_noise_cdf", inverse_cdf(self.noise_probs))
         object.__setattr__(self, "_noise_values", np.asarray(self.noise_values, dtype=float))
+        # a one-point noise law draws nothing, so its responses are phi plus its value, added
+        # once here; a sum past the float range is inf, which the draw's response check rejects
+        with np.errstate(over="ignore"):
+            point = phi + self._noise_values[0] if len(self.noise_values) == 1 else None
+        object.__setattr__(self, "_point_responses", point)
 
     def states(self) -> tuple:
         return self._states
@@ -280,7 +290,7 @@ def _interval_codes(edges: np.ndarray, lut: np.ndarray, u: np.ndarray) -> np.nda
 
 
 def _chunk_table(spec: GeneratorSpec, n: int) -> np.ndarray | None:
-    """The chain's random map composed over d steps, or None where ``_stack_states`` walks paths alone.
+    """The chain's random map composed over d steps, or None where ``_paths`` walks paths alone.
 
     Row ``code * k + s`` holds the d states visited from state s when the d draws
     fall in intervals i_0..i_{d-1}, with code = sum_j i_j * I**j.  d is the most
@@ -358,66 +368,99 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
     return out[:, :n]
 
 
-def _stack_uniforms(seed: int, n: int, reps: range) -> np.ndarray:
-    """``replication_rng(seed, rep).random(n)`` for each rep of ``reps``, one row each."""
-    U = np.empty((len(reps), n))
-    for row, rep in zip(U, reps):
-        _stream(seed, rep).random(out=row)
-    return U
+def _path_draws(spec: GeneratorSpec, n: int, paths: int) -> np.ndarray:
+    """An empty stack for the first draws of ``paths`` streams, those that a path of
+    length n reads: n uniforms per row, or for the m_dependent kind n + lag - 1 window seeds."""
+    if spec.kind == "m_dependent":
+        return np.empty((paths, n + spec.dependence_lag - 1), dtype=np.int64)
+    return np.empty((paths, n))
 
 
-def _stack_states(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None) -> np.ndarray:
-    """The states of the replications ``reps``, one row each: those ``_sample_states`` draws.
+def _fill_path_draws(spec: GeneratorSpec, rng: np.random.Generator, row: np.ndarray) -> None:
+    """Fill ``row``, one row of ``_path_draws``, with the first draws of ``rng``."""
+    if spec.kind == "m_dependent":
+        row[:] = rng.integers(0, spec.alphabet_size, size=row.size)
+    else:
+        rng.random(out=row)
 
-    ``visits`` is ``_chunk_table(spec, n)``: a Markov stack with a chunk table is
-    walked at once, and any other stack one replication at a time.
+
+def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) -> np.ndarray:
+    """Indices into ``spec.states()`` of the paths that the rows of ``draws`` (``_path_draws``) drive.
+
+    A Markov stack is walked at once when ``visits`` (``_chunk_table``) is given, and
+    path by path otherwise, the random map evaluated only at the current state.  The
+    m_dependent window sums are integers, so one cumulative sum over the stack takes
+    them exactly.
     """
-    if visits is not None:
-        return _walk_stack(spec, visits, _stack_uniforms(spec.seed, n, reps))
-    return np.stack([_sample_states(spec, n, _stream(spec.seed, rep)) for rep in reps])
+    if spec.kind == "markov":
+        if visits is not None:
+            return _walk_stack(spec, visits, draws)
+        start, rows = spec._start_cdf, spec._row_cdfs
+        paths = []
+        for u in draws.tolist():
+            s = bisect_right(start, u[0])
+            path = [s]
+            for x in u[1:]:
+                s = bisect_right(rows[s], x)
+                path.append(s)
+            paths.append(path)
+        return np.array(paths, dtype=np.intp)
+    if spec.kind == "m_dependent":
+        lag = spec.dependence_lag
+        sums = np.zeros((len(draws), draws.shape[1] + 1), dtype=np.int64)
+        np.cumsum(draws, axis=1, out=sums[:, 1:])
+        return (sums[:, lag:] - sums[:, :-lag]) % spec.alphabet_size
+    return np.searchsorted(spec._law_cdf, draws, side="right")
+
+
+def _stack_draws(spec: GeneratorSpec, n: int, reps: range, noise: np.ndarray | None = None) -> np.ndarray:
+    """The first draws of the streams of ``reps``, one ``_path_draws`` row each.
+
+    Each row's stream is ``_stream(spec.seed, rep)``: its states' draws fill the row,
+    and, when ``noise`` (len(reps), n) is given, its next n uniforms fill that row of it.
+    """
+    draws = _path_draws(spec, n, len(reps))
+    for row, rep in enumerate(reps):
+        rng = _stream(spec.seed, rep)
+        _fill_path_draws(spec, rng, draws[row])
+        if noise is not None:
+            rng.random(out=noise[row])
+    return draws
 
 
 def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into ``spec.states()`` of one sampled path of length n."""
-    if spec.kind == "markov":
-        # the random map is evaluated only at the current state
-        u = rng.random(n).tolist()
-        rows = spec._row_cdfs
-        s = bisect_right(spec._start_cdf, u[0])
-        path = [s]
-        for x in u[1:]:
-            s = bisect_right(rows[s], x)
-            path.append(s)
-        return np.array(path, dtype=np.intp)
-    if spec.kind == "m_dependent":
-        k, lag = spec.alphabet_size, spec.dependence_lag
-        w = rng.integers(0, k, size=n + lag - 1)
-        return np.convolve(w, np.ones(lag, dtype=int), mode="valid") % k
-    return np.searchsorted(spec._law_cdf, rng.random(n), side="right")
+    draws = _path_draws(spec, n, 1)
+    _fill_path_draws(spec, rng, draws[0])
+    return _paths(spec, draws, None)[0]
 
 
-def _draw(spec: GeneratorSpec, n: int, replication: int) -> tuple:
-    """(state indices, responses) of one replication of length n, from its own stream.
+def _draw(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None = None) -> tuple:
+    """(state indices, responses) of the replications ``reps``, one row each, each from its own stream.
 
-    A one-point noise law adds its value without drawing: every draw would map
-    to it, and no later draw reads the stream.
+    Each row takes its states' draws and then n noise uniforms from its stream
+    (``_stack_draws``); the stack is then mapped at once: paths by ``_paths`` (walked
+    with ``visits`` when given), noise values by one searchsorted, responses by one
+    add.  A one-point noise law draws nothing: every draw would map to its value,
+    and no later draw reads the stream, so the responses are read from phi plus that
+    value, added when the spec was built.  phi + noise may overflow to inf, which
+    ``_check_responses`` rejects, so numpy's overflow warning is not raised.
     """
-    rng = _stream(spec.seed, replication)
-    index = _sample_states(spec, n, rng)
-    values = spec._noise_values
-    if values.size == 1:
-        noise = values[0]
-    else:
-        noise = values[np.searchsorted(spec._noise_cdf, rng.random(n), side="right")]
-    return index, spec.phi[index] + noise
+    u = None if spec._point_responses is not None else np.empty((len(reps), n))
+    index = _paths(spec, _stack_draws(spec, n, reps, u), visits)
+    if u is None:
+        return index, spec._point_responses.take(index)
+    noise = spec._noise_values.take(np.searchsorted(spec._noise_cdf, u, side="right"))
+    with np.errstate(over="ignore"):
+        return index, spec.phi.take(index) + noise
 
 
 def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
-    """Draw one replication of length n from its own stream, as a checked ``Dataset``."""
+    """Draw one replication of length n from its own stream, as a checked ``Dataset``: ``_draw``'s stack of one."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    index, ys = _draw(spec, n, replication)
-    return Dataset(states=spec.states(), index=index, ys=ys, response_bound=spec.response_bound)
+    index, ys = _draw(spec, n, range(replication, replication + 1))
+    return Dataset(states=spec.states(), index=index[0], ys=ys[0], response_bound=spec.response_bound)
 
 
 def _count_means(states: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -480,7 +523,8 @@ def deviation_experiment(
     size = max(1, STACK_DRAWS // max(n, *table.shape))
     visits = _chunk_table(spec, n)
     for first in range(0, replications, size):
-        emp = _count_means(_stack_states(spec, n, range(first, min(first + size, replications)), visits), table)
+        reps = range(first, min(first + size, replications))
+        emp = _count_means(_paths(spec, _stack_draws(spec, n, reps), visits), table)
         stat = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max(axis=1)
         hits += (stat[:, None] >= t_values).sum(axis=0)
         del emp, stat  # no array of a stack outlives it
@@ -507,13 +551,17 @@ def weak_error_experiment(
     """Measured weak error of the truncated fit against its closed-form bound.
 
     ``truth`` holds the true regression function's value at each generator
-    state.  Each replication is drawn (``_draw``), its responses checked
-    (``_check_responses``), fitted (``_fit``) and scored by its average-mean
-    squared distance to the truth under the exact laws of X_1..X_n; the bias,
-    inf over the family of that distance, is computed once per n.  One row per
-    n on the grid; the metadata carries the log-log slope of the measured error
-    over the grid for trend checks, None unless the grid holds at least two
-    distinct n and every error is positive.
+    state.  For each n the replications are drawn (``_draw``), their responses
+    checked (``_check_responses``) and fitted (``_fit``) in stacks, each holding
+    at most ``STACK_DRAWS`` cells of the largest per-replication array: the
+    fit's design columns or member risks, the fitted values, the draws.  Each
+    fit is then truncated and scored by its average-mean squared distance to the
+    truth under the exact laws of X_1..X_n, each replication with the same
+    numbers as if it were fitted alone.  The bias, inf over the family of that
+    distance, is computed once per n.  One row per n on the grid; the metadata
+    carries the log-log slope of the measured error over the grid for trend
+    checks, None unless the grid holds at least two distinct n and every error
+    is positive.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -522,15 +570,22 @@ def weak_error_experiment(
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (len(family.states),):
         raise MalformedInputError("truth needs one value per state of the family")
+    # cells per replication: its fit's design columns or member risks, its fitted values, its draws
+    width = family.table.shape[0] if family.design is None else family.design.shape[1]
     rows = []
     for n in n_grid:
         p = dataclasses.replace(params, n=int(n))
         laws = spec.marginal_laws(p.n)
+        visits = _chunk_table(spec, p.n)
+        size = max(1, STACK_DRAWS // max(p.n * width, len(truth), _path_draws(spec, p.n, 0).shape[1]))
         errors = np.empty(replications)
-        for rep in range(replications):
-            index, ys = _draw(spec, p.n, rep)
+        for first in range(0, replications, size):
+            reps = range(first, min(first + size, replications))
+            index, ys = _draw(spec, p.n, reps, visits)
             _check_responses(ys, spec.response_bound)
-            errors[rep] = _average_sq_distance(_fit(family, index, ys, p.B).truncated, truth, laws)
+            for rep, values in zip(reps, truncate(_fit(family, index, ys)[0], p.B)):
+                errors[rep] = _average_sq_distance(values, truth, laws)
+            del index, ys  # no array of a stack outlives it
         mean = float(errors.mean())
         stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
         bias = family_bias(family, truth, laws, p.B)

@@ -692,6 +692,12 @@ DOMAIN_ERRORS = {
         "regress", {"xs": [0, 1, 0, 1], "ys": [0.1, 5.0, 0.2, 0.0], "response_bound": NAN,
                     "family": {"kind": "affine_span"}, "B": 1.0},
         "error: response_bound must be nonnegative"),
+    # phi + noise past the float range: the check names it, with no overflow warning before it
+    "responses past float range (verify)": (
+        "verify", with_change(with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.phi",
+                                          {str(s): 1e308 for s in range(4)}),
+                              "generator.noise", {"values": [1e308], "probs": [1.0]}),
+        "error: responses must be finite"),
     "negative seed": (
         "simulate", with_change(experiment_doc(), "generator.seed", -1),
         "error: seed must be in [0, 2**63), got -1"),

@@ -16,7 +16,7 @@ from betamix.entropy import FunctionFamily, finite_family_entropy
 from betamix.errors import DomainError, MalformedInputError, SizeError
 from betamix.mixing import MixingFit, markov_beta
 from betamix.pmf import CELL_CAP, FinitePmf, MarkovChainSpec
-from betamix.regression import Dataset, _average_sq_distance, family_bias, fit_least_squares
+from betamix.regression import RIDGE, Dataset, _average_sq_distance, _fit, family_bias
 from betamix import config, simulate
 from betamix.cli import main
 from betamix.simulate import (
@@ -26,9 +26,9 @@ from betamix.simulate import (
     _chunk_table,
     _count_means,
     _interval_codes,
+    _paths,
     _sample_states,
-    _stack_states,
-    _stack_uniforms,
+    _stack_draws,
     _walk_stack,
     deviation_experiment,
     generate,
@@ -332,8 +332,11 @@ class _StubRng:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        return np.full(size, self.u)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.u)
+        out[:] = self.u
+        return out
 
 
 def test_draws_near_one_stay_on_the_alphabet():
@@ -528,15 +531,21 @@ def test_interval_codes_equal_searchsorted_on_random_chains(spec):
 @pytest.mark.parametrize("reps", [range(0, 3), range(2**32 - 3, 2**32)])
 @pytest.mark.parametrize("n", [1, 5, 8, 1001])
 def test_stacked_uniforms_equal_the_replication_streams(seed, reps, n):
-    U = _stack_uniforms(seed, n, reps)
+    # an i.i.d. stack draws n uniforms per row for its states, then n for its noise
+    spec = GeneratorSpec(kind="iid", seed=seed, law=FinitePmf((0, 1), [0.5, 0.5]))
+    noise = np.empty((len(reps), n))
+    U = _stack_draws(spec, n, reps, noise)
     assert U.shape == (len(reps), n)
-    for row, rep in zip(U, reps, strict=True):
+    assert np.array_equal(U, _stack_draws(spec, n, reps))
+    for row, noise_row, rep in zip(U, noise, reps, strict=True):
         rng = replication_rng(seed, rep)
         assert np.array_equal(row, rng.random(n))
+        assert np.array_equal(noise_row, rng.random(n))
         # the stream is Philox's with key [seed, rep]
-        assert np.array_equal(row, np.random.Generator(np.random.Philox(key=[seed, rep])).random(n))
-    # a row of 1, 5 or 1001 draws leaves the next row's key set mid-buffer: 4 draws per Philox block
-    assert (rng.bit_generator.state["buffer_pos"] == 4) == (n % 4 == 0)
+        assert np.array_equal(np.concatenate([row, noise_row]),
+                              np.random.Generator(np.random.Philox(key=[seed, rep])).random(2 * n))
+    # 2n draws for n = 1, 5 or 1001 leave the next row's key set mid-buffer: 4 draws per Philox block
+    assert (rng.bit_generator.state["buffer_pos"] == 4) == (2 * n % 4 == 0)
 
 
 @st.composite
@@ -583,7 +592,7 @@ def test_states_only_draw_equals_generated_index(spec, n, rep):
 @settings(max_examples=60, deadline=None)
 def test_stacked_states_equal_one_replication_at_a_time(spec, n, first, count):
     reps = range(first, first + count)
-    states = _stack_states(spec, n, reps, _chunk_table(spec, n))
+    states = _paths(spec, _stack_draws(spec, n, reps), _chunk_table(spec, n))
     assert states.shape == (count, n)
     for row, rep in zip(states, reps):
         assert np.array_equal(row, _sample_states(spec, n, replication_rng(spec.seed, rep)))
@@ -724,16 +733,31 @@ def test_weak_error_experiment_takes_beta_per_n():
         assert row["bound_beta"] == 16.0 * 0.25**2 * 2.5 * row["n"] * beta
 
 
+def per_sample_fit(family, index, ys, B):
+    """The truncated least-squares fit of one sample, its normal equations built and solved alone: the reference."""
+    if family.design is not None:
+        design = family.design[index]
+        gram, rhs = design.T @ design, design.T @ ys
+        try:
+            coef = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            coef = np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), rhs)
+        fitted = sum(c * column for c, column in zip(coef, family.design.T))
+    else:
+        risks = ((family.table[:, index] - ys[None, :]) ** 2).mean(axis=1)
+        fitted = family.table[int(np.argmin(risks))]
+    return np.clip(fitted, -B, B)
+
+
 def per_replication_weak_error_rows(spec, family, params, truth, n_grid, replications):
-    """The weak-error rows from one checked ``Dataset`` per replication: the reference."""
+    """The weak-error rows from one ``per_call_draw`` and one ``per_sample_fit`` per replication: the reference."""
     truth = np.asarray(truth, dtype=float)
     rows = []
     for n in n_grid:
         p = dataclasses.replace(params, n=n)
         laws = spec.marginal_laws(n)
-        errors = np.array([
-            _average_sq_distance(fit_least_squares(generate(spec, n, rep), family, p.B).truncated, truth, laws)
-            for rep in range(replications)])
+        errors = np.array([_average_sq_distance(per_sample_fit(family, *per_call_draw(spec, n, rep), p.B), truth, laws)
+                           for rep in range(replications)])
         mean = float(errors.mean())
         stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
         bias = family_bias(family, truth, laws, p.B)
@@ -781,6 +805,24 @@ def test_weak_error_experiment_equals_per_replication_loop(kind, family, replica
     assert slope == (float(np.polyfit(np.log(n_grid), np.log(errors), 1)[0]) if min(errors) > 0 else None)
 
 
+@pytest.mark.parametrize("family", sorted(WEAK_ERROR_FAMILIES))
+@pytest.mark.parametrize("kind", sorted(WEAK_ERROR_SPECS))
+def test_weak_error_experiment_equals_per_replication_loop_across_stacks(kind, family):
+    spec, fam = weak_error_spec(kind), WEAK_ERROR_FAMILIES[family]
+    params = make_params(B=0.25, V=2, m=1)
+    truth = [-0.1, 0.12, 0.02]
+    replications = 120
+    # at n = 300 each replication's fit holds 2 design columns or 3 member risks per point: 3 or 4 stacks
+    width = 2 if fam.design is not None else 3
+    assert STACK_DRAWS // (300 * width) < replications // 2
+    if fam.design is not None:
+        # at n = 3 some paths of the one stack visit a single state: only their systems are singular and take the ridge
+        _, _, ridge = _fit(fam, *simulate._draw(spec, 3, range(replications)))
+        assert 0 < ridge.sum() < replications
+    report = weak_error_experiment(spec, fam, params, truth, [3, 300], replications)
+    assert repr(report.rows) == repr(per_replication_weak_error_rows(spec, fam, params, truth, [3, 300], replications))
+
+
 def test_weak_error_experiment_builds_no_dataset(monkeypatch):
     spec, fam = weak_error_spec("m_dependent"), WEAK_ERROR_FAMILIES["affine span"]
     args = (spec, fam, make_params(B=0.25, V=2, m=1), [-0.1, 0.12, 0.02], [5, 50], 4)
@@ -813,31 +855,73 @@ def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, c
         weak_error_experiment(**dict(args, **change))
 
 
+def spoil_draws(monkeypatch, n, bad):
+    """Patch the experiment's draw so that at length n the last response of each replication in ``bad``
+    becomes its value there; returns the list of the stacks drawn at n."""
+    draw, stacks = simulate._draw, []
+
+    def spoiled(spec, length, reps, visits=None):
+        index, ys = draw(spec, length, reps, visits)
+        if length == n:
+            stacks.append(reps)
+            for rep, value in bad.items():
+                if rep in reps:
+                    ys[reps.index(rep), -1] = value
+        return index, ys
+
+    monkeypatch.setattr(simulate, "_draw", spoiled)
+    return stacks
+
+
 @pytest.mark.parametrize("bad, message", [(1.0, "responses exceed the declared bound 0.25"),
                                           (math.inf, "responses must be finite")])
 def test_weak_error_experiment_checks_the_responses_of_every_replication(monkeypatch, bad, message):
     spec = weak_error_spec("markov")
-    draw = simulate._draw
-
-    def last_one_bad(spec, n, rep):
-        index, ys = draw(spec, n, rep)
-        if (n, rep) == (40, 5):
-            ys[-1] = bad
-        return index, ys
-
-    monkeypatch.setattr(simulate, "_draw", last_one_bad)
+    stacks = spoil_draws(monkeypatch, 40, {5: bad})  # only the last replication of the last n
     with pytest.raises(MalformedInputError, match=f"^{message}$"):
         weak_error_experiment(spec, WEAK_ERROR_FAMILIES["state table"], make_params(B=0.25, V=2, m=1),
                               [-0.1, 0.12, 0.02], [10, 40], 6)
+    assert stacks == [range(6)]
+
+
+@pytest.mark.parametrize("bad, message", [({2: 1.0, 4: math.inf}, "responses exceed the declared bound 0.25"),
+                                          ({2: math.nan, 4: 1.0}, "responses must be finite")])
+def test_weak_error_experiment_names_the_first_failing_replication_of_a_stack(monkeypatch, bad, message):
+    stacks = spoil_draws(monkeypatch, 40, bad)
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        weak_error_experiment(weak_error_spec("m_dependent"), WEAK_ERROR_FAMILIES["affine span"],
+                              make_params(B=0.25, V=2, m=1), [-0.1, 0.12, 0.02], [40], 6)
+    assert stacks == [range(6)]  # both in one stack
 
 
 def test_weak_error_experiment_rejects_responses_past_float_range():
+    # the sum overflows to inf with no overflow warning: the check is what raises
     spec = GeneratorSpec(kind="iid", seed=44, law=FinitePmf((0, 1), [0.5, 0.5]), phi=[1e308, 0.0],
                          noise_values=(1e308,), noise_probs=(1.0,))
     family = FunctionFamily((0, 1), design=[[1.0, 0.0], [1.0, 1.0]])
-    # the sum overflows to inf; numpy's overflow warning is silenced so that the check is what raises
-    with np.errstate(over="ignore"), pytest.raises(MalformedInputError, match="^responses must be finite$"):
+    with pytest.raises(MalformedInputError, match="^responses must be finite$"):
         weak_error_experiment(spec, family, make_params(B=0.25, V=2, m=1), [0.0, 0.0], [50], 2)
+
+
+def test_weak_error_experiment_memory_does_not_grow_with_the_stacks():
+    # a stack's draws or designs kept while the next is drawn would grow the peak
+    spec, fam = weak_error_spec("m_dependent"), WEAK_ERROR_FAMILIES["affine span"]
+    params = make_params(B=0.25, V=2, m=1)
+    n = 16384
+    one = STACK_DRAWS // (2 * n)  # replications in one stack, two design columns per point: one
+
+    def peak(spec, replications):
+        tracemalloc.start()
+        try:
+            weak_error_experiment(spec, fam, params, [-0.1, 0.12, 0.02], [n], replications)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # first-call allocations, made by the longer run from another seed (see the deviation twin above)
+    peak(dataclasses.replace(spec, seed=45), 30 * one)
+    # each replication keeps one error, 8 bytes: 240 bytes here, against 256 KB per stack of designs
+    assert peak(spec, 30 * one) <= peak(spec, one) + 2**11
 
 
 def per_call_draw(spec, n, replication):
