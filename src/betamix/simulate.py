@@ -6,19 +6,17 @@ coefficients available), an m-dependent sliding-window construction built from
 independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw from
 a fixed law.  Every replication draws from its own counter-based stream derived
 from (seed, replication), so reports are bit-reproducible regardless of
-execution order.  ``generate`` and every stack re-key this thread's one Philox
-to that stream (``_stream``), so a call builds no generator;
-``replication_rng`` builds a fresh one, which its caller may hold.  A spec
-builds its sampling tables (the CDFs its draws are inverted through) once, when
-it is constructed, and every draw reads them.  Every draw goes through one
-sampler: ``_stack_draws`` fills a stack of replications, each row from its own
-stream, first with its states' draws (``_path_draws``) and then, when responses
-are wanted, with its noise draws; ``_paths`` maps the stack's state draws at
-once (i.i.d. states by one searchsorted, m-dependent window sums by one integer
-cumulative sum, Markov paths as below).  ``_draw`` adds responses (noise values
-by one searchsorted, phi + noise by one add), except under a one-point noise
-law, which draws nothing.  ``generate`` is ``_draw``'s stack of one, wrapped in
-a ``Dataset``; ``_sample_states`` maps the draws of one given stream.
+execution order; ``_stream`` starts it, re-keying this thread's one Philox, so
+no draw builds a generator.  A spec builds its sampling tables (the CDFs its
+draws are inverted through) once, when it is constructed, and every draw reads
+them.  Every draw goes through one sampler: ``_stack_draws`` fills a stack of
+replications, each row from its own stream, first with its states' draws
+(``_path_draws``) and then, when responses are wanted, with its noise draws;
+``_paths`` maps the stack's state draws at once (i.i.d. states by one
+searchsorted, m-dependent window sums by one integer cumulative sum, Markov
+paths as below).  ``_draw`` adds responses (noise values by one searchsorted,
+phi + noise by one add), except under a one-point noise law, which draws
+nothing.  ``generate`` is ``_draw``'s stack of one, wrapped in a ``Dataset``.
 ``deviation_experiment`` reads only the states, so its stacks draw no
 responses: the same states, of which the statistic reads only each path's state
 counts.  A Markov stack whose step table (the chain's random map, see
@@ -37,7 +35,6 @@ per n.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import threading
 from bisect import bisect_right
@@ -63,55 +60,31 @@ STACK_DRAWS = 2**15
 STEP_TABLE_CAP = 2**15
 
 
-@functools.cache
-def _unused_seed() -> np.random.SeedSequence:
-    """Seeds every Philox that ``_start_stream`` then re-keys.  A new seed sequence per
-    stream would cost more than the stream's start (with only a key given, Philox builds
-    one from OS entropy), and one built at import would load numpy.random for every
-    command, sampling or not."""
-    return np.random.SeedSequence(0)
+_local = threading.local()
 
 
-def _start_stream(bitgen: np.random.Philox, seed: int, replication: int) -> np.random.Philox:
-    """Set ``bitgen`` to the start of the stream of (seed, replication), and return it.
+def _stream(seed: int, replication: int) -> np.random.Generator:
+    """Counter-based stream for one replication, independent of execution order: Philox's
+    with key [seed, replication], from counter 0 with no draws buffered, the state in which
+    ``Philox(key=[seed, replication])`` starts for a replication below 2**63, where numpy
+    keeps the key list integral.
 
-    The stream is Philox's with key [seed, replication], from counter 0 with no
-    draws buffered: the state in which ``Philox(key=[seed, replication])`` starts
-    for a replication below 2**63, where numpy keeps the key list integral.
+    This thread's one Philox is re-keyed to it on every call, at a fraction of the cost of
+    building one, so the stream is valid only until the thread's next call.  That Philox is
+    built on first use, so that importing the module does not load numpy.random; every
+    re-key overwrites its seed (with only a key given, Philox would seed from OS entropy).
     """
+    try:
+        bitgen, rng = _local.pair
+    except AttributeError:
+        bitgen = np.random.Philox(0)
+        rng = np.random.Generator(bitgen)
+        _local.pair = bitgen, rng
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([seed, replication], dtype=np.uint64)},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    return bitgen
-
-
-def replication_rng(seed: int, replication: int) -> np.random.Generator:
-    """Counter-based stream for one replication: independent of execution order.
-
-    A new generator each call, which the caller may hold while drawing others.
-    """
-    return np.random.Generator(_start_stream(np.random.Philox(_unused_seed()), seed, replication))
-
-
-_local = threading.local()
-
-
-def _stream(seed: int, replication: int) -> np.random.Generator:
-    """The stream of ``replication_rng(seed, replication)`` from this thread's one generator.
-
-    The generator's Philox is re-keyed by ``_start_stream`` on every call, which costs
-    a fraction of building one, so the stream is valid only until this thread's next
-    call: for draws made at once, as ``generate`` and each row of a stack make them.
-    """
-    try:
-        bitgen, rng = _local.pair
-    except AttributeError:
-        bitgen = np.random.Philox(_unused_seed())
-        rng = np.random.Generator(bitgen)
-        _local.pair = bitgen, rng
-    _start_stream(bitgen, seed, replication)
     return rng
 
 
@@ -323,7 +296,7 @@ def _chunk_table(spec: GeneratorSpec, n: int) -> np.ndarray | None:
 def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Indices of the Markov paths driven by the rows of the uniforms ``U``, (paths, n).
 
-    Row r is the path that ``_sample_states`` walks from the draws ``U[r]``.  Each
+    Row r is the path that ``_paths`` walks alone from the draws ``U[r]``.  Each
     draw after the first is coded by its interval (``_interval_codes``), and the
     n-1 steps are cut into N chunks of the d steps of ``visits`` (``_chunk_table``),
     each read by one chunk code.  The N chunk steps are cut into B blocks of
@@ -376,12 +349,10 @@ def _path_draws(spec: GeneratorSpec, n: int, paths: int) -> np.ndarray:
     return np.empty((paths, n))
 
 
-def _fill_path_draws(spec: GeneratorSpec, rng: np.random.Generator, row: np.ndarray) -> None:
-    """Fill ``row``, one row of ``_path_draws``, with the first draws of ``rng``."""
-    if spec.kind == "m_dependent":
-        row[:] = rng.integers(0, spec.alphabet_size, size=row.size)
-    else:
-        rng.random(out=row)
+def _stack_size(spec: GeneratorSpec, n: int, cells: int) -> int:
+    """Replications per stack at length n, at least one: the most whose arrays, each of ``cells``
+    cells per replication or of one ``_path_draws`` row, hold at most ``STACK_DRAWS`` cells."""
+    return max(1, STACK_DRAWS // max(cells, _path_draws(spec, n, 0).shape[1]))
 
 
 def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) -> np.ndarray:
@@ -422,17 +393,13 @@ def _stack_draws(spec: GeneratorSpec, n: int, reps: range, noise: np.ndarray | N
     draws = _path_draws(spec, n, len(reps))
     for row, rep in enumerate(reps):
         rng = _stream(spec.seed, rep)
-        _fill_path_draws(spec, rng, draws[row])
+        if spec.kind == "m_dependent":
+            draws[row] = rng.integers(0, spec.alphabet_size, size=draws.shape[1])
+        else:
+            rng.random(out=draws[row])
         if noise is not None:
             rng.random(out=noise[row])
     return draws
-
-
-def _sample_states(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices into ``spec.states()`` of one sampled path of length n."""
-    draws = _path_draws(spec, n, 1)
-    _fill_path_draws(spec, rng, draws[0])
-    return _paths(spec, draws, None)[0]
 
 
 def _draw(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None = None) -> tuple:
@@ -501,8 +468,8 @@ def deviation_experiment(
     (1-eps) * empirical mean - (1+eps) * average mean of the member over the
     sample; frequencies of {statistic >= t} are paired with the dependent-case
     deviation bound at each t on the grid.  Replications are drawn in stacks
-    of max(1, STACK_DRAWS // max(n, members, states)), so that a stack's
-    paths, state counts and member means each hold at most STACK_DRAWS cells.
+    (``_stack_size``), so that a stack's draws, paths, state counts and member
+    means each hold at most STACK_DRAWS cells.
     The empirical mean is a function of each path's state counts (see
     ``_count_means``), and each stack adds its hits per t to one counter.
     """
@@ -520,7 +487,7 @@ def deviation_experiment(
 
     t_values = np.array(t_grid, dtype=float)
     hits = np.zeros(len(t_values), dtype=np.int64)
-    size = max(1, STACK_DRAWS // max(n, *table.shape))
+    size = _stack_size(spec, n, max(table.shape))
     visits = _chunk_table(spec, n)
     for first in range(0, replications, size):
         reps = range(first, min(first + size, replications))
@@ -558,10 +525,11 @@ def weak_error_experiment(
     fit is then truncated and scored by its average-mean squared distance to the
     truth under the exact laws of X_1..X_n, each replication with the same
     numbers as if it were fitted alone.  The bias, inf over the family of that
-    distance, is computed once per n.  One row per n on the grid; the metadata
-    carries the log-log slope of the measured error over the grid for trend
-    checks, None unless the grid holds at least two distinct n and every error
-    is positive.
+    distance, is computed once per n.  One row per n on the grid, vacuous when
+    its bound is at least max_s (B + |truth(s)|)**2, which no truncated fit's
+    error exceeds; the metadata carries the log-log slope of the measured error
+    over the grid for trend checks, None unless the grid holds at least two
+    distinct n and every error is positive.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -572,12 +540,14 @@ def weak_error_experiment(
         raise MalformedInputError("truth needs one value per state of the family")
     # cells per replication: its fit's design columns or member risks, its fitted values, its draws
     width = family.table.shape[0] if family.design is None else family.design.shape[1]
+    with np.errstate(over="ignore"):  # past float range it is inf, which only an infinite bound reaches
+        trivial = float(np.square(params.B + np.abs(truth)).max())
     rows = []
     for n in n_grid:
         p = dataclasses.replace(params, n=int(n))
         laws = spec.marginal_laws(p.n)
         visits = _chunk_table(spec, p.n)
-        size = max(1, STACK_DRAWS // max(p.n * width, len(truth), _path_draws(spec, p.n, 0).shape[1]))
+        size = _stack_size(spec, p.n, max(p.n * width, len(truth)))
         errors = np.empty(replications)
         for first in range(0, replications, size):
             reps = range(first, min(first + size, replications))
@@ -603,7 +573,7 @@ def weak_error_experiment(
                 "bound_variance": breakdown.variance_term,
                 "bound_beta": breakdown.beta_error_term,
                 "dominant": dominant,
-                "vacuous": breakdown.total == math.inf,
+                "vacuous": breakdown.total >= trivial,
             }
         )
     slope = None

@@ -360,9 +360,9 @@ GOLDEN = {
     ("simulate-markov", "simulate", ("--seed", "11")):
         "fa5a72c4fe2e3e21780b2d2903a2d2e69faa3942ad12e38dbc5f6c91ede523e1",
     ("simulate-mdep-weak-error", "simulate", ()):
-        "ef608ec42eb118355ea141ef01990e501d8ccb50997af63bffdbba94e483e80f",
+        "1494f273b13f80d0d45c007c0c200c2b2faf2977dbf359c2ee9211e4c584d658",
     ("simulate-mdep-weak-error", "simulate", ("--seed", "9")):
-        "eb4e1baa62bc244f7936425afc2f1c2655e101fd99ba0183171beb738a6cc54d",
+        "5d8a5c9065c1f67c254a5e4b2960742f872f5b34e973b7edfbf4b1f7bec0c41e",
 }
 
 
@@ -424,6 +424,35 @@ def fresh_run(argv):
     proc = subprocess.run([sys.executable, "-m", "betamix.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# runs each command given as a JSON list of argv lists, then draws once, and prints whether
+# numpy.random was loaded before the draw and after it
+LAZY_RANDOM_SCRIPT = """
+import json, sys
+from betamix.cli import main
+from betamix.pmf import FinitePmf
+from betamix.simulate import GeneratorSpec, generate
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+before = "numpy.random" in sys.modules
+generate(GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5])), 3)
+print(f"before the draw: {before}, after it: {'numpy.random' in sys.modules}")
+"""
+
+
+def test_numpy_random_loads_at_the_first_draw(tmp_path):
+    # loading numpy.random adds about 5 MB to a process's peak RSS: queries that draw nothing do not pay it
+    commands = [["beta", write(tmp_path, "beta.json", GOLDEN_DOCS["beta-chain"])],
+                ["couple", write(tmp_path, "couple.json", GOLDEN_DOCS["couple-process"])],
+                ["bound", write(tmp_path, "bound.json", GOLDEN_DOCS["bound-beta-deviation"])],
+                ["entropy", write(tmp_path, "entropy.json", GOLDEN_DOCS["entropy-finite"])],
+                ["partition", "10", "3"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_RANDOM_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "before the draw: False, after it: True"
 
 
 def test_repeated_calls_in_one_process_share_no_state(tmp_path, capsys):

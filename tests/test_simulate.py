@@ -27,15 +27,24 @@ from betamix.simulate import (
     _count_means,
     _interval_codes,
     _paths,
-    _sample_states,
     _stack_draws,
+    _stream,
     _walk_stack,
     deviation_experiment,
     generate,
     inverse_cdf,
-    replication_rng,
     weak_error_experiment,
 )
+
+
+def philox(seed, rep):
+    """The stream of replication rep by its definition: Philox's with key [seed, rep]."""
+    return np.random.Generator(np.random.Philox(key=[seed, rep]))
+
+
+def stack_of_one(spec, n, rep, visits=None):
+    """The states of replication rep, drawn as a stack of one without responses."""
+    return _paths(spec, _stack_draws(spec, n, range(rep, rep + 1)), visits)[0]
 
 
 def two_state_chain(p=0.25, q=0.25):
@@ -135,10 +144,14 @@ def test_generator_determinism():
 
 
 def test_replication_streams_are_independent_of_order():
-    r1 = replication_rng(7, 0).random(5)
-    replication_rng(7, 99).random(100)
-    r2 = replication_rng(7, 0).random(5)
-    assert np.array_equal(r1, r2)
+    # each call re-keys the thread's one generator, whatever the call before left buffered: draws
+    # mid-block (101 doubles), or half of a 64-bit word as well (3 int32 draws)
+    r1 = _stream(7, 0).random(5)
+    assert np.array_equal(r1, philox(7, 0).random(5))
+    _stream(7, 99).random(101)
+    assert np.array_equal(_stream(7, 0).random(5), r1)
+    _stream(7, 98).integers(0, 5, size=3, dtype=np.int32)
+    assert np.array_equal(_stream(7, 0).random(5), r1)
 
 
 def test_markov_marginals_attached_exactly():
@@ -326,29 +339,19 @@ def test_spec_from_json_roundtrip():
     assert spec.phi[2] == 0.05
 
 
-class _StubRng:
-    """Every uniform draw is the given value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.full(size, self.u)
-        out[:] = self.u
-        return out
-
-
 def test_draws_near_one_stay_on_the_alphabet():
     # masses short of 1 by less than the tolerance; a draw above their total
     # maps to the last state of positive mass
     short = [0.2, 0.3, 0.5 - 5e-13]
     u = 1.0 - 1e-13
+    draws = np.full((1, 3), u)
     law = FinitePmf((0, 1, 2), short)
-    assert list(_sample_states(GeneratorSpec(kind="iid", seed=0, law=law), 3, _StubRng(u))) == [2, 2, 2]
+    assert _paths(GeneratorSpec(kind="iid", seed=0, law=law), draws, None).tolist() == [[2, 2, 2]]
     chain = MarkovChainSpec((0, 1, 2), [short, short, [0.5, 0.5 - 5e-13, 0.0]], law)
-    path = _sample_states(GeneratorSpec(kind="markov", seed=0, chain=chain), 3, _StubRng(u))
-    assert list(path) == [2, 1, 2]
+    spec = GeneratorSpec(kind="markov", seed=0, chain=chain)
+    # walked alone and as a stack
+    for visits in (None, _chunk_table(spec, 3)):
+        assert _paths(spec, draws, visits).tolist() == [[2, 1, 2]]
     # the noise draw goes through the same helper
     assert np.searchsorted(inverse_cdf((0.5, 0.5 - 5e-13)), u, side="right") == 1
 
@@ -401,13 +404,12 @@ LARGE_CHAIN = chain_spec(
 @example(chain_spec([[1]], [1]), 2000, 5)
 @settings(max_examples=150, deadline=None)
 def test_markov_walk_equals_per_step_loop(spec, n, rep):
-    path = _sample_states(spec, n, replication_rng(spec.seed, rep))
-    assert np.array_equal(path, per_step_path(spec, n, replication_rng(spec.seed, rep)))
+    assert np.array_equal(stack_of_one(spec, n, rep), per_step_path(spec, n, philox(spec.seed, rep)))
 
 
 def uniforms(spec, n, reps):
     """The draws of the replications ``reps`` that a path of length n reads, one row each."""
-    return np.stack([replication_rng(spec.seed, rep).random(n) for rep in reps])
+    return np.stack([philox(spec.seed, rep).random(n) for rep in reps])
 
 
 def breakpoints(spec):
@@ -466,7 +468,7 @@ def test_stacked_walk_equals_per_step_loop(spec, n, first, count):
     paths = _walk_stack(spec, visits, uniforms(spec, n, reps))
     assert paths.shape == (count, n)
     for path, rep in zip(paths, reps):
-        assert np.array_equal(path, per_step_path(spec, n, replication_rng(spec.seed, rep)))
+        assert np.array_equal(path, per_step_path(spec, n, philox(spec.seed, rep)))
 
 
 def cell_size(spec):
@@ -538,12 +540,9 @@ def test_stacked_uniforms_equal_the_replication_streams(seed, reps, n):
     assert U.shape == (len(reps), n)
     assert np.array_equal(U, _stack_draws(spec, n, reps))
     for row, noise_row, rep in zip(U, noise, reps, strict=True):
-        rng = replication_rng(seed, rep)
+        rng = philox(seed, rep)
         assert np.array_equal(row, rng.random(n))
         assert np.array_equal(noise_row, rng.random(n))
-        # the stream is Philox's with key [seed, rep]
-        assert np.array_equal(np.concatenate([row, noise_row]),
-                              np.random.Generator(np.random.Philox(key=[seed, rep])).random(2 * n))
     # 2n draws for n = 1, 5 or 1001 leave the next row's key set mid-buffer: 4 draws per Philox block
     assert (rng.bit_generator.state["buffer_pos"] == 4) == (2 * n % 4 == 0)
 
@@ -568,10 +567,11 @@ def generator_specs(draw):
 @settings(max_examples=150, deadline=None)
 def test_states_only_draw_equals_generated_index(spec, n, rep):
     # the deviation experiment draws states without responses: the same states
-    states = _sample_states(spec, n, replication_rng(spec.seed, rep))
+    states = stack_of_one(spec, n, rep, _chunk_table(spec, n))
     index = generate(spec, n, rep).index
     assert states.dtype == index.dtype
     assert np.array_equal(states, index)
+    assert np.array_equal(states, per_call_draw(spec, n, rep)[0])
 
 
 @given(generator_specs(), st.sampled_from([1, 2, 3, 17, 300]), st.integers(0, 2**32 - 40), st.integers(1, 40))
@@ -595,18 +595,17 @@ def test_stacked_states_equal_one_replication_at_a_time(spec, n, first, count):
     states = _paths(spec, _stack_draws(spec, n, reps), _chunk_table(spec, n))
     assert states.shape == (count, n)
     for row, rep in zip(states, reps):
-        assert np.array_equal(row, _sample_states(spec, n, replication_rng(spec.seed, rep)))
+        assert np.array_equal(row, per_call_draw(spec, n, rep)[0])
 
 
 def per_replication_stats(spec, family, params, replications):
-    """The deviation statistic one replication at a time, Markov paths by the per-step loop: the reference."""
+    """The deviation statistic one replication at a time, paths by ``per_call_draw``: the reference."""
     n, eps = params.n, params.epsilon
     table = family.table
     avg = (spec.marginal_laws(n) @ table.T).mean(axis=0)
     stats = []
     for rep in range(replications):
-        rng = replication_rng(spec.seed, rep)
-        index = per_step_path(spec, n, rng) if spec.kind == "markov" else _sample_states(spec, n, rng)
+        index = per_call_draw(spec, n, rep)[0]
         emp = sum(count * table[:, s] for s, count in enumerate(np.bincount(index, minlength=table.shape[1]))) / n
         stats.append(((1.0 - eps) * emp - (1.0 + eps) * avg).max())
     return stats
@@ -689,6 +688,26 @@ def test_deviation_experiment_memory_does_not_grow_with_the_stacks():
     assert peak(spec, 30 * one) <= peak(spec, one) + 2**11
 
 
+def test_deviation_experiment_stacks_count_the_window_seeds():
+    # an m-dependent row holds n + lag - 1 window seeds: stacks sized by n alone held 400 rows of 2009 seeds
+    # and their cumulative sums here, about 13 MB
+    spec = GeneratorSpec(kind="m_dependent", seed=7, dependence_lag=2000, alphabet_size=2)
+    family = state_family([{0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}])
+    params = make_params(epsilon=0.1, n=10, m=2)
+
+    def peak(spec):
+        tracemalloc.start()
+        try:
+            deviation_experiment(spec, family, params, finite_family_entropy(2), [0.0, 0.2], 400)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(dataclasses.replace(spec, seed=8))  # first-call allocations
+    # a stack's seeds and their cumulative sums, each at most STACK_DRAWS int64 cells: 512 KB
+    assert peak(spec) <= 4 * 8 * STACK_DRAWS
+
+
 def sticky_spec(seed=0):
     """Two states that stay put with probability 0.998, started at state 0."""
     chain = MarkovChainSpec((0, 1), [[0.998, 0.002], [0.002, 0.998]], FinitePmf((0, 1), [1.0, 0.0]))
@@ -762,10 +781,12 @@ def per_replication_weak_error_rows(spec, family, params, truth, n_grid, replica
         stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
         bias = family_bias(family, truth, laws, p.B)
         bound = weak_error_bound(p, bias, beta_at_m=spec.beta_at(p.m, n))
+        # no truncated fit lies farther from the truth than B + |truth(s)| at any state
+        trivial = max((p.B + abs(value)) ** 2 for value in truth.tolist())
         rows.append({"n": n, "m": p.m, "replications": replications, "weak_error": mean, "stderr": stderr,
                      "bias": bias, "bound_total": bound.total, "bound_variance": bound.variance_term,
                      "bound_beta": bound.beta_error_term, "dominant": mean <= bound.total + 3.0 * stderr,
-                     "vacuous": bound.total == math.inf})
+                     "vacuous": bound.total >= trivial})
     return tuple(rows)
 
 
@@ -821,6 +842,18 @@ def test_weak_error_experiment_equals_per_replication_loop_across_stacks(kind, f
         assert 0 < ridge.sum() < replications
     report = weak_error_experiment(spec, fam, params, truth, [3, 300], replications)
     assert repr(report.rows) == repr(per_replication_weak_error_rows(spec, fam, params, truth, [3, 300], replications))
+
+
+def test_weak_error_rows_are_vacuous_at_or_above_the_trivial_bound():
+    # a truncated fit lies in [-B, B], so no weak error exceeds max_s (B + |truth(s)|)**2 = 0.35**2 here;
+    # the bound falls below that only past n = 2 * 10**5
+    truth = [(s - 1.5) / 15.0 for s in range(4)]
+    spec = GeneratorSpec(kind="iid", seed=3, law=FinitePmf((0, 1, 2, 3), [0.25] * 4), phi=truth,
+                         noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5), response_bound=0.25)
+    family = FunctionFamily((0, 1, 2, 3), design=[[1.0, float(s)] for s in range(4)])
+    report = weak_error_experiment(spec, family, make_params(B=0.25, V=3, m=2), truth, [100, 250000], 2)
+    assert [row["bound_total"] >= 0.35**2 for row in report.rows] == [True, False]
+    assert [row["vacuous"] for row in report.rows] == [True, False]
 
 
 def test_weak_error_experiment_builds_no_dataset(monkeypatch):
@@ -926,7 +959,7 @@ def test_weak_error_experiment_memory_does_not_grow_with_the_stacks():
 
 def per_call_draw(spec, n, replication):
     """One replication with every CDF derived again and the noise always drawn: the reference."""
-    rng = replication_rng(spec.seed, replication)
+    rng = philox(spec.seed, replication)
     if spec.kind == "markov":
         index = per_step_path(spec, n, rng)
     elif spec.kind == "m_dependent":
@@ -962,7 +995,7 @@ def test_generate_equals_per_call_reference(kind, noise):
                 data = generate(spec, n, rep)
                 assert np.array_equal(data.index, index)
                 assert data.ys.tobytes() == ys.tobytes()
-                assert np.array_equal(_sample_states(spec, n, replication_rng(spec.seed, rep)), index)
+                assert np.array_equal(stack_of_one(spec, n, rep), index)
 
 
 def shared_stream_cases():
@@ -1049,4 +1082,5 @@ def test_replaced_chain_samples_the_new_chain():
     spec = dataclasses.replace(stay, chain=flip)
     assert list(generate(stay, 6).index) == [0] * 6
     assert list(generate(spec, 6).index) == [0, 1, 0, 1, 0, 1]
-    assert list(_sample_states(spec, 6, replication_rng(spec.seed, 0))) == [0, 1, 0, 1, 0, 1]
+    for visits in (None, _chunk_table(spec, 6)):
+        assert list(stack_of_one(spec, 6, 0, visits)) == [0, 1, 0, 1, 0, 1]
