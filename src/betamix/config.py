@@ -199,6 +199,7 @@ def generator(sec: Section, seed: int | None = None) -> simulate.GeneratorSpec:
     kind = sec.kind("kind", simulate.GENERATOR_KINDS)
     noise = sec.section("noise") if "noise" in sec else Section({"values": [0.0], "probs": [1.0]})
     values = noise.get("values", floats(None)).tolist()
+    bound = sec.get("response_bound", float, None)
     spec = simulate.GeneratorSpec(
         kind=kind,
         seed=sec.get("seed", integer, 0) if seed is None else seed,
@@ -208,10 +209,10 @@ def generator(sec: Section, seed: int | None = None) -> simulate.GeneratorSpec:
         law=law(sec.section("law")) if kind == "iid" else None,
         noise_values=tuple(values),
         noise_probs=tuple(noise.get("probs", floats(len(values))).tolist()),
-        response_bound=sec.get("response_bound", float, None),
+        response_bound=None if "phi" in sec else bound,
     )
-    if "phi" in sec:
-        spec = dataclasses.replace(spec, phi=state_values(sec.section("phi"), spec.states()))
+    if "phi" in sec:  # phi is read over the spec's states, and only then are the responses checked
+        spec = dataclasses.replace(spec, phi=state_values(sec.section("phi"), spec.states()), response_bound=bound)
     return spec
 
 

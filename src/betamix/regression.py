@@ -12,7 +12,8 @@ singular ones), a finite family by one argmin over every member's risk on every
 sample; each sample's fit has the bits of its fit alone.  The weak-error
 experiment calls it on each stack of replications; ``fit_least_squares`` checks
 a ``Dataset`` against its family, fits it as a stack of one and adds its
-empirical risk.  ``_check_responses`` owns the response rules of both.
+empirical risk.  ``_check_responses`` owns the response rules, of a ``Dataset``
+and of every response that a ``simulate.GeneratorSpec`` can draw.
 """
 from __future__ import annotations
 
@@ -64,30 +65,16 @@ class Dataset:
         return tuple(labels[self.index].tolist())
 
 
-def _broken_response_rule(ys: np.ndarray, response_bound: float | None) -> str | None:
-    """The message of the first response rule that ``ys`` breaks, or None if it keeps them all."""
+def _check_responses(ys: np.ndarray, response_bound: float | None) -> None:
+    """Finite responses, within ``response_bound`` when one is declared: the rules of a
+    ``Dataset``'s responses, and of every response a ``GeneratorSpec`` can draw."""
     if not np.isfinite(ys).all():
-        return "responses must be finite"
+        raise MalformedInputError("responses must be finite")
     if response_bound is not None:
         if not response_bound >= 0.0:
-            return f"response_bound must be nonnegative, got {response_bound}"
+            raise MalformedInputError(f"response_bound must be nonnegative, got {response_bound}")
         if not np.abs(ys).max() <= response_bound + 1e-12:
-            return f"responses exceed the declared bound {response_bound}"
-    return None
-
-
-def _check_responses(ys: np.ndarray, response_bound: float | None) -> None:
-    """Finite responses, within ``response_bound`` when one is declared: what a
-    generator's tables cannot promise, since phi + noise may overflow or pass the bound.
-
-    ``ys`` is one sample, or a stack of one sample per row; the whole stack is checked
-    at once, and only if it fails is the first failing row found, to name its rule."""
-    if _broken_response_rule(ys, response_bound) is None:
-        return
-    for row in np.atleast_2d(ys):
-        message = _broken_response_rule(row, response_bound)
-        if message is not None:
-            raise MalformedInputError(message)
+            raise MalformedInputError(f"responses exceed the declared bound {response_bound}")
 
 
 def truncate(value, B: float):

@@ -9,7 +9,8 @@ from (seed, replication), so reports are bit-reproducible regardless of
 execution order; ``_stream`` starts it, re-keying this thread's one Philox, so
 no draw builds a generator.  A spec builds its sampling tables (the CDFs its
 draws are inverted through) once, when it is constructed, and every draw reads
-them.  Every draw goes through one sampler: ``_stack_draws`` fills a stack of
+them; it also checks every response a draw can return, so no draw checks one.
+Every draw goes through one sampler: ``_stack_draws`` fills a stack of
 replications, each row from its own stream, first with its states' draws
 (``_path_draws``) and then, when responses are wanted, with its noise draws;
 ``_paths`` maps the stack's state draws at once (i.i.d. states by one
@@ -26,9 +27,10 @@ interval through a table over dyadic cells of [0, 1) (by binary search for the
 draws in cells that a breakpoint splits), and the walk moves d steps per gather
 through the map composed over d steps (``_chunk_table``, built once per
 experiment and n, with d as large as the same cap allows).  A larger step table
-walks each path alone.  ``weak_error_experiment`` draws (``_draw``),
-checks and fits its replications in stacks of at most ``STACK_DRAWS`` cells,
-fitting each stack with ``regression._fit``, and scores each fit on its own.
+walks each path alone.  ``weak_error_experiment`` draws (``_draw``) and fits
+(``regression._fit``) its replications in stacks of at most ``STACK_DRAWS``
+cells, and scores each fit on its own.  Both experiments check every input
+before the first draw.
 Samples carry no laws; experiments ask the spec for its exact marginals once
 per n.
 """
@@ -95,7 +97,8 @@ class GeneratorSpec:
     kinds: "markov" (needs ``chain``), "m_dependent" (sliding window of width
     ``dependence_lag`` over i.i.d. uniform seeds modulo ``alphabet_size``),
     "iid" (needs ``law``).  Responses are phi(x) plus discrete noise, with
-    ``phi`` given as its value at each of ``states()`` (zero when omitted).
+    ``phi`` given as its value at each of ``states()`` (zero when omitted); every
+    response a draw can return is checked at construction (``_check_responses``).
     ``seed`` is an integer in [0, 2**63).
 
     The states and the sampling tables are built from the fields at
@@ -143,8 +146,6 @@ class GeneratorSpec:
             raise MalformedInputError("noise_values and noise_probs must have matching length")
         if not np.isfinite(self.noise_values).all():
             raise MalformedInputError("noise_values must be finite")
-        if self.response_bound is not None and not self.response_bound >= 0.0:
-            raise MalformedInputError(f"response_bound must be nonnegative, got {self.response_bound}")
         if self.kind == "markov":
             states = self.chain.states
         elif self.kind == "m_dependent":
@@ -171,10 +172,14 @@ class GeneratorSpec:
             object.__setattr__(self, "_law_cdf", inverse_cdf(self.law.probs))
         object.__setattr__(self, "_noise_cdf", inverse_cdf(self.noise_probs))
         object.__setattr__(self, "_noise_values", np.asarray(self.noise_values, dtype=float))
-        # a one-point noise law draws nothing, so its responses are phi plus its value, added
-        # once here; a sum past the float range is inf, which the draw's response check rejects
+        # A draw returns phi(s) + v, v a noise value of positive mass (one of zero mass is never drawn);
+        # rounding is monotone, so the least and largest such sums decide both response rules for all
+        # of them (past the float range a sum is inf).  A one-point law's responses are added once, here.
+        noise = self._noise_values[np.asarray(self.noise_probs) > 0.0]
         with np.errstate(over="ignore"):
-            point = phi + self._noise_values[0] if len(self.noise_values) == 1 else None
+            extremes = np.array([phi.min() + noise.min(), phi.max() + noise.max()])
+            point = phi + noise[0] if len(self.noise_values) == 1 else None
+        _check_responses(extremes, self.response_bound)
         object.__setattr__(self, "_point_responses", point)
 
     def states(self) -> tuple:
@@ -379,7 +384,8 @@ def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) ->
     if spec.kind == "m_dependent":
         lag = spec.dependence_lag
         sums = np.zeros((len(draws), draws.shape[1] + 1), dtype=np.int64)
-        np.cumsum(draws, axis=1, out=sums[:, 1:])
+        # not ndarray.cumsum: each call may leave a new "accumulate" string in CPython's method cache
+        np.add.accumulate(draws, axis=1, out=sums[:, 1:])
         return (sums[:, lag:] - sums[:, :-lag]) % spec.alphabet_size
     return np.searchsorted(spec._law_cdf, draws, side="right")
 
@@ -410,16 +416,15 @@ def _draw(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None = 
     with ``visits`` when given), noise values by one searchsorted, responses by one
     add.  A one-point noise law draws nothing: every draw would map to its value,
     and no later draw reads the stream, so the responses are read from phi plus that
-    value, added when the spec was built.  phi + noise may overflow to inf, which
-    ``_check_responses`` rejects, so numpy's overflow warning is not raised.
+    value.  The spec checked every phi + noise sum that a draw can return when it
+    was built, so no response is checked here, and none overflows.
     """
     u = None if spec._point_responses is not None else np.empty((len(reps), n))
     index = _paths(spec, _stack_draws(spec, n, reps, u), visits)
     if u is None:
         return index, spec._point_responses.take(index)
     noise = spec._noise_values.take(np.searchsorted(spec._noise_cdf, u, side="right"))
-    with np.errstate(over="ignore"):
-        return index, spec.phi.take(index) + noise
+    return index, spec.phi.take(index) + noise
 
 
 def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
@@ -467,9 +472,9 @@ def deviation_experiment(
     The statistic per replication is sup over family members of
     (1-eps) * empirical mean - (1+eps) * average mean of the member over the
     sample; frequencies of {statistic >= t} are paired with the dependent-case
-    deviation bound at each t on the grid.  Replications are drawn in stacks
-    (``_stack_size``), so that a stack's draws, paths, state counts and member
-    means each hold at most STACK_DRAWS cells.
+    deviation bound at each t on the grid, all evaluated before the first draw.
+    Replications are drawn in stacks (``_stack_size``), so that a stack's draws,
+    paths, state counts and member means each hold at most STACK_DRAWS cells.
     The empirical mean is a function of each path's state counts (see
     ``_count_means``), and each stack adds its hits per t to one counter.
     """
@@ -484,6 +489,7 @@ def deviation_experiment(
     laws = spec.marginal_laws(n)
     avg = (laws @ table.T).mean(axis=0)  # per-member average mean
     beta = spec.beta_at(m, n)
+    bounds = [beta_deviation_bound(params, entropy, float(t), beta_at_m=beta) for t in t_grid]
 
     t_values = np.array(t_grid, dtype=float)
     hits = np.zeros(len(t_values), dtype=np.int64)
@@ -497,9 +503,8 @@ def deviation_experiment(
         del emp, stat  # no array of a stack outlives it
 
     rows = []
-    for t, count in zip(t_grid, hits.tolist()):
+    for t, count, bound in zip(t_grid, hits.tolist(), bounds):
         freq, se = count / replications, wilson_stderr(count, replications)
-        bound = beta_deviation_bound(params, entropy, float(t), beta_at_m=beta)
         vacuous = bound >= 1.0
         rows.append({"n": n, "m": m, "t": float(t), "frequency": freq, "stderr": se, "bound": bound,
                      "dominant": vacuous or freq + Z * se <= bound, "vacuous": vacuous})
@@ -518,18 +523,19 @@ def weak_error_experiment(
     """Measured weak error of the truncated fit against its closed-form bound.
 
     ``truth`` holds the true regression function's value at each generator
-    state.  For each n the replications are drawn (``_draw``), their responses
-    checked (``_check_responses``) and fitted (``_fit``) in stacks, each holding
-    at most ``STACK_DRAWS`` cells of the largest per-replication array: the
-    fit's design columns or member risks, the fitted values, the draws.  Each
-    fit is then truncated and scored by its average-mean squared distance to the
-    truth under the exact laws of X_1..X_n, each replication with the same
-    numbers as if it were fitted alone.  The bias, inf over the family of that
-    distance, is computed once per n.  One row per n on the grid, vacuous when
-    its bound is at least max_s (B + |truth(s)|)**2, which no truncated fit's
-    error exceeds; the metadata carries the log-log slope of the measured error
-    over the grid for trend checks, None unless the grid holds at least two
-    distinct n and every error is positive.
+    state, finite.  Every n's ``BoundParams`` and the theorem's hypotheses are
+    checked before the first draw.  For each n the replications are drawn
+    (``_draw``, whose responses the spec checked when it was built) and fitted
+    (``_fit``) in stacks, each holding at most ``STACK_DRAWS`` cells of the
+    largest per-replication array: the fit's design columns or member risks, the
+    fitted values, the draws.  Each fit is then truncated and scored by its
+    average-mean squared distance to the truth under the exact laws of X_1..X_n,
+    each replication with the same numbers as if it were fitted alone.  The bias,
+    inf over the family of that distance, is computed once per n.  One row per n
+    on the grid, vacuous when its bound is at least max_s (B + |truth(s)|)**2,
+    which no truncated fit's error exceeds; the metadata carries the log-log
+    slope of the measured error over the grid for trend checks, None unless the
+    grid holds at least two distinct n and every error is positive.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -538,13 +544,17 @@ def weak_error_experiment(
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (len(family.states),):
         raise MalformedInputError("truth needs one value per state of the family")
+    if not np.isfinite(truth).all():
+        raise MalformedInputError("truth must be finite")
+    grid = [dataclasses.replace(params, n=int(n)) for n in n_grid]
+    for p in grid:
+        p.check_weak_error_hypotheses()
     # cells per replication: its fit's design columns or member risks, its fitted values, its draws
     width = family.table.shape[0] if family.design is None else family.design.shape[1]
     with np.errstate(over="ignore"):  # past float range it is inf, which only an infinite bound reaches
         trivial = float(np.square(params.B + np.abs(truth)).max())
     rows = []
-    for n in n_grid:
-        p = dataclasses.replace(params, n=int(n))
+    for p in grid:
         laws = spec.marginal_laws(p.n)
         visits = _chunk_table(spec, p.n)
         size = _stack_size(spec, p.n, max(p.n * width, len(truth)))
@@ -552,7 +562,6 @@ def weak_error_experiment(
         for first in range(0, replications, size):
             reps = range(first, min(first + size, replications))
             index, ys = _draw(spec, p.n, reps, visits)
-            _check_responses(ys, spec.response_bound)
             for rep, values in zip(reps, truncate(_fit(family, index, ys)[0], p.B)):
                 errors[rep] = _average_sq_distance(values, truth, laws)
             del index, ys  # no array of a stack outlives it
@@ -563,7 +572,7 @@ def weak_error_experiment(
         dominant = mean <= breakdown.total + Z * stderr
         rows.append(
             {
-                "n": int(n),
+                "n": p.n,
                 "m": p.m,
                 "replications": replications,
                 "weak_error": mean,

@@ -721,7 +721,7 @@ DOMAIN_ERRORS = {
         "regress", {"xs": [0, 1, 0, 1], "ys": [0.1, 5.0, 0.2, 0.0], "response_bound": NAN,
                     "family": {"kind": "affine_span"}, "B": 1.0},
         "error: response_bound must be nonnegative"),
-    # phi + noise past the float range: the check names it, with no overflow warning before it
+    # phi + noise past the float range: the spec's check names it, with no overflow warning before it
     "responses past float range (verify)": (
         "verify", with_change(with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.phi",
                                           {str(s): 1e308 for s in range(4)}),
@@ -829,10 +829,23 @@ DOMAIN_ERRORS = {
     "no replications (verify weak error)": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "replications", 0),
         "error: replications must be >= 1\n"),
-    # phi + noise reaches 0.2: each replication's responses are checked against the declared bound
+    # phi + noise reaches 0.2: the spec checks every response it can draw against the declared bound
     "responses past the declared bound (verify weak error)": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.response_bound", 0.15),
         "error: responses exceed the declared bound 0.15\n"),
+    # a deviation run reads no response, yet its spec refuses one past the bound: this used to exit 0
+    "responses past the declared bound (verify deviation)": (
+        "verify", with_change(with_change(experiment_doc(), "generator.phi", {"0": 0.0, "1": 0.5}),
+                              "generator.response_bound", 0.25),
+        "error: responses exceed the declared bound 0.25\n"),
+    # a NaN truth used to be drawn and fitted for every replication, then named as a NaN bias;
+    # an infinite one to end in a traceback under -W error
+    "NaN truth (verify weak error)": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "truth.1", NAN),
+        "error: truth must be finite\n"),
+    "infinite truth (verify weak error)": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "truth.1", float("inf")),
+        "error: truth must be finite\n"),
     # a greedy cover used to build every member's differences to every other at once
     "greedy cover past the cap": (
         "entropy", {"entropy": "greedy_cover", "r": 0.5, "values": [[float(i)] for i in range(1001)]},

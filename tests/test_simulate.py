@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -13,10 +15,10 @@ from hypothesis import strategies as st
 from betamix.blocking import wilson_stderr
 from betamix.bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from betamix.entropy import FunctionFamily, finite_family_entropy
-from betamix.errors import DomainError, MalformedInputError, SizeError
+from betamix.errors import DomainError, HypothesisViolationError, MalformedInputError, SizeError
 from betamix.mixing import MixingFit, markov_beta
 from betamix.pmf import CELL_CAP, FinitePmf, MarkovChainSpec
-from betamix.regression import RIDGE, Dataset, _average_sq_distance, _fit, family_bias
+from betamix.regression import RIDGE, Dataset, _average_sq_distance, _check_responses, _fit, family_bias
 from betamix import config, simulate
 from betamix.cli import main
 from betamix.simulate import (
@@ -874,66 +876,109 @@ def no_draw(*args):
     raise AssertionError("drawn before the experiment's inputs were checked")
 
 
+# c = 9 and V = 2 need floor(n/m) >= exp(10/8), which n = 5 meets and n = 3 does not
+LATE_SIZE_FLOOR = f"floor(n/m) >= exp((c^2-71)/(4V)) violated: 3 < {math.exp(10.0 / 8.0)}"
+
+
 @pytest.mark.parametrize("change, error, message", [
     ({"replications": 0}, DomainError, "replications must be >= 1"),
     ({"family": FunctionFamily((0, 1, 3), design=[[1.0, 0.0], [1.0, 1.0], [1.0, 3.0]])},
      MalformedInputError, "the family must be tabulated over the generator's states"),
     ({"truth": [0.0, 0.1]}, MalformedInputError, "truth needs one value per state of the family"),
+    ({"truth": [-0.1, math.nan, 0.02]}, MalformedInputError, "truth must be finite"),
+    ({"truth": [-0.1, 0.12, math.inf]}, MalformedInputError, "truth must be finite"),
+    # each n's bound inputs, the last n's included
+    ({"n_grid": [100, 400, 1], "params": make_params(B=0.25, V=2, m=2)}, DomainError,
+     "need 1 <= m <= n, got n=1, m=2"),
+    ({"n_grid": [5, 3], "params": make_params(B=0.25, V=2, m=1, c=9.0)}, HypothesisViolationError,
+     LATE_SIZE_FLOOR),
 ])
 def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=weak_error_spec("iid"), family=WEAK_ERROR_FAMILIES["affine span"],
                 params=make_params(B=0.25, V=2, m=1), truth=[-0.1, 0.12, 0.02], n_grid=[5], replications=3)
     monkeypatch.setattr(simulate, "_draw", no_draw)
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         weak_error_experiment(**dict(args, **change))
 
 
-def spoil_draws(monkeypatch, n, bad):
-    """Patch the experiment's draw so that at length n the last response of each replication in ``bad``
-    becomes its value there; returns the list of the stacks drawn at n."""
-    draw, stacks = simulate._draw, []
-
-    def spoiled(spec, length, reps, visits=None):
-        index, ys = draw(spec, length, reps, visits)
-        if length == n:
-            stacks.append(reps)
-            for rep, value in bad.items():
-                if rep in reps:
-                    ys[reps.index(rep), -1] = value
-        return index, ys
-
-    monkeypatch.setattr(simulate, "_draw", spoiled)
-    return stacks
-
-
-@pytest.mark.parametrize("bad, message", [(1.0, "responses exceed the declared bound 0.25"),
-                                          (math.inf, "responses must be finite")])
-def test_weak_error_experiment_checks_the_responses_of_every_replication(monkeypatch, bad, message):
-    spec = weak_error_spec("markov")
-    stacks = spoil_draws(monkeypatch, 40, {5: bad})  # only the last replication of the last n
-    with pytest.raises(MalformedInputError, match=f"^{message}$"):
-        weak_error_experiment(spec, WEAK_ERROR_FAMILIES["state table"], make_params(B=0.25, V=2, m=1),
-                              [-0.1, 0.12, 0.02], [10, 40], 6)
-    assert stacks == [range(6)]
-
-
-@pytest.mark.parametrize("bad, message", [({2: 1.0, 4: math.inf}, "responses exceed the declared bound 0.25"),
-                                          ({2: math.nan, 4: 1.0}, "responses must be finite")])
-def test_weak_error_experiment_names_the_first_failing_replication_of_a_stack(monkeypatch, bad, message):
-    stacks = spoil_draws(monkeypatch, 40, bad)
-    with pytest.raises(MalformedInputError, match=f"^{message}$"):
-        weak_error_experiment(weak_error_spec("m_dependent"), WEAK_ERROR_FAMILIES["affine span"],
-                              make_params(B=0.25, V=2, m=1), [-0.1, 0.12, 0.02], [40], 6)
-    assert stacks == [range(6)]  # both in one stack
+@pytest.mark.parametrize("change, error, message", [
+    ({"replications": 0}, DomainError, "replications must be >= 1"),
+    ({"family": WEAK_ERROR_FAMILIES["affine span"]}, DomainError,
+     "the deviation experiment needs an enumerable family"),
+    ({"family": state_family([{0: 0.0, 1: 1.0, 3: 0.5}])}, MalformedInputError,
+     "the family must be tabulated over the generator's states"),
+    # every t's bound inputs, the last t's included
+    ({"t_grid": [0.9, -0.1]}, DomainError, "t must be nonnegative"),
+    ({"t_grid": [0.9, math.nan]}, DomainError, "t must be nonnegative"),
+])
+def test_deviation_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
+    args = dict(spec=WEAK_ERROR_SPECS["iid"], family=WEAK_ERROR_FAMILIES["state table"], params=make_params(n=20),
+                entropy=finite_family_entropy(3), t_grid=[0.3], replications=3)
+    monkeypatch.setattr(simulate, "_stack_draws", no_draw)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        deviation_experiment(**dict(args, **change))
 
 
 def test_weak_error_experiment_rejects_responses_past_float_range():
-    # the sum overflows to inf with no overflow warning: the check is what raises
-    spec = GeneratorSpec(kind="iid", seed=44, law=FinitePmf((0, 1), [0.5, 0.5]), phi=[1e308, 0.0],
-                         noise_values=(1e308,), noise_probs=(1.0,))
-    family = FunctionFamily((0, 1), design=[[1.0, 0.0], [1.0, 1.0]])
+    # phi + noise overflows to inf with no overflow warning: the spec refuses it when built, before any draw
     with pytest.raises(MalformedInputError, match="^responses must be finite$"):
-        weak_error_experiment(spec, family, make_params(B=0.25, V=2, m=1), [0.0, 0.0], [50], 2)
+        GeneratorSpec(kind="iid", seed=44, law=FinitePmf((0, 1), [0.5, 0.5]), phi=[1e308, 0.0],
+                      noise_values=(1e308,), noise_probs=(1.0,))
+
+
+def test_spec_checks_every_response_it_can_draw():
+    # state 2 has zero mass, so no path visits it; its responses are checked all the same
+    law = FinitePmf((0, 1, 2), [0.5, 0.5, 0.0])
+
+    def spec(phi, values, probs=(0.5, 0.5), bound=None):
+        return GeneratorSpec(kind="iid", seed=0, law=law, phi=phi, noise_values=values, noise_probs=probs,
+                             response_bound=bound)
+
+    # phi is +-x at state s and 0 elsewhere, the noise values are -y and y: only the cell of s and the
+    # noise value of x's sign, +-(x + y), breaks the rule
+    for s, sign in itertools.product(range(3), (1.0, -1.0)):
+        with pytest.raises(MalformedInputError, match="^responses exceed the declared bound 0.25$"):
+            spec(np.eye(3)[s] * sign * 0.2, (-0.1, 0.1), bound=0.25)
+        with pytest.raises(MalformedInputError, match="^responses must be finite$"):
+            spec(np.eye(3)[s] * sign * 1e308, (-1e308, 1e308))
+    # every cell past the bound and one past the float range: finiteness is the rule named
+    with pytest.raises(MalformedInputError, match="^responses must be finite$"):
+        spec([1e308, 0.0, 0.0], (0.5, 1e308), bound=0.25)
+    with pytest.raises(MalformedInputError, match="^responses must be finite$"):
+        _check_responses(np.array([[0.0, 1.0], [math.nan, 0.0]]), 0.25)
+    # a noise value of zero mass is never drawn, so phi + 1.0 is no response of the spec
+    drawn = generate(spec([0.0, 0.1, 0.0], (-0.1, 1.0, 0.1), (0.5, 0.0, 0.5), bound=0.25), 200).ys
+    assert np.abs(drawn).max() <= 0.2 + 1e-12
+
+
+def refusal(check):
+    """The message of the MalformedInputError that check() raises, or None."""
+    try:
+        check()
+    except MalformedInputError as exc:
+        return str(exc)
+    return None
+
+
+# near the bound, past it, and near the float range, so that sums round, pass the bound or overflow
+EDGE_FLOATS = st.sampled_from([0.0, 0.1, 0.15, 0.25, 0.25 + 1e-12, 0.3, 1e308, 1.7e308]) | st.floats(-1.7e308, 1.7e308)
+
+
+@given(phi=st.lists(EDGE_FLOATS | EDGE_FLOATS.map(lambda x: -x), min_size=1, max_size=4),
+       noise=st.lists(st.tuples(EDGE_FLOATS | EDGE_FLOATS.map(lambda x: -x), st.booleans()), min_size=1, max_size=4)
+       .filter(lambda noise: any(drawn for _, drawn in noise)),
+       bound=st.none() | st.sampled_from([0.0, 0.25, 1e308, -1.0, math.nan]))
+@settings(max_examples=300, deadline=None)
+def test_spec_refuses_exactly_what_the_check_of_its_whole_table_refuses(phi, noise, bound):
+    # the reference: phi(s) + v at every state and every noise value of positive mass, checked as one table
+    values = [v for v, _ in noise]
+    probs = [1.0 / sum(drawn for _, drawn in noise) if drawn else 0.0 for _, drawn in noise]
+    with np.errstate(over="ignore"):
+        table = np.array([v for v, drawn in noise if drawn])[:, None] + np.array(phi)
+    law = FinitePmf(tuple(range(len(phi))), [1.0 / len(phi)] * len(phi))
+    built = refusal(lambda: GeneratorSpec(kind="iid", seed=0, law=law, phi=phi, noise_values=tuple(values),
+                                          noise_probs=tuple(probs), response_bound=bound))
+    assert built == refusal(lambda: _check_responses(table, bound))
 
 
 def test_weak_error_experiment_memory_does_not_grow_with_the_stacks():
@@ -943,7 +988,15 @@ def test_weak_error_experiment_memory_does_not_grow_with_the_stacks():
     n = 16384
     one = STACK_DRAWS // (2 * n)  # replications in one stack, two design columns per point: one
 
-    def peak(spec, replications):
+    def peak(replications):
+        # Both measured runs start from the same one-off state, so that anything kept per (seed, replication)
+        # is new to them: the same run from another seed warms every cache, and a burst of small dicts fills
+        # CPython's free list of dict key tables, which the keyword calls into numpy would otherwise fill
+        # while traced, by a number of tables that depends on what ran before.
+        weak_error_experiment(dataclasses.replace(spec, seed=45), fam, params, [-0.1, 0.12, 0.02], [n],
+                              replications)
+        burst = [{"key": i} for i in range(200)]
+        del burst
         tracemalloc.start()
         try:
             weak_error_experiment(spec, fam, params, [-0.1, 0.12, 0.02], [n], replications)
@@ -951,10 +1004,8 @@ def test_weak_error_experiment_memory_does_not_grow_with_the_stacks():
         finally:
             tracemalloc.stop()
 
-    # first-call allocations, made by the longer run from another seed (see the deviation twin above)
-    peak(dataclasses.replace(spec, seed=45), 30 * one)
-    # each replication keeps one error, 8 bytes: 240 bytes here, against 256 KB per stack of designs
-    assert peak(spec, 30 * one) <= peak(spec, one) + 2**11
+    # each replication keeps one error, 8 bytes: 232 bytes more here, against 256 KB per stack of designs
+    assert peak(30 * one) <= peak(one) + 2**11
 
 
 def per_call_draw(spec, n, replication):
