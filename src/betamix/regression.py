@@ -10,10 +10,13 @@ sample length.  ``_fit`` fits a stack of samples at once, a linear span by one
 batched solve of every sample's normal equations (with the ridge only for the
 singular ones), a finite family by one argmin over every member's risk on every
 sample; each sample's fit has the bits of its fit alone.  The weak-error
-experiment calls it on each stack of replications; ``fit_least_squares`` checks
-a ``Dataset`` against its family, fits it as a stack of one and adds its
-empirical risk.  ``_check_responses`` owns the response rules, of a ``Dataset``
-and of every response that a ``simulate.GeneratorSpec`` can draw.
+experiment calls it, and ``_average_sq_distance`` after it, once on each stack
+of replications, and ``family_bias`` scores a finite family's members in one
+such call; each score has the bits of its row's score alone.
+``fit_least_squares`` checks a ``Dataset`` against its family, fits it as a
+stack of one and adds its empirical risk.  ``_check_responses`` owns the
+response rules, of a ``Dataset`` and of every response that a
+``simulate.GeneratorSpec`` can draw.
 """
 from __future__ import annotations
 
@@ -174,10 +177,11 @@ def loss_difference_family(
     )
 
 
-def _average_sq_distance(values: np.ndarray, truth: np.ndarray, laws: np.ndarray) -> float:
-    # float_power squares through libm pow, as Python's float ** 2 does; numpy's
-    # x ** 2 differs from it in the last bit on some inputs
-    return float((laws @ np.float_power(values - truth, 2.0)).mean())
+def _average_sq_distance(values: np.ndarray, truth: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    # one score per row of values (..., k).  float_power squares through libm pow, as Python's float ** 2
+    # does (numpy's x ** 2 differs in the last bit on some inputs); the trailing (k, 1) axis sends each row
+    # through the matrix-vector product a lone row takes, where sq @ laws.T would round as one matrix product
+    return np.matmul(laws, np.float_power(values - truth, 2.0)[..., None])[..., 0].mean(axis=-1)
 
 
 def family_bias(family: FunctionFamily, truth: np.ndarray, laws: np.ndarray, B: float) -> float:
@@ -195,4 +199,4 @@ def family_bias(family: FunctionFamily, truth: np.ndarray, laws: np.ndarray, B: 
         coef, _ = _solve_normal(design.T @ (weights[:, None] * design), design.T @ (weights * truth))
         proj = np.clip(design @ coef, -B, B)
         return float(weights @ (proj - truth) ** 2)
-    return min(_average_sq_distance(truncate(row, B), truth, laws) for row in family.table)
+    return float(_average_sq_distance(truncate(family.table, B), truth, laws).min())

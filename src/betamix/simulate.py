@@ -29,8 +29,9 @@ through the map composed over d steps (``_chunk_table``, built once per
 experiment and n, with d as large as the same cap allows).  A larger step table
 walks each path alone.  ``weak_error_experiment`` draws (``_draw``) and fits
 (``regression._fit``) its replications in stacks of at most ``STACK_DRAWS``
-cells, and scores each fit on its own.  Both experiments check every input
-before the first draw.
+cells, and scores each stack's truncated fits in one call
+(``regression._average_sq_distance``), each with the bits of its score alone.
+Both experiments check every input before the first draw.
 Samples carry no laws; experiments ask the spec for its exact marginals once
 per n.
 """
@@ -63,6 +64,17 @@ STEP_TABLE_CAP = 2**15
 
 
 _local = threading.local()
+
+
+def _key_word(name: str, value) -> int:
+    """``value`` as a word of ``_stream``'s key: an integer in [0, 2**63), where the stream is
+    defined; a bool or a fraction is refused, an integral float is read as its integer."""
+    # written so that a NaN fails it
+    if not 0 <= value < 2**63:
+        raise MalformedInputError(f"{name} must be in [0, 2**63), got {value}")
+    if isinstance(value, bool) or value != int(value):
+        raise MalformedInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _stream(seed: int, replication: int) -> np.random.Generator:
@@ -123,11 +135,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise MalformedInputError(f"unknown generator kind {self.kind!r}")
-        # written so that a NaN fails it
-        if not 0 <= self.seed < 2**63:
-            raise MalformedInputError(f"seed must be in [0, 2**63), got {self.seed}")
-        if isinstance(self.seed, bool) or self.seed != int(self.seed):
-            raise MalformedInputError(f"seed must be an integer, got {self.seed!r}")
+        _key_word("seed", self.seed)
         if self.kind == "markov" and self.chain is None:
             raise MalformedInputError("markov kind requires a chain")
         if self.kind == "m_dependent" and (
@@ -185,14 +193,19 @@ class GeneratorSpec:
     def states(self) -> tuple:
         return self._states
 
-    def marginal_laws(self, n: int) -> np.ndarray:
-        """Exact per-index laws of X_1..X_n, one row per index.
-
-        More than ``CELL_CAP`` cells raise SizeError before any array is built.
-        """
+    def _check_cells(self, n: int) -> None:
+        """Refuse an n whose marginal laws would hold more than ``CELL_CAP`` (index, state) cells."""
         k = len(self.states())
         if n * k > CELL_CAP:
             raise SizeError(f"n {n} needs {n * k} marginal cells, above cap {CELL_CAP}")
+
+    def marginal_laws(self, n: int) -> np.ndarray:
+        """Exact per-index laws of X_1..X_n, one row per index.
+
+        More than ``CELL_CAP`` cells raise SizeError (``_check_cells``) before any array is built.
+        """
+        self._check_cells(n)
+        k = len(self.states())
         if self.kind == "markov":
             return self.chain.marginal_matrix(n)
         if self.kind == "m_dependent":
@@ -428,9 +441,13 @@ def _draw(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None = 
 
 
 def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
-    """Draw one replication of length n from its own stream, as a checked ``Dataset``: ``_draw``'s stack of one."""
+    """Draw one replication of length n from its own stream, as a checked ``Dataset``: ``_draw``'s stack of one.
+
+    ``replication`` is an integer in [0, 2**63), as the seed is (``_key_word``).
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
+    replication = _key_word("replication", replication)
     index, ys = _draw(spec, n, range(replication, replication + 1))
     return Dataset(states=spec.states(), index=index[0], ys=ys[0], response_bound=spec.response_bound)
 
@@ -523,19 +540,21 @@ def weak_error_experiment(
     """Measured weak error of the truncated fit against its closed-form bound.
 
     ``truth`` holds the true regression function's value at each generator
-    state, finite.  Every n's ``BoundParams`` and the theorem's hypotheses are
-    checked before the first draw.  For each n the replications are drawn
-    (``_draw``, whose responses the spec checked when it was built) and fitted
-    (``_fit``) in stacks, each holding at most ``STACK_DRAWS`` cells of the
-    largest per-replication array: the fit's design columns or member risks, the
-    fitted values, the draws.  Each fit is then truncated and scored by its
-    average-mean squared distance to the truth under the exact laws of X_1..X_n,
-    each replication with the same numbers as if it were fitted alone.  The bias,
-    inf over the family of that distance, is computed once per n.  One row per n
-    on the grid, vacuous when its bound is at least max_s (B + |truth(s)|)**2,
-    which no truncated fit's error exceeds; the metadata carries the log-log
-    slope of the measured error over the grid for trend checks, None unless the
-    grid holds at least two distinct n and every error is positive.
+    state, finite.  Every n's ``BoundParams``, the theorem's hypotheses and the
+    cap on the cells of its marginal laws are checked before the first draw; no
+    n's laws are built before that n is reached.  For each n the replications
+    are drawn (``_draw``, whose responses the spec checked when it was built)
+    and fitted (``_fit``) in stacks, each holding at most ``STACK_DRAWS`` cells
+    of the largest per-replication array: the fit's design columns or member
+    risks, the fitted values, the draws.  Each stack's fits are then truncated
+    and scored in one call by their average-mean squared distance to the truth
+    under the exact laws of X_1..X_n, each replication with the same numbers as
+    if it were fitted and scored alone.  The bias, inf over the family of that
+    distance, is computed once per n.  One row per n on the grid, vacuous when
+    its bound is at least max_s (B + |truth(s)|)**2, which no truncated fit's
+    error exceeds; the metadata carries the log-log slope of the measured error
+    over the grid for trend checks, None unless the grid holds at least two
+    distinct n and every error is positive.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -549,6 +568,7 @@ def weak_error_experiment(
     grid = [dataclasses.replace(params, n=int(n)) for n in n_grid]
     for p in grid:
         p.check_weak_error_hypotheses()
+        spec._check_cells(p.n)
     # cells per replication: its fit's design columns or member risks, its fitted values, its draws
     width = family.table.shape[0] if family.design is None else family.design.shape[1]
     with np.errstate(over="ignore"):  # past float range it is inf, which only an infinite bound reaches
@@ -562,8 +582,7 @@ def weak_error_experiment(
         for first in range(0, replications, size):
             reps = range(first, min(first + size, replications))
             index, ys = _draw(spec, p.n, reps, visits)
-            for rep, values in zip(reps, truncate(_fit(family, index, ys)[0], p.B)):
-                errors[rep] = _average_sq_distance(values, truth, laws)
+            errors[first:reps.stop] = _average_sq_distance(truncate(_fit(family, index, ys)[0], p.B), truth, laws)
             del index, ys  # no array of a stack outlives it
         mean = float(errors.mean())
         stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0

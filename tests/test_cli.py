@@ -565,6 +565,22 @@ CONFIG_ERRORS = {
         {"family": {"kind": "state_table", "tables": [{"0": 0.0}, {"0": 1.0}]},
          "xs": [0, "0", 0], "ys": [1.0, 0.0, 1.0], "B": 1.0},
         "family.tables[0]: states 0 and '0' share the key '0'"),
+    "document not an object": ("beta", [BETA_DOC], "document: expected an object, got list"),
+    "beta without a source": (
+        "beta", {"m": 2}, "document: needs one of ('chain', 'joint', 'process')"),
+    "states not a list": (
+        "beta", with_change(BETA_DOC, "chain.states", "01"), "chain.states: expected a list, got str"),
+    "state label neither string nor number": (
+        "beta", with_change(BETA_DOC, "chain.states", [0, [1]]),
+        "chain.states: state labels must be strings or numbers"),
+    "transition of the wrong shape": (
+        "beta", with_change(BETA_DOC, "chain.transition", [[0.75, 0.25]]),
+        "chain.transition: expected an array of shape (2, 2), got (1, 2)"),
+    "affine span over non-numeric states": (
+        "regress",
+        {"family": {"kind": "affine_span", "range_bound": 1.0}, "xs": ["a", "b", "a"], "ys": [0.1, 0.2, 0.1],
+         "B": 1.0},
+        "family.kind: affine_span needs numeric states"),
 }
 
 

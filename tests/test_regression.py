@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betamix.bounds import BoundParams
@@ -10,6 +10,7 @@ from betamix.entropy import FunctionFamily
 from betamix.errors import DomainError, MalformedInputError
 from betamix.regression import (
     Dataset,
+    _average_sq_distance,
     family_bias,
     fit_least_squares,
     loss_difference_family,
@@ -208,3 +209,30 @@ def test_weak_error_unbiased_noiseless_shrinks():
     small, big = weak_error_experiment(spec, fam, params, truth, [40, 640], 60).rows
     assert [small["bias"], big["bias"]] == pytest.approx([0.0, 0.0], abs=1e-12)
     assert big["weak_error"] < small["weak_error"]
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=2), st.integers(1, 300), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+@example([1], 1, 1, 0)
+@example([1], 300, 12, 1)
+@example([6, 1], 1, 12, 2)
+@example([6], 300, 1, 3)
+@settings(max_examples=200, deadline=None)
+def test_average_sq_distance_of_a_stack_equals_one_call_per_row(stack, n, k, seed):
+    # each row of a stack must keep the bits of its score alone: sq @ laws.T, one matrix product
+    # for the whole stack, rounds otherwise on most of these shapes
+    rng = np.random.default_rng(seed)
+    laws = rng.random((n, k))
+    laws /= laws.sum(axis=1, keepdims=True)
+    truth, values = rng.normal(size=k), rng.normal(size=(*stack, k))
+    scores = _average_sq_distance(values, truth, laws)
+    assert scores.shape == tuple(stack)
+    rows = values.reshape(-1, k)
+    alone = [_average_sq_distance(row, truth, laws) for row in rows]
+    # a lone row is the plain matrix-vector product of the laws and its squared distances, averaged
+    assert alone == [float((laws @ np.float_power(row - truth, 2.0)).mean()) for row in rows]
+    assert scores.ravel().tolist() == alone
+    family = FunctionFamily(tuple(range(k)), table=rows)
+    B = 0.5
+    assert family_bias(family, truth, laws, B) == min(_average_sq_distance(truncate(row, B), truth, laws)
+                                                      for row in rows)

@@ -19,7 +19,7 @@ from betamix.errors import DomainError, HypothesisViolationError, MalformedInput
 from betamix.mixing import MixingFit, markov_beta
 from betamix.pmf import CELL_CAP, FinitePmf, MarkovChainSpec
 from betamix.regression import RIDGE, Dataset, _average_sq_distance, _check_responses, _fit, family_bias
-from betamix import config, simulate
+from betamix import config, regression, simulate
 from betamix.cli import main
 from betamix.simulate import (
     STACK_DRAWS,
@@ -125,6 +125,22 @@ def test_seed_must_lie_in_the_key_range():
             GeneratorSpec(kind="iid", seed=seed, law=law)
     for seed in (0, 2**63 - 1, np.int64(7), 2.0):
         assert generate(GeneratorSpec(kind="iid", seed=seed, law=law), 3).index.shape == (3,)
+
+
+def test_replication_must_lie_in_the_key_range():
+    law = FinitePmf((0, 1), [0.5, 0.5])
+    spec = GeneratorSpec(kind="iid", seed=3, law=law)
+    # outside the key range numpy raised OverflowError
+    for rep in (-1, 2**64):
+        with pytest.raises(MalformedInputError, match=rf"^replication must be in \[0, 2\*\*63\), got {rep}$"):
+            generate(spec, 3, rep)
+    # 1.5 raised a TypeError, and True ran as replication 1
+    for rep in (1.5, True):
+        with pytest.raises(MalformedInputError, match=f"^replication must be an integer, got {rep!r}$"):
+            generate(spec, 3, rep)
+    for rep in (0, 2**63 - 1, np.int64(7), 2.0):
+        expected = np.searchsorted(inverse_cdf(law.probs), philox(3, int(rep)).random(3), side="right")
+        assert generate(spec, 3, rep).index.tolist() == expected.tolist()
 
 
 def test_states_are_resolved_once():
@@ -872,6 +888,63 @@ def test_weak_error_experiment_builds_no_dataset(monkeypatch):
     assert weak_error_experiment(*args) == expected
 
 
+@pytest.mark.parametrize("family", sorted(WEAK_ERROR_FAMILIES))
+def test_weak_error_experiment_scores_each_stack_in_one_call(monkeypatch, family):
+    spec, fam = weak_error_spec("m_dependent"), WEAK_ERROR_FAMILIES[family]
+    args = (spec, fam, make_params(B=0.25, V=2, m=1), [-0.1, 0.12, 0.02], [3, 300], 120)
+    expected_report = weak_error_experiment(*args)
+    events = []
+    draw, score, laws = simulate._draw, simulate._average_sq_distance, GeneratorSpec.marginal_laws
+
+    def counted_draw(spec, n, reps, visits=None):
+        events.append(("draw", n, len(reps)))
+        return draw(spec, n, reps, visits)
+
+    def counted_score(values, truth, weights):
+        events.append(("score", values.shape[:-1]))
+        return score(values, truth, weights)
+
+    def counted_laws(self, n):
+        events.append(("laws", n))
+        return laws(self, n)
+
+    monkeypatch.setattr(simulate, "_draw", counted_draw)
+    monkeypatch.setattr(simulate, "_average_sq_distance", counted_score)
+    monkeypatch.setattr(regression, "_average_sq_distance", counted_score)
+    monkeypatch.setattr(GeneratorSpec, "marginal_laws", counted_laws)
+    assert weak_error_experiment(*args) == expected_report
+    # each n's laws when that n is reached; then one score per stack, of all its replications, and for a
+    # finite family one of all its members for the bias
+    width = 2 if fam.design is not None else 3
+    expected = []
+    for n in (3, 300):
+        size = simulate._stack_size(spec, n, max(n * width, 3))
+        expected.append(("laws", n))
+        for first in range(0, 120, size):
+            stack = min(size, 120 - first)
+            expected += [("draw", n, stack), ("score", (stack,))]
+        expected += [("score", (3,))] if fam.design is None else []
+    assert events == expected
+    assert sum(event[0] == "draw" for event in events) > 3
+
+
+def test_weak_error_bound_is_informative_and_dominant_at_large_n():
+    """Criterion 8's generator and affine family, with c = sqrt(71) (the value ``subexp_rate`` fixes) and
+    lambda = 1.3: the bound falls below the trivial max_s (B + |truth(s)|)**2 = 0.1225 from n = 30730, so
+    both rows say something, and both dominate.  The bound (0.115 and 0.060) still sits about 1.8e5 times
+    above the measured error (6.4e-7 and 2.7e-7, 2.2e5 times at the larger n): the check passes by a
+    margin that no Monte Carlo error could close."""
+    phi = [(s - 1.5) / 15.0 for s in range(4)]
+    spec = GeneratorSpec(kind="m_dependent", seed=808, dependence_lag=2, alphabet_size=4, phi=phi,
+                         noise_values=(-0.1, 0.1), noise_probs=(0.5, 0.5), response_bound=0.25)
+    family = FunctionFamily(tuple(range(4)), design=[[1.0, float(s)] for s in range(4)])
+    params = make_params(c=math.sqrt(71.0), lam=1.3, B=0.25, V=3, m=2)
+    report = weak_error_experiment(spec, family, params, phi, [32768, 65536], 200)
+    for row in report.rows:
+        assert (row["vacuous"], row["dominant"]) == (False, True), row
+        assert 1e5 < row["bound_total"] / row["weak_error"] < 1e6, row
+
+
 def no_draw(*args):
     raise AssertionError("drawn before the experiment's inputs were checked")
 
@@ -892,6 +965,8 @@ LATE_SIZE_FLOOR = f"floor(n/m) >= exp((c^2-71)/(4V)) violated: 3 < {math.exp(10.
      "need 1 <= m <= n, got n=1, m=2"),
     ({"n_grid": [5, 3], "params": make_params(B=0.25, V=2, m=1, c=9.0)}, HypothesisViolationError,
      LATE_SIZE_FLOOR),
+    # and each n's cap on its marginal laws' cells, the last n's included
+    ({"n_grid": [5, 400000]}, SizeError, f"n 400000 needs 1200000 marginal cells, above cap {CELL_CAP}"),
 ])
 def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=weak_error_spec("iid"), family=WEAK_ERROR_FAMILIES["affine span"],
