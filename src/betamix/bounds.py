@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocking import euclidean, lifted_bound
-from .entropy import EntropyEstimate
+from .entropy import EntropyEstimate, _check_float_range
 from .errors import DomainError, HypothesisViolationError
 from .mixing import MixingFit
 
@@ -63,11 +62,9 @@ class BoundParams:
             raise DomainError(f"V must be a positive integer, got {self.V}")
         if self.n < 1 or self.m < 1 or self.m > self.n:
             raise DomainError(f"need 1 <= m <= n, got n={self.n}, m={self.m}")
-        # the bounds take n as a float, and m, which is at most n
-        try:
-            float(self.n)
-        except OverflowError:
-            raise DomainError(f"n must be at most the largest float, {sys.float_info.max:g}") from None
+        # the bounds take V and n as floats, and m, which is at most n
+        _check_float_range("V", self.V)
+        _check_float_range("n", self.n)
 
     def check_weak_error_hypotheses(self) -> None:
         """Raise unless the weak-error theorem's two inequalities hold."""
@@ -143,6 +140,7 @@ def indep_deviation_bound(
     """
     if size < 1:
         raise DomainError("size must be >= 1")
+    _check_float_range("size", size)
     if not t >= 0.0:
         raise DomainError("t must be nonnegative")
     threshold = (params.B * params.c / 2.0) * math.sqrt(params.gamma / size)
@@ -188,6 +186,7 @@ def t0_threshold(c: float, lam: float, size: int) -> float:
     """Minimal valid deviation level: (-(lam-1) + sqrt((lam-1)^2 + c(c+1) lam^2/size))/2."""
     if size < 1:
         raise DomainError("size must be >= 1")
+    _check_float_range("size", size)
     _check_above_one(c, lam, "lambda")
     d = lam - 1.0
     return 0.5 * (-d + math.sqrt(d * d + c * (c + 1.0) * lam * lam / size))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,14 @@ class FunctionFamily:
         if not np.isfinite(values).all():
             raise MalformedInputError(f"{name} values must be finite")
         object.__setattr__(self, name, values)
+
+
+def _check_float_range(name: str, value: int) -> None:
+    """Refuse an integer that a closed form would take as a float: one past the largest float."""
+    try:
+        float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be at most the largest float, {sys.float_info.max:g}") from None
 
 
 def l1_distances(values: np.ndarray) -> np.ndarray:
@@ -136,6 +145,7 @@ def sauer_shelah_entropy(V: int, B: float, r: float) -> float:
     """
     if V < 1:
         raise DomainError("V must be a positive integer")
+    _check_float_range("V", V)
     if not B > 0.0:
         raise DomainError("B must be positive")
     if not r > 0.0:
@@ -156,11 +166,17 @@ def neural_net_entropy(N: int, d: int, B: float, r: float) -> float:
     """
     if N < 1 or d < 1:
         raise DomainError("N and d must be positive integers")
+    _check_float_range("N", N)
+    _check_float_range("d", d)
     if not B > 0.0:
         raise DomainError("B must be positive")
     if not 0.0 < r < B / 2.0:
         raise DomainError(f"radius must lie in (0, B/2), got {r}")
-    return ((2 * d + 5) * N + 1) * (1.0 + math.log(12.0) + math.log(B / r) + math.log(N + 1.0))
+    try:
+        units = float((2 * d + 5) * N + 1)
+    except OverflowError:  # a count past float range makes the estimate inf
+        units = math.inf
+    return units * (1.0 + math.log(12.0) + math.log(B / r) + math.log(N + 1.0))
 
 
 EntropyEstimate = Callable[[float], float]  # radius -> log covering bound, the same for every sample size

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, MalformedInputError, SizeError
-from .pmf import CELL_CAP, JointPmf, MarkovChainSpec
+from .errors import DegenerateFitError, MalformedInputError
+from .pmf import CELL_CAP, JointPmf, MarkovChainSpec, _check_marginal_cells
 
 MIXING_MODELS = ("subexponential", "subpolynomial")
 # the starting times that markov_beta scans unless told otherwise
@@ -87,9 +87,7 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = HORIZON) -> float
         raise MalformedInputError("m must be >= 1")
     if horizon < 1:
         raise MalformedInputError("horizon must be >= 1")
-    if horizon * chain.n_states > CELL_CAP:
-        raise SizeError(f"horizon {horizon} needs {horizon * chain.n_states} marginal cells, "
-                        f"above cap {CELL_CAP}")
+    _check_marginal_cells("horizon", horizon, chain.n_states)
     step_m = np.linalg.matrix_power(chain.transition, m)
     mus = chain.marginal_matrix(horizon)
     repeats = np.flatnonzero((mus[1:] == mus[:-1]).all(axis=1))
@@ -143,7 +141,8 @@ def fit_mixing_rate(
     for the subpolynomial model) is taken from the caller when supplied and
     otherwise obtained by log-linear least squares on the strictly positive
     points.  The amplitude a is then set to the smallest value giving pointwise
-    dominance, which is re-verified before returning.
+    dominance, which is re-verified before returning; one past float range
+    raises DegenerateFitError.
     """
     if model not in MIXING_MODELS:
         raise MalformedInputError(f"unknown model {model!r}")
@@ -172,8 +171,8 @@ def fit_mixing_rate(
                 # log beta = log a - b * m**gamma
                 slope, _ = np.polyfit(ms**g, logv, 1)
                 b = max(-float(slope), 0.0)
-        a = float(np.max([v * math.exp(b * m**g) for m, v in pos]))
-        fit = MixingFit("subexponential", a, float(b), g)
+        b = float(b)
+        scale = lambda m: math.exp(b * m**g)
     else:
         if gamma is None:
             if len(pos) == 1:
@@ -181,8 +180,15 @@ def fit_mixing_rate(
             else:
                 slope, _ = np.polyfit(np.log(ms), logv, 1)
                 gamma = max(-float(slope), 0.0)
-        a = float(np.max([v * m ** float(gamma) for m, v in pos]))
-        fit = MixingFit("subpolynomial", a, None, float(gamma))
+        g, b = float(gamma), None
+        scale = lambda m: m**g
+    try:
+        a = float(np.max([v * scale(m) for m, v in pos]))
+    except OverflowError:  # math.exp or a power past float range
+        a = math.inf
+    if not math.isfinite(a):
+        raise DegenerateFitError(f"the dominating amplitude of the {model} envelope is past float range")
+    fit = MixingFit(model, a, b, g)
 
     for m, v in pts:
         env = fit.envelope(m)

@@ -4,8 +4,8 @@ These are the substrate for everything else in the package: dependence
 coefficients and couplings are computed by explicit atom sums over dense
 joint grids, so all types here validate total mass and nonnegativity at
 construction time and keep the full grid in memory: at most ``CELL_CAP`` cells,
-a coupling's extended joint included (checked before it is built).  Marginals
-and grouped blocks of a joint are plain arrays.
+a coupling's extended joint and a chain's marginals included (checked first).
+Marginals and grouped blocks of a joint are plain arrays.
 """
 from __future__ import annotations
 
@@ -24,6 +24,14 @@ CELL_CAP = 10**6
 def _check_cells(cells: int) -> None:
     if cells > CELL_CAP:
         raise SizeError(f"joint with {cells} cells exceeds cap {CELL_CAP}")
+
+
+def _check_marginal_cells(name: str, rows: int, k: int) -> None:
+    """Refuse ``rows`` (called ``name``) marginal laws over k states: fewer than 0, or above ``CELL_CAP`` cells."""
+    if rows < 0:
+        raise MalformedInputError(f"{name} must be >= 0, got {rows}")
+    if rows * k > CELL_CAP:
+        raise SizeError(f"{name} {rows} needs {rows * k} marginal cells, above cap {CELL_CAP}")
 
 
 def _sum_onto(probs: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -168,7 +176,9 @@ class MarkovChainSpec:
         The recursion mu_{j+1} = mu_j P stops at its first exact fixed point,
         where mu_j P equals mu_j bit for bit, and fills the remaining rows with
         it: the recursion is deterministic, so every later row would repeat it.
+        A negative n or more than ``CELL_CAP`` cells is refused before any array is built.
         """
+        _check_marginal_cells("n", n, self.n_states)
         out = np.empty((n, self.n_states))
         mu = self.initial.probs.copy()
         for j in range(n):

@@ -25,11 +25,11 @@ counts.  A Markov stack whose step table (the chain's random map, see
 ``_walk_stack``, every path of the stack at once: each draw is coded by its
 interval through a table over dyadic cells of [0, 1) (by binary search for the
 draws in cells that a breakpoint splits), and the walk moves d steps per gather
-through the map composed over d steps (``_chunk_table``, built once per
-experiment and n, with d as large as the same cap allows).  A larger step table
-walks each path alone.  ``weak_error_experiment`` draws (``_draw``) and fits
-(``regression._fit``) its replications in stacks of at most ``STACK_DRAWS``
-cells, and scores each stack's truncated fits in one call
+through the map composed over d steps (``_chunk_table``, with d as large as the
+same cap allows).  A larger step table walks each path alone.  Both experiments
+cut their replications in order into stacks of at most ``STACK_DRAWS`` cells,
+building the chunk table once per n (``_stacks``).  ``weak_error_experiment``
+draws (``_draw``) and fits (``regression._fit``) a stack, scoring its truncated fits in one call
 (``regression._average_sq_distance``), each with the bits of its score alone.
 Both experiments check every input before the first draw.
 Samples carry no laws; experiments ask the spec for its exact marginals once
@@ -51,7 +51,7 @@ from .bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
-from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _eq_by_value
+from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _check_marginal_cells, _eq_by_value
 from .regression import Dataset, _average_sq_distance, _check_responses, _fit, family_bias, truncate
 
 
@@ -193,19 +193,13 @@ class GeneratorSpec:
     def states(self) -> tuple:
         return self._states
 
-    def _check_cells(self, n: int) -> None:
-        """Refuse an n whose marginal laws would hold more than ``CELL_CAP`` (index, state) cells."""
-        k = len(self.states())
-        if n * k > CELL_CAP:
-            raise SizeError(f"n {n} needs {n * k} marginal cells, above cap {CELL_CAP}")
-
     def marginal_laws(self, n: int) -> np.ndarray:
         """Exact per-index laws of X_1..X_n, one row per index.
 
-        More than ``CELL_CAP`` cells raise SizeError (``_check_cells``) before any array is built.
+        A negative n, or more than ``CELL_CAP`` cells, is refused before any array is built.
         """
-        self._check_cells(n)
         k = len(self.states())
+        _check_marginal_cells("n", n, k)
         if self.kind == "markov":
             return self.chain.marginal_matrix(n)
         if self.kind == "m_dependent":
@@ -367,10 +361,14 @@ def _path_draws(spec: GeneratorSpec, n: int, paths: int) -> np.ndarray:
     return np.empty((paths, n))
 
 
-def _stack_size(spec: GeneratorSpec, n: int, cells: int) -> int:
-    """Replications per stack at length n, at least one: the most whose arrays, each of ``cells``
-    cells per replication or of one ``_path_draws`` row, hold at most ``STACK_DRAWS`` cells."""
-    return max(1, STACK_DRAWS // max(cells, _path_draws(spec, n, 0).shape[1]))
+def _stacks(spec: GeneratorSpec, n: int, replications: int, cells: int):
+    """Stacks ``(reps, visits)`` of the replications 0..replications-1, in order: each the most reps, one at
+    least, whose arrays of ``cells`` cells or of one ``_path_draws`` row each hold at most ``STACK_DRAWS``
+    cells; ``visits`` is ``_chunk_table(spec, n)``, built once."""
+    size = max(1, STACK_DRAWS // max(cells, _path_draws(spec, n, 0).shape[1]))
+    visits = _chunk_table(spec, n)
+    for first in range(0, replications, size):
+        yield range(first, min(first + size, replications)), visits
 
 
 def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) -> np.ndarray:
@@ -490,7 +488,7 @@ def deviation_experiment(
     (1-eps) * empirical mean - (1+eps) * average mean of the member over the
     sample; frequencies of {statistic >= t} are paired with the dependent-case
     deviation bound at each t on the grid, all evaluated before the first draw.
-    Replications are drawn in stacks (``_stack_size``), so that a stack's draws,
+    Replications are drawn in stacks (``_stacks``), so that a stack's draws,
     paths, state counts and member means each hold at most STACK_DRAWS cells.
     The empirical mean is a function of each path's state counts (see
     ``_count_means``), and each stack adds its hits per t to one counter.
@@ -510,10 +508,7 @@ def deviation_experiment(
 
     t_values = np.array(t_grid, dtype=float)
     hits = np.zeros(len(t_values), dtype=np.int64)
-    size = _stack_size(spec, n, max(table.shape))
-    visits = _chunk_table(spec, n)
-    for first in range(0, replications, size):
-        reps = range(first, min(first + size, replications))
+    for reps, visits in _stacks(spec, n, replications, max(table.shape)):
         emp = _count_means(_paths(spec, _stack_draws(spec, n, reps), visits), table)
         stat = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max(axis=1)
         hits += (stat[:, None] >= t_values).sum(axis=0)
@@ -568,7 +563,7 @@ def weak_error_experiment(
     grid = [dataclasses.replace(params, n=int(n)) for n in n_grid]
     for p in grid:
         p.check_weak_error_hypotheses()
-        spec._check_cells(p.n)
+        _check_marginal_cells("n", p.n, len(spec.states()))
     # cells per replication: its fit's design columns or member risks, its fitted values, its draws
     width = family.table.shape[0] if family.design is None else family.design.shape[1]
     with np.errstate(over="ignore"):  # past float range it is inf, which only an infinite bound reaches
@@ -576,13 +571,10 @@ def weak_error_experiment(
     rows = []
     for p in grid:
         laws = spec.marginal_laws(p.n)
-        visits = _chunk_table(spec, p.n)
-        size = _stack_size(spec, p.n, max(p.n * width, len(truth)))
         errors = np.empty(replications)
-        for first in range(0, replications, size):
-            reps = range(first, min(first + size, replications))
+        for reps, visits in _stacks(spec, p.n, replications, max(p.n * width, len(truth))):
             index, ys = _draw(spec, p.n, reps, visits)
-            errors[first:reps.stop] = _average_sq_distance(truncate(_fit(family, index, ys)[0], p.B), truth, laws)
+            errors[reps.start:reps.stop] = _average_sq_distance(truncate(_fit(family, index, ys)[0], p.B), truth, laws)
             del index, ys  # no array of a stack outlives it
         mean = float(errors.mean())
         stderr = float(errors.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0

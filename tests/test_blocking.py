@@ -312,3 +312,34 @@ def test_union_bound_report_consistency_flag():
     bad = UnionBoundReport(0.5, 0.001, 0.1, 0.001, 100)
     assert good.consistent
     assert not bad.consistent
+
+
+def test_union_bound_check_rejects_no_replications():
+    with pytest.raises(DomainError, match="^replications must be >= 1$"):
+        union_bound_check(lambda rep: np.zeros((1, 6)), np.full((1, 6), 0.5), m_steps_partition(6, 2),
+                          1.0, -1.0, 0.1, 0)
+
+
+def broken_partition(**fields):
+    part = Partition(10, 3)
+    for name, value in fields.items():
+        setattr(part, name, value)
+    return part
+
+
+# (fields overwritten on Partition(10, 3), the AssertionError's message): check() holds on
+# every partition that the constructor builds, so only a broken one reaches these
+BROKEN_PARTITIONS = {
+    "block sizes": ({"q": 5}, "block 1 of (10,3) has size 4 != 6"),
+    # with a negative step, block 1 one step past its end is still inside 1..10
+    "block end": ({"m": -3, "q": -2, "r": 0}, "block 1 of (10,-3) stops at 10, not maximal in 1..10"),
+    "size sum": ({"n": 10.5}, "sizes of (10.5,3) do not sum to n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_PARTITIONS))
+def test_partition_check_names_a_broken_invariant(case):
+    fields, message = BROKEN_PARTITIONS[case]
+    with pytest.raises(AssertionError) as exc:
+        broken_partition(**fields).check()
+    assert str(exc.value) == message

@@ -350,3 +350,43 @@ def test_rates_name_the_missing_envelope(case):
     with pytest.raises(DomainError) as exc:
         evaluate(make_params(mixing=fit))
     assert str(exc.value) == message
+
+
+def test_weak_error_size_floor_tends_to_one_as_v_grows():
+    # at V = 1e308, 4V is past float range and the floor exp((c^2-71)/(4V)) reads exp(0) = 1
+    make_params(c=100.0, V=10**308, n=100, m=2, mixing=None).check_weak_error_hypotheses()
+
+
+ENTROPY = finite_family_entropy(2)
+# (call, exception type, start of its message) of each input check
+INPUT_CHECKS = {
+    "V of 0": (lambda: make_params(V=0), DomainError, "V must be a positive integer, got 0"),
+    "V past float range": (lambda: make_params(V=10**400), DomainError, "V must be at most the largest float"),
+    "size of 0 (indep deviation)": (
+        lambda: indep_deviation_bound(make_params(), ENTROPY, 0, 0.5), DomainError, "size must be >= 1"),
+    "size past float range (indep deviation)": (
+        lambda: indep_deviation_bound(make_params(), ENTROPY, 10**400, 0.5), DomainError,
+        "size must be at most the largest float"),
+    "size of 0 (t0 threshold)": (lambda: t0_threshold(2.0, 1.5, 0), DomainError, "size must be >= 1"),
+    "size past float range (t0 threshold)": (
+        lambda: t0_threshold(2.0, 1.5, 10**400), DomainError, "size must be at most the largest float"),
+    "negative t (ls deviation bound)": (
+        lambda: ls_deviation_bound(2.0, 1.5, 1, 100, 2, -1.0), DomainError, "t must be nonnegative"),
+    "x grid below 2": (
+        lambda: statistical_error_curve(make_params(), [1.0, 1.5], 1.0), DomainError,
+        "empty x grid after restriction to [2, n]"),
+    "lambda above the rate's cap": (
+        lambda: subexp_rate(make_params(lam=3.0), 1.0), HypothesisViolationError,
+        "lambda <= (3+sqrt(1+8 sqrt(71)))/4 violated: 3.0 >"),
+    "C of 0 (subpoly rate)": (
+        lambda: subpoly_rate(make_params(mixing=MixingFit("subpolynomial", 1.0, None, 2.0)), 0.0), DomainError,
+        "the universal constant C must be positive and supplied explicitly"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, kind, message = INPUT_CHECKS[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert str(exc.value).startswith(message)

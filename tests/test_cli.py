@@ -42,6 +42,14 @@ def test_partition_invalid_args(capsys):
     assert "1 <= m <= n" in err
 
 
+def test_module_runs_as_a_program():
+    # the exit status of ``python -m betamix.cli`` is main's return value
+    assert fresh_run(["partition", "7", "3"]) == (0, "[[1,4,7],[2,5],[3,6]]\n", "")
+    code, out, err = fresh_run(["partition", "3", "4"])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_beta_chain_closed_form(tmp_path, capsys):
     p = q = 0.25
     cfg = write(
@@ -825,6 +833,25 @@ DOMAIN_ERRORS = {
     "n past float range (subpoly rate)": (
         "bound", with_change(RATE_DOCS["subpoly_rate"], "params.n", 10**400),
         "error: n must be at most the largest float"),
+    # integers past float range used to end in an OverflowError traceback; a weak-error V made
+    # the size floor read inf instead, where that floor tends to 1 as V grows
+    "V past float range (sauer_shelah)": (
+        "entropy", dict(GOLDEN_DOCS["entropy-sauer-shelah"], V=10**400), "error: V must be at most the largest float"),
+    "N past float range (neural_net)": (
+        "entropy", dict(GOLDEN_DOCS["entropy-neural-net"], N=10**400), "error: N must be at most the largest float"),
+    "d past float range (neural_net)": (
+        "entropy", dict(GOLDEN_DOCS["entropy-neural-net"], d=10**400), "error: d must be at most the largest float"),
+    "size past float range (indep deviation)": (
+        "bound", dict(GOLDEN_DOCS["bound-beta-deviation"], bound="indep_deviation", size=10**400),
+        "error: size must be at most the largest float"),
+    "V past float range (subexp rate)": (
+        "bound", with_change(RATE_DOCS["subexp_rate"], "params.V", 10**400),
+        "error: V must be at most the largest float"),
+    "V past float range (subpoly rate)": (
+        "bound", with_change(RATE_DOCS["subpoly_rate"], "params.V", 10**400),
+        "error: V must be at most the largest float"),
+    "V past float range (weak error)": (
+        "bound", with_change(BOUND_DOC, "params.V", 10**400), "error: V must be at most the largest float"),
     # experiments whose marginal laws pass the cell cap: 1e300 used to die in a numpy traceback
     "n of 1e300": ("verify", with_change(CRITERION7_DOC, "params.n", 1e300), f"error: n {int(1e300)} needs"),
     "n one past the cap": (

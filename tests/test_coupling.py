@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -258,3 +259,23 @@ def test_generalized_berbee_equals_per_atom_loop(seed, shape):
     res = generalized_berbee(process)
     assert bit_equal(res.extended_joint.probs, ext)
     assert res.mismatch_probs == mismatch
+
+
+PAIR = JointPmf(((0, 1), (0, 1)), [[0.5, 0.0], [0.25, 0.25]])
+# (result, original joint, the MalformedInputError's message) of verify_coupling's input checks
+MISMATCHED_COUPLINGS = {
+    "starred indices off the extended joint": (
+        dataclasses.replace(berbee_couple(PAIR), starred_indices=()), PAIR,
+        "extended joint shape inconsistent with starred indices"),
+    "original with another axis count": (
+        berbee_couple(PAIR), JointPmf(((0, 1),) * 3, np.full((2, 2, 2), 1 / 8)),
+        "original joint has wrong axis count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_COUPLINGS))
+def test_verify_coupling_rejects_a_mismatched_result(case):
+    result, original, message = MISMATCHED_COUPLINGS[case]
+    with pytest.raises(MalformedInputError) as exc:
+        verify_coupling(result, original)
+    assert str(exc.value) == message

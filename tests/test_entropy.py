@@ -195,3 +195,37 @@ def test_covers_past_the_distance_cap_are_rejected():
         l1_distances(np.zeros((1001, 1)))
     with pytest.raises(SizeError, match=message):
         covering_number_greedy(np.zeros((1001, 1)), 0.5)
+
+
+def test_exact_cover_of_no_finite_distance_is_unreachable():
+    # a member always covers itself; only a distance matrix that no table yields (NaN) reaches the guard
+    with pytest.raises(AssertionError, match="^unreachable: the family always covers itself$"):
+        _cover_from_distances(np.full((2, 2), np.nan), 0.5)
+
+
+def test_neural_net_entropy_of_a_count_past_float_range_is_infinite():
+    # N and d are each a float, but (2d + 5) N + 1 is past float range
+    assert neural_net_entropy(10**300, 10**300, 1.0, 0.25) == math.inf
+
+
+# (call, start of the DomainError's message) of each input check
+INPUT_CHECKS = {
+    "radius of 0 (greedy cover)": (lambda: covering_number_greedy([[0.0], [1.0]], 0.0), "radius must be positive"),
+    "V of 0": (lambda: sauer_shelah_entropy(0, 1.0, 0.1), "V must be a positive integer"),
+    "V past float range": (lambda: sauer_shelah_entropy(10**400, 1.0, 0.1), "V must be at most the largest float"),
+    "B of 0 (sauer_shelah)": (lambda: sauer_shelah_entropy(1, 0.0, 0.1), "B must be positive"),
+    "N of 0": (lambda: neural_net_entropy(0, 1, 1.0, 0.1), "N and d must be positive integers"),
+    "d of 0": (lambda: neural_net_entropy(1, 0, 1.0, 0.1), "N and d must be positive integers"),
+    "N past float range": (lambda: neural_net_entropy(10**400, 1, 1.0, 0.1), "N must be at most the largest float"),
+    "d past float range": (lambda: neural_net_entropy(1, 10**400, 1.0, 0.1), "d must be at most the largest float"),
+    "B of 0 (neural_net)": (lambda: neural_net_entropy(1, 1, 0.0, 0.1), "B must be positive"),
+    "no members": (lambda: finite_family_entropy(0), "n_members must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value).startswith(message)

@@ -329,3 +329,49 @@ def test_mixing_fit_rejects_unknown_model_and_missing_rate():
     with pytest.raises(MalformedInputError):
         MixingFit("subexponential", 0.5, None, 1.0)
     assert MixingFit("subpolynomial", 0.5, None, 2.0).envelope(2.0) == pytest.approx(0.125)
+
+
+# amplitudes past float range used to end in math.exp's or the power's OverflowError, or a
+# product past it in a fit whose amplitude is inf
+@pytest.mark.parametrize("points, model, kwargs", [
+    ([(1, 0.5)], "subexponential", {"gamma": 1.0, "b": 1000.0}),
+    ([(1e200, 0.5)], "subpolynomial", {"gamma": 2.0}),
+    ([(1e200, 0.5)], "subexponential", {"gamma": 2.0, "b": 1e-300}),
+    ([(1e200, 1e10)], "subpolynomial", {"gamma": 1.5}),
+], ids=["exp past float range", "power past float range", "power in exp past float range", "product of inf"])
+def test_fit_refuses_an_amplitude_past_float_range(points, model, kwargs):
+    with pytest.raises(DegenerateFitError) as exc:
+        fit_mixing_rate(points, model, **kwargs)
+    assert str(exc.value) == f"the dominating amplitude of the {model} envelope is past float range"
+
+
+def test_fit_of_one_point_defaults_to_a_flat_rate():
+    # one point fixes no slope: the subexponential rate b is 0 and the subpolynomial exponent 1
+    assert fit_mixing_rate([(3, 0.2)], "subexponential") == MixingFit("subexponential", 0.2, 0.0, 1.0)
+    assert fit_mixing_rate([(3, 0.2)], "subpolynomial") == MixingFit("subpolynomial", 0.2 * 3.0, None, 1.0)
+    # a given b is kept; the subpolynomial model has none
+    assert fit_mixing_rate([(3, 0.2)], "subexponential", b=0.5).b == 0.5
+    assert fit_mixing_rate([(3, 0.2)], "subpolynomial", b=0.5).b is None
+
+
+JOINT_3 = JointPmf(((0, 1),) * 3, np.full((2, 2, 2), 1 / 8))
+
+# (call, start of the MalformedInputError's message) of each input check
+INPUT_CHECKS = {
+    "three-axis joint": (lambda: beta_coefficient(JOINT_3), "expected a two-axis joint, got 3 axes"),
+    "lag of 0 (m-dependence)": (lambda: beta_m_dependence(JOINT_3, 0, 1), "m and l must be positive"),
+    "time of 0 (m-dependence)": (lambda: beta_m_dependence(JOINT_3, 1, 0), "m and l must be positive"),
+    "lag of 0 (markov)": (lambda: markov_beta(STATIONARY_CHAIN, 0), "m must be >= 1"),
+    "horizon of 0": (lambda: markov_beta(STATIONARY_CHAIN, 1, horizon=0), "horizon must be >= 1"),
+    "unknown model": (lambda: fit_mixing_rate([(1, 0.5)], "linear"), "unknown model 'linear'"),
+    "lag below 1": (lambda: fit_mixing_rate([(0.5, 0.5)], "subpolynomial"), "lag values must be >= 1"),
+    "exponent of 0": (lambda: fit_mixing_rate([(1, 0.5)], "subexponential", gamma=0.0), "gamma must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(MalformedInputError) as exc:
+        call()
+    assert str(exc.value).startswith(message)

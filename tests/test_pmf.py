@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from betamix import config
 from betamix.entropy import FunctionFamily
 from betamix.errors import MalformedInputError, SizeError
-from betamix.pmf import FinitePmf, JointPmf, MarkovChainSpec
+from betamix.pmf import CELL_CAP, FinitePmf, JointPmf, MarkovChainSpec
 from betamix.regression import Dataset
 
 
@@ -158,3 +160,60 @@ def test_equality_compares_arrays_by_value(name):
     assert obj != changed and not obj == changed
     assert obj != "not a pmf"
     assert repr(obj) == repr(twin)
+
+
+TWO_STATE = MarkovChainSpec((0, 1), [[0.75, 0.25], [0.25, 0.75]], FinitePmf((0, 1), [1.0, 0.0]))
+HALVES = FinitePmf((0, 1), [0.5, 0.5])
+QUARTERS = JointPmf(((0, 1), (0, 1)), np.full((2, 2), 0.25))
+
+# (call, exception type, start of its message) of each input check
+INPUT_CHECKS = {
+    "repeated marginal axis": (lambda: QUARTERS.marginal((0, 0)), MalformedInputError, "invalid axis subset (0, 0)"),
+    "marginal axis out of range": (lambda: QUARTERS.marginal((2,)), MalformedInputError, "invalid axis subset (2,)"),
+    "support longer than probs": (
+        lambda: FinitePmf((0, 1), [1.0]), MalformedInputError, "support and probs must have matching length"),
+    "empty support": (lambda: FinitePmf((), []), MalformedInputError, "empty support"),
+    "joint shape off its axes": (
+        lambda: JointPmf(((0, 1),), [[1.0]]), MalformedInputError, "probs shape (1, 1) does not match axes (2,)"),
+    "joint mass short of 1": (lambda: JointPmf(((0, 1),), [0.25, 0.25]), MalformedInputError, "total mass 0.5 != 1"),
+    "overlapping groups": (
+        lambda: QUARTERS.grouped((0,), (0, 1)), MalformedInputError, "left and right groups must be disjoint"),
+    "transition shape off the states": (
+        lambda: MarkovChainSpec((0, 1), [[1.0]], HALVES), MalformedInputError, "transition shape (1, 1) != (2,2)"),
+    "transition row short of 1": (
+        lambda: MarkovChainSpec((0, 1), [[0.5, 0.25], [0.5, 0.5]], HALVES), MalformedInputError,
+        "transition rows must sum to 1, got"),
+    "initial law on other states": (
+        lambda: MarkovChainSpec(("a", "b"), [[0.5, 0.5], [0.5, 0.5]], HALVES), MalformedInputError,
+        "initial law support must equal the state set"),
+    "negative n of marginals": (lambda: TWO_STATE.marginal_matrix(-1), MalformedInputError, "n must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, kind, message = INPUT_CHECKS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("n", [10**12, 10**20])
+def test_marginal_matrix_refuses_past_the_cell_cap_before_allocating(n):
+    # numpy used to raise MemoryError here, for 14.6 TiB at n = 1e12
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError) as info:
+            TWO_STATE.marginal_matrix(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"n {n} needs {2 * n} marginal cells, above cap {CELL_CAP}"
+    assert peak < 2**20
+
+
+def test_marginal_matrix_at_the_cell_cap_and_of_no_rows():
+    assert TWO_STATE.marginal_matrix(CELL_CAP // 2).shape == (CELL_CAP // 2, 2)
+    with pytest.raises(SizeError, match=f"n {CELL_CAP // 2 + 1} needs {CELL_CAP + 2} marginal cells"):
+        TWO_STATE.marginal_matrix(CELL_CAP // 2 + 1)
+    assert TWO_STATE.marginal_matrix(0).shape == (0, 2)

@@ -236,3 +236,21 @@ def test_average_sq_distance_of_a_stack_equals_one_call_per_row(stack, n, k, see
     B = 0.5
     assert family_bias(family, truth, laws, B) == min(_average_sq_distance(truncate(row, B), truth, laws)
                                                       for row in rows)
+
+
+# (call, exception type, start of its message) of each input check
+INPUT_CHECKS = {
+    "B of 0": (lambda: fit_least_squares(Dataset((0, 1), (0, 1), [0.1, 0.2]), affine_span((0, 1)), 0.0),
+               DomainError, "B must be positive"),
+    "family on other states": (
+        lambda: fit_least_squares(Dataset((0, 1), (0, 1), [0.1, 0.2]), affine_span((0, 1, 2)), 1.0),
+        MalformedInputError, "the family and the data must share one state alphabet"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, kind, message = INPUT_CHECKS[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert str(exc.value).startswith(message)

@@ -97,6 +97,37 @@ def test_marginal_laws_reject_n_past_the_cell_cap_before_allocating(kind):
         assert peak < 2**20
 
 
+@pytest.mark.parametrize("kind", sorted(CAPPED_SPECS))
+def test_marginal_laws_reject_a_negative_n(kind):
+    # numpy used to raise its own ValueError on the negative dimension
+    with pytest.raises(MalformedInputError, match=r"^n must be >= 0, got -1$"):
+        CAPPED_SPECS[kind].marginal_laws(-1)
+
+
+COIN = FinitePmf((0, 1), [0.5, 0.5])
+# (call, exception type, start of its message) of each input check
+INPUT_CHECKS = {
+    "iid kind without a law": (lambda: GeneratorSpec(kind="iid", seed=0), MalformedInputError,
+                               "iid kind requires a law"),
+    "noise probs short of 1": (
+        lambda: GeneratorSpec(kind="iid", seed=0, law=COIN, noise_values=(0.0, 1.0), noise_probs=(0.5, 0.25)),
+        MalformedInputError, "noise_probs must be a pmf"),
+    "phi of one value on two states": (
+        lambda: GeneratorSpec(kind="iid", seed=0, law=COIN, phi=[0.0]), MalformedInputError,
+        "phi needs one value per state, got shape (1,)"),
+    "sample of length 0": (lambda: generate(GeneratorSpec(kind="iid", seed=0, law=COIN), 0), DomainError,
+                           "n must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, kind, message = INPUT_CHECKS[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
 @pytest.mark.parametrize("field", ["alphabet_size", "dependence_lag"])
 def test_m_dependent_sizes_past_the_cell_cap_are_rejected_before_allocating(field):
     # 3e7 states used to build a 3e7-tuple and more before exiting 1, a lag of 1e15 to die in numpy
@@ -918,7 +949,8 @@ def test_weak_error_experiment_scores_each_stack_in_one_call(monkeypatch, family
     width = 2 if fam.design is not None else 3
     expected = []
     for n in (3, 300):
-        size = simulate._stack_size(spec, n, max(n * width, 3))
+        # the widest per-replication array: the design columns or member risks, or the window seeds
+        size = STACK_DRAWS // max(n * width, n + spec.dependence_lag - 1)
         expected.append(("laws", n))
         for first in range(0, 120, size):
             stack = min(size, 120 - first)
