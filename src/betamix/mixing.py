@@ -129,6 +129,24 @@ class MixingFit:
         return float(val) if val.ndim == 0 else val
 
 
+def _float(x) -> float:
+    """``float(x)``, or inf for an integer past float range, which ``float`` refuses."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _rate(given, single: float, abscissae, logv: np.ndarray) -> float:
+    """The envelope's rate: the caller's, else ``single`` for one point, else minus the
+    log-linear least-squares slope of ``logv`` against ``abscissae()``, clipped at 0."""
+    if given is not None:
+        return float(given)
+    if len(logv) == 1:
+        return single
+    return max(-float(np.polyfit(abscissae(), logv, 1)[0]), 0.0)
+
+
 def fit_mixing_rate(
     points: Sequence[tuple],
     model: str,
@@ -146,11 +164,11 @@ def fit_mixing_rate(
     """
     if model not in MIXING_MODELS:
         raise MalformedInputError(f"unknown model {model!r}")
-    pts = [(float(m), float(v)) for m, v in points]
+    pts = [(_float(m), _float(v)) for m, v in points]
     if not all(math.isfinite(m) and math.isfinite(v) for m, v in pts):
         raise MalformedInputError("lag and beta values must be finite")
     for name, value in (("gamma", gamma), ("b", b)):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not math.isfinite(_float(value)):
             raise MalformedInputError(f"{name} must be finite, got {value}")
     if any(m < 1 for m, _ in pts):
         raise MalformedInputError("lag values must be >= 1")
@@ -164,23 +182,12 @@ def fit_mixing_rate(
         g = 1.0 if gamma is None else float(gamma)
         if not g > 0.0:
             raise MalformedInputError("gamma must be positive")
-        if b is None:
-            if len(pos) == 1:
-                b = 0.0
-            else:
-                # log beta = log a - b * m**gamma
-                slope, _ = np.polyfit(ms**g, logv, 1)
-                b = max(-float(slope), 0.0)
-        b = float(b)
+        # log beta = log a - b * m**gamma
+        b = _rate(b, 0.0, lambda: ms**g, logv)
         scale = lambda m: math.exp(b * m**g)
     else:
-        if gamma is None:
-            if len(pos) == 1:
-                gamma = 1.0
-            else:
-                slope, _ = np.polyfit(np.log(ms), logv, 1)
-                gamma = max(-float(slope), 0.0)
-        g, b = float(gamma), None
+        # log beta = log a - gamma * log m
+        g, b = _rate(gamma, 1.0, lambda: np.log(ms), logv), None
         scale = lambda m: m**g
     try:
         a = float(np.max([v * scale(m) for m, v in pos]))

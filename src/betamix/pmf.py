@@ -10,6 +10,7 @@ Marginals and grouped blocks of a joint are plain arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -27,11 +28,18 @@ def _check_cells(cells: int) -> None:
 
 
 def _check_marginal_cells(name: str, rows: int, k: int) -> None:
-    """Refuse ``rows`` (called ``name``) marginal laws over k states: fewer than 0, or above ``CELL_CAP`` cells."""
-    if rows < 0:
-        raise MalformedInputError(f"{name} must be >= 0, got {rows}")
-    if rows * k > CELL_CAP:
-        raise SizeError(f"{name} {rows} needs {rows * k} marginal cells, above cap {CELL_CAP}")
+    """Refuse ``rows`` (called ``name``) marginal laws over k states: not an integer (a bool, or any
+    value that ``operator.index`` refuses, 2.0 included), fewer than 0, or above ``CELL_CAP`` cells."""
+    try:
+        count = None if isinstance(rows, bool) else operator.index(rows)
+    except TypeError:
+        count = None
+    if count is None:
+        raise MalformedInputError(f"{name} must be an integer, got {rows!r}")
+    if count < 0:
+        raise MalformedInputError(f"{name} must be >= 0, got {count}")
+    if count * k > CELL_CAP:
+        raise SizeError(f"{name} {count} needs {count * k} marginal cells, above cap {CELL_CAP}")
 
 
 def _sum_onto(probs: np.ndarray, keep: Sequence[int]) -> np.ndarray:

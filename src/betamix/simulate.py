@@ -7,9 +7,14 @@ independent seeds (dependence vanishes beyond the lag), and an i.i.d. draw from
 a fixed law.  Every replication draws from its own counter-based stream derived
 from (seed, replication), so reports are bit-reproducible regardless of
 execution order; ``_stream`` starts it, re-keying this thread's one Philox, so
-no draw builds a generator.  A spec builds its sampling tables (the CDFs its
-draws are inverted through) once, when it is constructed, and every draw reads
-them; it also checks every response a draw can return, so no draw checks one.
+no draw builds a generator.  A spec resolves each kind's data in one branch
+of its construction, and every draw and law reads it: the states, one
+first-draw table (the cumulative initial law of a chain or the cumulative
+i.i.d. law, ``_start_cdf``), a chain's walk tables and the constant marginal
+law of the other two kinds.  Only the functions whose algorithm differs by
+kind branch on it again (``_path_draws``, ``_stack_draws``, ``_paths``,
+``beta_at``).  The spec also checks every response a draw can return, so no
+draw checks one.
 Every draw goes through one sampler: ``_stack_draws`` fills a stack of
 replications, each row from its own stream, first with its states' draws
 (``_path_draws``) and then, when responses are wanted, with its noise draws;
@@ -113,10 +118,16 @@ class GeneratorSpec:
     response a draw can return is checked at construction (``_check_responses``).
     ``seed`` is an integer in [0, 2**63).
 
-    The states and the sampling tables are built from the fields at
-    construction and held beside them, not as fields, so equality, ``repr`` and
-    ``dataclasses.replace`` see the fields alone (and ``replace`` builds the
-    tables anew).
+    Construction checks the kind's fields and resolves its data in one branch
+    per kind: its states; the law of its first draw (the chain's initial law or
+    the i.i.d. law; the m_dependent kind draws integer seeds), whose cumulative
+    table ``_start_cdf`` both of those kinds invert; its walk tables, a chain's
+    alone (``_row_cdfs`` and ``_steps``, None for the others); and its constant
+    marginal law (the i.i.d. law, or the uniform law of the window sums; None
+    for a chain, whose marginals change with the time).  That data and the
+    noise tables are held beside the fields, not as fields, so equality,
+    ``repr`` and ``dataclasses.replace`` see the fields alone (and ``replace``
+    builds them anew).
     """
 
     kind: str
@@ -136,30 +147,33 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             raise MalformedInputError(f"unknown generator kind {self.kind!r}")
         _key_word("seed", self.seed)
-        if self.kind == "markov" and self.chain is None:
-            raise MalformedInputError("markov kind requires a chain")
-        if self.kind == "m_dependent" and (
-            self.dependence_lag is None or self.alphabet_size is None
-            or self.dependence_lag < 1 or self.alphabet_size < 2
-        ):
-            raise MalformedInputError("m_dependent kind requires dependence_lag >= 1 and alphabet_size >= 2")
-        if self.kind == "m_dependent" and max(self.dependence_lag, self.alphabet_size) > CELL_CAP:
-            raise SizeError(f"dependence_lag and alphabet_size must be at most {CELL_CAP}, got "
-                            f"{self.dependence_lag} and {self.alphabet_size}")
-        if self.kind == "iid" and self.law is None:
-            raise MalformedInputError("iid kind requires a law")
+        start = rows = steps = marginal = None
+        if self.kind == "markov":
+            if self.chain is None:
+                raise MalformedInputError("markov kind requires a chain")
+            states, start = self.chain.states, self.chain.initial.probs
+            rows = tuple(map(tuple, inverse_cdf(self.chain.transition).tolist()))
+            steps = _step_table(rows)
+        elif self.kind == "m_dependent":
+            if (self.dependence_lag is None or self.alphabet_size is None
+                    or self.dependence_lag < 1 or self.alphabet_size < 2):
+                raise MalformedInputError("m_dependent kind requires dependence_lag >= 1 and alphabet_size >= 2")
+            if max(self.dependence_lag, self.alphabet_size) > CELL_CAP:
+                raise SizeError(f"dependence_lag and alphabet_size must be at most {CELL_CAP}, got "
+                                f"{self.dependence_lag} and {self.alphabet_size}")
+            states = tuple(range(self.alphabet_size))
+            # sums of i.i.d. uniforms modulo the alphabet size stay uniform
+            marginal = np.full(self.alphabet_size, 1.0 / self.alphabet_size)
+        else:
+            if self.law is None:
+                raise MalformedInputError("iid kind requires a law")
+            states, start, marginal = self.law.support, self.law.probs, self.law.probs
         if not (abs(sum(self.noise_probs) - 1.0) <= MASS_TOL and min(self.noise_probs) >= 0):
             raise MalformedInputError("noise_probs must be a pmf")
         if len(self.noise_values) != len(self.noise_probs):
             raise MalformedInputError("noise_values and noise_probs must have matching length")
         if not np.isfinite(self.noise_values).all():
             raise MalformedInputError("noise_values must be finite")
-        if self.kind == "markov":
-            states = self.chain.states
-        elif self.kind == "m_dependent":
-            states = tuple(range(self.alphabet_size))
-        else:
-            states = self.law.support
         object.__setattr__(self, "_states", states)
         k = len(states)
         phi = np.zeros(k) if self.phi is None else np.array(self.phi, dtype=float)
@@ -168,16 +182,12 @@ class GeneratorSpec:
         if not np.isfinite(phi).all():
             raise MalformedInputError("phi must be finite")
         object.__setattr__(self, "phi", phi)
-        # Sampling tables.  bisect_right on a tuple of Python floats is
-        # searchsorted(side="right") on the same float64 row, so the Markov walk
-        # skips zero-mass states alike, and inverse_cdf pins every total to 1.0.
-        if self.kind == "markov":
-            start, rows = inverse_cdf(self.chain.initial.probs), inverse_cdf(self.chain.transition)
-            object.__setattr__(self, "_start_cdf", tuple(start.tolist()))
-            object.__setattr__(self, "_row_cdfs", tuple(map(tuple, rows.tolist())))
-            object.__setattr__(self, "_steps", _step_table(self._row_cdfs))
-        if self.kind == "iid":
-            object.__setattr__(self, "_law_cdf", inverse_cdf(self.law.probs))
+        # Sampling tables.  bisect_right on a tuple of Python floats is searchsorted(side="right") on the
+        # same float64 row, so the Markov walk skips zero-mass states alike, and inverse_cdf pins every total to 1.0.
+        object.__setattr__(self, "_start_cdf", None if start is None else tuple(inverse_cdf(start).tolist()))
+        object.__setattr__(self, "_row_cdfs", rows)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_marginal", marginal)
         object.__setattr__(self, "_noise_cdf", inverse_cdf(self.noise_probs))
         object.__setattr__(self, "_noise_values", np.asarray(self.noise_values, dtype=float))
         # A draw returns phi(s) + v, v a noise value of positive mass (one of zero mass is never drawn);
@@ -194,18 +204,15 @@ class GeneratorSpec:
         return self._states
 
     def marginal_laws(self, n: int) -> np.ndarray:
-        """Exact per-index laws of X_1..X_n, one row per index.
+        """Exact per-index laws of X_1..X_n, one row per index: the chain's marginals, or the kind's
+        constant law in every row.
 
         A negative n, or more than ``CELL_CAP`` cells, is refused before any array is built.
         """
-        k = len(self.states())
-        _check_marginal_cells("n", n, k)
-        if self.kind == "markov":
+        if self._marginal is None:
             return self.chain.marginal_matrix(n)
-        if self.kind == "m_dependent":
-            # sums of i.i.d. uniforms modulo the alphabet size stay uniform
-            return np.full((n, k), 1.0 / k)
-        return np.tile(self.law.probs, (n, 1))
+        _check_marginal_cells("n", n, len(self._marginal))
+        return np.full((n, len(self._marginal)), self._marginal)
 
     def beta_at(self, m: int, n: int) -> float:
         """Lag-m dependence coefficient of the inputs X_1..X_n.
@@ -285,7 +292,7 @@ def _chunk_table(spec: GeneratorSpec, n: int) -> np.ndarray | None:
     code are steps 0..a-1 under the code's digits from a on, from where step a-1
     ends.
     """
-    if spec.kind != "markov" or spec._steps is None:
+    if spec._steps is None:
         return None
     steps = spec._steps[2]
     intervals, k = steps.shape
@@ -398,7 +405,7 @@ def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) ->
         # not ndarray.cumsum: each call may leave a new "accumulate" string in CPython's method cache
         np.add.accumulate(draws, axis=1, out=sums[:, 1:])
         return (sums[:, lag:] - sums[:, :-lag]) % spec.alphabet_size
-    return np.searchsorted(spec._law_cdf, draws, side="right")
+    return np.searchsorted(spec._start_cdf, draws, side="right")
 
 
 def _stack_draws(spec: GeneratorSpec, n: int, reps: range, noise: np.ndarray | None = None) -> np.ndarray:

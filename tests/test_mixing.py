@@ -366,6 +366,28 @@ INPUT_CHECKS = {
     "unknown model": (lambda: fit_mixing_rate([(1, 0.5)], "linear"), "unknown model 'linear'"),
     "lag below 1": (lambda: fit_mixing_rate([(0.5, 0.5)], "subpolynomial"), "lag values must be >= 1"),
     "exponent of 0": (lambda: fit_mixing_rate([(1, 0.5)], "subexponential", gamma=0.0), "gamma must be positive"),
+    # each used to end in numpy's TypeError
+    "fractional horizon": (lambda: markov_beta(STATIONARY_CHAIN, 1, horizon=2.5), "horizon must be an integer, got 2.5"),
+    "integral float horizon": (
+        lambda: markov_beta(STATIONARY_CHAIN, 1, horizon=2.0), "horizon must be an integer, got 2.0"),
+    "bool horizon": (lambda: markov_beta(STATIONARY_CHAIN, 1, horizon=True), "horizon must be an integer, got True"),
+    # integers past float range used to end in float's or math.isfinite's OverflowError
+    "rate b past float range": (
+        lambda: fit_mixing_rate([(1, 0.5), (2, 0.2)], "subexponential", b=10**400), f"b must be finite, got {10**400}"),
+    "subexponential gamma past float range": (
+        lambda: fit_mixing_rate([(1, 0.5), (2, 0.2)], "subexponential", gamma=10**400),
+        f"gamma must be finite, got {10**400}"),
+    "subpolynomial gamma past float range": (
+        lambda: fit_mixing_rate([(1, 0.5), (2, 0.2)], "subpolynomial", gamma=-10**400),
+        f"gamma must be finite, got {-10**400}"),
+    "subexponential lag past float range": (
+        lambda: fit_mixing_rate([(1, 0.5), (10**400, 0.2)], "subexponential"), "lag and beta values must be finite"),
+    "subpolynomial lag past float range": (
+        lambda: fit_mixing_rate([(1, 0.5), (10**400, 0.2)], "subpolynomial"), "lag and beta values must be finite"),
+    "subexponential beta past float range": (
+        lambda: fit_mixing_rate([(1, 10**400), (2, 0.2)], "subexponential"), "lag and beta values must be finite"),
+    "subpolynomial beta past float range": (
+        lambda: fit_mixing_rate([(1, -10**400), (2, 0.2)], "subpolynomial"), "lag and beta values must be finite"),
 }
 
 

@@ -187,6 +187,13 @@ INPUT_CHECKS = {
         lambda: MarkovChainSpec(("a", "b"), [[0.5, 0.5], [0.5, 0.5]], HALVES), MalformedInputError,
         "initial law support must equal the state set"),
     "negative n of marginals": (lambda: TWO_STATE.marginal_matrix(-1), MalformedInputError, "n must be >= 0, got -1"),
+    # each used to end in numpy's TypeError
+    "fractional n of marginals": (
+        lambda: TWO_STATE.marginal_matrix(2.5), MalformedInputError, "n must be an integer, got 2.5"),
+    "integral float n of marginals": (
+        lambda: TWO_STATE.marginal_matrix(2.0), MalformedInputError, "n must be an integer, got 2.0"),
+    "bool n of marginals": (
+        lambda: TWO_STATE.marginal_matrix(True), MalformedInputError, "n must be an integer, got True"),
 }
 
 

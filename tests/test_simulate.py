@@ -118,6 +118,12 @@ INPUT_CHECKS = {
     "sample of length 0": (lambda: generate(GeneratorSpec(kind="iid", seed=0, law=COIN), 0), DomainError,
                            "n must be >= 1"),
 }
+# marginal laws of a length that is not an integer used to end in numpy's TypeError
+INPUT_CHECKS.update({
+    f"{kind} marginal laws of length {n!r}": (
+        lambda spec=spec, n=n: spec.marginal_laws(n), MalformedInputError, f"n must be an integer, got {n!r}")
+    for kind, spec in CAPPED_SPECS.items() for n in (2.5, 2.0, True)
+})
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
@@ -126,6 +132,65 @@ def test_input_checks_name_the_fault(case):
     with pytest.raises(kind) as exc:
         call()
     assert str(exc.value).startswith(message)
+
+
+# each fault that construction refuses, in the order in which it is checked, with the message it raises;
+# an m_dependent spec's missing field is its lag and its size fault its alphabet, so that both can be injected at once
+MISSING_FIELD = {"markov": ("chain", "markov kind requires a chain"),
+                 "m_dependent": ("dependence_lag", "m_dependent kind requires dependence_lag >= 1 and alphabet_size >= 2"),
+                 "iid": ("law", "iid kind requires a law")}
+CONSTRUCTION_FAULTS = {
+    "unknown kind": "unknown generator kind 'weird'",
+    "seed": "seed must be in [0, 2**63), got -1",
+    "missing field": None,  # the kind's own, from MISSING_FIELD
+    "m_dependent size": f"dependence_lag and alphabet_size must be at most {CELL_CAP}, got 2 and {CELL_CAP + 1}",
+    "noise not a pmf": "noise_probs must be a pmf",
+    "noise lengths": "noise_values and noise_probs must have matching length",
+    "non-finite noise": "noise_values must be finite",
+    "phi shape": None,  # one value too many for the kind's states
+    "non-finite phi": "phi must be finite",
+    "response past the bound": "responses exceed the declared bound 0.05",
+}
+
+
+@given(st.sampled_from(sorted(CAPPED_SPECS)), st.sets(st.sampled_from(sorted(CONSTRUCTION_FAULTS))))
+@settings(max_examples=300, deadline=None)
+def test_construction_refuses_the_earliest_fault(kind, faults):
+    spec = CAPPED_SPECS[kind]
+    if kind != "m_dependent":
+        faults.discard("m_dependent size")
+    k = len(spec.states())
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    values, probs, phi = [-0.1, 0.1], (0.5, 0.5), [0.0] * k
+    if "unknown kind" in faults:
+        fields["kind"] = "weird"
+    if "seed" in faults:
+        fields["seed"] = -1
+    if "missing field" in faults:
+        fields[MISSING_FIELD[kind][0]] = None
+    if "m_dependent size" in faults:
+        fields["alphabet_size"] = CELL_CAP + 1
+    if "noise not a pmf" in faults:
+        probs = (0.5, 0.25)
+    if "noise lengths" in faults:
+        values.append(0.0)
+    if "non-finite noise" in faults:
+        values[0] = math.inf
+    if "non-finite phi" in faults:
+        phi[0] = math.nan
+    if "phi shape" in faults:
+        phi.append(0.0)
+    fields.update(noise_values=tuple(values), noise_probs=probs, phi=phi,
+                  response_bound=0.05 if "response past the bound" in faults else 1.0)
+    messages = {**CONSTRUCTION_FAULTS, "missing field": MISSING_FIELD[kind][1],
+                "phi shape": f"phi needs one value per state, got shape ({k + 1},)"}
+    earliest = [messages[fault] for fault in CONSTRUCTION_FAULTS if fault in faults]
+    if not earliest:
+        assert GeneratorSpec(**fields).states() == spec.states()
+        return
+    with pytest.raises((MalformedInputError, SizeError)) as exc:
+        GeneratorSpec(**fields)
+    assert str(exc.value) == earliest[0]
 
 
 @pytest.mark.parametrize("field", ["alphabet_size", "dependence_lag"])
@@ -209,6 +274,19 @@ def test_markov_marginals_attached_exactly():
     )
     spec = GeneratorSpec(kind="markov", seed=0, chain=chain)
     assert np.allclose(spec.marginal_laws(10), chain.marginal_matrix(10))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_marginal_laws_keep_their_bits(n):
+    # each kind's laws equal, bit for bit, the array that defines them
+    chain = MarkovChainSpec((0, 1, 2), [[0.1, 0.6, 0.3], [0.7, 0.2, 0.1], [0.3, 0.3, 0.4]],
+                            FinitePmf((0, 1, 2), [1.0, 0.0, 0.0]))
+    law = FinitePmf((0, 1, 2), [0.1, 0.2, 0.7])
+    assert np.array_equal(GeneratorSpec(kind="markov", seed=0, chain=chain).marginal_laws(n), chain.marginal_matrix(n))
+    assert np.array_equal(GeneratorSpec(kind="iid", seed=0, law=law).marginal_laws(n), np.tile(law.probs, (n, 1)))
+    for k in (3, 7):
+        spec = GeneratorSpec(kind="m_dependent", seed=0, dependence_lag=2, alphabet_size=k)
+        assert np.array_equal(spec.marginal_laws(n), np.full((n, k), 1 / k))
 
 
 def test_markov_trajectory_frequencies_match_marginals():
