@@ -12,7 +12,10 @@ report row), and its bytes are fixed by the config and the seed.  The library
 returns values and result objects; this module lays out every document from
 them, a joint in the layout ``config.joint_doc`` gives it.  The writer hands
 each scalar and each container of scalars to the stdlib's C encoder, which the
-stdlib uses only without ``indent``.
+stdlib uses only without ``indent``.  A 1-D float64 array, such as a joint's
+flat probabilities, is written as the list of its floats would be, in the same
+bytes: its +0.0 cells (most cells of a coupling's extended joint) as fixed
+text, and only its other cells through the encoder.
 ``main(argv)`` may be called any number of times in one process: the argument
 parser is built on the first call and every call parses into a fresh namespace.
 """
@@ -25,32 +28,46 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import bounds, config, coupling, entropy, mixing, regression, simulate
 from .blocking import Z, m_steps_partition
 from .errors import BetamixError, ConfigError, SizeError
 from .pmf import CELL_CAP
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def _indented(value, pad=""):
-    """What the stdlib's ``indent=2, default=float`` encoder writes for a value nested at ``pad``.
+    """What the stdlib's ``indent=2, default=float`` encoder writes for a value nested at ``pad``,
+    a 1-D float64 array being written as the list of its floats.
 
     Each scalar and each container holding no container is one call to the C
     encoder: its item separator carries the newline and the next line's
-    indentation.  Dict keys must be strings.
+    indentation.  An array's cells whose bits are +0.0 are the fixed text
+    ``0.0``; its other cells go through one call to the C encoder, whose
+    ``", "`` separator splits them, as no float's text holds it.  Dict keys
+    must be strings.
     """
     if isinstance(value, dict):
         items, brackets = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, np.ndarray) and (value.dtype != np.float64 or value.ndim != 1):
+            raise TypeError(f"only a 1-D float64 array is written, got {value.dtype} of shape {value.shape}")
         items, brackets = value, "[]"
     else:
         return json.dumps(value, default=float)
-    if not value:
+    if not len(value):
         return brackets
     inner = pad + "  "
-    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+    if isinstance(value, np.ndarray):
+        cells = ["0.0"] * len(value)
+        nonzero = np.flatnonzero(value.view(np.uint64))
+        for i, text in zip(nonzero.tolist(), json.dumps(value[nonzero].tolist())[1:-1].split(", ")):
+            cells[i] = text
+        body = (",\n" + inner).join(cells)
+    elif not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
         body = json.dumps(value, separators=(",\n" + inner, ": "), default=float)[1:-1]
     elif isinstance(value, dict):
         body = (",\n" + inner).join(json.dumps(key) + ": " + _indented(item, inner)

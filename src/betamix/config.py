@@ -7,7 +7,9 @@ integer field refuses a bool and a number with a fractional part.  Range
 and mass checks stay with the objects built.  State tables map each state's
 string form to a value, so states that share one (0 and "0") are refused.
 ``joint_doc``, the inverse of ``joint``, writes a joint's document, so that
-one format has one owner for reading and writing.
+one format has one owner for reading and writing; it hands the probabilities
+over as one flat float array, which ``joint`` reads back as it reads a list
+and the command line's writer lays out as the list of its floats.
 """
 from __future__ import annotations
 
@@ -139,8 +141,10 @@ def joint(sec: Section) -> pmf.JointPmf:
 
 
 def joint_doc(joint_pmf: pmf.JointPmf) -> dict:
-    """The document that ``joint`` reads back as ``joint_pmf``: axes as lists, probs row-major."""
-    return {"axes": [list(ax) for ax in joint_pmf.axes], "probs": joint_pmf.probs.ravel().tolist()}
+    """The document that ``joint`` reads back as ``joint_pmf``: axes as lists, probs as the flat
+    float64 array of its cells in row-major (C) order, not a list, so that no float is boxed
+    (``json.dumps`` needs ``default=np.ndarray.tolist`` for it)."""
+    return {"axes": [list(ax) for ax in joint_pmf.axes], "probs": joint_pmf.probs.ravel()}
 
 
 def params(sec: Section) -> bounds.BoundParams:

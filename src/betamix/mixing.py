@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, MalformedInputError
-from .pmf import CELL_CAP, JointPmf, MarkovChainSpec, _check_marginal_cells
+from .pmf import CELL_CAP, JointPmf, MarkovChainSpec, _check_marginal_cells, _integer
 
 MIXING_MODELS = ("subexponential", "subpolynomial")
 # the starting times that markov_beta scans unless told otherwise
@@ -83,7 +83,7 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = HORIZON) -> float
     A horizon whose marginals alone exceed ``CELL_CAP`` cells raises SizeError
     before any array is built.
     """
-    if m < 1:
+    if _integer("m", m) < 1:
         raise MalformedInputError("m must be >= 1")
     if horizon < 1:
         raise MalformedInputError("horizon must be >= 1")

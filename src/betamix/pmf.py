@@ -27,15 +27,21 @@ def _check_cells(cells: int) -> None:
         raise SizeError(f"joint with {cells} cells exceeds cap {CELL_CAP}")
 
 
-def _check_marginal_cells(name: str, rows: int, k: int) -> None:
-    """Refuse ``rows`` (called ``name``) marginal laws over k states: not an integer (a bool, or any
-    value that ``operator.index`` refuses, 2.0 included), fewer than 0, or above ``CELL_CAP`` cells."""
+def _integer(name: str, value) -> int:
+    """``value`` (called ``name``) as an int; a bool, or any value that ``operator.index`` refuses
+    (2.0 included), is refused."""
     try:
-        count = None if isinstance(rows, bool) else operator.index(rows)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        count = None
-    if count is None:
-        raise MalformedInputError(f"{name} must be an integer, got {rows!r}")
+        pass
+    raise MalformedInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_marginal_cells(name: str, rows: int, k: int) -> None:
+    """Refuse ``rows`` (called ``name``) marginal laws over k states: not an integer (``_integer``),
+    fewer than 0, or above ``CELL_CAP`` cells."""
+    count = _integer(name, rows)
     if count < 0:
         raise MalformedInputError(f"{name} must be >= 0, got {count}")
     if count * k > CELL_CAP:

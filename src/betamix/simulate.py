@@ -56,7 +56,7 @@ from .bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
-from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _check_marginal_cells, _eq_by_value
+from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _check_marginal_cells, _eq_by_value, _integer
 from .regression import Dataset, _average_sq_distance, _check_responses, _fit, family_bias, truncate
 
 
@@ -92,18 +92,23 @@ def _stream(seed: int, replication: int) -> np.random.Generator:
     building one, so the stream is valid only until the thread's next call.  That Philox is
     built on first use, so that importing the module does not load numpy.random; every
     re-key overwrites its seed (with only a key given, Philox would seed from OS entropy).
+    The state written is this thread's one state dict, whose key array alone is rewritten:
+    the setter copies every value out of it, so its counter and buffer arrays stay zero.
     """
     try:
-        bitgen, rng = _local.pair
+        rng, bitgen, state = _local.stream
     except AttributeError:
         bitgen = np.random.Philox(0)
         rng = np.random.Generator(bitgen)
-        _local.pair = bitgen, rng
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([seed, replication], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        _local.stream = rng, bitgen, state
+    key = state["state"]["key"]
+    key[0], key[1] = seed, replication
+    bitgen.state = state
     return rng
 
 
@@ -155,15 +160,16 @@ class GeneratorSpec:
             rows = tuple(map(tuple, inverse_cdf(self.chain.transition).tolist()))
             steps = _step_table(rows)
         elif self.kind == "m_dependent":
-            if (self.dependence_lag is None or self.alphabet_size is None
-                    or self.dependence_lag < 1 or self.alphabet_size < 2):
+            lag, size = self.dependence_lag, self.alphabet_size
+            if lag is not None and size is not None:
+                lag, size = _integer("dependence_lag", lag), _integer("alphabet_size", size)
+            if lag is None or size is None or lag < 1 or size < 2:
                 raise MalformedInputError("m_dependent kind requires dependence_lag >= 1 and alphabet_size >= 2")
-            if max(self.dependence_lag, self.alphabet_size) > CELL_CAP:
-                raise SizeError(f"dependence_lag and alphabet_size must be at most {CELL_CAP}, got "
-                                f"{self.dependence_lag} and {self.alphabet_size}")
-            states = tuple(range(self.alphabet_size))
+            if max(lag, size) > CELL_CAP:
+                raise SizeError(f"dependence_lag and alphabet_size must be at most {CELL_CAP}, got {lag} and {size}")
+            states = tuple(range(size))
             # sums of i.i.d. uniforms modulo the alphabet size stay uniform
-            marginal = np.full(self.alphabet_size, 1.0 / self.alphabet_size)
+            marginal = np.full(size, 1.0 / size)
         else:
             if self.law is None:
                 raise MalformedInputError("iid kind requires a law")

@@ -398,12 +398,16 @@ def test_output_file_holds_the_stdout_bytes(tmp_path, capsys):
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300]
+# +0.0 is the one cell the writer does not encode, and every other cell must not pass for it
+ARRAY_CELLS = [0.0, -0.0, 5e-324, 2.2e-308, 1e308, -1e308, math.nan, math.inf, -math.inf, 0.1]
 ODD_TEXT = st.text(st.sampled_from('a ,"\\\n\t:{}[]\x00\u00e9\u20ac\U0001f600'), max_size=6)
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
     st.sampled_from(SPECIAL_FLOATS), st.floats().map(np.float64),
     st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
     ODD_TEXT, st.text(max_size=4),
+    st.lists(st.one_of(st.sampled_from(ARRAY_CELLS), st.floats()), max_size=8).map(
+        lambda cells: np.array(cells, dtype=np.float64)),
 )
 JSON_DOCS = st.recursive(
     JSON_SCALARS,
@@ -414,16 +418,32 @@ JSON_DOCS = st.recursive(
 )
 
 
+def as_json(value):
+    """The stdlib's stand-in for a value it cannot encode: an array's list, or a float."""
+    return value.tolist() if isinstance(value, np.ndarray) else float(value)
+
+
 @given(JSON_DOCS)
 @example({"empty": [[], {}, ()], "specials": SPECIAL_FLOATS,
           "numpy": [np.float64(0.1), np.int64(-3), np.bool_(True), np.float64("nan")],
           "mixed": [1, [2.5, "x"], {"k": ()}, [[[]]], "s"],
           'quote " comma , line\n \u00e9': "\u20ac"})
 @example([[0.25, 0.5], [[1, 2], []], (3, {"a": [None, True]})])
+@example({"probs": np.array(ARRAY_CELLS), "one": np.array([-0.0]), "none": np.empty(0),
+          "nested": [np.array([0.0]), {"zeros": np.zeros(3), "strided": np.arange(6.0)[::-2]}]})
 @settings(max_examples=200, deadline=None)
 def test_indented_writer_matches_stdlib(doc):
-    # the stdlib's indent=2 layout is the reference the CLI's output bytes were fixed by
-    assert _indented(doc) == json.dumps(doc, indent=2, default=float)
+    # the stdlib's indent=2 layout, with each array written as its list, is the reference
+    # the CLI's output bytes were fixed by
+    assert _indented(doc) == json.dumps(doc, indent=2, default=as_json)
+
+
+@pytest.mark.parametrize("array", [np.zeros((2, 2)), np.array(0.0), np.zeros(3, dtype=np.int64),
+                                   np.zeros(3, dtype=np.float32)])
+def test_indented_writer_refuses_other_arrays(array):
+    # an integer 0 cell is not the text "0.0": only a 1-D float64 array is written
+    with pytest.raises(TypeError, match="1-D float64"):
+        _indented({"a": array})
 
 
 def fresh_run(argv):

@@ -138,7 +138,7 @@ def test_coupling_json_document(tmp_path, capsys):
     rng = np.random.default_rng(6)
     j = random_joint(rng, (2, 2))
     cfg = tmp_path / "couple.json"
-    cfg.write_text(json.dumps({"joint": config.joint_doc(j)}))
+    cfg.write_text(json.dumps({"joint": config.joint_doc(j)}, default=np.ndarray.tolist))
     assert main(["couple", str(cfg)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_original"] == 2

@@ -371,6 +371,10 @@ INPUT_CHECKS = {
     "integral float horizon": (
         lambda: markov_beta(STATIONARY_CHAIN, 1, horizon=2.0), "horizon must be an integer, got 2.0"),
     "bool horizon": (lambda: markov_beta(STATIONARY_CHAIN, 1, horizon=True), "horizon must be an integer, got True"),
+    # a lag that is not an integer used to end in numpy's TypeError, and a lag of True to run as lag 1
+    "fractional lag (markov)": (lambda: markov_beta(STATIONARY_CHAIN, 2.5), "m must be an integer, got 2.5"),
+    "integral float lag (markov)": (lambda: markov_beta(STATIONARY_CHAIN, 2.0), "m must be an integer, got 2.0"),
+    "bool lag (markov)": (lambda: markov_beta(STATIONARY_CHAIN, True), "m must be an integer, got True"),
     # integers past float range used to end in float's or math.isfinite's OverflowError
     "rate b past float range": (
         lambda: fit_mixing_rate([(1, 0.5), (2, 0.2)], "subexponential", b=10**400), f"b must be finite, got {10**400}"),
@@ -397,3 +401,8 @@ def test_input_checks_name_the_fault(case):
     with pytest.raises(MalformedInputError) as exc:
         call()
     assert str(exc.value).startswith(message)
+
+
+def test_markov_lag_takes_any_integer_type():
+    # the lag rule is operator.index's, so a numpy integer is a lag like the int it equals
+    assert markov_beta(STICKY_CHAIN, np.int64(2)) == markov_beta(STICKY_CHAIN, 2)

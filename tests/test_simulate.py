@@ -124,6 +124,15 @@ INPUT_CHECKS.update({
         lambda spec=spec, n=n: spec.marginal_laws(n), MalformedInputError, f"n must be an integer, got {n!r}")
     for kind, spec in CAPPED_SPECS.items() for n in (2.5, 2.0, True)
 })
+# an m_dependent size that is not an integer used to end in range's or numpy's TypeError, and a lag of True
+# to build a lag-1 spec
+INPUT_CHECKS.update({
+    f"m_dependent {field} of {value!r}": (
+        lambda field=field, value=value: GeneratorSpec(
+            kind="m_dependent", seed=0, **{"dependence_lag": 2, "alphabet_size": 4, field: value}),
+        MalformedInputError, f"{field} must be an integer, got {value!r}")
+    for field in ("dependence_lag", "alphabet_size") for value in (2.5, 3.0, True)
+})
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
