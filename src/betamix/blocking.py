@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MalformedInputError
+from .pmf import _integer
 
 
 def euclidean(n: int, m: int) -> tuple:
@@ -154,6 +155,7 @@ def union_bound_check(
     r blocks hold q+1 columns, the other m-r blocks q), each block a row of an
     index matrix, reduced together.
     """
+    replications = _integer("replications", replications)
     if replications < 1:
         raise DomainError("replications must be >= 1")
     avg_values = np.asarray(avg_values, dtype=float)

@@ -18,11 +18,16 @@ draw checks one.
 Every draw goes through one sampler: ``_stack_draws`` fills a stack of
 replications, each row from its own stream, first with its states' draws
 (``_path_draws``) and then, when responses are wanted, with its noise draws;
-``_paths`` maps the stack's state draws at once (i.i.d. states by one
-searchsorted, m-dependent window sums by one integer cumulative sum, Markov
-paths as below).  ``_draw`` adds responses (noise values by one searchsorted,
-phi + noise by one add), except under a one-point noise law, which draws
-nothing.  ``generate`` is ``_draw``'s stack of one, wrapped in a ``Dataset``.
+``_paths`` maps the stack's state draws at once (i.i.d. states by one inversion
+of the cumulative law, ``_invert``, m-dependent window sums by one integer
+cumulative sum, Markov paths as below).  ``_draw`` adds responses (noise values
+by one ``_invert`` of the noise law's table, phi + noise by one add), except
+under a one-point noise law, which draws nothing.  The m_dependent window seeds
+are the bounded integers that ``Generator.integers`` draws, numpy's map (Lemire's)
+of the stream's raw Philox words: a stack reads each stream once as raw words
+and maps the whole stack at once (``_words_to_seeds``), and a stack in which
+numpy would reject a word's half is drawn again row by row.  ``generate`` is
+``_draw``'s stack of one, wrapped in a ``Dataset``.
 ``deviation_experiment`` reads only the states, so its stacks draw no
 responses: the same states, of which the statistic reads only each path's state
 counts.  A Markov stack whose step table (the chain's random map, see
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -66,6 +72,10 @@ STACK_DRAWS = 2**15
 # the most (interval, state) cells of a step table that the stacked walk takes,
 # and the most cells of that table composed over d steps (see _chunk_table)
 STEP_TABLE_CAP = 2**15
+# the longest cumulative table that _invert reads by comparisons: near the crossover with binary
+# search for 10**3 draws (2 vCPU, numpy 2.4); at 10**4 draws comparisons win up to about 16 entries,
+# at 30 draws binary search wins from 2
+INVERT_COMPARE_CAP = 4
 
 
 _local = threading.local()
@@ -73,7 +83,10 @@ _local = threading.local()
 
 def _key_word(name: str, value) -> int:
     """``value`` as a word of ``_stream``'s key: an integer in [0, 2**63), where the stream is
-    defined; a bool or a fraction is refused, an integral float is read as its integer."""
+    defined; a bool, a fraction or a value that is not a real number is refused, an integral
+    float is read as its integer."""
+    if not isinstance(value, numbers.Real):
+        raise MalformedInputError(f"{name} must be an integer, got {value!r}")
     # written so that a NaN fails it
     if not 0 <= value < 2**63:
         raise MalformedInputError(f"{name} must be in [0, 2**63), got {value}")
@@ -245,6 +258,24 @@ def inverse_cdf(probs) -> np.ndarray:
     return cum
 
 
+def _invert(cdf, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for draws u in [0, 1) and a cumulative table ``cdf``
+    whose total is 1.0 (``inverse_cdf``'s): a table of at most ``INVERT_COMPARE_CAP`` entries by
+    one comparison per entry below 1.0, a longer one by binary search.
+
+    The table is nondecreasing, so an index counts the entries at most its draw, and no
+    entry from the first 1.0 on is at most a draw below 1.0.
+    """
+    if len(cdf) > INVERT_COMPARE_CAP:
+        return np.searchsorted(cdf, u, side="right")
+    index = np.zeros(u.shape, dtype=np.intp)
+    for edge in cdf:
+        if edge >= 1.0:
+            break
+        index += u >= edge
+    return index
+
+
 def _step_table(rows: tuple) -> tuple | None:
     """The chain's random map as ``(edges, lut, steps)``, or None above ``STEP_TABLE_CAP`` cells.
 
@@ -283,7 +314,9 @@ def _interval_codes(edges: np.ndarray, lut: np.ndarray, u: np.ndarray) -> np.nda
     cell = np.multiply(u, lut.size, out=np.empty(u.shape, dtype=np.int32), casting="unsafe")
     codes = lut.take(cell)
     split = codes < 0
-    codes[split] = np.searchsorted(edges, u[split], side="right")
+    # the method: np.searchsorted's Python wrapper leaves objects that CPython keeps for reuse, which the
+    # memory tests count (about 120 bytes more after each of a deviation run's first twenty stacks)
+    codes[split] = edges.searchsorted(u[split], side="right")
     return codes
 
 
@@ -334,7 +367,7 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
     edges, lut, steps = spec._steps
     intervals, k = steps.shape
     paths, n = U.shape
-    start = np.searchsorted(spec._start_cdf, U[:, 0], side="right")
+    start = _invert(spec._start_cdf, U[:, 0])
     if n == 1:
         return start[:, None]
     d = visits.shape[1]
@@ -410,8 +443,11 @@ def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) ->
         sums = np.zeros((len(draws), draws.shape[1] + 1), dtype=np.int64)
         # not ndarray.cumsum: each call may leave a new "accumulate" string in CPython's method cache
         np.add.accumulate(draws, axis=1, out=sums[:, 1:])
-        return (sums[:, lag:] - sums[:, :-lag]) % spec.alphabet_size
-    return np.searchsorted(spec._start_cdf, draws, side="right")
+        windows, size = sums[:, lag:] - sums[:, :-lag], spec.alphabet_size
+        # windows %= size, which is slower: numpy divides an integer array by a scalar fast only in floor_divide
+        windows -= windows // size * size
+        return windows
+    return _invert(spec._start_cdf, draws)
 
 
 def _stack_draws(spec: GeneratorSpec, n: int, reps: range, noise: np.ndarray | None = None) -> np.ndarray:
@@ -419,8 +455,13 @@ def _stack_draws(spec: GeneratorSpec, n: int, reps: range, noise: np.ndarray | N
 
     Each row's stream is ``_stream(spec.seed, rep)``: its states' draws fill the row,
     and, when ``noise`` (len(reps), n) is given, its next n uniforms fill that row of it.
+    An m_dependent stack is mapped from its raw Philox words (``_words_to_seeds``);
+    one in which a window seed would need a second draw, and every other kind, is
+    drawn row by row through ``Generator.integers`` and ``Generator.random``.
     """
     draws = _path_draws(spec, n, len(reps))
+    if spec.kind == "m_dependent" and _words_to_seeds(spec, reps, draws, noise):
+        return draws
     for row, rep in enumerate(reps):
         rng = _stream(spec.seed, rep)
         if spec.kind == "m_dependent":
@@ -432,12 +473,42 @@ def _stack_draws(spec: GeneratorSpec, n: int, reps: range, noise: np.ndarray | N
     return draws
 
 
+def _words_to_seeds(spec: GeneratorSpec, reps: range, draws: np.ndarray, noise: np.ndarray | None) -> bool:
+    """Fill the window seeds ``draws`` of an m_dependent stack, and ``noise`` when given, with the
+    numbers that ``Generator.integers`` and ``Generator.random`` draw from each row's stream, by
+    numpy's own maps of its raw 64-bit words; False, with the arrays unspecified, if any seed
+    would be rejected.
+
+    Each stream is read once: w seeds take the 32-bit halves of its first ceil(w/2) words,
+    low half first, and each noise uniform one later word.  A half h gives the seed
+    (h * k) >> 32 (Lemire's bounded integers, as numpy draws them) unless the low word of
+    h * k falls below (2**32 - k) mod k, where numpy rejects h and draws again; a word x
+    gives the uniform (x >> 11) * 2**-53.
+    """
+    size, width = spec.alphabet_size, draws.shape[1]
+    half = -(-width // 2)
+    words = np.empty((len(reps), half + (0 if noise is None else noise.shape[1])), dtype=np.uint64)
+    for row, rep in enumerate(reps):
+        words[row] = _stream(spec.seed, rep).bit_generator.random_raw(words.shape[1])
+    # masks and shifts, not a byte view, so that the halves do not depend on the byte order
+    np.bitwise_and(words[:, :half], 0xFFFFFFFF, out=draws[:, 0::2], casting="unsafe")
+    np.right_shift(words[:, :width // 2], 32, out=draws[:, 1::2], casting="unsafe")
+    draws *= size  # below 2**32 * CELL_CAP
+    threshold = (2**32 - size) % size  # 0 for a power of two, which rejects nothing
+    if threshold and (np.bitwise_and(draws, 0xFFFFFFFF) < threshold).any():
+        return False
+    draws >>= 32
+    if noise is not None:
+        np.multiply(np.right_shift(words[:, half:], 11), 2.0**-53, out=noise)
+    return True
+
+
 def _draw(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None = None) -> tuple:
     """(state indices, responses) of the replications ``reps``, one row each, each from its own stream.
 
     Each row takes its states' draws and then n noise uniforms from its stream
     (``_stack_draws``); the stack is then mapped at once: paths by ``_paths`` (walked
-    with ``visits`` when given), noise values by one searchsorted, responses by one
+    with ``visits`` when given), noise values by one ``_invert``, responses by one
     add.  A one-point noise law draws nothing: every draw would map to its value,
     and no later draw reads the stream, so the responses are read from phi plus that
     value.  The spec checked every phi + noise sum that a draw can return when it
@@ -447,7 +518,7 @@ def _draw(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None = 
     index = _paths(spec, _stack_draws(spec, n, reps, u), visits)
     if u is None:
         return index, spec._point_responses.take(index)
-    noise = spec._noise_values.take(np.searchsorted(spec._noise_cdf, u, side="right"))
+    noise = spec._noise_values.take(_invert(spec._noise_cdf, u))
     return index, spec.phi.take(index) + noise
 
 
@@ -456,7 +527,7 @@ def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
 
     ``replication`` is an integer in [0, 2**63), as the seed is (``_key_word``).
     """
-    if n < 1:
+    if _integer("n", n) < 1:
         raise DomainError("n must be >= 1")
     replication = _key_word("replication", replication)
     index, ys = _draw(spec, n, range(replication, replication + 1))
@@ -464,15 +535,27 @@ def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
 
 
 def _count_means(states: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Each member's mean over each path, (paths, members): sum_s counts[:, s] * table[:, s] / n over
-    the visited states, one state column at a time so that a path's means do not depend on its stack."""
-    (paths, n), k = states.shape, table.shape[1]
-    flat = (states + k * np.arange(paths)[:, None]).ravel()  # state s of path r at r * k + s
-    counts = np.bincount(flat, minlength=paths * k).reshape(paths, k)
-    total = np.zeros((paths, len(table)))
-    for s in np.flatnonzero(counts.any(axis=0)):  # an unvisited state would add only zeros
-        total += counts[:, s, None] * table[:, s]
-    return total / n
+    """Each member's mean over each path, (paths, members): the sum over the path's visited states s, in
+    state order, of counts[s] * table[:, s], over n, so that a path's means do not depend on its stack.
+
+    The visited (path, state) pairs are coded r * k + s in ascending order, with their counts: by one
+    bincount over the stack when k <= n, and otherwise by the runs of each path's sorted states, so that
+    no path pays for a row of k counts.
+    """
+    (paths, n), (members, k) = states.shape, table.shape
+    if k <= n:
+        counts = np.bincount((states + k * np.arange(paths)[:, None]).ravel(), minlength=paths * k)
+        pairs = np.flatnonzero(counts)
+        counts = counts[pairs]
+    else:
+        keys = (np.sort(states, axis=1) + k * np.arange(paths)[:, None]).ravel()
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        pairs, counts = keys[starts], np.diff(starts, append=keys.size)
+    path, state = np.divmod(pairs, k)
+    # total[f * paths + r] adds member f's term of each of path r's pairs, in order; add.at is unbuffered
+    total = np.zeros(members * paths)
+    np.add.at(total, (path + paths * np.arange(members)[:, None]).ravel(), (table[:, state] * counts).ravel())
+    return (total.reshape(members, paths) / n).T
 
 
 @dataclass(frozen=True)
@@ -506,6 +589,7 @@ def deviation_experiment(
     The empirical mean is a function of each path's state counts (see
     ``_count_means``), and each stack adds its hits per t to one counter.
     """
+    replications = _integer("replications", replications)
     if replications < 1:
         raise DomainError("replications must be >= 1")
     table = family.table  # (members, n_states)
@@ -564,6 +648,7 @@ def weak_error_experiment(
     over the grid for trend checks, None unless the grid holds at least two
     distinct n and every error is positive.
     """
+    replications = _integer("replications", replications)
     if replications < 1:
         raise DomainError("replications must be >= 1")
     if family.states != spec.states():
@@ -573,7 +658,7 @@ def weak_error_experiment(
         raise MalformedInputError("truth needs one value per state of the family")
     if not np.isfinite(truth).all():
         raise MalformedInputError("truth must be finite")
-    grid = [dataclasses.replace(params, n=int(n)) for n in n_grid]
+    grid = [dataclasses.replace(params, n=_integer("n_grid", n)) for n in n_grid]
     for p in grid:
         p.check_weak_error_hypotheses()
         _check_marginal_cells("n", p.n, len(spec.states()))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betamix.blocking import wilson_stderr
+from betamix.blocking import m_steps_partition, union_bound_check, wilson_stderr
 from betamix.bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from betamix.entropy import FunctionFamily, finite_family_entropy
 from betamix.errors import DomainError, HypothesisViolationError, MalformedInputError, SizeError
@@ -22,12 +22,14 @@ from betamix.regression import RIDGE, Dataset, _average_sq_distance, _check_resp
 from betamix import config, regression, simulate
 from betamix.cli import main
 from betamix.simulate import (
+    INVERT_COMPARE_CAP,
     STACK_DRAWS,
     STEP_TABLE_CAP,
     GeneratorSpec,
     _chunk_table,
     _count_means,
     _interval_codes,
+    _invert,
     _paths,
     _stack_draws,
     _stream,
@@ -132,6 +134,46 @@ INPUT_CHECKS.update({
             kind="m_dependent", seed=0, **{"dependence_lag": 2, "alphabet_size": 4, field: value}),
         MalformedInputError, f"{field} must be an integer, got {value!r}")
     for field in ("dependence_lag", "alphabet_size") for value in (2.5, 3.0, True)
+})
+
+
+def deviation_call(**change):
+    args = dict(spec=GeneratorSpec(kind="iid", seed=0, law=COIN), family=state_family([{0: 0.0, 1: 1.0}]),
+                params=make_params(n=20), entropy=finite_family_entropy(1), t_grid=[0.3], replications=3)
+    return deviation_experiment(**dict(args, **change))
+
+
+def weak_error_call(**change):
+    args = dict(spec=weak_error_spec("iid"), family=WEAK_ERROR_FAMILIES["affine span"],
+                params=make_params(B=0.25, V=2, m=1), truth=[-0.1, 0.12, 0.02], n_grid=[5], replications=3)
+    return weak_error_experiment(**dict(args, **change))
+
+
+def union_call(replications):
+    return union_bound_check(lambda rep: np.zeros((1, 6)), np.full((1, 6), 0.5), m_steps_partition(6, 2),
+                             1.0, -1.0, 0.1, replications)
+
+
+# a count that is not an integer: a replications of True ran one replication, one of 2.5 (or a sample
+# length or grid n of 2.5) ended in numpy's TypeError or was truncated, and a string seed or replication
+# ended in a TypeError from the key check
+INPUT_CHECKS.update({
+    "deviation replications of True": (lambda: deviation_call(replications=True), MalformedInputError,
+                                       "replications must be an integer, got True"),
+    "deviation replications of 2.5": (lambda: deviation_call(replications=2.5), MalformedInputError,
+                                      "replications must be an integer, got 2.5"),
+    "weak-error replications of 2.5": (lambda: weak_error_call(replications=2.5), MalformedInputError,
+                                       "replications must be an integer, got 2.5"),
+    "weak-error n_grid entry of 5.5": (lambda: weak_error_call(n_grid=[5, 5.5]), MalformedInputError,
+                                       "n_grid must be an integer, got 5.5"),
+    "union check replications of 2.5": (lambda: union_call(2.5), MalformedInputError,
+                                        "replications must be an integer, got 2.5"),
+    "sample of length 2.5": (lambda: generate(GeneratorSpec(kind="iid", seed=0, law=COIN), 2.5),
+                             MalformedInputError, "n must be an integer, got 2.5"),
+    "seed of '3'": (lambda: GeneratorSpec(kind="iid", seed="3", law=COIN), MalformedInputError,
+                    "seed must be an integer, got '3'"),
+    "replication of '3'": (lambda: generate(GeneratorSpec(kind="iid", seed=0, law=COIN), 3, "3"),
+                           MalformedInputError, "replication must be an integer, got '3'"),
 })
 
 
@@ -683,6 +725,72 @@ def test_stacked_uniforms_equal_the_replication_streams(seed, reps, n):
     assert (rng.bit_generator.state["buffer_pos"] == 4) == (2 * n % 4 == 0)
 
 
+def assert_window_seeds_equal_the_replication_streams(spec, n, reps, noise):
+    """An m_dependent stack against each stream drawn by ``Generator.integers`` and then ``random``."""
+    width = n + spec.dependence_lag - 1
+    u = np.empty((len(reps), n)) if noise else None
+    seeds = _stack_draws(spec, n, reps, u)
+    assert seeds.dtype == np.int64 and seeds.shape == (len(reps), width)
+    for row, rep in enumerate(reps):
+        rng = philox(spec.seed, rep)
+        assert np.array_equal(seeds[row], rng.integers(0, spec.alphabet_size, size=width))
+        if noise:
+            assert u[row].tobytes() == rng.random(n).tobytes()
+
+
+def rejected_halves(spec, n, reps):
+    """How many of the stack's first 32-bit halves Lemire's method would reject (the seeds' own halves)."""
+    k, width = spec.alphabet_size, n + spec.dependence_lag - 1
+    count = 0
+    for rep in reps:
+        words = philox(spec.seed, rep).bit_generator.random_raw(-(-width // 2)).tolist()
+        halves = [half for word in words for half in (word & 0xFFFFFFFF, word >> 32)][:width]
+        count += sum((half * k) % 2**32 < (2**32 - k) % k for half in halves)
+    return count
+
+
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("lag", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 1000, 999983, 10**6])
+def test_m_dependent_stack_equals_the_replication_streams(k, lag, noise):
+    # the stack maps each stream's raw words: n + lag - 1 seeds take ceil((n + lag - 1) / 2) words,
+    # and the noise starts at the next word whether the last word's high half was used or not
+    spec = GeneratorSpec(kind="m_dependent", seed=2**63 - 1 - k, dependence_lag=lag, alphabet_size=k)
+    for n, first in [(1, 0), (2, 5), (10, 2**32 - 3), (11, 2**63 - 4), (300, 40)]:
+        assert_window_seeds_equal_the_replication_streams(spec, n, range(first, first + 3), noise)
+
+
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("k, n", [(999983, 30000), (10**6, 2000)])
+def test_m_dependent_stack_with_a_rejected_seed_equals_the_replication_streams(k, n, noise):
+    # k = 999983 rejects about one half in 1.1e5, and 10**6 one in 4440: these stacks hold a rejection,
+    # after which numpy reads one more half for that seed, so the stack is drawn again row by row
+    spec = GeneratorSpec(kind="m_dependent", seed=10, dependence_lag=2, alphabet_size=k)
+    reps = range(4)
+    assert rejected_halves(spec, n, reps) > 0
+    assert_window_seeds_equal_the_replication_streams(spec, n, reps, noise)
+
+
+@pytest.mark.parametrize("probs", [
+    [1.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.3, 0.0, 0.7], [0.25, 0.25, 0.5, 0.0],
+    # above INVERT_COMPARE_CAP: binary search
+    [0.2, 0.0, 0.3, 0.0, 0.5], [0.1] * 10, [0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0], [1 / 3] * 3 + [0.0] * 3,
+])
+def test_invert_equals_searchsorted(probs):
+    cdf = inverse_cdf(probs)
+    assert (len(cdf) <= INVERT_COMPARE_CAP) == (len(probs) <= 4)
+    edges = cdf[cdf < 1.0]
+    # every breakpoint below 1.0 and its neighbours, both ends of [0, 1) and uniforms
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)],
+                        np.random.default_rng(len(probs)).random(200)])
+    u = u[(u >= 0.0) & (u < 1.0)].reshape(1, -1)
+    expected = np.searchsorted(cdf, u, side="right")
+    for table in (cdf, tuple(cdf.tolist())):  # noise tables are arrays, first-draw tables tuples
+        index = _invert(table, u)
+        assert index.dtype == expected.dtype and index.shape == u.shape
+        assert np.array_equal(index, expected)
+
+
 @st.composite
 def generator_specs(draw):
     """Specs of every kind, with noise so that responses draw from the stream too."""
@@ -784,6 +892,33 @@ def test_deviation_experiment_equals_per_replication_loop(kind, n, replications,
         assert row == {"n": n, "m": 2, "t": t, "frequency": freq, "stderr": se, "bound": bound,
                        "dominant": bound >= 1.0 or freq + 3.0 * se <= bound, "vacuous": bound >= 1.0}
     assert report.metadata == {"seed": spec.seed, "replications": replications, "beta_at_m": beta, "kind": spec.kind}
+
+
+def per_state_count_means(states, table):
+    """Each member's mean over each path, one column step over the stack per state that a path visits:
+    the reference."""
+    (paths, n), k = states.shape, table.shape[1]
+    counts = np.array([np.bincount(path, minlength=k) for path in states])
+    total = np.zeros((paths, len(table)))
+    for s in np.unique(states):
+        total += counts[:, s, None] * table[:, s]
+    return total / n
+
+
+@given(st.sampled_from([1, 2, 3, 40, 5000, 10**5]), st.integers(1, 300), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@example(5000, 100, 6, 0)
+@example(10**5, 10, 1, 0)
+@settings(max_examples=100, deadline=None)
+def test_count_means_equal_the_per_state_sums(k, n, paths, seed):
+    # bincount up to k = n and sorted runs above it: both add each path's visited states in state order;
+    # a state that another path visits adds +0.0 or -0.0 in the reference, which leaves every total as it is
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((3, k)) * 10.0 ** rng.integers(-3, 4, size=(3, 1))
+    table[rng.random(table.shape) < 0.2] = -0.0
+    states = rng.integers(0, k, size=(paths, n)) if k > 40 else rng.choice(k, size=(paths, n), p=rng.dirichlet(np.full(k, 0.3)))
+    means = _count_means(states, table)
+    assert means.shape == (paths, 3)
+    assert means.tobytes(order="C") == per_state_count_means(states, table).tobytes()
 
 
 @given(st.integers(1, 40), st.integers(1, 3000), st.integers(0, 2**32 - 1))
