@@ -318,7 +318,10 @@ def statistical_error_curve(params: BoundParams, x_grid, C_sandwich: float) -> R
         raise DomainError("empty x grid after restriction to [2, n]")
     a, b, g = fit.a, fit.b, fit.gamma
     alpha = variance_rate_coefficient(params, C_sandwich)
-    values = alpha * grid + a * params.n * np.exp(-(b / 2.0**g) * grid**g)
+    # b * (x / 2)**g is (b / 2**g) * x**g without 2**g, which overflows from gamma 1024 on; where (x / 2)**g
+    # passes the float range it is inf, and the term reaches its limit 0
+    with np.errstate(over="ignore"):
+        values = alpha * grid + a * params.n * np.exp(-b * (grid / 2.0) ** g)
     i = int(np.argmin(values))
     x_star = 2.0 ** (1.0 + 1.0 / g) * (math.log(params.n) / b) ** (1.0 / g)
     analytic_value = x_star * alpha + a / params.n

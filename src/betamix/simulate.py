@@ -12,22 +12,24 @@ of its construction, and every draw and law reads it: the states, one
 first-draw table (the cumulative initial law of a chain or the cumulative
 i.i.d. law, ``_start_cdf``), a chain's walk tables and the constant marginal
 law of the other two kinds.  Only the functions whose algorithm differs by
-kind branch on it again (``_path_draws``, ``_stack_draws``, ``_paths``,
+kind branch on it again (``_path_width``, ``_stack_draws``, ``_paths``,
 ``beta_at``).  The spec also checks every response a draw can return, so no
 draw checks one.
 Every draw goes through one sampler: ``_stack_draws`` fills a stack of
 replications, each row from its own stream, first with its states' draws
-(``_path_draws``) and then, when responses are wanted, with its noise draws;
-``_paths`` maps the stack's state draws at once (i.i.d. states by one inversion
-of the cumulative law, ``_invert``, m-dependent window sums by one integer
-cumulative sum, Markov paths as below).  ``_draw`` adds responses (noise values
+(``_path_width`` of them) and then, when responses are wanted, with its noise
+draws; ``_paths`` maps the stack's state draws at once (i.i.d. states by one
+inversion of the cumulative law, ``_invert``, m-dependent window sums by one
+integer cumulative sum, Markov paths as below).  ``_draw`` adds responses (noise values
 by one ``_invert`` of the noise law's table, phi + noise by one add), except
-under a one-point noise law, which draws nothing.  The m_dependent window seeds
-are the bounded integers that ``Generator.integers`` draws, numpy's map (Lemire's)
-of the stream's raw Philox words: a stack reads each stream once as raw words
-and maps the whole stack at once (``_words_to_seeds``), and a stack in which
-numpy would reject a word's half is drawn again row by row.  ``generate`` is
-``_draw``'s stack of one, wrapped in a ``Dataset``.
+under a one-point noise law, which draws nothing.  Every draw is a map of the
+stream's raw 64-bit Philox words, whose values numpy guarantees: a stack reads
+each stream once and maps the whole stack at once, each uniform from one word x
+as (x >> 11) * 2**-53 (``_uniforms``) and each m_dependent window seed from one
+32-bit half of a word by Lemire's bounded integers (``_window_seeds``), the
+numbers that ``Generator.random`` and ``Generator.integers`` return; only a row
+holding a half that Lemire's map rejects is read again, in numpy's order.
+``generate`` is ``_draw``'s stack of one, wrapped in a ``Dataset``.
 ``deviation_experiment`` reads only the states, so its stacks draw no
 responses: the same states, of which the statistic reads only each path's state
 counts.  A Markov stack whose step table (the chain's random map, see
@@ -95,7 +97,7 @@ def _key_word(name: str, value) -> int:
     return int(value)
 
 
-def _stream(seed: int, replication: int) -> np.random.Generator:
+def _stream(seed: int, replication: int) -> np.random.Philox:
     """Counter-based stream for one replication, independent of execution order: Philox's
     with key [seed, replication], from counter 0 with no draws buffered, the state in which
     ``Philox(key=[seed, replication])`` starts for a replication below 2**63, where numpy
@@ -105,24 +107,20 @@ def _stream(seed: int, replication: int) -> np.random.Generator:
     building one, so the stream is valid only until the thread's next call.  That Philox is
     built on first use, so that importing the module does not load numpy.random; every
     re-key overwrites its seed (with only a key given, Philox would seed from OS entropy).
-    The state written is this thread's one state dict, whose key array alone is rewritten:
-    the setter copies every value out of it, so its counter and buffer arrays stay zero.
+    The state written is this thread's one state dict, of Python integers, whose key alone
+    is replaced: the setter reads every value out of it, so its counter and buffer stay zero.
+    Every draw is a map of the raw 64-bit words that it returns (``random_raw``).
     """
     try:
-        rng, bitgen, state = _local.stream
+        bitgen, state = _local.stream
     except AttributeError:
         bitgen = np.random.Philox(0)
-        rng = np.random.Generator(bitgen)
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        _local.stream = rng, bitgen, state
-    key = state["state"]["key"]
-    key[0], key[1] = seed, replication
+        state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _local.stream = bitgen, state
+    state["state"]["key"] = seed, replication
     bitgen.state = state
-    return rng
+    return bitgen
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,8 @@ class GeneratorSpec:
     "iid" (needs ``law``).  Responses are phi(x) plus discrete noise, with
     ``phi`` given as its value at each of ``states()`` (zero when omitted); every
     response a draw can return is checked at construction (``_check_responses``).
-    ``seed`` is an integer in [0, 2**63).
+    ``seed`` is an integer in [0, 2**63), stored as an ``int`` (an integral float or a
+    numpy integer is read as the int it stands for).
 
     Construction checks the kind's fields and resolves its data in one branch
     per kind: its states; the law of its first draw (the chain's initial law or
@@ -164,7 +163,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise MalformedInputError(f"unknown generator kind {self.kind!r}")
-        _key_word("seed", self.seed)
+        object.__setattr__(self, "seed", _key_word("seed", self.seed))
         start = rows = steps = marginal = None
         if self.kind == "markov":
             if self.chain is None:
@@ -399,26 +398,24 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
     return out[:, :n]
 
 
-def _path_draws(spec: GeneratorSpec, n: int, paths: int) -> np.ndarray:
-    """An empty stack for the first draws of ``paths`` streams, those that a path of
-    length n reads: n uniforms per row, or for the m_dependent kind n + lag - 1 window seeds."""
-    if spec.kind == "m_dependent":
-        return np.empty((paths, n + spec.dependence_lag - 1), dtype=np.int64)
-    return np.empty((paths, n))
+def _path_width(spec: GeneratorSpec, n: int) -> int:
+    """The first draws of a stream that a path of length n reads: n uniforms, or for the
+    m_dependent kind n + lag - 1 window seeds."""
+    return n + spec.dependence_lag - 1 if spec.kind == "m_dependent" else n
 
 
 def _stacks(spec: GeneratorSpec, n: int, replications: int, cells: int):
     """Stacks ``(reps, visits)`` of the replications 0..replications-1, in order: each the most reps, one at
-    least, whose arrays of ``cells`` cells or of one ``_path_draws`` row each hold at most ``STACK_DRAWS``
-    cells; ``visits`` is ``_chunk_table(spec, n)``, built once."""
-    size = max(1, STACK_DRAWS // max(cells, _path_draws(spec, n, 0).shape[1]))
+    least, whose arrays of ``cells`` cells or of one path's draws (``_path_width``) each hold at most
+    ``STACK_DRAWS`` cells; ``visits`` is ``_chunk_table(spec, n)``, built once."""
+    size = max(1, STACK_DRAWS // max(cells, _path_width(spec, n)))
     visits = _chunk_table(spec, n)
     for first in range(0, replications, size):
         yield range(first, min(first + size, replications)), visits
 
 
 def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) -> np.ndarray:
-    """Indices into ``spec.states()`` of the paths that the rows of ``draws`` (``_path_draws``) drive.
+    """Indices into ``spec.states()`` of the paths that the rows of ``draws`` (``_stack_draws``) drive.
 
     A Markov stack is walked at once when ``visits`` (``_chunk_table``) is given, and
     path by path otherwise, the random map evaluated only at the current state.  The
@@ -451,56 +448,72 @@ def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) ->
 
 
 def _stack_draws(spec: GeneratorSpec, n: int, reps: range, noise: np.ndarray | None = None) -> np.ndarray:
-    """The first draws of the streams of ``reps``, one ``_path_draws`` row each.
+    """The first draws of the streams of ``reps``, one row of ``_path_width`` draws each.
 
-    Each row's stream is ``_stream(spec.seed, rep)``: its states' draws fill the row,
-    and, when ``noise`` (len(reps), n) is given, its next n uniforms fill that row of it.
-    An m_dependent stack is mapped from its raw Philox words (``_words_to_seeds``);
-    one in which a window seed would need a second draw, and every other kind, is
-    drawn row by row through ``Generator.integers`` and ``Generator.random``.
+    Each row's stream ``_stream(spec.seed, rep)`` is read once, as raw 64-bit words into one
+    array of the stack: the words of its states' draws (n uniforms, or ceil(w/2) words for w
+    window seeds), then, when ``noise`` (len(reps), n) is given, n words for that row of it.
+    The stack is then mapped at once, by ``_window_seeds`` and ``_uniforms``.  A row holding
+    a half that Lemire's map rejects is read again as numpy reads it, by the same map: each
+    rejected half is skipped, and the noise starts at the word after the last half used.
+    Uniform states with no noise are read into the stack's own memory.
     """
-    draws = _path_draws(spec, n, len(reps))
-    if spec.kind == "m_dependent" and _words_to_seeds(spec, reps, draws, noise):
-        return draws
+    seeds = spec.kind == "m_dependent"
+    draws = np.empty((len(reps), _path_width(spec, n)), dtype=np.int64 if seeds else float)
+    first = -(-draws.shape[1] // 2) if seeds else n
+    words = draws.view(np.uint64) if noise is None and not seeds else np.empty(
+        (len(reps), first + (0 if noise is None else n)), dtype=np.uint64)
     for row, rep in enumerate(reps):
-        rng = _stream(spec.seed, rep)
-        if spec.kind == "m_dependent":
-            draws[row] = rng.integers(0, spec.alphabet_size, size=draws.shape[1])
-        else:
-            rng.random(out=draws[row])
-        if noise is not None:
-            rng.random(out=noise[row])
+        words[row] = _stream(spec.seed, rep).random_raw(words.shape[1])
+    if seeds:
+        size, width = spec.alphabet_size, draws.shape[1]
+        rejected = _window_seeds(words, size, draws)
+        if rejected is not None and rejected.any():
+            for row in np.flatnonzero(rejected.any(axis=1)):
+                stream, kept = _stream(spec.seed, reps[row]), []
+                while len(kept) < width:
+                    # both halves of every word read, so that only a rejected half is skipped
+                    halves = np.empty((1, 2 * -(-(width - len(kept)) // 2)), dtype=np.int64)
+                    kept += halves[~_window_seeds(stream.random_raw((1, halves.shape[1] // 2)), size, halves)].tolist()
+                draws[row] = kept[:width]
+                words[row, first:] = stream.random_raw(words.shape[1] - first)
+    elif noise is None:
+        # on one axis numpy converts the stack's own memory where it lies
+        _uniforms(words.ravel(), draws.ravel())
+    else:
+        _uniforms(words[:, :n], draws)
+    if noise is not None:
+        _uniforms(words[:, first:], noise)
     return draws
 
 
-def _words_to_seeds(spec: GeneratorSpec, reps: range, draws: np.ndarray, noise: np.ndarray | None) -> bool:
-    """Fill the window seeds ``draws`` of an m_dependent stack, and ``noise`` when given, with the
-    numbers that ``Generator.integers`` and ``Generator.random`` draw from each row's stream, by
-    numpy's own maps of its raw 64-bit words; False, with the arrays unspecified, if any seed
-    would be rejected.
-
-    Each stream is read once: w seeds take the 32-bit halves of its first ceil(w/2) words,
-    low half first, and each noise uniform one later word.  A half h gives the seed
-    (h * k) >> 32 (Lemire's bounded integers, as numpy draws them) unless the low word of
-    h * k falls below (2**32 - k) mod k, where numpy rejects h and draws again; a word x
-    gives the uniform (x >> 11) * 2**-53.
+def _window_seeds(words: np.ndarray, size: int, out: np.ndarray) -> np.ndarray | None:
+    """Write to ``out`` (rows, w) the integers (h * size) >> 32 in [0, size) of the 32-bit halves h
+    of each row's first ceil(w/2) ``words``, low half first: Lemire's bounded integers, by which
+    ``Generator.integers`` maps each half that it keeps.  Returns which halves it rejects, those
+    whose product's low word falls below (2**32 - size) % size, or None where it rejects none.
     """
-    size, width = spec.alphabet_size, draws.shape[1]
-    half = -(-width // 2)
-    words = np.empty((len(reps), half + (0 if noise is None else noise.shape[1])), dtype=np.uint64)
-    for row, rep in enumerate(reps):
-        words[row] = _stream(spec.seed, rep).bit_generator.random_raw(words.shape[1])
+    width = out.shape[1]
     # masks and shifts, not a byte view, so that the halves do not depend on the byte order
-    np.bitwise_and(words[:, :half], 0xFFFFFFFF, out=draws[:, 0::2], casting="unsafe")
-    np.right_shift(words[:, :width // 2], 32, out=draws[:, 1::2], casting="unsafe")
-    draws *= size  # below 2**32 * CELL_CAP
-    threshold = (2**32 - size) % size  # 0 for a power of two, which rejects nothing
-    if threshold and (np.bitwise_and(draws, 0xFFFFFFFF) < threshold).any():
-        return False
-    draws >>= 32
-    if noise is not None:
-        np.multiply(np.right_shift(words[:, half:], 11), 2.0**-53, out=noise)
-    return True
+    np.bitwise_and(words[:, :-(-width // 2)], 0xFFFFFFFF, out=out[:, 0::2], casting="unsafe")
+    np.right_shift(words[:, :width // 2], 32, out=out[:, 1::2], casting="unsafe")
+    out *= size  # below 2**32 * CELL_CAP
+    threshold = (2**32 - size) % size  # 0 for a power of two
+    rejected = np.bitwise_and(out, 0xFFFFFFFF) < threshold if threshold else None
+    out >>= 32
+    return rejected
+
+
+def _uniforms(words: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the uniforms (x >> 11) * 2**-53 of the raw words x, the doubles that
+    ``Generator.random`` maps them to, shifting ``words`` in place.
+
+    One-axis ``words`` may be ``out``'s own memory: numpy converts a one-axis array where it
+    lies, and copies overlapping arrays of more axes first.
+    """
+    # below 2**53 every value converts exactly, and int64 converts faster than uint64
+    out[...] = np.right_shift(words, 11, out=words).view(np.int64)
+    out *= 2.0**-53
 
 
 def _draw(spec: GeneratorSpec, n: int, reps: range, visits: np.ndarray | None = None) -> tuple:

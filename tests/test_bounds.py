@@ -268,6 +268,29 @@ def test_curve_analytic_identity():
     assert curve.grid_value <= alpha * curve.grid_x + a * 1000 * math.exp(-(b / 2) * curve.grid_x) + 1e-12
 
 
+@pytest.mark.parametrize("g", [1.0, 2.0, 3.0])
+def test_curve_keeps_the_bits_of_its_first_expression(g):
+    # b * (x / 2)**g against (b / 2**g) * x**g: dividing by a power of two is exact, so integer gammas keep every bit
+    p = make_params(n=1000, m=1, mixing=MixingFit("subexponential", 0.8, 0.7, g))
+    grid = np.linspace(2, 500, 2000)
+    curve = statistical_error_curve(p, grid, C_sandwich=1.0)
+    old = variance_rate_coefficient(p, 1.0) * grid + 0.8 * 1000 * np.exp(-(0.7 / 2.0**g) * grid**g)
+    i = int(np.argmin(old))
+    assert (curve.grid_x, curve.grid_value) == (grid[i], old[i])
+
+
+@pytest.mark.parametrize("g", [1024.0, 1e6])
+def test_curve_past_the_float_range_of_two_to_the_gamma(g):
+    # 2.0**g raised OverflowError from gamma 1024 on; past x = 2 the exponential term is 0, its limit
+    p = make_params(n=1000, m=1, mixing=MixingFit("subexponential", 1.0, 0.7, g))
+    alpha = variance_rate_coefficient(p, 1.0)
+    curve = statistical_error_curve(p, [2.0, 10.0], C_sandwich=1.0)
+    values = [alpha * 2.0 + 1000 * np.exp(-0.7), alpha * 10.0]
+    i = int(np.argmin(values))
+    assert (curve.grid_x, curve.grid_value) == ([2.0, 10.0][i], values[i])
+    assert math.isfinite(curve.analytic_x) and math.isfinite(curve.analytic_value)
+
+
 def test_curve_requires_mandatory_constant():
     p = make_params()
     with pytest.raises(DomainError):

@@ -270,8 +270,14 @@ def test_seed_must_lie_in_the_key_range():
     for seed in (1.5, True):
         with pytest.raises(MalformedInputError, match=f"seed must be an integer, got {seed!r}"):
             GeneratorSpec(kind="iid", seed=seed, law=law)
-    for seed in (0, 2**63 - 1, np.int64(7), 2.0):
-        assert generate(GeneratorSpec(kind="iid", seed=seed, law=law), 3).index.shape == (3,)
+    # an integral float or a numpy integer is stored as the int it stands for, which the report carries
+    family = state_family([{0: 0.0, 1: 1.0}])
+    for seed in (0, 2**63 - 1, np.int64(7), np.uint64(3), 2.0):
+        spec = GeneratorSpec(kind="iid", seed=seed, law=law)
+        assert type(spec.seed) is int and spec.seed == seed
+        assert generate(spec, 3).index.shape == (3,)
+        report = deviation_experiment(spec, family, make_params(n=3), finite_family_entropy(1), [0.5], 1)
+        assert type(report.metadata["seed"]) is int and report.metadata["seed"] == seed
 
 
 def test_replication_must_lie_in_the_key_range():
@@ -309,14 +315,37 @@ def test_generator_determinism():
 
 
 def test_replication_streams_are_independent_of_order():
-    # each call re-keys the thread's one generator, whatever the call before left buffered: draws
-    # mid-block (101 doubles), or half of a 64-bit word as well (3 int32 draws)
-    r1 = _stream(7, 0).random(5)
-    assert np.array_equal(r1, philox(7, 0).random(5))
-    _stream(7, 99).random(101)
-    assert np.array_equal(_stream(7, 0).random(5), r1)
-    _stream(7, 98).integers(0, 5, size=3, dtype=np.int32)
-    assert np.array_equal(_stream(7, 0).random(5), r1)
+    # each call re-keys the thread's one Philox, whatever the call before left buffered: words
+    # mid-block (101 words), or half of a 64-bit word as well (3 int32 draws of a Generator on it)
+    r1 = _stream(7, 0).random_raw(5)
+    assert np.array_equal(r1, philox(7, 0).bit_generator.random_raw(5))
+    _stream(7, 99).random_raw(101)
+    assert np.array_equal(_stream(7, 0).random_raw(5), r1)
+    np.random.Generator(_stream(7, 98)).integers(0, 5, size=3, dtype=np.int32)
+    # no half is left buffered for a 32-bit draw from the re-keyed stream
+    ints = np.random.Generator(_stream(7, 0)).integers(0, 5, size=3, dtype=np.int32)
+    assert np.array_equal(ints, philox(7, 0).integers(0, 5, size=3, dtype=np.int32))
+
+
+# The first five words of Philox4x64-10 keyed [seed, rep] (Salmon et al., SC 2011), from counter 1 as numpy
+# starts it: the round function's own values, which numpy guarantees and every draw maps, so that a change
+# in numpy's stream fails here by name.
+PHILOX_WORDS = {
+    (0, 0): (0x02F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79, 0x907D7A052FD5B4DC, 0x809BF322883987C3),
+    (2**63 - 1, 0): (0xED01AB40F6E3C032, 0x2E7B634ED9DE606D, 0x9E879E5FC056D40D, 0x7C88D0264F51764D,
+                     0xE341E7D9887DFE44),
+    (5, 2**32 - 1): (0x790E75CCEF1353F5, 0x6EA274AAA1DC7A6D, 0x3BA11EDFB88B800D, 0x21EFCDC097C914DB,
+                     0x532EC79394F3F09B),
+    (2**63 - 1, 2**63 - 1): (0x0E1F0BFE034BF1A8, 0xB81BAD1220DB6039, 0x1588FCE52D71C3B9, 0x193B3E9AD4B23B92,
+                             0x8797DCE41883E8E1),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PHILOX_WORDS))
+def test_stream_raw_words_are_pinned(key):
+    # five words cross the first four-word block, and each key follows another, so that every call re-keys
+    _stream(3, 3).random_raw(3)
+    assert tuple(_stream(*key).random_raw(5).tolist()) == PHILOX_WORDS[key]
 
 
 def test_markov_marginals_attached_exactly():
@@ -769,6 +798,16 @@ def test_m_dependent_stack_with_a_rejected_seed_equals_the_replication_streams(k
     reps = range(4)
     assert rejected_halves(spec, n, reps) > 0
     assert_window_seeds_equal_the_replication_streams(spec, n, reps, noise)
+
+
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("rep", [7272, 12237])
+def test_m_dependent_row_read_past_its_first_words_equals_the_replication_streams(rep, noise):
+    # 2000 seeds (lag 1) leave no spare high half, so a rejected half costs its row another word and moves the
+    # start of its noise: one word in replication 7272, two in 12237, where a half read to replace one is rejected
+    spec = GeneratorSpec(kind="m_dependent", seed=10, dependence_lag=1, alphabet_size=10**6)
+    assert rejected_halves(spec, 2000, [rep]) > 0
+    assert_window_seeds_equal_the_replication_streams(spec, 2000, range(rep - 1, rep + 2), noise)
 
 
 @pytest.mark.parametrize("probs", [
