@@ -21,6 +21,7 @@ from .pmf import _integer
 
 def euclidean(n: int, m: int) -> tuple:
     """Quotient and remainder of n divided by m, with 1 <= m <= n."""
+    n, m = _integer("n", n), _integer("m", m)
     if m < 1 or m > n:
         raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
     q, r = divmod(n, m)

@@ -20,6 +20,7 @@ from .blocking import euclidean, lifted_bound
 from .entropy import EntropyEstimate, _check_float_range
 from .errors import DomainError, HypothesisViolationError
 from .mixing import MixingFit
+from .pmf import _integer
 
 
 def _or_inf(term) -> float:
@@ -58,6 +59,8 @@ class BoundParams:
                 raise DomainError(f"{name} must exceed 1, got {getattr(self, name)}")
         if not self.B > 0.0:
             raise DomainError(f"B must be positive, got {self.B}")
+        for name in ("V", "n", "m"):
+            _integer(name, getattr(self, name))
         if self.V < 1:
             raise DomainError(f"V must be a positive integer, got {self.V}")
         if self.n < 1 or self.m < 1 or self.m > self.n:

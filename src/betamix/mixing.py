@@ -48,6 +48,7 @@ def beta_m_dependence(process: JointPmf, m: int, l: int) -> float:
     times <= l - m, computed by marginalizing onto the two groups.  Empty
     groups (l - m < 1, or l > N) give 0 by convention.
     """
+    m, l = _integer("m", m), _integer("l", l)
     if m < 1 or l < 1:
         raise MalformedInputError("m and l must be positive")
     if l > process.n_axes:
@@ -57,7 +58,7 @@ def beta_m_dependence(process: JointPmf, m: int, l: int) -> float:
 
 def beta_max(process: JointPmf, m: int) -> float:
     """Maximal coefficient of m-dependence: max over the times l = 1..N of beta_m_dependence, else 0."""
-    if m < 1:
+    if _integer("m", m) < 1:
         raise MalformedInputError("m and l must be positive")
     return max((beta_m_dependence(process, m, l) for l in range(1, process.n_axes + 1)), default=0.0)
 
@@ -74,25 +75,22 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = HORIZON) -> float
 
     By the Markov property this is sup_n beta(sigma(Z_n), sigma(Z_{n+m})); the
     sup is scanned for n = 1..horizon by batched atom sums over the joints
-    diag(mu_n) P^m of (Z_n, Z_{n+m}), stacked from ``chain.marginal_matrix``
-    in blocks of starting times holding at most ``CELL_CAP`` cells (one joint
-    per block if a joint alone exceeds it).  Each joint's sum does not depend
-    on the block around it, so the blocks do not change the result.  Once a
-    marginal equals the one before it, every later one does too (the
-    recursion is deterministic), and so do their joints: the scan stops there.
-    A horizon whose marginals alone exceed ``CELL_CAP`` cells raises SizeError
-    before any array is built.
+    diag(mu_n) P^m of (Z_n, Z_{n+m}), stacked in blocks of starting times holding
+    at most ``CELL_CAP`` cells (one joint per block if a joint alone exceeds it).
+    Each joint's sum does not depend on the block around it, so the blocks do
+    not change the result.  The marginals are the chain's distinct ones, from the
+    recursion that ``chain.marginal_matrix`` pads: it stops at its first exact
+    fixed point, whose joint every later starting time repeats, so the scan
+    stops there too.  A horizon whose marginals alone exceed ``CELL_CAP`` cells
+    raises SizeError before any array is built.
     """
     if _integer("m", m) < 1:
         raise MalformedInputError("m must be >= 1")
-    if horizon < 1:
+    if _integer("horizon", horizon) < 1:
         raise MalformedInputError("horizon must be >= 1")
     _check_marginal_cells("horizon", horizon, chain.n_states)
     step_m = np.linalg.matrix_power(chain.transition, m)
-    mus = chain.marginal_matrix(horizon)
-    repeats = np.flatnonzero((mus[1:] == mus[:-1]).all(axis=1))
-    if repeats.size:
-        mus = mus[:repeats[0] + 1]
+    mus = chain._distinct_marginals(np.empty((horizon, chain.n_states)))
     rows = max(1, CELL_CAP // step_m.size)
     # transition entries within tolerance below 0 are clipped, as a JointPmf would
     return max(float(_beta(np.maximum(mus[i:i + rows, :, None] * step_m, 0.0)).max())

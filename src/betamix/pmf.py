@@ -5,7 +5,10 @@ coefficients and couplings are computed by explicit atom sums over dense
 joint grids, so all types here validate total mass and nonnegativity at
 construction time and keep the full grid in memory: at most ``CELL_CAP`` cells,
 a coupling's extended joint and a chain's marginals included (checked first).
-Marginals and grouped blocks of a joint are plain arrays.
+Marginals and grouped blocks of a joint are plain arrays.  A chain's marginals come
+from one recursion, mu_{j+1} = mu_j P, which stops at its first exact fixed point:
+``MarkovChainSpec.marginal_matrix`` pads its rows with that point, and
+``mixing.markov_beta`` scans the distinct rows alone.
 """
 from __future__ import annotations
 
@@ -184,22 +187,41 @@ class MarkovChainSpec:
     def n_states(self) -> int:
         return len(self.states)
 
+    def _distinct_marginals(self, out: np.ndarray) -> np.ndarray:
+        """The marginals mu_1..mu_r written into the first r rows of ``out``, and those rows.
+
+        The recursion mu_{j+1} = mu_j P fills the rows of ``out`` in turn and stops at its
+        first exact fixed point, where mu_r P equals mu_r bit for bit: the recursion is
+        deterministic, so every later marginal would repeat mu_r.  So r is less than the
+        row count of ``out`` only there.  Each step has the bits of ``mu @ P``: a P that is
+        contiguous in either order goes through ``ndarray.dot``, which takes the same BLAS
+        path without the matmul gufunc's per-call overhead, and a strided P, which matmul
+        sums in its own loop, goes through ``np.matmul``.
+        """
+        transition = self.transition
+        product = np.ndarray.dot if transition.flags.forc else np.matmul
+        mu = self.initial.probs
+        out[:1] = mu  # an out of no rows takes none
+        bits = mu.tobytes()
+        for j in range(1, len(out)):
+            step = product(mu, transition)
+            step_bits = step.tobytes()
+            if step_bits == bits:
+                return out[:j]
+            out[j] = mu = step
+            bits = step_bits
+        return out
+
     def marginal_matrix(self, n: int) -> np.ndarray:
         """Stacked marginals mu_1..mu_n as an (n, states) array.
 
-        The recursion mu_{j+1} = mu_j P stops at its first exact fixed point,
-        where mu_j P equals mu_j bit for bit, and fills the remaining rows with
-        it: the recursion is deterministic, so every later row would repeat it.
+        The rows are the distinct marginals of the chain's one recursion (see
+        ``_distinct_marginals``), then its exact fixed point repeated, if it reaches one:
+        the recursion is deterministic, so every later row would repeat it.
         A negative n or more than ``CELL_CAP`` cells is refused before any array is built.
         """
         _check_marginal_cells("n", n, self.n_states)
         out = np.empty((n, self.n_states))
-        mu = self.initial.probs.copy()
-        for j in range(n):
-            out[j] = mu
-            step = mu @ self.transition
-            if step.tobytes() == mu.tobytes():
-                out[j + 1:] = mu
-                break
-            mu = step
+        r = len(self._distinct_marginals(out))
+        out[r:] = out[r - 1:r]  # the fixed point, if any; n = 0 has no row to copy
         return out

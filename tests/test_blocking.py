@@ -61,6 +61,26 @@ def test_partition_example():
     assert [list(b) for b in m_steps_partition(7, 3).blocks] == [[1, 4, 7], [2, 5], [3, 6]]
 
 
+# (call, start of the MalformedInputError's message) of each input check: a size or lag that is
+# not an integer used to end in a TypeError, or to run with a fractional quotient
+INPUT_CHECKS = {
+    "absent size (partition)": (lambda: m_steps_partition(None, 2), "n must be an integer, got None"),
+    "integral float size (partition)": (lambda: m_steps_partition(7.0, 3).blocks, "n must be an integer, got 7.0"),
+    "fractional lag (partition)": (lambda: m_steps_partition(7, 1.5), "m must be an integer, got 1.5"),
+    "fractional size (lifted bound)": (
+        lambda: lifted_bound(lambda size, t: 0.1, 10.5, 2, 0.5, 0.0, 2.0), "n must be an integer, got 10.5"),
+    "bool lag (euclidean)": (lambda: euclidean(7, True), "m must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(MalformedInputError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
 def test_lifted_bound_hand_computation():
     # n=7, m=3: (q, r) = (2, 1) so the weights are 1 and 2; these values round
     # differently if the three terms are summed in another order

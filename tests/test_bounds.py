@@ -25,7 +25,7 @@ from betamix.bounds import (
     weak_error_bound,
 )
 from betamix.entropy import finite_family_entropy, sauer_shelah_entropy
-from betamix.errors import DomainError, HypothesisViolationError
+from betamix.errors import DomainError, HypothesisViolationError, MalformedInputError
 from betamix.mixing import MixingFit
 
 
@@ -385,6 +385,10 @@ ENTROPY = finite_family_entropy(2)
 INPUT_CHECKS = {
     "V of 0": (lambda: make_params(V=0), DomainError, "V must be a positive integer, got 0"),
     "V past float range": (lambda: make_params(V=10**400), DomainError, "V must be at most the largest float"),
+    # a fractional size used to be accepted: beta_deviation_bound read 0.1204 at n = 1000.5
+    "fractional n": (lambda: make_params(n=1000.5), MalformedInputError, "n must be an integer, got 1000.5"),
+    "fractional V": (lambda: make_params(V=1.5), MalformedInputError, "V must be an integer, got 1.5"),
+    "integral float m": (lambda: make_params(m=20.0), MalformedInputError, "m must be an integer, got 20.0"),
     "size of 0 (indep deviation)": (
         lambda: indep_deviation_bound(make_params(), ENTROPY, 0, 0.5), DomainError, "size must be >= 1"),
     "size past float range (indep deviation)": (

@@ -18,6 +18,7 @@ from betamix.mixing import (
     pairwise_beta,
 )
 from betamix.pmf import CELL_CAP, FinitePmf, JointPmf, MarkovChainSpec
+from test_pmf import chain_runs
 
 
 # rows short of 1 within tolerance
@@ -208,14 +209,19 @@ STATIONARY_CHAIN = MarkovChainSpec((0, 1), [[0.75, 0.25], [0.25, 0.75]], FiniteP
 STICKY_CHAIN = MarkovChainSpec((0, 1), [[0.998, 0.002], [0.002, 0.998]], FinitePmf((0, 1), [1.0, 0.0]))
 
 
-@given(st.one_of(markov_chains(), st.sampled_from([DRIFTING_CHAIN, NEGATIVE_ENTRY_CHAIN])),
-       st.integers(1, 20), st.integers(1, 64))
-@example(STATIONARY_CHAIN, 20, 980)
-@example(STICKY_CHAIN, 5, 995)
+# (chain, horizon) pairs: chains with horizons up to 64, and chains on 1..8 states in three memory
+# layouts with horizons on either side of their recursion's first fixed point
+@given(st.one_of(st.tuples(st.one_of(markov_chains(), st.sampled_from([DRIFTING_CHAIN, NEGATIVE_ENTRY_CHAIN])),
+                           st.integers(1, 64)),
+                 chain_runs().map(lambda run: (run[0], max(run[1], 1)))),
+       st.integers(1, 20))
+@example((STATIONARY_CHAIN, 980), 20)
+@example((STICKY_CHAIN, 995), 5)
 @settings(max_examples=300, deadline=None)
-def test_markov_beta_equals_per_n_scan(chain, m, horizon):
+def test_markov_beta_equals_per_n_scan(scan, m):
+    chain, horizon = scan
     beta = markov_beta(chain, m, horizon)
-    assert beta == per_n_markov_beta(chain, m, horizon)
+    assert beta.hex() == per_n_markov_beta(chain, m, horizon).hex()
     assert type(beta) is float
 
 
@@ -345,6 +351,19 @@ def test_fit_refuses_an_amplitude_past_float_range(points, model, kwargs):
     assert str(exc.value) == f"the dominating amplitude of the {model} envelope is past float range"
 
 
+@pytest.mark.parametrize("points, model, kwargs", [
+    ([(709, 1e-15)], "subexponential", {"b": -1.0}),
+    ([(1000, 1e-20)], "subpolynomial", {"gamma": -100.0}),
+], ids=["subexponential", "subpolynomial"])
+def test_fit_refuses_an_envelope_that_rounding_leaves_below_a_point(points, model, kwargs):
+    # a given rate below 0 scales the point down into the subnormals (1e-323 and 1e-320 here),
+    # whose spacing of 2**-1074 rounds the amplitude far past the check's relative 1e-12
+    (m, v), = points
+    with pytest.raises(DegenerateFitError) as exc:
+        fit_mixing_rate(points, model, **kwargs)
+    assert str(exc.value).startswith(f"fitted envelope fails dominance at m={float(m)}: {v} > ")
+
+
 def test_fit_of_one_point_defaults_to_a_flat_rate():
     # one point fixes no slope: the subexponential rate b is 0 and the subpolynomial exponent 1
     assert fit_mixing_rate([(3, 0.2)], "subexponential") == MixingFit("subexponential", 0.2, 0.0, 1.0)
@@ -375,6 +394,14 @@ INPUT_CHECKS = {
     "fractional lag (markov)": (lambda: markov_beta(STATIONARY_CHAIN, 2.5), "m must be an integer, got 2.5"),
     "integral float lag (markov)": (lambda: markov_beta(STATIONARY_CHAIN, 2.0), "m must be an integer, got 2.0"),
     "bool lag (markov)": (lambda: markov_beta(STATIONARY_CHAIN, True), "m must be an integer, got True"),
+    # a lag, time or horizon that is not an integer used to end in a bare TypeError of its comparison with 1
+    "absent horizon": (lambda: markov_beta(STATIONARY_CHAIN, 1, horizon=None), "horizon must be an integer, got None"),
+    "string horizon": (lambda: markov_beta(STATIONARY_CHAIN, 1, horizon="5"), "horizon must be an integer, got '5'"),
+    "absent lag (m-dependence)": (lambda: beta_m_dependence(JOINT_3, None, 2), "m must be an integer, got None"),
+    "string time (m-dependence)": (lambda: beta_m_dependence(JOINT_3, 1, "2"), "l must be an integer, got '2'"),
+    "fractional lag (m-dependence)": (lambda: beta_m_dependence(JOINT_3, 1.5, 2), "m must be an integer, got 1.5"),
+    "absent lag (beta_max)": (lambda: beta_max(JOINT_3, None), "m must be an integer, got None"),
+    "integral float lag (beta_max)": (lambda: beta_max(JOINT_3, 2.0), "m must be an integer, got 2.0"),
     # integers past float range used to end in float's or math.isfinite's OverflowError
     "rate b past float range": (
         lambda: fit_mixing_rate([(1, 0.5), (2, 0.2)], "subexponential", b=10**400), f"b must be finite, got {10**400}"),

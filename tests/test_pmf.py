@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betamix import config
 from betamix.entropy import FunctionFamily
@@ -108,6 +110,60 @@ def test_marginal_matrix_equals_plain_loop(name, n):
     chain = MarkovChainSpec(states, transition, FinitePmf(states, initial))
     got, want = chain.marginal_matrix(n), plain_marginal_loop(chain, n)
     assert got.shape == want.shape == (n, len(states))
+    assert got.tobytes() == want.tobytes()
+
+
+# rows of the plain recursion searched for its first exact fixed point
+SETTLE_ROWS = 200
+
+
+def settled_rows(chain):
+    """The rows of the plain recursion up to its first exact fixed point, or SETTLE_ROWS rows."""
+    mus = plain_marginal_loop(chain, SETTLE_ROWS + 1)
+    return next((j + 1 for j in range(SETTLE_ROWS) if mus[j + 1].tobytes() == mus[j].tobytes()), SETTLE_ROWS)
+
+
+@st.composite
+def chain_runs(draw):
+    """A chain on 1..8 states and a row count on either side of its recursion's first fixed point.
+
+    The transition's rows are drawn laws with zero-mass entries, or the rows of a permutation
+    (a periodic chain), held C-contiguous, F-contiguous or strided, since matmul sums a strided
+    array in its own loop.  The start is a point mass, a drawn law, or the law that the plain
+    recursion from a drawn law has reached after SETTLE_ROWS steps (stationary, if it settles).
+    """
+    k = draw(st.integers(1, 8))
+    states = tuple(range(k))
+
+    def law():
+        weights = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k).filter(any))
+        return [w / sum(weights) for w in weights]
+
+    if draw(st.booleans()):
+        transition = np.array([law() for _ in states])
+    else:
+        transition = np.eye(k)[list(draw(st.permutations(states)))]
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        transition = np.asfortranarray(transition)
+    elif layout == "strided":
+        transition = np.repeat(np.repeat(transition, 2, axis=0), 2, axis=1)[::2, ::2]
+    start = draw(st.sampled_from(["point mass", "drawn", "stationary"]))
+    initial = np.eye(k)[draw(st.sampled_from(states))] if start == "point mass" else law()
+    if start == "stationary":
+        initial = plain_marginal_loop(MarkovChainSpec(states, transition, FinitePmf(states, initial)),
+                                      SETTLE_ROWS + 1)[-1]
+    chain = MarkovChainSpec(states, transition, FinitePmf(states, initial))
+    r = settled_rows(chain)
+    return chain, draw(st.one_of(st.integers(max(r - 1, 0), r + 1), st.integers(0, 2 * r + 1)))
+
+
+@given(chain_runs())
+@settings(max_examples=300, deadline=None)
+def test_marginal_matrix_equals_plain_loop_on_drawn_chains(run):
+    chain, n = run
+    got, want = chain.marginal_matrix(n), plain_marginal_loop(chain, n)
+    assert got.shape == want.shape == (n, chain.n_states)
     assert got.tobytes() == want.tobytes()
 
 
