@@ -135,7 +135,7 @@ def _cmd_partition(args) -> int:
 def _entropy(doc) -> dict:
     covers = {"exact_cover": entropy.covering_number_exact, "greedy_cover": entropy.covering_number_greedy}
     kind = doc.kind("entropy", tuple(covers) + config.ENTROPY_ESTIMATES, "sauer_shelah")
-    r = doc.get("r", float)
+    r = doc.get("r", config.number)
     if kind in covers:
         return {"covering_number": covers[kind](doc.get("values", config.floats(None, None)), r), "r": r}
     return {"entropy": config.entropy_estimate(doc)(r), "r": r}
@@ -146,23 +146,23 @@ def _bound(doc) -> dict:
     kinds = ("indep_deviation", "beta_deviation", "weak_error", "subexp_rate", "subpoly_rate")
     kind = doc.kind("bound", kinds, "beta_deviation")
     if kind == "weak_error":
-        bias, beta = doc.get("bias", float, 0.0), doc.get("beta_at_m", float, None)
+        bias, beta = doc.get("bias", config.number, 0.0), doc.get("beta_at_m", config.number, None)
         breakdown = bounds.weak_error_bound(params, bias, beta)
         return {**dataclasses.asdict(breakdown), "total": breakdown.total}
     if kind in ("subexp_rate", "subpoly_rate"):
         rate = bounds.subexp_rate if kind == "subexp_rate" else bounds.subpoly_rate
-        return {"rate": rate(params, doc.get("C", float))}
-    est, t = config.entropy_estimate(doc.section("entropy_spec")), doc.get("t", float)
+        return {"rate": rate(params, doc.get("C", config.number))}
+    est, t = config.entropy_estimate(doc.section("entropy_spec")), doc.get("t", config.number)
     if kind == "indep_deviation":
         size = doc.get("size", config.integer, params.n)
         return {"bound": bounds.indep_deviation_bound(params, est, size, t)}
-    return {"bound": bounds.beta_deviation_bound(params, est, t, doc.get("beta_at_m", float, None))}
+    return {"bound": bounds.beta_deviation_bound(params, est, t, doc.get("beta_at_m", config.number, None))}
 
 
 def _regress(doc) -> dict:
     data = config.regression_data(doc)
     family = config.family(doc.section("family"), data.states)
-    result = regression.fit_least_squares(data, family, doc.get("B", float))
+    result = regression.fit_least_squares(data, family, doc.get("B", config.number))
     out = {"empirical_risk": result.empirical_risk, "ridge_used": result.ridge_used}
     if result.member_index is not None:
         out["member_index"] = result.member_index

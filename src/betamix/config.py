@@ -2,10 +2,13 @@
 
 Every document the command line reads goes through ``Section``, whose reads raise
 ``ConfigError`` naming the field's path (``generator.chain.states``) when it is
-missing, does not convert, names an unknown kind or has the wrong shape; an
-integer field refuses a bool and a number with a fractional part.  Range
-and mass checks stay with the objects built.  State tables map each state's
-string form to a value, so states that share one (0 and "0") are refused.
+missing, does not convert, names an unknown kind or has the wrong shape.  A real
+field, and each entry of an array, is a JSON number (``number``): a bool, a string
+or an integer past float range is refused, while NaN and Infinity go on to the
+domain checks.  An integer field refuses a bool, a string and a number with a
+fractional part.  Range and mass checks stay with the objects built.  State
+tables map each state's string form to a value, so states that share one (0 and
+"0") are refused.
 ``joint_doc``, the inverse of ``joint``, writes a joint's document, so that
 one format has one owner for reading and writing; it hands the probabilities
 over as one flat float array, which ``joint`` reads back as it reads a list
@@ -80,9 +83,22 @@ def _list(value) -> list:
     return value
 
 
+def number(value) -> float:
+    """A real field: an int or a float, not a bool or a string.  NaN and Infinity pass on to the
+    domain checks; an int past float range is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("expected a number, got an integer past float range") from None
+
+
 def integer(value) -> int:
-    """An integer field; an integral float such as 2.0 counts, a bool or a fraction does not."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """An integer field; an integral float such as 2.0 counts, a bool, a string or a fraction
+    does not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {json.dumps(value)}")
     return int(value)
 
@@ -93,10 +109,18 @@ def labels(value) -> tuple:
     return tuple(value)
 
 
+def _numbers(value) -> list:
+    """A list (or an array) with each entry through ``number``, nested lists kept nested; a
+    float, which ``number`` returns as it is, skips the call."""
+    entries = value.tolist() if isinstance(value, np.ndarray) else _list(value)
+    return [v if v.__class__ is float else _numbers(v) if isinstance(v, list) else number(v) for v in entries]
+
+
 def floats(*shape):
-    """Converter to a float array of the given shape; None matches any length."""
+    """Converter to a float array of the given shape, each entry through ``number``; None
+    matches any length."""
     def convert(value):
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(_numbers(value), dtype=float)
         if arr.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, arr.shape)):
             raise ValueError(f"expected an array of shape {shape}, got {arr.shape}")
         return arr
@@ -119,7 +143,7 @@ def state_values(sec: Section, states: tuple) -> np.ndarray:
         if str(s) in keys:
             raise ConfigError(f"{sec.path}: states {keys[str(s)]!r} and {s!r} share the key {str(s)!r}")
         keys[str(s)] = s
-    return np.array([sec.get(key, float) for key in keys])
+    return np.array([sec.get(key, number) for key in keys])
 
 
 def chain(sec: Section) -> pmf.MarkovChainSpec:
@@ -134,7 +158,7 @@ def joint(sec: Section) -> pmf.JointPmf:
     """{"axes": [[...], ...], "probs": [...]} with row-major probs."""
     axes = sec.get("axes", lambda value: tuple(labels(ax) for ax in _list(value)))
     shape = tuple(len(ax) for ax in axes)
-    probs = sec.get("probs", lambda value: np.asarray(value, dtype=float))
+    probs = sec.get("probs", lambda value: np.array(_numbers(value), dtype=float))
     if probs.size != math.prod(shape):
         raise ConfigError(f"{sec.prefix}probs: {probs.size} probabilities do not fit axes {shape}")
     return pmf.JointPmf(axes, probs.reshape(shape))
@@ -153,11 +177,11 @@ def params(sec: Section) -> bounds.BoundParams:
     if "mixing" in sec:
         mx = sec.section("mixing")
         model = mx.kind("model", mixing.MIXING_MODELS)
-        b = mx.get("b", float, _REQUIRED if model == "subexponential" else None)
-        fit = mixing.MixingFit(model, mx.get("a", float), b, mx.get("gamma", float))
-    reals = {key: sec.get(key, float) for key in ("epsilon", "c", "gamma", "gamma_prime", "B")}
+        b = mx.get("b", number, _REQUIRED if model == "subexponential" else None)
+        fit = mixing.MixingFit(model, mx.get("a", number), b, mx.get("gamma", number))
+    reals = {key: sec.get(key, number) for key in ("epsilon", "c", "gamma", "gamma_prime", "B")}
     return bounds.BoundParams(
-        **reals, lam=sec.get("lambda", float), V=sec.get("V", integer), n=sec.get("n", integer),
+        **reals, lam=sec.get("lambda", number), V=sec.get("V", integer), n=sec.get("n", integer),
         m=sec.get("m", integer, 1), mixing=fit,
     )
 
@@ -169,10 +193,10 @@ def entropy_estimate(sec: Section) -> entropy.EntropyEstimate:
     """A closed-form entropy estimate named by "entropy" (default sauer_shelah)."""
     kind = sec.kind("entropy", ENTROPY_ESTIMATES, "sauer_shelah")
     if kind == "sauer_shelah":
-        return functools.partial(entropy.sauer_shelah_entropy, sec.get("V", integer), sec.get("B", float))
+        return functools.partial(entropy.sauer_shelah_entropy, sec.get("V", integer), sec.get("B", number))
     if kind == "neural_net":
         return functools.partial(entropy.neural_net_entropy, sec.get("N", integer), sec.get("d", integer),
-                                 sec.get("B", float))
+                                 sec.get("B", number))
     # "zero" is a one-member class: log(1) is exactly 0.0
     return entropy.finite_family_entropy(sec.get("n_members", integer) if kind == "finite" else 1)
 
@@ -184,10 +208,10 @@ def family(sec: Section, states: tuple) -> entropy.FunctionFamily:
         tables = [Section(t, f"{sec.prefix}tables[{j}]")
                   for j, t in enumerate(sec.get("tables", _list))]
         return entropy.FunctionFamily(states, table=[state_values(t, states) for t in tables])
-    scale = sec.get("scale", float, 1.0)
+    scale = sec.get("scale", number, 1.0)
     try:
         design = [[1.0, scale * float(s)] for s in states]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{sec.prefix}kind: affine_span needs numeric states: {exc}") from exc
     return entropy.FunctionFamily(states, design=design)
 
@@ -203,7 +227,7 @@ def generator(sec: Section, seed: int | None = None) -> simulate.GeneratorSpec:
     kind = sec.kind("kind", simulate.GENERATOR_KINDS)
     noise = sec.section("noise") if "noise" in sec else Section({"values": [0.0], "probs": [1.0]})
     values = noise.get("values", floats(None)).tolist()
-    bound = sec.get("response_bound", float, None)
+    bound = sec.get("response_bound", number, None)
     spec = simulate.GeneratorSpec(
         kind=kind,
         seed=sec.get("seed", integer, 0) if seed is None else seed,
@@ -224,5 +248,5 @@ def regression_data(sec: Section) -> regression.Dataset:
     """The "xs" / "ys" sample of a regress document, over the distinct xs as states."""
     xs = sec.get("xs", labels)
     position = {x: i for i, x in enumerate(dict.fromkeys(xs))}
-    ys, bound = sec.get("ys", floats(len(xs))), sec.get("response_bound", float, None)
+    ys, bound = sec.get("ys", floats(len(xs))), sec.get("response_bound", number, None)
     return regression.Dataset(tuple(position), [position[x] for x in xs], ys, response_bound=bound)

@@ -33,7 +33,7 @@ class FunctionFamily:
 
     A finite family carries a member-by-state value ``table``.  A truncated
     linear span carries a state-by-basis ``design`` instead; it is fitted, not
-    enumerated.
+    enumerated.  Either is the family's own C-ordered copy.
     """
 
     states: tuple
@@ -47,7 +47,7 @@ class FunctionFamily:
         if (self.table is None) == (self.design is None):
             raise MalformedInputError("a family needs exactly one of table and design")
         name, axis = ("table", 1) if self.design is None else ("design", 0)
-        values = np.array(getattr(self, name), dtype=float)
+        values = np.array(getattr(self, name), dtype=float, order="C")
         if values.ndim != 2 or values.shape[axis] != len(self.states) or values.size == 0:
             raise MalformedInputError(f"{name} {values.shape} is not a nonempty array over the states")
         if not np.isfinite(values).all():

@@ -81,8 +81,9 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = HORIZON) -> float
     not change the result.  The marginals are the chain's distinct ones, from the
     recursion that ``chain.marginal_matrix`` pads: it stops at its first exact
     fixed point, whose joint every later starting time repeats, so the scan
-    stops there too.  A horizon whose marginals alone exceed ``CELL_CAP`` cells
-    raises SizeError before any array is built.
+    stops there too.  The chain's transition is clipped at 0, so every joint is too.
+    A horizon whose marginals alone exceed ``CELL_CAP`` cells raises SizeError
+    before any array is built.
     """
     if _integer("m", m) < 1:
         raise MalformedInputError("m must be >= 1")
@@ -92,9 +93,7 @@ def markov_beta(chain: MarkovChainSpec, m: int, horizon: int = HORIZON) -> float
     step_m = np.linalg.matrix_power(chain.transition, m)
     mus = chain._distinct_marginals(np.empty((horizon, chain.n_states)))
     rows = max(1, CELL_CAP // step_m.size)
-    # transition entries within tolerance below 0 are clipped, as a JointPmf would
-    return max(float(_beta(np.maximum(mus[i:i + rows, :, None] * step_m, 0.0)).max())
-               for i in range(0, len(mus), rows))
+    return max(float(_beta(mus[i:i + rows, :, None] * step_m).max()) for i in range(0, len(mus), rows))
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,8 @@ def fit_mixing_rate(
     for the subpolynomial model) is taken from the caller when supplied and
     otherwise obtained by log-linear least squares on the strictly positive
     points.  The amplitude a is then set to the smallest value giving pointwise
-    dominance, which is re-verified before returning; one past float range
-    raises DegenerateFitError.
+    dominance, which is re-verified before returning; one past float range, or
+    one that underflows to 0, raises DegenerateFitError.
     """
     if model not in MIXING_MODELS:
         raise MalformedInputError(f"unknown model {model!r}")
@@ -193,6 +192,8 @@ def fit_mixing_rate(
         a = math.inf
     if not math.isfinite(a):
         raise DegenerateFitError(f"the dominating amplitude of the {model} envelope is past float range")
+    if a == 0.0:  # a power or exponential below float range: no zero amplitude dominates a positive point
+        raise DegenerateFitError(f"the dominating amplitude of the {model} envelope underflows to 0")
     fit = MixingFit(model, a, b, g)
 
     for m, v in pts:

@@ -5,7 +5,9 @@ coefficients and couplings are computed by explicit atom sums over dense
 joint grids, so all types here validate total mass and nonnegativity at
 construction time and keep the full grid in memory: at most ``CELL_CAP`` cells,
 a coupling's extended joint and a chain's marginals included (checked first).
-Marginals and grouped blocks of a joint are plain arrays.  A chain's marginals come
+Marginals and grouped blocks of a joint are plain arrays.  Laws, joints and chains
+clip entries within tolerance below 0 to 0, and a chain holds its own C-ordered copy of
+its transition, so each of its products has one layout.  A chain's marginals come
 from one recursion, mu_{j+1} = mu_j P, which stops at its first exact fixed point:
 ``MarkovChainSpec.marginal_matrix`` pads its rows with that point, and
 ``mixing.markov_beta`` scans the distinct rows alone.
@@ -159,7 +161,11 @@ class JointPmf:
 
 @dataclass(frozen=True)
 class MarkovChainSpec:
-    """A finite-state Markov chain: states, row-stochastic transition, initial law."""
+    """A finite-state Markov chain: states, row-stochastic transition, initial law.
+
+    The chain keeps its own C-ordered copy of the transition, clipped at 0, so chains
+    equal under ``==`` give equal bits whatever the layout of the array they were built from.
+    """
 
     states: tuple
     transition: np.ndarray
@@ -171,7 +177,6 @@ class MarkovChainSpec:
         states = tuple(self.states)
         transition = np.asarray(self.transition, dtype=float)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transition", transition)
         k = len(states)
         if transition.shape != (k, k):
             raise MalformedInputError(f"transition shape {transition.shape} != ({k},{k})")
@@ -182,6 +187,7 @@ class MarkovChainSpec:
             raise MalformedInputError(f"transition rows must sum to 1, got {rowsums}")
         if self.initial.support != states:
             raise MalformedInputError("initial law support must equal the state set")
+        object.__setattr__(self, "transition", np.maximum(transition, 0.0, order="C"))
 
     @property
     def n_states(self) -> int:
@@ -193,18 +199,15 @@ class MarkovChainSpec:
         The recursion mu_{j+1} = mu_j P fills the rows of ``out`` in turn and stops at its
         first exact fixed point, where mu_r P equals mu_r bit for bit: the recursion is
         deterministic, so every later marginal would repeat mu_r.  So r is less than the
-        row count of ``out`` only there.  Each step has the bits of ``mu @ P``: a P that is
-        contiguous in either order goes through ``ndarray.dot``, which takes the same BLAS
-        path without the matmul gufunc's per-call overhead, and a strided P, which matmul
-        sums in its own loop, goes through ``np.matmul``.
+        row count of ``out`` only there.  Each step is ``mu.dot(P)`` on the chain's own
+        C-ordered P: the bits of ``mu @ P`` at a lower cost per call.
         """
         transition = self.transition
-        product = np.ndarray.dot if transition.flags.forc else np.matmul
         mu = self.initial.probs
         out[:1] = mu  # an out of no rows takes none
         bits = mu.tobytes()
         for j in range(1, len(out)):
-            step = product(mu, transition)
+            step = mu.dot(transition)
             step_bits = step.tobytes()
             if step_bits == bits:
                 return out[:j]

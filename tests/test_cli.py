@@ -609,6 +609,45 @@ CONFIG_ERRORS = {
         {"family": {"kind": "affine_span", "range_bound": 1.0}, "xs": ["a", "b", "a"], "ys": [0.1, 0.2, 0.1],
          "B": 1.0},
         "family.kind: affine_span needs numeric states"),
+    "affine span over a state past float range": (
+        "regress", with_change(GOLDEN_DOCS["regress-affine-span"], "xs", [0, 1, 2, 10**400, 1, 2, 0, 3]),
+        "family.kind: affine_span needs numeric states"),
+    # a real field or array entry is a JSON number: true, "0.5" and "100" used to run as 1.0, 0.5 and 100,
+    # and an integer past float range ended in an uncaught OverflowError
+    "boolean real field": (
+        "bound", with_change(BOUND_DOC, "params.B", True), "params.B: expected a number, got true"),
+    "string real field": (
+        "bound", dict(GOLDEN_DOCS["bound-beta-deviation"], t="1.2"), 't: expected a number, got "1.2"'),
+    "string integer field": (
+        "bound", with_change(BOUND_DOC, "params.n", "100"), 'params.n: expected an integer, got "100"'),
+    "string transition entry": (
+        "beta", with_change(BETA_DOC, "chain.transition", [["0.75", 0.25], [0.25, 0.75]]),
+        'chain.transition: expected a number, got "0.75"'),
+    "boolean among joint probs": (
+        "couple", {"joint": {"axes": [[0, 1], [0, 1]], "probs": [0.5, 0.25, 0.25, False]}},
+        "joint.probs: expected a number, got false"),
+    "boolean in a grid": (
+        "verify", with_change(experiment_doc(), "t_grid", [0.0, True]), "t_grid: expected a number, got true"),
+    "string state table value": (
+        "simulate", with_change(GOLDEN_DOCS["simulate-markov"], "family.tables.0.1", "1.0"),
+        'family.tables[0].1: expected a number, got "1.0"'),
+    "real field past float range": (
+        "bound", with_change(BOUND_DOC, "params.B", 10**400),
+        "params.B: expected a number, got an integer past float range"),
+    "radius past float range": (
+        "entropy", dict(GOLDEN_DOCS["entropy-finite"], r=10**400),
+        "r: expected a number, got an integer past float range"),
+    "bias past float range": (
+        "bound", dict(BOUND_DOC, bias=-10**400), "bias: expected a number, got an integer past float range"),
+    "transition entry past float range": (
+        "beta", with_change(BETA_DOC, "chain.transition", [[10**400, 0.25], [0.25, 0.75]]),
+        "chain.transition: expected a number, got an integer past float range"),
+    "state table value past float range": (
+        "regress", with_change(GOLDEN_DOCS["regress-state-table"], "family.tables.1.b", 10**400),
+        "family.tables[1].b: expected a number, got an integer past float range"),
+    "grid point past float range": (
+        "simulate", with_change(experiment_doc(), "t_grid", [0.0, 10**400]),
+        "t_grid: expected a number, got an integer past float range"),
 }
 
 

@@ -23,7 +23,7 @@ from test_pmf import chain_runs
 
 # rows short of 1 within tolerance
 DRIFTING_CHAIN = MarkovChainSpec((0, 1), [[0.5, 0.5 - 9e-13], [0.5, 0.5 - 9e-13]], FinitePmf((0, 1), [0.5, 0.5]))
-# an entry below 0 within tolerance, which the joints clip
+# an entry below 0 within tolerance, which the chain clips
 NEGATIVE_ENTRY_CHAIN = MarkovChainSpec((0, 1), [[1 + 5e-13, -5e-13], [0.5, 0.5]], FinitePmf((0, 1), [1.0, 0.0]))
 
 
@@ -362,6 +362,19 @@ def test_fit_refuses_an_envelope_that_rounding_leaves_below_a_point(points, mode
     with pytest.raises(DegenerateFitError) as exc:
         fit_mixing_rate(points, model, **kwargs)
     assert str(exc.value).startswith(f"fitted envelope fails dominance at m={float(m)}: {v} > ")
+
+
+# a given rate below 0 that scales the point past the subnormals used to return a fit with a = 0,
+# whose envelope is 0 * inf = NaN (with a RuntimeWarning) and so never failed the dominance check
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points, model, kwargs", [
+    ([(1, 0.5)], "subexponential", {"b": -1000.0}),
+    ([(10, 0.5)], "subpolynomial", {"gamma": -400.0}),
+], ids=["subexponential", "subpolynomial"])
+def test_fit_refuses_an_amplitude_that_underflows_to_zero(points, model, kwargs):
+    with pytest.raises(DegenerateFitError) as exc:
+        fit_mixing_rate(points, model, **kwargs)
+    assert str(exc.value) == f"the dominating amplitude of the {model} envelope underflows to 0"
 
 
 def test_fit_of_one_point_defaults_to_a_flat_rate():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from betamix import config
 from betamix.entropy import FunctionFamily
 from betamix.errors import MalformedInputError, SizeError
+from betamix.mixing import markov_beta
 from betamix.pmf import CELL_CAP, FinitePmf, JointPmf, MarkovChainSpec
-from betamix.regression import Dataset
+from betamix.regression import Dataset, family_bias
 
 
 def test_finite_pmf_validation():
@@ -128,9 +129,10 @@ def chain_runs(draw):
     """A chain on 1..8 states and a row count on either side of its recursion's first fixed point.
 
     The transition's rows are drawn laws with zero-mass entries, or the rows of a permutation
-    (a periodic chain), held C-contiguous, F-contiguous or strided, since matmul sums a strided
-    array in its own loop.  The start is a point mass, a drawn law, or the law that the plain
-    recursion from a drawn law has reached after SETTLE_ROWS steps (stationary, if it settles).
+    (a periodic chain), handed to the chain C-contiguous, F-contiguous or strided: the chain
+    copies each layout into its own C-ordered transition.  The start is a point mass, a drawn
+    law, or the law that the plain recursion from a drawn law has reached after SETTLE_ROWS
+    steps (stationary, if it settles).
     """
     k = draw(st.integers(1, 8))
     states = tuple(range(k))
@@ -165,6 +167,42 @@ def test_marginal_matrix_equals_plain_loop_on_drawn_chains(run):
     got, want = chain.marginal_matrix(n), plain_marginal_loop(chain, n)
     assert got.shape == want.shape == (n, chain.n_states)
     assert got.tobytes() == want.tobytes()
+
+
+@given(chain_runs(), st.integers(1, 20))
+@settings(max_examples=300, deadline=None)
+def test_equal_objects_give_equal_bits(run, m):
+    # the chain was built from the drawn layout, its twin from a C-ordered copy of that array
+    chain, n = run
+    twin = MarkovChainSpec(chain.states, np.ascontiguousarray(chain.transition), chain.initial)
+    assert twin == chain
+    assert twin.marginal_matrix(n).tobytes() == chain.marginal_matrix(n).tobytes()
+    horizon = max(n, 1)
+    assert markov_beta(twin, m, horizon).hex() == markov_beta(chain, m, horizon).hex()
+
+
+def test_writes_to_the_callers_array_leave_a_chain_unchanged():
+    transition = np.array([[0.75, 0.25], [0.25, 0.75]])
+    chain = MarkovChainSpec((0, 1), transition, FinitePmf((0, 1), [1.0, 0.0]))
+    before = chain.transition.copy(), chain.marginal_matrix(30), markov_beta(chain, 3, 30)
+    transition[:] = [[1e10, -1e10], [0.0, 1.0]]
+    assert np.array_equal(chain.transition, before[0])
+    assert chain.marginal_matrix(30).tobytes() == before[1].tobytes()
+    assert markov_beta(chain, 3, 30).hex() == before[2].hex()
+
+
+@pytest.mark.parametrize("kind", ["table", "design"])
+def test_a_family_from_an_f_ordered_array_keeps_the_bits_of_its_c_copy(kind):
+    rng = np.random.default_rng(33)
+    states = tuple(range(6))
+    laws = rng.dirichlet(np.ones(6), size=40)
+    truth = rng.uniform(-1.0, 1.0, 6)
+    for _ in range(20):
+        values = rng.uniform(-1.0, 1.0, (5, 6) if kind == "table" else (6, 3))
+        c_family = FunctionFamily(states, **{kind: values})
+        f_family = FunctionFamily(states, **{kind: np.asfortranarray(values)})
+        assert f_family == c_family
+        assert family_bias(f_family, truth, laws, 0.75).hex() == family_bias(c_family, truth, laws, 0.75).hex()
 
 
 def test_chain_json_roundtrip():
