@@ -6,9 +6,9 @@ missing, does not convert, names an unknown kind or has the wrong shape.  A real
 field, and each entry of an array, is a JSON number (``number``): a bool, a string
 or an integer past float range is refused, while NaN and Infinity go on to the
 domain checks.  An integer field refuses a bool, a string and a number with a
-fractional part.  Range and mass checks stay with the objects built.  State
-tables map each state's string form to a value, so states that share one (0 and
-"0") are refused.
+fractional part.  A state label is a JSON string or number, not a bool.  Range
+and mass checks stay with the objects built.  State tables map each state's
+string form to a value, so states that share one (0 and "0") are refused.
 ``joint_doc``, the inverse of ``joint``, writes a joint's document, so that
 one format has one owner for reading and writing; it hands the probabilities
 over as one flat float array, which ``joint`` reads back as it reads a list
@@ -104,7 +104,8 @@ def integer(value) -> int:
 
 
 def labels(value) -> tuple:
-    if not all(isinstance(v, (str, int, float)) for v in _list(value)):
+    """A list of state labels, each a JSON string or number; a bool is neither."""
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in _list(value)):
         raise ValueError("state labels must be strings or numbers")
     return tuple(value)
 

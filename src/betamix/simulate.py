@@ -32,8 +32,10 @@ holding a half that Lemire's map rejects is read again, in numpy's order.
 ``generate`` is ``_draw``'s stack of one, wrapped in a ``Dataset``.
 ``deviation_experiment`` reads only the states, so its stacks draw no
 responses: the same states, of which the statistic reads only each path's state
-counts.  A Markov stack whose step table (the chain's random map, see
-``_step_table``) holds at most ``STEP_TABLE_CAP`` cells is walked by
+counts.  It draws nothing where no path's statistic can reach any t on its
+grid (``_reach``): every frequency there is 0 by proof.  A Markov stack whose
+step table (the chain's random map, see ``_step_table``) holds at most
+``STEP_TABLE_CAP`` cells is walked by
 ``_walk_stack``, every path of the stack at once: each draw is coded by its
 interval through a table over dyadic cells of [0, 1) (by binary search for the
 draws in cells that a breakpoint splits), and the walk moves d steps per gather
@@ -571,6 +573,32 @@ def _count_means(states: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (total.reshape(members, paths) / n).T
 
 
+def _reach(table: np.ndarray, avg: np.ndarray, epsilon: float, n: int) -> np.ndarray:
+    """Per member f, a number that no path's computed statistic a * mean_f - y_f exceeds, where
+    a = 1.0 - epsilon, y = (1.0 + epsilon) * avg (the statistic's own expression, so its own bits) and
+    mean_f is ``_count_means``' mean of f over a path of length n.
+
+    With M = max_s f(s), A = max_s |f(s)| and k states, a path's exact counts mean is a weighted
+    average of f's values, at most M and at most A in size.  ``_count_means`` computes it as an
+    inner product of at most k terms and one division, so within gamma_{k+1} * A of it (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, (3.5)), where gamma_j = j u / (1 - j u)
+    and u = 2**-53; a > 0, so the product with a and the subtraction of y round twice more, and the
+    statistic is at most a M - y + gamma_{k+3} * (a A + |y|).  The reach is
+    a M - y + 2 (k + 4) u (a A + |y|) + tiny, with tiny the least normal float: evaluated in floats,
+    its own roundings cost at most (gamma_2 + u) (a A + |y|) in all, which the (k + 2) u left over
+    covers, and tiny covers the absolute error that underflow adds.  Where 2 n A passes the float
+    range a path's sums may overflow, and the reach is inf.
+    """
+    k = table.shape[1]
+    a, y = 1.0 - epsilon, (1.0 + epsilon) * avg
+    size = np.abs(table).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = 2 * (k + 4) * (np.finfo(float).eps / 2) * (a * size + np.abs(y)) + np.finfo(float).tiny
+        reach = a * table.max(axis=1) - y + margin
+        reach[~np.isfinite(2.0 * n * size)] = np.inf
+    return reach
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Row-per-configuration Monte Carlo report with dominance flags."""
@@ -601,10 +629,20 @@ def deviation_experiment(
     paths, state counts and member means each hold at most STACK_DRAWS cells.
     The empirical mean is a function of each path's state counts (see
     ``_count_means``), and each stack adds its hits per t to one counter.
+    An empirical mean never exceeds max_s f(s), so where every member's
+    (1-eps) * max_s f(s) - (1+eps) * average mean, plus a margin of
+    2 (k + 4) u ((1-eps) max_s |f(s)| + (1+eps) |average mean|) and the least
+    normal float for rounding (k states, u = 2**-53; derived in ``_reach``),
+    lies below every t, no statistic reaches the grid: nothing is drawn, and
+    every count is 0.  ``replications`` is at most 2**63, the range of the
+    stream keys.
     """
     replications = _integer("replications", replications)
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    # replication numbers are stream keys, in [0, 2**63)
+    if replications > 2**63:
+        raise SizeError(f"replications must be at most 2**63, got {replications}")
     table = family.table  # (members, n_states)
     if table is None:
         raise DomainError("the deviation experiment needs an enumerable family")
@@ -618,11 +656,13 @@ def deviation_experiment(
 
     t_values = np.array(t_grid, dtype=float)
     hits = np.zeros(len(t_values), dtype=np.int64)
-    for reps, visits in _stacks(spec, n, replications, max(table.shape)):
-        emp = _count_means(_paths(spec, _stack_draws(spec, n, reps), visits), table)
-        stat = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max(axis=1)
-        hits += (stat[:, None] >= t_values).sum(axis=0)
-        del emp, stat  # no array of a stack outlives it
+    # where no path's statistic can reach any t on the grid, every count is 0 by proof
+    if not (_reach(table, avg, params.epsilon, n).max() < t_values).all():
+        for reps, visits in _stacks(spec, n, replications, max(table.shape)):
+            emp = _count_means(_paths(spec, _stack_draws(spec, n, reps), visits), table)
+            stat = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max(axis=1)
+            hits += (stat[:, None] >= t_values).sum(axis=0)
+            del emp, stat  # no array of a stack outlives it
 
     rows = []
     for t, count, bound in zip(t_grid, hits.tolist(), bounds):
@@ -645,7 +685,8 @@ def weak_error_experiment(
     """Measured weak error of the truncated fit against its closed-form bound.
 
     ``truth`` holds the true regression function's value at each generator
-    state, finite.  Every n's ``BoundParams``, the theorem's hypotheses and the
+    state, finite.  ``replications`` is at most ``CELL_CAP``, the cells of the
+    array of errors.  Every n's ``BoundParams``, the theorem's hypotheses and the
     cap on the cells of its marginal laws are checked before the first draw; no
     n's laws are built before that n is reached.  For each n the replications
     are drawn (``_draw``, whose responses the spec checked when it was built)
@@ -664,6 +705,9 @@ def weak_error_experiment(
     replications = _integer("replications", replications)
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    # one error per replication, in one array
+    if replications > CELL_CAP:
+        raise SizeError(f"replications must be at most {CELL_CAP}, got {replications}")
     if family.states != spec.states():
         raise MalformedInputError("the family must be tabulated over the generator's states")
     truth = np.asarray(truth, dtype=float)

@@ -601,6 +601,13 @@ CONFIG_ERRORS = {
     "state label neither string nor number": (
         "beta", with_change(BETA_DOC, "chain.states", [0, [1]]),
         "chain.states: state labels must be strings or numbers"),
+    # a bool label used to run as the state True, keyed "True" in state tables
+    "boolean chain state": (
+        "beta", with_change(BETA_DOC, "chain.states", [0, True]),
+        "chain.states: state labels must be strings or numbers"),
+    "boolean couple axis label": (
+        "couple", {"joint": {"axes": [[0, 1], ["x", True]], "probs": [0.4, 0.1, 0.1, 0.4]}},
+        "joint.axes: state labels must be strings or numbers"),
     "transition of the wrong shape": (
         "beta", with_change(BETA_DOC, "chain.transition", [[0.75, 0.25]]),
         "chain.transition: expected an array of shape (2, 2), got (1, 2)"),
@@ -931,6 +938,14 @@ DOMAIN_ERRORS = {
     "no replications (verify weak error)": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "replications", 0),
         "error: replications must be >= 1\n"),
+    # one error per replication, in one array: 10**400 used to end in numpy's ValueError traceback
+    "replications past the cap (verify weak error)": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "replications", 10**400),
+        f"error: replications must be at most {CELL_CAP}, got {10**400}\n"),
+    # replication numbers are stream keys in [0, 2**63)
+    "replications past the key range (verify deviation)": (
+        "verify", with_change(CRITERION7_DOC, "replications", 10**400),
+        f"error: replications must be at most 2**63, got {10**400}\n"),
     # phi + noise reaches 0.2: the spec checks every response it can draw against the declared bound
     "responses past the declared bound (verify weak error)": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.response_bound", 0.15),
@@ -986,7 +1001,8 @@ LONG_PARTITIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(LONG_PARTITIONS) + [
-    "alphabet past the cap", "dependence lag of 1e15", "greedy cover past the cap"])
+    "alphabet past the cap", "dependence lag of 1e15", "greedy cover past the cap",
+    "replications past the cap (verify weak error)"])
 def test_size_errors_exit_one_before_allocating(tmp_path, capsys, case):
     if case in LONG_PARTITIONS:
         argv, message = LONG_PARTITIONS[case]

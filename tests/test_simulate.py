@@ -31,6 +31,7 @@ from betamix.simulate import (
     _interval_codes,
     _invert,
     _paths,
+    _reach,
     _stack_draws,
     _stream,
     _walk_stack,
@@ -976,6 +977,83 @@ def test_count_means_stay_within_rounding_of_the_n_term_mean(k, n, seed):
         assert (np.abs(means - direct) <= gap).all()
 
 
+def test_reach_covers_a_counts_mean_rounded_above_the_largest_value():
+    # Every path of a one-state run visits 0.1 three times: fl(0.1 * 3) / 3 = 0.10000000000000002, above
+    # the largest value, so the statistic passes a * max f - fl(b * avg), the reach without its margin.
+    spec = GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5]))
+    family = state_family([{0: 0.0, 1: 0.1}])
+    params = make_params(epsilon=0.1, n=3)
+    avg = (spec.marginal_laws(3) @ family.table.T).mean(axis=0)
+    stats = per_replication_stats(spec, family, params, 400)
+    t = max(stats)
+    assert (1.0 - 0.1) * 0.1 - (1.0 + 0.1) * avg[0] < t
+    hits = sum(stat >= t for stat in stats)
+    assert hits > 0
+    report = deviation_experiment(spec, family, params, finite_family_entropy(1), [t], 400)
+    assert report.rows[0]["frequency"] == hits / 400
+    assert t <= _reach(family.table, avg, 0.1, 3)[0]
+
+
+@given(markov_specs(), st.integers(1, 300), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**32 - 1))
+@example(chain_spec([[1]], [1]), 3, 0.1, 0)
+@example(chain_spec([[1]], [1]), 300, 0.9, 1)
+@settings(max_examples=60, deadline=None)
+def test_every_statistic_lies_below_the_reach(spec, n, epsilon, seed):
+    # signed members over decades with -0.0 entries, and decimal fractions, whose counts means round;
+    # one member at a time, so that each statistic meets its own member's reach
+    rng = np.random.default_rng(seed)
+    k = len(spec.states())
+    table = rng.standard_normal((3, k)) * 10.0 ** rng.integers(-3, 4, size=(3, 1))
+    table[rng.random(table.shape) < 0.3] = 0.1
+    table[rng.random(table.shape) < 0.2] = -0.0
+    params = make_params(epsilon=epsilon, n=n)
+    for row in table:
+        family = FunctionFamily(spec.states(), table=[row])
+        reach = _reach(family.table, (spec.marginal_laws(n) @ family.table.T).mean(axis=0), epsilon, n)
+        assert max(per_replication_stats(spec, family, params, 10)) <= reach[0]
+
+
+def test_reach_is_infinite_where_a_counts_sum_can_overflow():
+    # a path that starts at state 1 stays there: its sum 400 * 1e306 is inf, and so is its statistic, while
+    # (1 - eps) * max f - (1 + eps) * avg is 5e305 - 3e305, from an average mean of 2e305
+    spec = chain_spec([[1, 0], [0, 1]], [4, 1], seed=3)
+    family = state_family([{0: 0.0, 1: 1e306}])
+    params = make_params(epsilon=0.5, n=400)
+    avg = (spec.marginal_laws(400) @ family.table.T).mean(axis=0)
+    with np.errstate(over="ignore"):
+        stats = per_replication_stats(spec, family, params, 20)
+        report = deviation_experiment(spec, family, params, finite_family_entropy(1), [1e306], 20)
+    assert report.rows[0]["frequency"] == sum(stat >= 1e306 for stat in stats) / 20 > 0.0
+    assert _reach(family.table, avg, 0.5, 400)[0] == math.inf
+
+
+def test_unreachable_grid_draws_nothing(monkeypatch):
+    # criterion 7's shape: with eps = 0.9 and members in [0, 1] of average 0.5 no statistic passes
+    # 0.1 - 0.95 = -0.85, so every frequency is 0 by proof, for any number of replications
+    spec = chain_spec([[3, 1], [1, 3]], [1, 1], seed=5)
+    family = state_family([{0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}])
+    params = make_params(epsilon=0.9, n=200, m=2)
+    entropy = finite_family_entropy(2)
+    t_grid = [0.9, 1.2]
+    assert max(per_replication_stats(spec, family, params, 45)) < -0.8
+
+    def refuse(*args):
+        raise AssertionError("a grid that no statistic reaches was sampled")
+
+    monkeypatch.setattr(simulate, "_stack_draws", refuse)
+    beta = spec.beta_at(2, 200)
+    for replications in (45, 2**63):
+        report = deviation_experiment(spec, family, params, entropy, t_grid, replications)
+        se = wilson_stderr(0, replications)
+        bounds = [beta_deviation_bound(params, entropy, t, beta_at_m=beta) for t in t_grid]
+        assert report.rows == tuple(
+            {"n": 200, "m": 2, "t": t, "frequency": 0.0, "stderr": se, "bound": bound,
+             "dominant": bound >= 1.0 or 3.0 * se <= bound, "vacuous": bound >= 1.0}
+            for t, bound in zip(t_grid, bounds, strict=True))
+        assert report.metadata == {"seed": 5, "replications": replications, "beta_at_m": beta, "kind": "markov"}
+
+
 def test_deviation_experiment_memory_does_not_grow_with_the_stacks():
     # one statistic per replication, or a stack's paths kept while the next is drawn, would grow the peak
     spec = chain_spec([[3, 1], [1, 3]], [1, 1], seed=5)
@@ -1260,6 +1338,9 @@ LATE_SIZE_FLOOR = f"floor(n/m) >= exp((c^2-71)/(4V)) violated: 3 < {math.exp(10.
      LATE_SIZE_FLOOR),
     # and each n's cap on its marginal laws' cells, the last n's included
     ({"n_grid": [5, 400000]}, SizeError, f"n 400000 needs 1200000 marginal cells, above cap {CELL_CAP}"),
+    # one error per replication, in one array: 10**400 ended in numpy's "Maximum allowed dimension exceeded"
+    ({"replications": CELL_CAP + 1}, SizeError, f"replications must be at most {CELL_CAP}, got {CELL_CAP + 1}"),
+    ({"replications": 10**400}, SizeError, f"replications must be at most {CELL_CAP}, got {10**400}"),
 ])
 def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=weak_error_spec("iid"), family=WEAK_ERROR_FAMILIES["affine span"],
@@ -1278,6 +1359,8 @@ def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, c
     # every t's bound inputs, the last t's included
     ({"t_grid": [0.9, -0.1]}, DomainError, "t must be nonnegative"),
     ({"t_grid": [0.9, math.nan]}, DomainError, "t must be nonnegative"),
+    # replication numbers are stream keys in [0, 2**63)
+    ({"replications": 2**63 + 1}, SizeError, f"replications must be at most 2**63, got {2**63 + 1}"),
 ])
 def test_deviation_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=WEAK_ERROR_SPECS["iid"], family=WEAK_ERROR_FAMILIES["state table"], params=make_params(n=20),
