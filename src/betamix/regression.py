@@ -16,7 +16,8 @@ such call; each score has the bits of its row's score alone.
 ``fit_least_squares`` checks a ``Dataset`` against its family, fits it as a
 stack of one and adds its empirical risk.  ``_check_responses`` owns the
 response rules, of a ``Dataset`` and of every response that a
-``simulate.GeneratorSpec`` can draw.
+``simulate.GeneratorSpec`` can draw; ``_check_squares`` refuses, before a fit, a
+value that the fit or its score would square past the float range.
 """
 from __future__ import annotations
 
@@ -80,6 +81,16 @@ def _check_responses(ys: np.ndarray, response_bound: float | None) -> None:
             raise MalformedInputError(f"responses exceed the declared bound {response_bound}")
 
 
+def _check_squares(family: FunctionFamily, name: str, values: np.ndarray) -> None:
+    """Refuse, before a fit, a value of the family or of the field ``name`` whose square passes the float
+    range, which the fit and its score would square: a DomainError names the field."""
+    field = "table" if family.design is None else "design"
+    with np.errstate(over="ignore"):
+        for label, array in ((f"{field} values", getattr(family, field)), (name, values)):
+            if np.isinf(np.square(array)).any():
+                raise DomainError(f"{label} must have finite squares")
+
+
 def truncate(value, B: float):
     """Clamp to [-B, B]; the identity on values already inside."""
     if not B > 0.0:
@@ -118,6 +129,7 @@ def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> Regres
         raise DomainError("B must be positive")
     if family.states != data.states:
         raise MalformedInputError("the family and the data must share one state alphabet")
+    _check_squares(family, "responses", data.ys)
     fitted, found, detail = _fit(family, data.index[None], data.ys[None])
     if family.design is not None:
         risk = float(np.mean((family.design[data.index] @ found[0] - data.ys) ** 2))

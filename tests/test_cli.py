@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import betamix
@@ -963,6 +965,24 @@ DOMAIN_ERRORS = {
     "infinite truth (verify weak error)": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "truth.1", float("inf")),
         "error: truth must be finite\n"),
+    # values whose squares pass the float range: each used to run on, with numpy's overflow warnings, a
+    # regress to exit 0 and a weak-error run to score NaN; refused before any fit
+    "table value with an infinite square (regress)": (
+        "regress", with_change(GOLDEN_DOCS["regress-state-table"], "family.tables.0.b", 1e308),
+        "error: table values must have finite squares\n"),
+    "response with an infinite square (regress)": (
+        "regress", with_change(GOLDEN_DOCS["regress-state-table"], "ys", [0.1, 1e308] + [0.2] * 5),
+        "error: responses must have finite squares\n"),
+    "affine-span input with an infinite square (regress)": (
+        "regress", with_change(GOLDEN_DOCS["regress-affine-span"], "xs", [1e308, 1, 2, 3, 1, 2, 0, 3]),
+        "error: design values must have finite squares\n"),
+    "truth with an infinite square (verify weak error)": (
+        "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "truth.1", 1e308),
+        "error: truth must have finite squares\n"),
+    # average means that sum past the float range used to make numpy warn and the statistic read NaN
+    "average means past float range (simulate deviation)": (
+        "simulate", with_change(GOLDEN_DOCS["simulate-markov"], "family.tables.0.0", 1e308),
+        "error: table values must have finite average means\n"),
     # a greedy cover used to build every member's differences to every other at once
     "greedy cover past the cap": (
         "entropy", {"entropy": "greedy_cover", "r": 0.5, "values": [[float(i)] for i in range(1001)]},
@@ -977,6 +997,51 @@ def test_domain_error_exits_one(tmp_path, capsys, case):
     assert code == 1
     assert out == ""
     assert err.startswith(message)
+
+
+# ROADMAP item 11: one node of a golden document dropped or set to a value of another type, or at the
+# edge of a check; the run must end with exit 0, or with 1 or 2 and one line of error, and never raise or
+# warn.  No mutant runs long or allocates much: a larger size meets the cap that every size has.
+MUTANTS = ("x", [0.5], None, True, NAN, math.inf, -math.inf, 10**400, 0, -1, 1e308, [])
+DROP = object()
+GOLDEN_COMMANDS = {name: command for name, command, _ in GOLDEN if name in GOLDEN_DOCS}
+
+
+def golden_nodes(doc, path=()):
+    """The path of every node below the root of doc, and whether it ends in a key, which may be dropped."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ():
+        yield path + (key,), isinstance(doc, dict)
+        yield from golden_nodes(value, path + (key,))
+
+
+@st.composite
+def mutants(draw):
+    name, path, keyed = draw(st.sampled_from([(name, *node) for name in sorted(GOLDEN_DOCS)
+                                               for node in golden_nodes(GOLDEN_DOCS[name])]))
+    value = draw(st.sampled_from(MUTANTS + (DROP,) * keyed))
+    doc = json.loads(json.dumps(GOLDEN_DOCS[name]))
+    *parents, last = path
+    target = functools.reduce(operator.getitem, parents, doc)
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return GOLDEN_COMMANDS[name], doc
+
+
+@given(mutants())
+@example(("regress", with_change(GOLDEN_DOCS["regress-state-table"], "family.tables.0.b", 1e308)))
+@example(("simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "truth.1", 1e308)))
+@example(("simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "replications", 10**400)))
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_mutated_golden_document_fails_cleanly(tmp_path, capsys, mutant):
+    command, doc = mutant
+    code, out, err = run(capsys, [command, write(tmp_path, "mutant.json", doc)])
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert err.startswith(("config error:", "error:", "i/o error:"))
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

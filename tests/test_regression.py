@@ -245,6 +245,18 @@ INPUT_CHECKS = {
     "family on other states": (
         lambda: fit_least_squares(Dataset((0, 1), (0, 1), [0.1, 0.2]), affine_span((0, 1, 2)), 1.0),
         MalformedInputError, "the family and the data must share one state alphabet"),
+    # a square past the float range used to make numpy warn "overflow encountered in square" and fit on
+    "table value with an infinite square": (
+        lambda: fit_least_squares(Dataset((0, 1), (0, 1), [0.1, 0.2]), FunctionFamily((0, 1), table=[[0.0, 1e308]]),
+                                  1.0),
+        DomainError, "table values must have finite squares"),
+    "design value with an infinite square": (
+        lambda: fit_least_squares(Dataset((0, 1), (0, 1), [0.1, 0.2]),
+                                  FunctionFamily((0, 1), design=[[1.0, 0.0], [1.0, -1e155]]), 1.0),
+        DomainError, "design values must have finite squares"),
+    "response with an infinite square": (
+        lambda: fit_least_squares(Dataset((0, 1), (0, 1), [0.1, 2e154]), affine_span((0, 1)), 1.0),
+        DomainError, "responses must have finite squares"),
 }
 
 

@@ -19,27 +19,22 @@ from betamix.errors import DomainError, HypothesisViolationError, MalformedInput
 from betamix.mixing import MixingFit, markov_beta
 from betamix.pmf import CELL_CAP, FinitePmf, MarkovChainSpec
 from betamix.regression import RIDGE, Dataset, _average_sq_distance, _check_responses, _fit, family_bias
-from betamix import config, regression, simulate
-from betamix.cli import main
-from betamix.simulate import (
+from betamix import _sampling, config, regression, simulate
+from betamix._sampling import (
     INVERT_COMPARE_CAP,
     STACK_DRAWS,
     STEP_TABLE_CAP,
-    GeneratorSpec,
     _chunk_table,
-    _count_means,
     _interval_codes,
     _invert,
     _paths,
-    _reach,
     _stack_draws,
     _stream,
     _walk_stack,
-    deviation_experiment,
-    generate,
     inverse_cdf,
-    weak_error_experiment,
 )
+from betamix.cli import main
+from betamix.simulate import GeneratorSpec, _count_means, _reach, deviation_experiment, generate, weak_error_experiment
 
 
 def philox(seed, rep):
@@ -49,7 +44,7 @@ def philox(seed, rep):
 
 def stack_of_one(spec, n, rep, visits=None):
     """The states of replication rep, drawn as a stack of one without responses."""
-    return _paths(spec, _stack_draws(spec, n, range(rep, rep + 1)), visits)[0]
+    return _paths(spec, _stack_draws(spec, n, range(rep, rep + 1))[0], visits)[0]
 
 
 def two_state_chain(p=0.25, q=0.25):
@@ -743,10 +738,10 @@ def test_interval_codes_equal_searchsorted_on_random_chains(spec):
 def test_stacked_uniforms_equal_the_replication_streams(seed, reps, n):
     # an i.i.d. stack draws n uniforms per row for its states, then n for its noise
     spec = GeneratorSpec(kind="iid", seed=seed, law=FinitePmf((0, 1), [0.5, 0.5]))
-    noise = np.empty((len(reps), n))
-    U = _stack_draws(spec, n, reps, noise)
-    assert U.shape == (len(reps), n)
-    assert np.array_equal(U, _stack_draws(spec, n, reps))
+    U, noise = _stack_draws(spec, n, reps, True)
+    assert U.shape == noise.shape == (len(reps), n)
+    assert np.array_equal(U, _stack_draws(spec, n, reps)[0])
+    assert _stack_draws(spec, n, reps)[1] is None
     for row, noise_row, rep in zip(U, noise, reps, strict=True):
         rng = philox(seed, rep)
         assert np.array_equal(row, rng.random(n))
@@ -758,9 +753,9 @@ def test_stacked_uniforms_equal_the_replication_streams(seed, reps, n):
 def assert_window_seeds_equal_the_replication_streams(spec, n, reps, noise):
     """An m_dependent stack against each stream drawn by ``Generator.integers`` and then ``random``."""
     width = n + spec.dependence_lag - 1
-    u = np.empty((len(reps), n)) if noise else None
-    seeds = _stack_draws(spec, n, reps, u)
+    seeds, u = _stack_draws(spec, n, reps, noise)
     assert seeds.dtype == np.int64 and seeds.shape == (len(reps), width)
+    assert (u is None) != noise
     for row, rep in enumerate(reps):
         rng = philox(spec.seed, rep)
         assert np.array_equal(seeds[row], rng.integers(0, spec.alphabet_size, size=width))
@@ -876,7 +871,7 @@ def test_states_only_draw_equals_generated_index(spec, n, rep):
 @settings(max_examples=60, deadline=None)
 def test_stacked_states_equal_one_replication_at_a_time(spec, n, first, count):
     reps = range(first, first + count)
-    states = _paths(spec, _stack_draws(spec, n, reps), _chunk_table(spec, n))
+    states = _paths(spec, _stack_draws(spec, n, reps)[0], _chunk_table(spec, n))
     assert states.shape == (count, n)
     for row, rep in zip(states, reps):
         assert np.array_equal(row, per_call_draw(spec, n, rep)[0])
@@ -1041,7 +1036,7 @@ def test_unreachable_grid_draws_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a grid that no statistic reaches was sampled")
 
-    monkeypatch.setattr(simulate, "_stack_draws", refuse)
+    monkeypatch.setattr(_sampling, "draw", refuse)
     beta = spec.beta_at(2, 200)
     for replications in (45, 2**63):
         report = deviation_experiment(spec, family, params, entropy, t_grid, replications)
@@ -1226,7 +1221,8 @@ def test_weak_error_experiment_equals_per_replication_loop_across_stacks(kind, f
     assert STACK_DRAWS // (300 * width) < replications // 2
     if fam.design is not None:
         # at n = 3 some paths of the one stack visit a single state: only their systems are singular and take the ridge
-        _, _, ridge = _fit(fam, *simulate._draw(spec, 3, range(replications)))
+        [(_, index, ys)] = _sampling.draw(spec, 3, range(replications), 0, True)
+        _, _, ridge = _fit(fam, index, ys)
         assert 0 < ridge.sum() < replications
     report = weak_error_experiment(spec, fam, params, truth, [3, 300], replications)
     assert repr(report.rows) == repr(per_replication_weak_error_rows(spec, fam, params, truth, [3, 300], replications))
@@ -1264,11 +1260,12 @@ def test_weak_error_experiment_scores_each_stack_in_one_call(monkeypatch, family
     args = (spec, fam, make_params(B=0.25, V=2, m=1), [-0.1, 0.12, 0.02], [3, 300], 120)
     expected_report = weak_error_experiment(*args)
     events = []
-    draw, score, laws = simulate._draw, simulate._average_sq_distance, GeneratorSpec.marginal_laws
+    draw, score, laws = _sampling.draw, simulate._average_sq_distance, GeneratorSpec.marginal_laws
 
-    def counted_draw(spec, n, reps, visits=None):
-        events.append(("draw", n, len(reps)))
-        return draw(spec, n, reps, visits)
+    def counted_draw(spec, n, *rest):
+        for reps, index, ys in draw(spec, n, *rest):
+            events.append(("draw", n, len(reps)))
+            yield reps, index, ys
 
     def counted_score(values, truth, weights):
         events.append(("score", values.shape[:-1]))
@@ -1278,7 +1275,7 @@ def test_weak_error_experiment_scores_each_stack_in_one_call(monkeypatch, family
         events.append(("laws", n))
         return laws(self, n)
 
-    monkeypatch.setattr(simulate, "_draw", counted_draw)
+    monkeypatch.setattr(_sampling, "draw", counted_draw)
     monkeypatch.setattr(simulate, "_average_sq_distance", counted_score)
     monkeypatch.setattr(regression, "_average_sq_distance", counted_score)
     monkeypatch.setattr(GeneratorSpec, "marginal_laws", counted_laws)
@@ -1341,11 +1338,13 @@ LATE_SIZE_FLOOR = f"floor(n/m) >= exp((c^2-71)/(4V)) violated: 3 < {math.exp(10.
     # one error per replication, in one array: 10**400 ended in numpy's "Maximum allowed dimension exceeded"
     ({"replications": CELL_CAP + 1}, SizeError, f"replications must be at most {CELL_CAP}, got {CELL_CAP + 1}"),
     ({"replications": 10**400}, SizeError, f"replications must be at most {CELL_CAP}, got {10**400}"),
+    # a square past the float range used to make numpy warn and score the fits as NaN
+    ({"truth": [-0.1, 1e308, 0.02]}, DomainError, "truth must have finite squares"),
 ])
 def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=weak_error_spec("iid"), family=WEAK_ERROR_FAMILIES["affine span"],
                 params=make_params(B=0.25, V=2, m=1), truth=[-0.1, 0.12, 0.02], n_grid=[5], replications=3)
-    monkeypatch.setattr(simulate, "_draw", no_draw)
+    monkeypatch.setattr(_sampling, "draw", no_draw)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         weak_error_experiment(**dict(args, **change))
 
@@ -1361,11 +1360,14 @@ def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, c
     ({"t_grid": [0.9, math.nan]}, DomainError, "t must be nonnegative"),
     # replication numbers are stream keys in [0, 2**63)
     ({"replications": 2**63 + 1}, SizeError, f"replications must be at most 2**63, got {2**63 + 1}"),
+    # 20 average means of about 1e308 sum past the float range: numpy used to warn, and the statistic read NaN
+    ({"family": state_family([{0: 1e308, 1: 1e308, 2: 0.5}])}, DomainError,
+     "table values must have finite average means"),
 ])
 def test_deviation_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=WEAK_ERROR_SPECS["iid"], family=WEAK_ERROR_FAMILIES["state table"], params=make_params(n=20),
                 entropy=finite_family_entropy(3), t_grid=[0.3], replications=3)
-    monkeypatch.setattr(simulate, "_stack_draws", no_draw)
+    monkeypatch.setattr(_sampling, "draw", no_draw)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         deviation_experiment(**dict(args, **change))
 
