@@ -7,15 +7,17 @@ from the data its construction resolves: one first-draw table (the cumulative in
 chain or the cumulative i.i.d. law, ``_start_cdf``), a chain's walk tables (its cumulative rows and
 its step table, see ``_step_table``) and the noise law's cumulative table.
 
-``draw`` is the one way to draw: it cuts the replications asked for, in order, into stacks of at
-most ``STACK_DRAWS`` cells, and returns each stack's state indices, and its responses when they are
-asked for.  A stack's rows are each read from their own stream by ``_stack_draws``, first with
-their states' draws (``_path_width`` of them) and then, when responses are wanted, with their noise
-draws; ``_paths`` maps the stack's state draws at once (i.i.d. states by one inversion of the
-cumulative law, ``_invert``, m-dependent window sums by one integer cumulative sum, Markov paths as
-below).  Responses are noise values by one ``_invert`` of the noise law's table and phi + noise by
-one add, except under a one-point noise law, which draws nothing.  Only the functions whose
-algorithm differs by kind branch on it (``_path_width``, ``_stack_draws``, ``_paths``).
+``STACK_DRAWS`` is the sampler's one cell budget: no working array of a draw (a stack, a step table,
+a chunk table) holds more cells.  ``draw`` is the one way to draw: it cuts the replications asked
+for, in order, into stacks of at most ``STACK_DRAWS`` cells, and returns each stack's state indices,
+and its responses when they are asked for.  A stack's rows are each read from their own stream by
+``_stack_draws``, first with their states' draws (``_path_width`` of them) and then, when responses
+are wanted, with their noise draws; ``_paths`` maps the stack's state draws at once (i.i.d. states
+by one inversion of the cumulative law, ``_invert``, m-dependent window sums by one integer
+cumulative sum, Markov paths as below).  Responses are noise values by one ``_invert`` of the noise
+law's table and phi + noise by one add, except under a one-point noise law, which draws nothing.
+Only the functions whose algorithm differs by kind branch on it (``_path_width``, ``_stack_draws``,
+``_paths``).
 Every draw is a map of the stream's raw 64-bit Philox words, whose values numpy guarantees: a
 stack reads each stream once and maps the whole stack at once, each uniform from one word x as
 (x >> 11) * 2**-53 (``_uniforms``) and each m_dependent window seed from one 32-bit half of a word
@@ -23,11 +25,11 @@ by Lemire's bounded integers (``_window_seeds``), the numbers that ``Generator.r
 ``Generator.integers`` return; only a row holding a half that Lemire's map rejects is read again,
 in numpy's order.
 ``draw`` also decides how a Markov stack is walked.  When a draw holds more than one replication
-and the chain's step table (its random map) holds at most ``STEP_TABLE_CAP`` cells, every path of
+and the chain's step table (its random map) holds at most ``STACK_DRAWS`` cells, every path of
 a stack is walked at once by ``_walk_stack``: each draw is coded by its interval through a table
 over dyadic cells of [0, 1) (by binary search for the draws in cells that a breakpoint splits), and
 the walk moves d steps per gather through the map composed over d steps (``_chunk_table``, built
-once per draw, with d as large as the same cap allows).  A larger step table, or a draw of one
+once per draw, with d as large as the same budget allows).  A larger step table, or a draw of one
 replication (``generate``'s), walks each path alone by the plain loop, which for one path beats
 building a chunk table.
 """
@@ -42,11 +44,10 @@ import numpy as np
 
 from .errors import MalformedInputError
 
-# cells in one stack of a draw: its widest per-replication array times its replications
+# the sampler's one cell budget, the most cells of one working array of a draw: a stack (its widest
+# per-replication array times its replications), a step table that the stacked walk takes, and that
+# table composed over d steps (see _chunk_table)
 STACK_DRAWS = 2**15
-# the most (interval, state) cells of a step table that the stacked walk takes,
-# and the most cells of that table composed over d steps (see _chunk_table)
-STEP_TABLE_CAP = 2**15
 # the longest cumulative table that _invert reads by comparisons: near the crossover with binary
 # search for 10**3 draws (2 vCPU, numpy 2.4); at 10**4 draws comparisons win up to about 16 entries,
 # at 30 draws binary search wins from 2
@@ -124,7 +125,7 @@ def _invert(cdf, u: np.ndarray) -> np.ndarray:
 
 
 def _step_table(rows: tuple) -> tuple | None:
-    """The chain's random map as ``(edges, lut, steps)``, or None above ``STEP_TABLE_CAP`` cells.
+    """The chain's random map as ``(edges, lut, steps)``, or None above ``STACK_DRAWS`` cells.
 
     The breakpoints below 1.0 of every row, sorted (``edges``), cut [0, 1) into I intervals.
     A draw is below 1.0, so its interval ``searchsorted(edges, u, side="right")``
@@ -139,7 +140,7 @@ def _step_table(rows: tuple) -> tuple | None:
     edges = set()
     for row in rows:
         edges.update(x for x in row if x < 1.0)
-        if (len(edges) + 1) * k > STEP_TABLE_CAP:
+        if (len(edges) + 1) * k > STACK_DRAWS:
             return None
     edges = np.array(sorted(edges))
     # -1.0 lies below every breakpoint: the interval below the first edge
@@ -187,7 +188,7 @@ def _chunk_table(spec: GeneratorSpec, n: int) -> np.ndarray | None:
 
     Row ``code * k + s`` holds the d states visited from state s when the d draws
     fall in intervals i_0..i_{d-1}, with code = sum_j i_j * I**j.  d is the most
-    steps whose table of I**d * k * d cells stays within ``STEP_TABLE_CAP``, and at
+    steps whose table of I**d * k * d cells stays within ``STACK_DRAWS``, and at
     most n - 1, so that a chain with one interval stops.  At d = 1 it is the step
     table.  The columns are built by doubling: steps a..2a-1 from state s under a
     code are steps 0..a-1 under the code's digits from a on, from where step a-1
@@ -198,7 +199,7 @@ def _chunk_table(spec: GeneratorSpec, n: int) -> np.ndarray | None:
     steps = spec._steps[2]
     intervals, k = steps.shape
     d = 1
-    while d < n - 1 and intervals ** (d + 1) * k * (d + 1) <= STEP_TABLE_CAP:
+    while d < n - 1 and intervals ** (d + 1) * k * (d + 1) <= STACK_DRAWS:
         d += 1
     columns = np.empty((d, intervals ** d * k), dtype=np.int32)  # columns[j, code * k + s]
     columns[0].reshape(-1, intervals * k)[:] = steps.ravel()
@@ -236,7 +237,7 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
     chunks = -(-(n - 1) // d)
     L = math.isqrt(chunks)
     B = -(-chunks // L)
-    # int32 halves the per-draw arrays: a code times k stays below STEP_TABLE_CAP
+    # int32 halves the per-draw arrays: a code times k stays below STACK_DRAWS
     draws = np.zeros((paths, B * L * d), dtype=np.int32)
     draws[:, :n - 1] = _interval_codes(edges, lut, U[:, 1:])
     # codes[r, b, j]: k times the code of chunk j of block b of path r

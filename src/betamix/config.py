@@ -6,7 +6,7 @@ missing, does not convert, names an unknown kind or has the wrong shape.  A real
 field, and each entry of an array, is a JSON number (``number``): a bool, a string
 or an integer past float range is refused, while NaN and Infinity go on to the
 domain checks.  An integer field refuses a bool, a string and a number with a
-fractional part.  A state label is a JSON string or number, not a bool.  Range
+fractional part.  A state label is a JSON string or a finite number, not a bool.  Range
 and mass checks stay with the objects built.  State tables map each state's
 string form to a value, so states that share one (0 and "0") are refused.
 ``joint_doc``, the inverse of ``joint``, writes a joint's document, so that
@@ -104,9 +104,12 @@ def integer(value) -> int:
 
 
 def labels(value) -> tuple:
-    """A list of state labels, each a JSON string or number; a bool is neither."""
+    """A list of state labels, each a JSON string or number; a bool is neither, and NaN or an infinity
+    is refused too: NaN is not equal to itself, so no lookup of a state would find it."""
     if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in _list(value)):
         raise ValueError("state labels must be strings or numbers")
+    if not all(math.isfinite(v) for v in value if isinstance(v, float)):
+        raise ValueError("state labels must be finite")
     return tuple(value)
 
 

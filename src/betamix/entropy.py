@@ -84,11 +84,16 @@ def l1_distances(values: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _check_radius(r: float) -> None:
+    """Refuse a radius that is not positive: NaN, 0, a negative one or -inf."""
+    if not r > 0.0:
+        raise DomainError("radius must be positive")
+
+
 def _closed_radius(r: float) -> float:
     """The closed radius that stands for the strict d < r, never below 0 so that
     every member covers itself."""
-    if not r > 0:
-        raise DomainError("radius must be positive")
+    _check_radius(r)
     return max(r - STRICT_MARGIN, 0.0)
 
 
@@ -148,8 +153,7 @@ def sauer_shelah_entropy(V: int, B: float, r: float) -> float:
     _check_float_range("V", V)
     if not B > 0.0:
         raise DomainError("B must be positive")
-    if not r > 0.0:
-        raise DomainError("radius must be positive")
+    _check_radius(r)
     if r > B:
         return 0.0
     if r > B / 4.0:
@@ -183,7 +187,12 @@ EntropyEstimate = Callable[[float], float]  # radius -> log covering bound, the 
 
 
 def finite_family_entropy(n_members: int) -> EntropyEstimate:
-    """log(n_members) is always a valid uniform entropy estimate for a finite class."""
+    """log(n_members) is always a valid uniform entropy estimate for a finite class, at every positive
+    radius; a radius that is not positive is refused, as every estimate refuses it."""
     if n_members < 1:
         raise DomainError("n_members must be >= 1")
-    return lambda r: math.log(n_members)
+
+    def estimate(r: float) -> float:
+        _check_radius(r)
+        return math.log(n_members)
+    return estimate

@@ -17,10 +17,13 @@ such call; each score has the bits of its row's score alone.
 stack of one and adds its empirical risk.  ``_check_responses`` owns the
 response rules, of a ``Dataset`` and of every response that a
 ``simulate.GeneratorSpec`` can draw; ``_check_squares`` refuses, before a fit, a
-value that the fit or its score would square past the float range.
+value that the fit or its score would square past the float range, and
+``fit_least_squares`` also one whose square times 4n does, since its fit of n
+points sums n such squares.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +84,19 @@ def _check_responses(ys: np.ndarray, response_bound: float | None) -> None:
             raise MalformedInputError(f"responses exceed the declared bound {response_bound}")
 
 
-def _check_squares(family: FunctionFamily, name: str, values: np.ndarray) -> None:
+def _check_squares(family: FunctionFamily, name: str, values: np.ndarray, n: int = 0) -> None:
     """Refuse, before a fit, a value of the family or of the field ``name`` whose square passes the float
-    range, which the fit and its score would square: a DomainError names the field."""
+    range, which the fit and its score would square, or, given the n points of a fit, whose square times
+    4n does: the fit sums n squared differences of two such values, each at most 4 times the larger
+    square.  A DomainError names the field."""
     field = "table" if family.design is None else "design"
     with np.errstate(over="ignore"):
         for label, array in ((f"{field} values", getattr(family, field)), (name, values)):
-            if np.isinf(np.square(array)).any():
+            squares = np.square(array)
+            if np.isinf(squares).any():
                 raise DomainError(f"{label} must have finite squares")
+            if np.isinf(4.0 * n * squares).any():
+                raise DomainError(f"{label} must have squares at most {sys.float_info.max:g} / (4n), n = {n}")
 
 
 def truncate(value, B: float):
@@ -124,12 +132,15 @@ def fit_least_squares(data: Dataset, family: FunctionFamily, B: float) -> Regres
     Finite families are searched exhaustively with lexicographic tie-break;
     linear spans are solved by normal equations, falling back to a small ridge
     when the design is singular.  The sample is fitted by ``_fit`` as a stack of one.
+    A response or family value whose square times 4n passes the float range, n the
+    sample size, is refused before the fit (``_check_squares``), so that the risk,
+    a mean of n squared residuals, stays finite.
     """
     if not B > 0.0:
         raise DomainError("B must be positive")
     if family.states != data.states:
         raise MalformedInputError("the family and the data must share one state alphabet")
-    _check_squares(family, "responses", data.ys)
+    _check_squares(family, "responses", data.ys, len(data.ys))
     fitted, found, detail = _fit(family, data.index[None], data.ys[None])
     if family.design is not None:
         risk = float(np.mean((family.design[data.index] @ found[0] - data.ys) ** 2))

@@ -17,13 +17,16 @@ streams, the walks and the maps are described in ``_sampling``).
 ``generate`` is a stack of one, wrapped in a ``Dataset``.
 ``deviation_experiment`` reads only the states, so its stacks draw no
 responses: the same states, of which the statistic reads only each path's state
-counts.  It draws nothing where no path's statistic can reach any t on its
-grid (``_reach``): every frequency there is 0 by proof.
+counts.  It owns the statistic's coefficients, computed once and read by both
+its stack loop and its proof (``_reach``) that no path's statistic can reach a
+t: a row so proven has frequency 0 and is dominant by proof, and a grid whose
+every t is proven draws nothing.
 ``weak_error_experiment`` draws and fits (``regression._fit``) a stack, scoring
 its truncated fits in one call (``regression._average_sq_distance``), each with
 the bits of its score alone.  Both experiments draw each n's replications as
 stacks of at most ``_sampling.STACK_DRAWS`` cells of their widest
-per-replication array, and check every input before the first draw.
+per-replication array (the sampler's one cell budget), and check every input
+before the first draw.
 Samples carry no laws; experiments ask the spec for its exact marginals once
 per n.
 """
@@ -201,10 +204,10 @@ def _count_means(states: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (total.reshape(members, paths) / n).T
 
 
-def _reach(table: np.ndarray, avg: np.ndarray, epsilon: float, n: int) -> np.ndarray:
-    """Per member f, a number that no path's computed statistic a * mean_f - y_f exceeds, where
-    a = 1.0 - epsilon, y = (1.0 + epsilon) * avg (the statistic's own expression, so its own bits) and
-    mean_f is ``_count_means``' mean of f over a path of length n.
+def _reach(table: np.ndarray, a: float, y: np.ndarray, n: int) -> np.ndarray:
+    """Per member f, a number that no path's computed statistic a * mean_f - y_f exceeds, where a and y
+    are the statistic's own coefficients, the values that ``deviation_experiment`` computes once and
+    its stack loop reads, and mean_f is ``_count_means``' mean of f over a path of length n.
 
     With M = max_s f(s), A = max_s |f(s)| and k states, a path's exact counts mean is a weighted
     average of f's values, at most M and at most A in size.  ``_count_means`` computes it as an
@@ -218,7 +221,6 @@ def _reach(table: np.ndarray, avg: np.ndarray, epsilon: float, n: int) -> np.nda
     range a path's sums may overflow, and the reach is inf.
     """
     k = table.shape[1]
-    a, y = 1.0 - epsilon, (1.0 + epsilon) * avg
     size = np.abs(table).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         margin = 2 * (k + 4) * (np.finfo(float).eps / 2) * (a * size + np.abs(y)) + np.finfo(float).tiny
@@ -250,20 +252,23 @@ def deviation_experiment(
     """Frequency of the uniform deviation event against its closed-form bound.
 
     The statistic per replication is sup over family members of
-    (1-eps) * empirical mean - (1+eps) * average mean of the member over the
-    sample; frequencies of {statistic >= t} are paired with the dependent-case
-    deviation bound at each t on the grid, all evaluated before the first draw.
+    a * empirical mean - y, with a = 1-eps and y = (1+eps) * average mean of
+    the member over the sample; a and y are computed once, before any draw, and
+    both the stack loop and the proof (``_reach``) read them, so the proof
+    bounds the statistic's own bits.  Frequencies of {statistic >= t} are
+    paired with the dependent-case deviation bound at each t on the grid, all
+    evaluated before the first draw.
     Replications are drawn in stacks (``_sampling.draw``), so that a stack's
     draws, paths, state counts and member means each hold at most
     ``_sampling.STACK_DRAWS`` cells.
     The empirical mean is a function of each path's state counts (see
     ``_count_means``), and each stack adds its hits per t to one counter.
     An empirical mean never exceeds max_s f(s), so where every member's
-    (1-eps) * max_s f(s) - (1+eps) * average mean, plus a margin of
-    2 (k + 4) u ((1-eps) max_s |f(s)| + (1+eps) |average mean|) and the least
-    normal float for rounding (k states, u = 2**-53; derived in ``_reach``),
-    lies below every t, no statistic reaches the grid: nothing is drawn, and
-    every count is 0.  ``replications`` is at most 2**63, the range of the
+    a * max_s f(s) - y, plus a margin of 2 (k + 4) u (a max_s |f(s)| + |y|) and
+    the least normal float for rounding (k states, u = 2**-53; derived in
+    ``_reach``), lies below t, no statistic reaches t: its count is 0 by proof,
+    and its row is dominant.  Only a grid with a t that the proof does not
+    cover is drawn.  ``replications`` is at most 2**63, the range of the
     stream keys.  A family whose average means sum past the float range is
     refused before any draw.
     """
@@ -282,6 +287,8 @@ def deviation_experiment(
     laws = spec.marginal_laws(n)
     with np.errstate(over="ignore"):
         avg = (laws @ table.T).mean(axis=0)  # per-member average mean
+        # the statistic a * mean - y, per member: its coefficients, read by the draws and by the proof
+        a, y = 1.0 - params.epsilon, (1.0 + params.epsilon) * avg
     if not np.isfinite(avg).all():
         raise DomainError("table values must have finite average means")
     beta = spec.beta_at(m, n)
@@ -289,20 +296,21 @@ def deviation_experiment(
 
     t_values = np.array(t_grid, dtype=float)
     hits = np.zeros(len(t_values), dtype=np.int64)
-    # where no path's statistic can reach any t on the grid, every count is 0 by proof
-    if not (_reach(table, avg, params.epsilon, n).max() < t_values).all():
+    # a t that no path's statistic can reach has count 0 by proof; the draw serves the others
+    proven = _reach(table, a, y, n).max() < t_values
+    if not proven.all():
         for _, index, _ in _sampling.draw(spec, n, range(replications), max(table.shape), False):
             emp = _count_means(index, table)
-            stat = ((1.0 - params.epsilon) * emp - (1.0 + params.epsilon) * avg).max(axis=1)
+            stat = (a * emp - y).max(axis=1)
             hits += (stat[:, None] >= t_values).sum(axis=0)
             del index, emp, stat  # no array of a stack outlives it
 
     rows = []
-    for t, count, bound in zip(t_grid, hits.tolist(), bounds):
+    for t, count, bound, sure in zip(t_grid, hits.tolist(), bounds, proven.tolist()):
         freq, se = count / replications, wilson_stderr(count, replications)
         vacuous = bound >= 1.0
         rows.append({"n": n, "m": m, "t": float(t), "frequency": freq, "stderr": se, "bound": bound,
-                     "dominant": vacuous or freq + Z * se <= bound, "vacuous": vacuous})
+                     "dominant": sure or vacuous or freq + Z * se <= bound, "vacuous": vacuous})
     meta = {"seed": spec.seed, "replications": replications, "beta_at_m": beta, "kind": spec.kind}
     return ExperimentReport(tuple(rows), meta)
 

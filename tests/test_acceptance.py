@@ -11,9 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from betamix.blocking import lifted_bound, m_steps_partition, union_bound_check
+from betamix.blocking import Z, lifted_bound, m_steps_partition, union_bound_check
 from betamix.bounds import (
     BoundParams,
+    indep_deviation_bound,
     proof_constants,
     statistical_error_curve,
     subexp_rate,
@@ -211,6 +212,31 @@ def test_criterion_07_beta_version_dominance():
     elapsed = time.time() - start
     assert elapsed < 600.0
     print(f"criterion 7 PASS: beta-version dominance, {non_vacuous} informative points ({elapsed:.0f}s)")
+
+
+def test_criterion_07_witness_that_the_dependence_price_is_needed():
+    # A chain that stays put with probability 1 - 1e-6 from (1/2, 1/2): nearly every path is constant, and on
+    # a constant path one indicator's statistic is 0.9 - 0.55, so the deviation event at t = 0.2 and 0.3 is
+    # seen in nearly every draw.  The independent-case bound at the sample's size is below 1e-35 there, far
+    # below the frequency's lower confidence limit: on this beta-mixing sample the independent inequality is
+    # false.  The lifted bound, which pays n * beta(m), holds; a bound that drops that price equals the
+    # independent one at m = 1, and fails here.
+    start = time.time()
+    stay = 1.0 - 1e-6
+    chain = MarkovChainSpec((0, 1), np.array([[stay, 1.0 - stay], [1.0 - stay, stay]]),
+                            FinitePmf((0, 1), [0.5, 0.5]))
+    family = FunctionFamily(chain.states, table=[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    entropy = finite_family_entropy(3)
+    params = BoundParams(epsilon=0.1, c=4.0, gamma=2.0, gamma_prime=2.0, lam=1.5, B=1.0, V=1, n=30000, m=1)
+    spec = GeneratorSpec(kind="markov", seed=16, chain=chain)
+    report = deviation_experiment(spec, family, params, entropy, [0.2, 0.3], 400)
+    for row in report.rows:
+        independent = indep_deviation_bound(params, entropy, params.n, row["t"])
+        assert row["frequency"] - Z * row["stderr"] > independent, row
+        assert row["dominant"], row
+    elapsed = time.time() - start
+    assert elapsed < 60.0
+    print(f"criterion 7 witness PASS: the independent bound fails on a dependent sample ({elapsed:.2f}s)")
 
 
 def test_criterion_08_weak_error_dominance_and_trend():

@@ -610,6 +610,16 @@ CONFIG_ERRORS = {
     "boolean couple axis label": (
         "couple", {"joint": {"axes": [[0, 1], ["x", True]], "probs": [0.4, 0.1, 0.1, 0.4]}},
         "joint.axes: state labels must be strings or numbers"),
+    # a NaN label is not equal to itself, so no state lookup can find it: a couple used to exit 0 with NaN in
+    # its output; an infinite label is refused with it
+    "NaN couple axis label": (
+        "couple", with_change(GOLDEN_DOCS["couple-joint"], "joint.axes", [[0, 1], ["x", math.nan, "z"]]),
+        "joint.axes: state labels must be finite"),
+    "infinite chain state": (
+        "beta", with_change(BETA_DOC, "chain.states", [0, -math.inf]), "chain.states: state labels must be finite"),
+    "NaN regress input": (
+        "regress", with_change(GOLDEN_DOCS["regress-affine-span"], "xs", [0, 1, 2, math.nan, 1, 2, 0, 3]),
+        "xs: state labels must be finite"),
     "transition of the wrong shape": (
         "beta", with_change(BETA_DOC, "chain.transition", [[0.75, 0.25]]),
         "chain.transition: expected an array of shape (2, 2), got (1, 2)"),
@@ -979,6 +989,21 @@ DOMAIN_ERRORS = {
     "truth with an infinite square (verify weak error)": (
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "truth.1", 1e308),
         "error: truth must have finite squares\n"),
+    # a fit of n points sums n squared residuals: with every square finite, these used to exit 0 with numpy's
+    # overflow warning and an empirical risk of Infinity
+    "responses whose squares pass the float range over 4n (regress)": (
+        "regress", with_change(GOLDEN_DOCS["regress-state-table"], "ys", [1e154] * 7),
+        "error: responses must have squares at most 1.79769e+308 / (4n), n = 7\n"),
+    "alternating responses whose squares pass the float range over 4n (regress)": (
+        "regress", with_change(GOLDEN_DOCS["regress-affine-span"], "ys", [1e154, -1e154] * 4),
+        "error: responses must have squares at most 1.79769e+308 / (4n), n = 8\n"),
+    # the finite and zero estimates never read the radius: each of these used to exit 0 and echo it
+    "NaN radius (finite entropy)": (
+        "entropy", dict(GOLDEN_DOCS["entropy-finite"], r=NAN), "error: radius must be positive\n"),
+    "negative radius (finite entropy)": (
+        "entropy", dict(GOLDEN_DOCS["entropy-finite"], r=-1), "error: radius must be positive\n"),
+    "NaN radius (zero entropy)": (
+        "entropy", dict(GOLDEN_DOCS["entropy-zero"], r=NAN), "error: radius must be positive\n"),
     # average means that sum past the float range used to make numpy warn and the statistic read NaN
     "average means past float range (simulate deviation)": (
         "simulate", with_change(GOLDEN_DOCS["simulate-markov"], "family.tables.0.0", 1e308),
@@ -1000,8 +1025,9 @@ def test_domain_error_exits_one(tmp_path, capsys, case):
 
 
 # ROADMAP item 11: one node of a golden document dropped or set to a value of another type, or at the
-# edge of a check; the run must end with exit 0, or with 1 or 2 and one line of error, and never raise or
-# warn.  No mutant runs long or allocates much: a larger size meets the cap that every size has.
+# edge of a check; the run must end with exit 0 and no NaN in its output, or with 1 or 2 and one line of
+# error, and never raise or warn.  No mutant runs long or allocates much: a larger size meets the cap
+# that every size has.
 MUTANTS = ("x", [0.5], None, True, NAN, math.inf, -math.inf, 10**400, 0, -1, 1e308, [])
 DROP = object()
 GOLDEN_COMMANDS = {name: command for name, command, _ in GOLDEN if name in GOLDEN_DOCS}
@@ -1012,6 +1038,13 @@ def golden_nodes(doc, path=()):
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ():
         yield path + (key,), isinstance(doc, dict)
         yield from golden_nodes(value, path + (key,))
+
+
+def refuse_nan(constant):
+    """``json.loads``' reader of NaN, Infinity and -Infinity, which refuses NaN."""
+    if constant == "NaN":
+        raise AssertionError("an exit-0 output holds NaN")
+    return float(constant)
 
 
 @st.composite
@@ -1038,6 +1071,8 @@ def test_a_mutated_golden_document_fails_cleanly(tmp_path, capsys, mutant):
     command, doc = mutant
     code, out, err = run(capsys, [command, write(tmp_path, "mutant.json", doc)])
     assert code in (0, 1, 2)
+    if not code:
+        json.loads(out, parse_constant=refuse_nan)
     if code:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1

@@ -23,7 +23,6 @@ from betamix import _sampling, config, regression, simulate
 from betamix._sampling import (
     INVERT_COMPARE_CAP,
     STACK_DRAWS,
-    STEP_TABLE_CAP,
     _chunk_table,
     _interval_codes,
     _invert,
@@ -624,7 +623,7 @@ def chunk_steps(spec):
     """The d of a chain with at least two intervals, for n past it: the most steps whose
     visit table of I**d * k * d cells fits the cap."""
     intervals, k = len(breakpoints(spec)) + 1, len(spec.states())
-    return max(d for d in range(1, 16) if intervals ** d * k * d <= STEP_TABLE_CAP)
+    return max(d for d in range(1, 16) if intervals ** d * k * d <= STACK_DRAWS)
 
 
 # breakpoints 1/4, 2/5 and 4/5 with three states: 4 intervals, chunks of 5 steps
@@ -666,8 +665,8 @@ def test_stacked_walk_equals_per_step_loop(spec, n, first, count):
     # d is the longest chunk, up to n - 1 steps, whose table fits the cap
     intervals, k, d = len(breakpoints(spec)) + 1, len(spec.states()), visits.shape[1]
     assert visits.shape == (intervals ** d * k, d)
-    assert d * intervals ** d * k <= STEP_TABLE_CAP
-    assert d == max(1, n - 1) or (d < n - 1 and (d + 1) * intervals ** (d + 1) * k > STEP_TABLE_CAP)
+    assert d * intervals ** d * k <= STACK_DRAWS
+    assert d == max(1, n - 1) or (d < n - 1 and (d + 1) * intervals ** (d + 1) * k > STACK_DRAWS)
     paths = _walk_stack(spec, visits, uniforms(spec, n, reps))
     assert paths.shape == (count, n)
     for path, rep in zip(paths, reps):
@@ -986,7 +985,7 @@ def test_reach_covers_a_counts_mean_rounded_above_the_largest_value():
     assert hits > 0
     report = deviation_experiment(spec, family, params, finite_family_entropy(1), [t], 400)
     assert report.rows[0]["frequency"] == hits / 400
-    assert t <= _reach(family.table, avg, 0.1, 3)[0]
+    assert t <= _reach(family.table, 1.0 - 0.1, (1.0 + 0.1) * avg, 3)[0]
 
 
 @given(markov_specs(), st.integers(1, 300), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -1005,7 +1004,8 @@ def test_every_statistic_lies_below_the_reach(spec, n, epsilon, seed):
     params = make_params(epsilon=epsilon, n=n)
     for row in table:
         family = FunctionFamily(spec.states(), table=[row])
-        reach = _reach(family.table, (spec.marginal_laws(n) @ family.table.T).mean(axis=0), epsilon, n)
+        avg = (spec.marginal_laws(n) @ family.table.T).mean(axis=0)
+        reach = _reach(family.table, 1.0 - epsilon, (1.0 + epsilon) * avg, n)
         assert max(per_replication_stats(spec, family, params, 10)) <= reach[0]
 
 
@@ -1020,7 +1020,7 @@ def test_reach_is_infinite_where_a_counts_sum_can_overflow():
         stats = per_replication_stats(spec, family, params, 20)
         report = deviation_experiment(spec, family, params, finite_family_entropy(1), [1e306], 20)
     assert report.rows[0]["frequency"] == sum(stat >= 1e306 for stat in stats) / 20 > 0.0
-    assert _reach(family.table, avg, 0.5, 400)[0] == math.inf
+    assert _reach(family.table, 1.0 - 0.5, (1.0 + 0.5) * avg, 400)[0] == math.inf
 
 
 def test_unreachable_grid_draws_nothing(monkeypatch):
@@ -1042,11 +1042,82 @@ def test_unreachable_grid_draws_nothing(monkeypatch):
         report = deviation_experiment(spec, family, params, entropy, t_grid, replications)
         se = wilson_stderr(0, replications)
         bounds = [beta_deviation_bound(params, entropy, t, beta_at_m=beta) for t in t_grid]
+        # every row is proven, so every row is dominant, whatever its bound
         assert report.rows == tuple(
             {"n": 200, "m": 2, "t": t, "frequency": 0.0, "stderr": se, "bound": bound,
-             "dominant": bound >= 1.0 or 3.0 * se <= bound, "vacuous": bound >= 1.0}
+             "dominant": True, "vacuous": bound >= 1.0}
             for t, bound in zip(t_grid, bounds, strict=True))
         assert report.metadata == {"seed": 5, "replications": replications, "beta_at_m": beta, "kind": "markov"}
+
+
+# criterion 7's shape at n = 2000: no statistic passes 0.1 - 0.95 = -0.85, below t = 1.2, and the bound,
+# 5.0e-4, lies below the resolution 3 * stderr = 6.3e-3 that 1000 replications give at frequency 0
+PROVEN_ROW_DOC = {
+    "experiment": "deviation",
+    "generator": {"kind": "markov", "seed": 7,
+                  "chain": {"states": [0, 1], "transition": [[0.75, 0.25], [0.25, 0.75]], "initial": [0.5, 0.5]}},
+    "family": {"kind": "state_table",
+               "tables": [{"0": 0.0, "1": 1.0}, {"0": 1.0, "1": 0.0}, {"0": 0.5, "1": 0.5}]},
+    "params": {"epsilon": 0.9, "c": 4.0, "gamma": 2.0, "gamma_prime": 2.0, "lambda": 1.5, "B": 1.0, "V": 1,
+               "n": 2000, "m": 22},
+    "entropy_spec": {"entropy": "finite", "n_members": 3},
+    "t_grid": [1.2],
+    "replications": 1000,
+}
+
+
+def test_verify_exits_zero_on_a_row_that_the_reach_proves(tmp_path, capsys):
+    # the library has proved the event impossible, so the row is not reported as violated
+    path = tmp_path / "proven.json"
+    path.write_text(json.dumps(PROVEN_ROW_DOC))
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    [row] = json.loads(out)["rows"]
+    assert row["frequency"] == 0.0 and row["dominant"] and not row["vacuous"]
+
+
+def test_a_row_that_the_reach_proves_is_dominant_without_a_draw(monkeypatch):
+    spec = chain_spec([[3, 1], [1, 3]], [1, 1], seed=7)
+    family = state_family([{0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}, {0: 0.5, 1: 0.5}])
+    params = make_params(epsilon=0.9, c=4.0, n=2000, m=22)
+    entropy = finite_family_entropy(3)
+
+    def refuse(*args):
+        raise AssertionError("a grid that no statistic reaches was sampled")
+
+    monkeypatch.setattr(_sampling, "draw", refuse)
+    report = deviation_experiment(spec, family, params, entropy, [1.2], 1000)
+    se, bound = wilson_stderr(0, 1000), beta_deviation_bound(params, entropy, 1.2, beta_at_m=spec.beta_at(22, 2000))
+    assert 3.0 * se > bound  # the confidence rule alone would call it violated
+    assert report.rows == ({"n": 2000, "m": 22, "t": 1.2, "frequency": 0.0, "stderr": se, "bound": bound,
+                            "dominant": True, "vacuous": False},)
+    assert report.all_dominant
+
+
+def test_a_grid_partly_past_the_reach_draws_and_judges_its_proven_rows_by_the_reach(monkeypatch):
+    # members in [0, 1] with eps = 0.1: the indicator's statistic reaches 0.9 - 0.55 = 0.35 at most, so
+    # t = 0.2 is drawn and t = 2.5 is proven; past the deviation cap 2B its bound is 0, below 3 * stderr
+    spec = chain_spec([[3, 1], [1, 3]], [1, 1], seed=8)
+    family = state_family([{0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}, {0: 0.5, 1: 0.5}])
+    params = make_params(epsilon=0.1, n=20, m=2)
+    entropy = finite_family_entropy(3)
+    draw, draws = _sampling.draw, []
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(_sampling, "draw", counted)
+    report = deviation_experiment(spec, family, params, entropy, [0.2, 2.5], 400)
+    assert len(draws) == 1
+    drawn, proven = report.rows
+    stats = per_replication_stats(spec, family, params, 400)
+    assert drawn["frequency"] == sum(stat >= 0.2 for stat in stats) / 400 > 0.0
+    assert drawn["dominant"] == (drawn["vacuous"] or drawn["frequency"] + 3.0 * drawn["stderr"] <= drawn["bound"])
+    assert max(stats) < 2.5
+    assert (proven["frequency"], proven["bound"], proven["vacuous"]) == (0.0, 0.0, False)
+    assert proven["stderr"] > 0.0 and proven["dominant"]
 
 
 def test_deviation_experiment_memory_does_not_grow_with_the_stacks():
