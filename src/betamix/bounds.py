@@ -123,8 +123,11 @@ def _check_above_one(c: float, other: float, other_name: str) -> None:
 
 
 def u_constants(c: float, gamma_prime: float) -> tuple:
-    """(u1, u2) = ((1-1/c)/gamma', (1-1/c)^2 (1-1/gamma')); both in (0,1)."""
+    """(u1, u2) = ((1-1/c)/gamma', (1-1/c)^2 (1-1/gamma')); both in (0,1), so gamma' must be finite:
+    at gamma' = inf, u1 would be 0."""
     _check_above_one(c, gamma_prime, "gamma'")
+    if gamma_prime == math.inf:
+        raise DomainError(f"gamma' must be finite, got {gamma_prime}")
     u1 = (1.0 - 1.0 / c) / gamma_prime
     u2 = (1.0 - 1.0 / c) ** 2 * (1.0 - 1.0 / gamma_prime)
     return u1, u2

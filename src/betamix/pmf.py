@@ -2,15 +2,18 @@
 
 These are the substrate for everything else in the package: dependence
 coefficients and couplings are computed by explicit atom sums over dense
-joint grids, so all types here validate total mass and nonnegativity at
-construction time and keep the full grid in memory: at most ``CELL_CAP`` cells,
-a coupling's extended joint and a chain's marginals included (checked first).
-Marginals and grouped blocks of a joint are plain arrays.  Laws, joints and chains
-clip entries within tolerance below 0 to 0, and a chain holds its own C-ordered copy of
-its transition, so each of its products has one layout.  A chain's marginals come
-from one recursion, mu_{j+1} = mu_j P, which stops at its first exact fixed point:
-``MarkovChainSpec.marginal_matrix`` pads its rows with that point, and
-``mixing.markov_beta`` scans the distinct rows alone.
+joint grids, so all types here check their laws at construction time and keep
+the full grid in memory: at most ``CELL_CAP`` cells, a coupling's extended joint
+and a chain's marginals included (checked first).
+Marginals and grouped blocks of a joint are plain arrays.  ``_law`` is the one law
+rule, and the one reader of ``MASS_TOL``: laws, joints, a chain's rows and a
+generator's noise law (``simulate.GeneratorSpec``) each pass through it, which
+refuses an entry more than ``MASS_TOL`` below 0 or a total more than ``MASS_TOL``
+from 1 (an empty law's total is 0) and clips the small negatives to 0.  A chain
+holds its own C-ordered copy of its transition, so each of its products has one
+layout.  A chain's marginals come from one recursion, mu_{j+1} = mu_j P, which
+stops at its first exact fixed point: ``MarkovChainSpec.marginal_matrix`` pads
+its rows with that point, and ``mixing.markov_beta`` scans the distinct rows alone.
 """
 from __future__ import annotations
 
@@ -30,6 +33,22 @@ CELL_CAP = 10**6
 def _check_cells(cells: int) -> None:
     if cells > CELL_CAP:
         raise SizeError(f"joint with {cells} cells exceeds cap {CELL_CAP}")
+
+
+def _law(probs: np.ndarray, negative: str, total: str, axis: int | None = None) -> np.ndarray:
+    """``probs`` clipped at 0, once no entry lies more than ``MASS_TOL`` below 0 and its total (each
+    row's, with ``axis=1``) lies within ``MASS_TOL`` of 1; else a ``MalformedInputError`` whose message
+    is ``negative`` formatted with the least entry, or ``total`` with the total.
+
+    NaN fails the entry check first.  An empty law has no least entry and is refused by its total, 0.
+    The result keeps the layout of ``probs``.
+    """
+    if probs.size and not probs.min() >= -MASS_TOL:
+        raise MalformedInputError(negative.format(probs.min()))
+    miss = abs(probs.sum(axis=axis) - 1.0)
+    if not (probs.size and (miss if axis is None else miss.max()) <= MASS_TOL):
+        raise MalformedInputError(total.format(probs.sum(axis=axis)))
+    return np.maximum(probs, 0.0)
 
 
 def _integer(name: str, value) -> int:
@@ -96,19 +115,13 @@ class FinitePmf:
         support = tuple(self.support)
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or len(support) != probs.shape[0]:
             raise MalformedInputError("support and probs must have matching length")
         if len(set(support)) != len(support):
             raise MalformedInputError("support labels must be unique")
         if probs.size == 0:
             raise MalformedInputError("empty support")
-        # written so that NaN fails each check
-        if not probs.min() >= -MASS_TOL:
-            raise MalformedInputError(f"negative probability {probs.min()}")
-        if not abs(probs.sum() - 1.0) <= MASS_TOL:
-            raise MalformedInputError(f"total mass {probs.sum()} != 1")
-        object.__setattr__(self, "probs", np.maximum(probs, 0.0))
+        object.__setattr__(self, "probs", _law(probs, "negative probability {}", "total mass {} != 1"))
 
 
 @dataclass(frozen=True)
@@ -127,16 +140,11 @@ class JointPmf:
         axes = tuple(tuple(ax) for ax in self.axes)
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "axes", axes)
-        if probs.shape != tuple(len(ax) for ax in axes):
-            raise MalformedInputError(
-                f"probs shape {probs.shape} does not match axes {tuple(len(a) for a in axes)}"
-            )
+        shape = tuple(len(ax) for ax in axes)
+        if probs.shape != shape:
+            raise MalformedInputError(f"probs shape {probs.shape} does not match axes {shape}")
         _check_cells(probs.size)
-        if not probs.min() >= -MASS_TOL:
-            raise MalformedInputError(f"negative cell probability {probs.min()}")
-        if not abs(probs.sum() - 1.0) <= MASS_TOL:
-            raise MalformedInputError(f"total mass {probs.sum()} != 1")
-        object.__setattr__(self, "probs", np.maximum(probs, 0.0))
+        object.__setattr__(self, "probs", _law(probs, "negative cell probability {}", "total mass {} != 1"))
 
     @property
     def n_axes(self) -> int:
@@ -180,14 +188,11 @@ class MarkovChainSpec:
         k = len(states)
         if transition.shape != (k, k):
             raise MalformedInputError(f"transition shape {transition.shape} != ({k},{k})")
-        if not transition.min() >= -MASS_TOL:
-            raise MalformedInputError("negative transition probability")
-        rowsums = transition.sum(axis=1)
-        if not np.abs(rowsums - 1.0).max() <= MASS_TOL:
-            raise MalformedInputError(f"transition rows must sum to 1, got {rowsums}")
+        transition = _law(transition, "negative transition probability", "transition rows must sum to 1, got {}",
+                          axis=1)
         if self.initial.support != states:
             raise MalformedInputError("initial law support must equal the state set")
-        object.__setattr__(self, "transition", np.maximum(transition, 0.0, order="C"))
+        object.__setattr__(self, "transition", np.ascontiguousarray(transition))
 
     @property
     def n_states(self) -> int:

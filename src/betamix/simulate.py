@@ -45,7 +45,7 @@ from .bounds import BoundParams, beta_deviation_bound, weak_error_bound
 from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
-from .pmf import CELL_CAP, MASS_TOL, FinitePmf, MarkovChainSpec, _check_marginal_cells, _eq_by_value, _integer
+from .pmf import CELL_CAP, FinitePmf, MarkovChainSpec, _check_marginal_cells, _eq_by_value, _integer, _law
 from .regression import Dataset, _average_sq_distance, _check_responses, _check_squares, _fit, family_bias, truncate
 
 
@@ -70,10 +70,10 @@ class GeneratorSpec:
     transition; and its constant marginal law (the i.i.d. law, or the uniform
     law of the window sums; None for a chain, whose marginals change with the
     time).  ``_sampling.tables`` builds the sampling tables from the first law,
-    the transition and the noise law.  That data and those tables are held
-    beside the fields, not as fields, so equality,
-    ``repr`` and ``dataclasses.replace`` see the fields alone (and ``replace``
-    builds them anew).
+    the transition and the noise law, which passes the one law rule
+    (``pmf._law``) and is clipped at 0 as every law is.  That data and those
+    tables are held beside the fields, not as fields, so equality, ``repr`` and
+    ``dataclasses.replace`` see the fields alone (and ``replace`` builds them anew).
     """
 
     kind: str
@@ -113,8 +113,7 @@ class GeneratorSpec:
             if self.law is None:
                 raise MalformedInputError("iid kind requires a law")
             states, start, marginal = self.law.support, self.law.probs, self.law.probs
-        if not (abs(sum(self.noise_probs) - 1.0) <= MASS_TOL and min(self.noise_probs) >= 0):
-            raise MalformedInputError("noise_probs must be a pmf")
+        noise_law = _law(np.asarray(self.noise_probs, float), "noise_probs must be a pmf", "noise_probs must be a pmf")
         if len(self.noise_values) != len(self.noise_probs):
             raise MalformedInputError("noise_values and noise_probs must have matching length")
         if not np.isfinite(self.noise_values).all():
@@ -129,13 +128,13 @@ class GeneratorSpec:
         # A draw returns phi(s) + v, v a noise value of positive mass (one of zero mass is never drawn);
         # rounding is monotone, so the least and largest such sums decide both response rules for all
         # of them (past the float range a sum is inf).  A one-point law's responses are added once, here.
-        noise = values[np.asarray(self.noise_probs) > 0.0]
+        noise = values[noise_law > 0.0]
         with np.errstate(over="ignore"):
             extremes = np.array([phi.min() + noise.min(), phi.max() + noise.max()])
             point = phi + noise[0] if len(self.noise_values) == 1 else None
         _check_responses(extremes, self.response_bound)
         # a frozen instance's attributes, set past its __setattr__
-        vars(self).update(_sampling.tables(start, transition, self.noise_probs), phi=phi, _states=states,
+        vars(self).update(_sampling.tables(start, transition, noise_law), phi=phi, _states=states,
                           _marginal=marginal, _noise_values=values, _point_responses=point)
 
     def states(self) -> tuple:

@@ -214,6 +214,15 @@ def test_explicit_constants_reject_nan(case):
     assert str(exc.value) == message
 
 
+def test_u_constants_refuse_an_infinite_gamma_prime():
+    # u1 = (1 - 1/c)/gamma' would be 0, outside (0, 1), and every deviation bound then refused its entropy
+    # radius u1 t / 2 with a message that named the radius rather than gamma'
+    with pytest.raises(DomainError) as exc:
+        u_constants(2.0, math.inf)
+    assert str(exc.value) == "gamma' must be finite, got inf"
+    assert u_constants(math.inf, 2.0) == (0.5, 0.5)
+
+
 def test_weak_error_bound_structure():
     p = make_params(n=1000, m=2, mixing=None)
     out = weak_error_bound(p, bias=0.04, beta_at_m=1e-5)

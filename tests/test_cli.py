@@ -772,6 +772,10 @@ FLOAT_EDGES = {
         "verify", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "params.B", 1e200),
         lambda doc: all(row["bound_total"] == math.inf and row["bound_beta"] == 0.0 and row["vacuous"]
                         for row in doc["rows"])),
+    # a noise entry within tolerance below 0 is clipped to 0, as in every other law; it used to exit 1
+    "noise entry within tolerance below 0 (simulate)": (
+        "simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "generator.noise.probs", [-5e-13, 1.0]),
+        lambda doc: [row["n"] for row in doc["rows"]] == [100, 400, 1600]),
     # m**gamma past float range used to make numpy warn "overflow encountered in power"
     "envelope power past float range": (
         "bound", with_change(with_change(LARGE_BOUND_DOC, "params.mixing.gamma", 2000.0), "params.m", 2),
@@ -1008,6 +1012,14 @@ DOMAIN_ERRORS = {
     "average means past float range (simulate deviation)": (
         "simulate", with_change(GOLDEN_DOCS["simulate-markov"], "family.tables.0.0", 1e308),
         "error: table values must have finite average means\n"),
+    # an empty law's total is 0.0: each of these used to end in numpy's ValueError traceback
+    **{f"empty-axis {source} ({command})": (command, {source: {"axes": [[], [0]], "probs": []}},
+                                            "error: total mass 0.0 != 1\n")
+       for command in ("beta", "couple") for source in ("joint", "process")},
+    # u1 = (1 - 1/c)/gamma' is 0 at gamma' = Infinity: this used to name the entropy radius u1 t / 2
+    "infinite gamma' (beta deviation)": (
+        "bound", with_change(GOLDEN_DOCS["bound-beta-deviation"], "params.gamma_prime", math.inf),
+        "error: gamma' must be finite, got inf\n"),
     # a greedy cover used to build every member's differences to every other at once
     "greedy cover past the cap": (
         "entropy", {"entropy": "greedy_cover", "r": 0.5, "values": [[float(i)] for i in range(1001)]},
@@ -1063,6 +1075,7 @@ def mutants(draw):
 
 
 @given(mutants())
+@example(("couple", {"joint": {"axes": [[], [0]], "probs": []}}))
 @example(("regress", with_change(GOLDEN_DOCS["regress-state-table"], "family.tables.0.b", 1e308)))
 @example(("simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "truth.1", 1e308)))
 @example(("simulate", with_change(GOLDEN_DOCS["simulate-mdep-weak-error"], "replications", 10**400)))

@@ -11,6 +11,7 @@ from betamix.errors import MalformedInputError, SizeError
 from betamix.mixing import markov_beta
 from betamix.pmf import CELL_CAP, FinitePmf, JointPmf, MarkovChainSpec
 from betamix.regression import Dataset, family_bias
+from betamix.simulate import GeneratorSpec
 
 
 def test_finite_pmf_validation():
@@ -289,6 +290,44 @@ INPUT_CHECKS = {
     "bool n of marginals": (
         lambda: TWO_STATE.marginal_matrix(True), MalformedInputError, "n must be an integer, got True"),
 }
+
+
+# pmf._law, the one law rule, through each owner of a law: the first entry that the owner keeps of a law on
+# two states (a chain's two rows are both that law), or its error
+LAW_OWNERS = {
+    "law": lambda p: FinitePmf((0, 1)[:len(p)], p).probs[0],
+    "joint": lambda p: JointPmf(((0, 1)[:len(p)],), p).probs[0],
+    "chain": lambda p: MarkovChainSpec((0, 1)[:len(p)], np.reshape([p] * len(p), (len(p), len(p))),
+                                       HALVES).transition[0, 0],
+    "noise": lambda p: GeneratorSpec(kind="iid", seed=0, law=HALVES, noise_values=(0.0, 1.0)[:len(p)],
+                                     noise_probs=p)._noise_cdf[0],
+}
+# (law, the outcome at each owner in LAW_OWNERS' order: the repr of the first entry kept, or the error message)
+LAW_EDGES = [
+    ((-2e-12, 1.0 + 2e-12), ("negative probability -2e-12", "negative cell probability -2e-12",
+                             "negative transition probability", "noise_probs must be a pmf")),
+    ((-5e-13, 1.0), ("0.0",) * 4),
+    ((0.5, 0.5 + 5e-13), ("0.5",) * 4),
+    ((0.5, 0.5 - 5e-13), ("0.5",) * 4),
+    ((np.nan, 1.0), ("negative probability nan", "negative cell probability nan",
+                     "negative transition probability", "noise_probs must be a pmf")),
+    ((), ("empty support", "total mass 0.0 != 1", "transition rows must sum to 1, got []",
+          "noise_probs must be a pmf")),
+]
+
+
+def law_outcome(owner, probs):
+    try:
+        return repr(float(owner(probs)))
+    except MalformedInputError as error:
+        return str(error)
+
+
+def test_every_owner_of_a_law_keeps_the_one_law_rule():
+    # an empty joint or chain used to end in numpy's ValueError, and the noise law refused an entry within
+    # tolerance below 0 that every other law clips to +0.0
+    for probs, expected in LAW_EDGES:
+        assert tuple(law_outcome(owner, probs) for owner in LAW_OWNERS.values()) == expected, probs
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))

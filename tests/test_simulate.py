@@ -72,6 +72,15 @@ def test_spec_rejects_noise_values_and_probs_of_different_lengths(values, probs)
         GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5]), noise_values=values, noise_probs=probs)
 
 
+def test_a_noise_entry_within_tolerance_below_zero_draws_as_zero():
+    # the noise law passes the one law rule (pmf._law), which clips an entry in [-1e-12, 0) to 0 as in every
+    # other law; the noise law used to refuse it
+    clipped, zero = (GeneratorSpec(kind="markov", seed=3, chain=two_state_chain(), noise_values=(-0.1, 0.1),
+                                   noise_probs=probs) for probs in ((-5e-13, 1.0), (0.0, 1.0)))
+    for rep in range(3):
+        assert generate(clipped, 200, rep).ys.tobytes() == generate(zero, 200, rep).ys.tobytes()
+
+
 CAPPED_SPECS = {
     "markov": GeneratorSpec(kind="markov", seed=0, chain=two_state_chain()),
     "m_dependent": GeneratorSpec(kind="m_dependent", seed=0, dependence_lag=2, alphabet_size=4),
