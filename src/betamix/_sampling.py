@@ -29,9 +29,11 @@ and the chain's step table (its random map) holds at most ``STACK_DRAWS`` cells,
 a stack is walked at once by ``_walk_stack``: each draw is coded by its interval through a table
 over dyadic cells of [0, 1) (by binary search for the draws in cells that a breakpoint splits), and
 the walk moves d steps per gather through the map composed over d steps (``_chunk_table``, built
-once per draw, with d as large as the same budget allows).  A larger step table, or a draw of one
-replication (``generate``'s), walks each path alone by the plain loop, which for one path beats
-building a chunk table.
+once per draw, with d as large as the same budget allows).  A draw of one replication
+(``generate``'s) walks its path alone through the step table, which for one path beats building a
+chunk table: its draws after the first are coded at once by binary search of the breakpoints, and
+each step is one lookup in the table held as a list.  Only a chain with no step table (above
+``STACK_DRAWS`` cells) walks each path alone by bisection of the current state's cumulative row.
 """
 from __future__ import annotations
 
@@ -125,12 +127,13 @@ def _invert(cdf, u: np.ndarray) -> np.ndarray:
 
 
 def _step_table(rows: tuple) -> tuple | None:
-    """The chain's random map as ``(edges, lut, steps)``, or None above ``STACK_DRAWS`` cells.
+    """The chain's random map as ``(edges, lut, steps, flat)``, or None above ``STACK_DRAWS`` cells.
 
     The breakpoints below 1.0 of every row, sorted (``edges``), cut [0, 1) into I intervals.
     A draw is below 1.0, so its interval ``searchsorted(edges, u, side="right")``
     decides every comparison that ``bisect_right(rows[s], u)`` makes, and
-    ``steps[interval, s]`` is the next state from s.  ``lut`` reads that interval off
+    ``steps[interval, s]`` is the next state from s; ``flat`` is ``steps`` as one list of
+    Python ints, ``flat[interval * k + s]``, which a lone walk reads.  ``lut`` reads that interval off
     the 2**p dyadic cells of [0, 1), 2**p the power of two in (8I, 16I] (see
     ``_interval_codes``): ``lut[c]`` is the interval of every draw in cell c, or -1
     where a breakpoint lies strictly inside the cell, which is at most one cell in
@@ -150,7 +153,7 @@ def _step_table(rows: tuple) -> tuple | None:
     lut = np.searchsorted(edges, np.arange(size) / size, side="right").astype(np.int32)
     scaled = edges * size
     lut[scaled[scaled != np.floor(scaled)].astype(np.intp)] = -1
-    return edges, lut, steps
+    return edges, lut, steps, steps.ravel().tolist()
 
 
 def tables(start, transition, noise_probs) -> dict:
@@ -160,7 +163,7 @@ def tables(start, transition, noise_probs) -> dict:
     without a ``transition``; and the noise law's cumulative table ``_noise_cdf``.
 
     ``bisect_right`` on a tuple of Python floats is ``searchsorted(side="right")`` on the same float64
-    row, so the walk of a lone path skips zero-mass states as the stacked walk does, and
+    row, so a walk by bisection skips zero-mass states as a walk through the step table does, and
     ``inverse_cdf`` pins every total to 1.0.
     """
     rows = None if transition is None else tuple(map(tuple, inverse_cdf(transition).tolist()))
@@ -227,7 +230,7 @@ def _walk_stack(spec: GeneratorSpec, visits: np.ndarray, U: np.ndarray) -> np.nd
     pass 2 walks each block again from its own start (L gathers over (paths, B),
     each writing d states).
     """
-    edges, lut, steps = spec._steps
+    edges, lut, steps, _ = spec._steps
     intervals, k = steps.shape
     paths, n = U.shape
     start = _invert(spec._start_cdf, U[:, 0])
@@ -272,15 +275,30 @@ def _paths(spec: GeneratorSpec, draws: np.ndarray, visits: np.ndarray | None) ->
     """Indices into ``spec.states()`` of the paths that the rows of ``draws`` (``_stack_draws``) drive.
 
     A Markov stack is walked at once when ``visits`` (``_chunk_table``) is given, and
-    path by path otherwise, the random map evaluated only at the current state.  The
+    path by path otherwise, the random map evaluated only at the current state: through
+    the step table where the chain has one, the draws after the first coded by their
+    intervals in one search over the stack, each step then one lookup ``flat[code * k + s]``;
+    by bisection of the current state's cumulative row where it has none.  The
     m_dependent window sums are integers, so one cumulative sum over the stack takes
     them exactly.
     """
     if spec.kind == "markov":
         if visits is not None:
             return _walk_stack(spec, visits, draws)
+        start = spec._start_cdf
+        if spec._steps is not None:
+            edges, _, steps, flat = spec._steps
+            # the method: np.searchsorted's wrapper leaves objects behind (see _interval_codes)
+            codes = edges.searchsorted(draws[:, 1:], side="right")
+            codes *= steps.shape[1]  # each interval times k, so that a step adds its state
+            paths = []
+            for u, row in zip(draws[:, 0].tolist(), codes.tolist()):
+                path = [s := bisect_right(start, u)]
+                path += [s := flat[code + s] for code in row]
+                paths.append(path)
+            return np.array(paths, dtype=np.intp)
         # each path's states written over its draws, each draw read once before its state takes its place
-        start, rows, paths = spec._start_cdf, spec._row_cdfs, draws.tolist()
+        rows, paths = spec._row_cdfs, draws.tolist()
         for path in paths:
             s = path[0] = bisect_right(start, path[0])
             for i in range(1, len(path)):

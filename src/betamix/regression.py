@@ -41,6 +41,10 @@ class Dataset:
 
     ``index`` holds the position in ``states`` of each observed input.  The
     exact laws of the inputs belong to the generator, not to the sample.
+    Construction checks outside data (``config.regression_data``, user code);
+    ``simulate.generate`` wraps its draw by ``_drawn`` instead, past these checks,
+    since its spec already checked every response a draw can return and the walk
+    returns indices into ``spec.states()`` by construction.
     """
 
     states: tuple
@@ -70,6 +74,16 @@ class Dataset:
         """
         labels = np.fromiter(self.states, dtype=object, count=len(self.states))
         return tuple(labels[self.index].tolist())
+
+
+def _drawn(states: tuple, index: np.ndarray, ys: np.ndarray, response_bound: float | None) -> Dataset:
+    """A ``Dataset`` of a generator's draw, built without ``__post_init__``: ``states`` a tuple,
+    ``index`` an intp array of indices into it and ``ys`` a float array of the same positive
+    length, whose responses the generator's spec has checked against ``response_bound``."""
+    data = object.__new__(Dataset)
+    # a frozen instance's attributes, set past its __setattr__
+    vars(data).update(states=states, index=index, ys=ys, response_bound=response_bound)
+    return data
 
 
 def _check_responses(ys: np.ndarray, response_bound: float | None) -> None:

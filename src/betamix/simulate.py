@@ -14,7 +14,9 @@ so reports are bit-reproducible regardless of execution order.  Every draw goes
 through ``_sampling.draw``, which returns stacks of replications, each row from
 its own stream: state indices, and responses when they are asked for (the
 streams, the walks and the maps are described in ``_sampling``).
-``generate`` is a stack of one, wrapped in a ``Dataset``.
+``generate`` is a stack of one, wrapped in a ``Dataset`` that is not checked
+again (``regression._drawn``): the spec checked its responses, and its indices
+are the walk's, into the spec's states.
 ``deviation_experiment`` reads only the states, so its stacks draw no
 responses: the same states, of which the statistic reads only each path's state
 counts.  It owns the statistic's coefficients, computed once and read by both
@@ -46,7 +48,8 @@ from .entropy import EntropyEstimate, FunctionFamily
 from .errors import DomainError, MalformedInputError, SizeError
 from .mixing import markov_beta
 from .pmf import CELL_CAP, FinitePmf, MarkovChainSpec, _check_marginal_cells, _eq_by_value, _integer, _law
-from .regression import Dataset, _average_sq_distance, _check_responses, _check_squares, _fit, family_bias, truncate
+from .regression import (Dataset, _average_sq_distance, _check_responses, _check_squares, _drawn, _fit, family_bias,
+                         truncate)
 
 
 GENERATOR_KINDS = ("markov", "m_dependent", "iid")
@@ -125,6 +128,10 @@ class GeneratorSpec:
         if not np.isfinite(phi).all():
             raise MalformedInputError("phi must be finite")
         values = np.asarray(self.noise_values, dtype=float)
+        # one noise value per noise probability, each a number: a nested list is no law
+        for name, array in (("noise_values", values), ("noise_probs", noise_law)):
+            if array.shape != (len(values),):
+                raise MalformedInputError(f"{name} must have shape ({len(values)},), got {array.shape}")
         # A draw returns phi(s) + v, v a noise value of positive mass (one of zero mass is never drawn);
         # rounding is monotone, so the least and largest such sums decide both response rules for all
         # of them (past the float range a sum is inf).  A one-point law's responses are added once, here.
@@ -168,15 +175,18 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec, n: int, replication: int = 0) -> Dataset:
-    """Draw one replication of length n from its own stream, as a checked ``Dataset``: a stack of one.
+    """Draw one replication of length n from its own stream, as a ``Dataset``: a stack of one.
 
-    ``replication`` is an integer in [0, 2**63), as the seed is (``_sampling.key_word``).
+    ``replication`` is an integer in [0, 2**63), as the seed is (``_sampling.key_word``).  The
+    ``Dataset`` is built by ``regression._drawn``, without its checks: the spec checked every
+    response that a draw can return when it was built, and the draw's indices are into
+    ``spec.states()`` by construction.
     """
     if _integer("n", n) < 1:
         raise DomainError("n must be >= 1")
     replication = _sampling.key_word("replication", replication)
     [(_, index, ys)] = _sampling.draw(spec, n, range(replication, replication + 1), n, True)
-    return Dataset(states=spec.states(), index=index[0], ys=ys[0], response_bound=spec.response_bound)
+    return _drawn(spec.states(), index[0], ys[0], spec.response_bound)
 
 
 def _count_means(states: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -69,6 +70,18 @@ def test_spec_validation():
 def test_spec_rejects_noise_values_and_probs_of_different_lengths(values, probs):
     # one value short used to index past the values; one prob short never drew the rest
     with pytest.raises(MalformedInputError, match="noise_values and noise_probs"):
+        GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5]), noise_values=values, noise_probs=probs)
+
+
+@pytest.mark.parametrize("values, probs, message", [
+    ((-0.1, 0.1), [[0.5], [0.5]], "noise_probs must have shape (2,), got (2, 1)"),
+    ((0.1,), [[0.5, 0.5]], "noise_probs must have shape (1,), got (1, 2)"),
+    ([[-0.1], [0.1]], (0.5, 0.5), "noise_values must have shape (2,), got (2, 1)"),
+    ([[-0.1, 0.1]], (1.0,), "noise_values must have shape (1,), got (1, 2)"),
+])
+def test_spec_refuses_a_noise_law_of_another_shape(values, probs, message):
+    # a nested noise law passes the law rule (its total is 1) and the length check (one row per value)
+    with pytest.raises(MalformedInputError, match=re.escape(message)):
         GeneratorSpec(kind="iid", seed=0, law=FinitePmf((0, 1), [0.5, 0.5]), noise_values=values, noise_probs=probs)
 
 
@@ -609,15 +622,6 @@ LARGE_CHAIN = chain_spec(
 )
 
 
-@given(markov_specs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
-@example(LARGE_CHAIN, 2000, 0)
-@example(LARGE_CHAIN, 2000, 2**32 - 1)
-@example(chain_spec([[1]], [1]), 2000, 5)
-@settings(max_examples=150, deadline=None)
-def test_markov_walk_equals_per_step_loop(spec, n, rep):
-    assert np.array_equal(stack_of_one(spec, n, rep), per_step_path(spec, n, philox(spec.seed, rep)))
-
-
 def uniforms(spec, n, reps):
     """The draws of the replications ``reps`` that a path of length n reads, one row each."""
     return np.stack([philox(spec.seed, rep).random(n) for rep in reps])
@@ -652,6 +656,35 @@ LAZY_CHAIN = chain_spec([[45000 if i == j else (7 * i + 3 * j) % 5 + 1 for j in 
 DENSE_CHAIN = chain_spec([[(3 * i + 7 * j) % 11 + 1 for j in range(20)] for i in range(20)], [1] * 20, seed=19)
 ONE_STATE_CHAIN = chain_spec([[1]], [1])
 D = chunk_steps(CHUNKED_CHAIN)
+
+
+@given(markov_specs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(LARGE_CHAIN, 2000, 0)
+@example(LARGE_CHAIN, 2000, 2**32 - 1)
+@example(LARGE_CHAIN, 1, 3)
+@example(LARGE_CHAIN, 2, 3)
+@example(ONE_STATE_CHAIN, 2000, 5)
+@example(ONE_STATE_CHAIN, 2, 5)
+@example(CHUNKED_CHAIN, 2000, 0)
+@example(CHUNKED_CHAIN, 1, 4)
+@example(CHUNKED_CHAIN, 2, 4)
+@example(CELL_CHAIN, 1000, 3)
+@example(ONE_CELL_CHAIN, 1000, 3)
+@example(ONE_CELL_CHAIN, 2, 3)
+@example(LAZY_CHAIN, 1000, 3)
+@example(DENSE_CHAIN, 1000, 7)
+@example(DENSE_CHAIN, 1, 7)
+@example(DENSE_CHAIN, 2, 7)
+@settings(max_examples=150, deadline=None)
+def test_markov_walk_equals_per_step_loop(spec, n, rep):
+    # a lone path walks through the step table where the chain has one, and by bisection of its rows where
+    # it has none: each walk is run with the other's table hidden from it
+    assert (spec._steps is None) == (spec is LARGE_CHAIN)
+    lone = copy.copy(spec)
+    vars(lone)["_steps" if spec._steps is None else "_row_cdfs"] = None
+    reference = per_step_path(spec, n, philox(spec.seed, rep))
+    assert np.array_equal(stack_of_one(lone, n, rep), reference)
+    assert np.array_equal(stack_of_one(spec, n, rep), reference)
 
 
 @given(markov_specs(), st.sampled_from([1, 2, 3, 17, 2000]), st.integers(0, 2**32 - 40), st.integers(1, 40))
@@ -693,7 +726,7 @@ def test_example_chains_have_the_shapes_they_stand_for():
     for spec, count, split, crowd in [(CHUNKED_CHAIN, 3, 2, 1), (CELL_CHAIN, 3, 2, 2), (ONE_CELL_CHAIN, 10, 1, 10),
                                       (LAZY_CHAIN, 156, 6, 54), (DENSE_CHAIN, 209, 194, 2)]:
         edges, size = breakpoints(spec), cell_size(spec)
-        _, lut, _ = spec._steps
+        _, lut, _, _ = spec._steps
         assert len(edges) == count and lut.size == size
         scaled = edges * size
         cells = np.floor(scaled[scaled != np.floor(scaled)]).astype(np.intp)  # where non-dyadic breakpoints fall
@@ -714,7 +747,7 @@ ZERO_FIRST_CHAIN = chain_spec([[0, 1, 1], [1, 0, 3], [0, 2, 1]], [0, 1, 1], seed
 def assert_codes_on_adversarial_draws(spec):
     """The interval codes equal searchsorted on 0, 1 - 2**-53, every breakpoint and every cell's low end,
     each also one ulp either side."""
-    edges, lut, _ = spec._steps
+    edges, lut, _, _ = spec._steps
     assert np.array_equal(edges, breakpoints(spec))
     size = cell_size(spec)
     assert lut.size == size
@@ -1330,7 +1363,7 @@ def test_weak_error_experiment_builds_no_dataset(monkeypatch):
 
     monkeypatch.setattr(Dataset, "__post_init__", no_dataset)
     with pytest.raises(AssertionError, match="a Dataset was built"):
-        generate(spec, 5)
+        Dataset((0,), [0], [0.0])
     assert weak_error_experiment(*args) == expected
 
 
@@ -1571,8 +1604,9 @@ def test_generate_equals_per_call_reference(kind, noise):
     values, probs = NOISE_LAWS[noise]
     phi = [0.1 * s - 0.05 for s in range(len(base.states()))]
     # each call follows one of another (seed, n, replication), so each re-keys the thread's shared stream
-    for seed in (base.seed, 2**63 - 1):
-        spec = dataclasses.replace(base, seed=seed, phi=phi, noise_values=values, noise_probs=probs)
+    for seed, bound in ((base.seed, None), (2**63 - 1, 0.5)):
+        spec = dataclasses.replace(base, seed=seed, phi=phi, noise_values=values, noise_probs=probs,
+                                   response_bound=bound)
         for n in (1, 2, 257):
             for rep in (0, 1, 2**32 - 1):
                 index, ys = per_call_draw(spec, n, rep)
@@ -1580,6 +1614,28 @@ def test_generate_equals_per_call_reference(kind, noise):
                 assert np.array_equal(data.index, index)
                 assert data.ys.tobytes() == ys.tobytes()
                 assert np.array_equal(stack_of_one(spec, n, rep), index)
+                # the draw's Dataset, built past the checks, equals the checked one in fields and their types
+                checked = Dataset(spec.states(), index, ys, response_bound=spec.response_bound)
+                assert data == checked and data.response_bound == bound
+                assert type(data.states) is tuple and data.index.dtype == np.intp and data.ys.dtype == float
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SPECS))
+def test_generate_runs_no_dataset_check(monkeypatch, kind):
+    # the spec checked every response that a draw can return, and the walk indexes its states by construction
+    values, probs = NOISE_LAWS["two points"]
+    spec = dataclasses.replace(REFERENCE_SPECS[kind], noise_values=values, noise_probs=probs, response_bound=0.25)
+    expected = [per_call_draw(spec, 200, rep) for rep in range(3)]
+
+    def no_check(self):
+        raise AssertionError("a Dataset was checked")
+
+    monkeypatch.setattr(Dataset, "__post_init__", no_check)
+    with pytest.raises(AssertionError, match="a Dataset was checked"):
+        Dataset((0,), [0], [0.0])
+    for rep, (index, ys) in enumerate(expected):
+        data = generate(spec, 200, rep)
+        assert np.array_equal(data.index, index) and data.ys.tobytes() == ys.tobytes()
 
 
 def shared_stream_cases():
