@@ -155,15 +155,25 @@ def union_bound_check(
     stack; the block frequencies come from one gather per block size (the first
     r blocks hold q+1 columns, the other m-r blocks q), each block a row of an
     index matrix, reduced together.
+    A NaN t, a non-finite a or b and non-finite ``avg_values`` are refused before
+    the first sampler call, and a non-finite sample, naming its replication,
+    before any statistic: each can make the statistics NaN, and a NaN on either
+    side of ">= t" fails it, so both sides would read 0 and agree.
     """
     replications = _integer("replications", replications)
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    if math.isnan(t):
+        raise DomainError("t must not be NaN")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"a and b must be finite, got a={a}, b={b}")
     avg_values = np.asarray(avg_values, dtype=float)
     if avg_values.ndim != 2:
         raise MalformedInputError(f"avg_values must be (members, n), got shape {avg_values.shape}")
     if avg_values.shape[1] != partition.n:
         raise MalformedInputError(f"partition covers 1..{partition.n}, avg_values has {avg_values.shape[1]} columns")
+    if not np.isfinite(avg_values).all():
+        raise MalformedInputError("avg_values must be finite")
 
     samples = np.empty((replications,) + avg_values.shape)
     for rep in range(replications):
@@ -172,6 +182,10 @@ def union_bound_check(
             raise MalformedInputError(
                 f"sampler({rep}) returned shape {values.shape}, avg_values has {avg_values.shape}")
         samples[rep] = values  # a copy: a sampler may reuse one buffer between calls
+    finite = np.isfinite(samples)
+    if not finite.all():
+        rep = int(finite.reshape(replications, -1).all(axis=1).argmin())
+        raise MalformedInputError(f"sampler({rep}) returned non-finite values")
 
     def stats(cols, size):
         # a 2-D cols stacks one block per row; advanced indexing lays the indexed

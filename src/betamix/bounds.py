@@ -5,8 +5,10 @@ uniform deviation bound in entropy form, its dependent version obtained
 through the blocking lift, the weak L2-error bound with all of its proof
 constants, and the two mixing-rate corollaries.  Universal constants that the
 theory leaves unspecified (C and the variance-sandwich constant) are mandatory
-inputs and never defaulted.  A term that overflows a float is inf (``_or_inf``),
-and so is every bound it enters, except where the bound is clipped to 1.
+inputs and never defaulted.  A term that overflows a float is inf (``pmf._or_inf``,
+the one overflow rule), and so is every bound it enters, except where the bound is
+clipped to 1; an integer a closed form takes as a float is refused past the largest
+float (``pmf._check_float_range``).
 """
 from __future__ import annotations
 
@@ -17,19 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import euclidean, lifted_bound
-from .entropy import EntropyEstimate, _check_float_range
+from .entropy import EntropyEstimate
 from .errors import DomainError, HypothesisViolationError
 from .mixing import MixingFit
-from .pmf import _integer
-
-
-def _or_inf(term) -> float:
-    """The value of ``term()``, or inf where it overflows a float: a term past float
-    range is infinite, and so is the bound it enters."""
-    try:
-        return term()
-    except OverflowError:
-        return math.inf
+from .pmf import _check_float_range, _integer, _or_inf
 
 
 @dataclass(frozen=True)

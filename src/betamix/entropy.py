@@ -8,19 +8,21 @@ forms are the Sauer-Shelah estimate for classes of bounded VC dimension and
 the bounded-weight network estimate.
 Every estimate is uniform: it bounds the log covering number at a radius for
 every sample size, so an ``EntropyEstimate`` is a function of the radius alone.
+The closed forms read both float-edge rules from ``pmf``: an integer input past
+the largest float is refused (``_check_float_range``), and a network's unit count
+past float range makes its estimate inf (``_or_inf``).
 """
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, SizeError
-from .pmf import CELL_CAP, _eq_by_value
+from .pmf import CELL_CAP, _check_float_range, _eq_by_value, _or_inf
 
 EXACT_COVER_MAX_MEMBERS = 20
 # strict d < r implemented with a margin to avoid boundary flapping
@@ -53,14 +55,6 @@ class FunctionFamily:
         if not np.isfinite(values).all():
             raise MalformedInputError(f"{name} values must be finite")
         object.__setattr__(self, name, values)
-
-
-def _check_float_range(name: str, value: int) -> None:
-    """Refuse an integer that a closed form would take as a float: one past the largest float."""
-    try:
-        float(value)
-    except OverflowError:
-        raise DomainError(f"{name} must be at most the largest float, {sys.float_info.max:g}") from None
 
 
 def l1_distances(values: np.ndarray) -> np.ndarray:
@@ -176,10 +170,7 @@ def neural_net_entropy(N: int, d: int, B: float, r: float) -> float:
         raise DomainError("B must be positive")
     if not 0.0 < r < B / 2.0:
         raise DomainError(f"radius must lie in (0, B/2), got {r}")
-    try:
-        units = float((2 * d + 5) * N + 1)
-    except OverflowError:  # a count past float range makes the estimate inf
-        units = math.inf
+    units = _or_inf(float, (2 * d + 5) * N + 1)  # a count past float range makes the estimate inf
     return units * (1.0 + math.log(12.0) + math.log(B / r) + math.log(N + 1.0))
 
 

@@ -2,7 +2,9 @@
 
 For finite alphabets the supremum over finite partitions in the coefficient's
 characterization is attained at the atomic partition, so every quantity here
-is an exact (double-precision) atom sum over an explicit joint law.
+is an exact (double-precision) atom sum over an explicit joint law.  A lag, a
+beta value or an envelope amplitude past float range reads inf by the one
+overflow rule, ``pmf._or_inf``; the envelope fit then refuses it by name.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, MalformedInputError
-from .pmf import CELL_CAP, JointPmf, MarkovChainSpec, _check_marginal_cells, _integer
+from .pmf import CELL_CAP, JointPmf, MarkovChainSpec, _check_marginal_cells, _integer, _or_inf
 
 MIXING_MODELS = ("subexponential", "subpolynomial")
 # the starting times that markov_beta scans unless told otherwise
@@ -59,7 +61,7 @@ def beta_m_dependence(process: JointPmf, m: int, l: int) -> float:
 def beta_max(process: JointPmf, m: int) -> float:
     """Maximal coefficient of m-dependence: max over the times l = 1..N of beta_m_dependence, else 0."""
     if _integer("m", m) < 1:
-        raise MalformedInputError("m and l must be positive")
+        raise MalformedInputError("m must be >= 1")
     return max((beta_m_dependence(process, m, l) for l in range(1, process.n_axes + 1)), default=0.0)
 
 
@@ -126,14 +128,6 @@ class MixingFit:
         return float(val) if val.ndim == 0 else val
 
 
-def _float(x) -> float:
-    """``float(x)``, or inf for an integer past float range, which ``float`` refuses."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
-
-
 def _rate(given, single: float, abscissae, logv: np.ndarray) -> float:
     """The envelope's rate: the caller's, else ``single`` for one point, else minus the
     log-linear least-squares slope of ``logv`` against ``abscissae()``, clipped at 0."""
@@ -161,11 +155,11 @@ def fit_mixing_rate(
     """
     if model not in MIXING_MODELS:
         raise MalformedInputError(f"unknown model {model!r}")
-    pts = [(_float(m), _float(v)) for m, v in points]
+    pts = [(_or_inf(float, m), _or_inf(float, v)) for m, v in points]
     if not all(math.isfinite(m) and math.isfinite(v) for m, v in pts):
         raise MalformedInputError("lag and beta values must be finite")
     for name, value in (("gamma", gamma), ("b", b)):
-        if value is not None and not math.isfinite(_float(value)):
+        if value is not None and not math.isfinite(_or_inf(float, value)):
             raise MalformedInputError(f"{name} must be finite, got {value}")
     if any(m < 1 for m, _ in pts):
         raise MalformedInputError("lag values must be >= 1")
@@ -186,10 +180,7 @@ def fit_mixing_rate(
         # log beta = log a - gamma * log m
         g, b = _rate(gamma, 1.0, lambda: np.log(ms), logv), None
         scale = lambda m: m**g
-    try:
-        a = float(np.max([v * scale(m) for m, v in pos]))
-    except OverflowError:  # math.exp or a power past float range
-        a = math.inf
+    a = _or_inf(lambda: float(np.max([v * scale(m) for m, v in pos])))  # math.exp or a power may overflow
     if not math.isfinite(a):
         raise DegenerateFitError(f"the dominating amplitude of the {model} envelope is past float range")
     if a == 0.0:  # a power or exponential below float range: no zero amplitude dominates a positive point

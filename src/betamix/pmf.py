@@ -14,17 +14,23 @@ holds its own C-ordered copy of its transition, so each of its products has one
 layout.  A chain's marginals come from one recursion, mu_{j+1} = mu_j P, which
 stops at its first exact fixed point: ``MarkovChainSpec.marginal_matrix`` pads
 its rows with that point, and ``mixing.markov_beta`` scans the distinct rows alone.
+The two float-edge rules live here too, each with one owner: ``_or_inf`` reads a
+term past float range as inf, which every bound it enters then carries (the
+library's only overflow rule, read by ``bounds``, ``mixing`` and ``entropy``), and
+``_check_float_range`` refuses an integer that a closed form would take as a float
+when it is past the largest float.
 """
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedInputError, SizeError
+from .errors import DomainError, MalformedInputError, SizeError
 
 MASS_TOL = 1e-12
 CELL_CAP = 10**6
@@ -49,6 +55,23 @@ def _law(probs: np.ndarray, negative: str, total: str, axis: int | None = None) 
     if not (probs.size and (miss if axis is None else miss.max()) <= MASS_TOL):
         raise MalformedInputError(total.format(probs.sum(axis=axis)))
     return np.maximum(probs, 0.0)
+
+
+def _or_inf(term, *args) -> float:
+    """The value of ``term(*args)``, or inf where it overflows a float: a term past float
+    range is infinite, and so is the bound it enters."""
+    try:
+        return term(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _check_float_range(name: str, value: int) -> None:
+    """Refuse an integer that a closed form would take as a float: one past the largest float."""
+    try:
+        float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be at most the largest float, {sys.float_info.max:g}") from None
 
 
 def _integer(name: str, value) -> int:

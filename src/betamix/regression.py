@@ -192,9 +192,7 @@ def _fit(family: FunctionFamily, index: np.ndarray, ys: np.ndarray) -> tuple:
     return family.table[members], members, risks
 
 
-def loss_difference_family(
-    family: FunctionFamily, B: float, truth: np.ndarray, responses
-) -> FunctionFamily:
+def loss_difference_family(family: FunctionFamily, truth: np.ndarray, responses) -> FunctionFamily:
     """The family of excess-loss functions g_f(x, y) = (y - f(x))^2 - (y - truth(x))^2.
 
     Tabulated over the pair alphabet states x ``responses``, in that order.

@@ -278,12 +278,14 @@ def deviation_experiment(
     ``_reach``), lies below t, no statistic reaches t: its count is 0 by proof,
     and its row is dominant.  Only a grid with a t that the proof does not
     cover is drawn.  ``replications`` is at most 2**63, the range of the
-    stream keys.  A family whose average means sum past the float range is
-    refused before any draw.
+    stream keys.  A family whose average means sum past the float range, and an
+    empty grid, which would check nothing, are refused before any draw.
     """
     replications = _integer("replications", replications)
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    if len(t_grid) == 0:
+        raise DomainError("t_grid must not be empty")
     # replication numbers are stream keys, in [0, 2**63)
     if replications > 2**63:
         raise SizeError(f"replications must be at most 2**63, got {replications}")
@@ -337,7 +339,8 @@ def weak_error_experiment(
     ``truth`` holds the true regression function's value at each generator
     state, finite and with a finite square, as does the family
     (``regression._check_squares``).  ``replications`` is at most ``CELL_CAP``,
-    the cells of the array of errors.  Every n's ``BoundParams``, the theorem's
+    the cells of the array of errors.  An empty grid, which would check nothing,
+    is refused.  Every n's ``BoundParams``, the theorem's
     hypotheses and the cap on the cells of its marginal laws are checked before
     the first draw; no n's laws are built before that n is reached.  For each n
     the replications are drawn (``_sampling.draw``, whose responses the spec
@@ -369,6 +372,8 @@ def weak_error_experiment(
         raise MalformedInputError("truth must be finite")
     _check_squares(family, "truth", truth)
     grid = [dataclasses.replace(params, n=_integer("n_grid", n)) for n in n_grid]
+    if not grid:
+        raise DomainError("n_grid must not be empty")
     for p in grid:
         p.check_weak_error_hypotheses()
         _check_marginal_cells("n", p.n, len(spec.states()))

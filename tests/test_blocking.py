@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -306,7 +307,6 @@ def test_union_bound_check_copies_a_reused_buffer():
     assert report == union_bound_check(fresh, *args)
 
 
-# (shape of avg_values, shape of each sample, start of the message)
 # (averages shape, sample shape, partition, start of the message)
 WRONG_SHAPES = {
     "more members": ((1, 6), (2, 6), m_steps_partition(6, 2), r"sampler\(0\) returned shape"),
@@ -323,6 +323,42 @@ def test_union_bound_check_rejects_wrong_shapes(case):
     with pytest.raises(MalformedInputError, match=message):
         union_bound_check(lambda rep: np.zeros(sample_shape), np.full(avg_shape, 0.5),
                           partition, 1.0, -1.0, 0.1, 3)
+
+
+def no_sample(rep):
+    raise AssertionError("sampled before the check's inputs were checked")
+
+
+# (t, a, b, every average, the error, its message).  Each can make the statistics NaN, which fails every
+# comparison with t: both sides read 0.0, and the report read consistent
+NON_FINITE_INPUTS = {
+    "NaN t": (math.nan, 1.0, -1.0, 0.5, DomainError, "t must not be NaN"),
+    "NaN a": (0.1, math.nan, -1.0, 0.5, DomainError, "a and b must be finite, got a=nan, b=-1.0"),
+    "infinite a": (0.1, math.inf, -1.0, 0.5, DomainError, "a and b must be finite, got a=inf, b=-1.0"),
+    "NaN b": (0.1, 1.0, math.nan, 0.5, DomainError, "a and b must be finite, got a=1.0, b=nan"),
+    "infinite b": (0.1, 1.0, -math.inf, 0.5, DomainError, "a and b must be finite, got a=1.0, b=-inf"),
+    "NaN averages": (0.1, 1.0, -1.0, math.nan, MalformedInputError, "avg_values must be finite"),
+    "infinite averages": (0.1, 1.0, -1.0, math.inf, MalformedInputError, "avg_values must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_union_bound_check_rejects_non_finite_inputs_before_any_sample(case):
+    t, a, b, average, error, message = NON_FINITE_INPUTS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        union_bound_check(no_sample, np.full((1, 6), average), m_steps_partition(6, 2), a, b, t, 20)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_union_bound_check_names_a_non_finite_sample(value):
+    def sampler(rep):
+        values = np.full((1, 6), 0.5)
+        if rep in (7, 12):
+            values[0, rep % 6] = value
+        return values
+
+    with pytest.raises(MalformedInputError, match=r"^sampler\(7\) returned non-finite values$"):
+        union_bound_check(sampler, np.full((1, 6), 0.5), m_steps_partition(6, 2), 1.0, -1.0, 0.1, 20)
 
 
 def test_union_bound_report_consistency_flag():

@@ -146,7 +146,7 @@ def test_m_dependence_custom_indices():
         assert beta_max(process, 2) == expected
     # a single time has no past: every group is empty, and so is the supremum
     assert beta_max(on_times(random_joint(rng, (3,)), (1,), 1), 1) == 0.0
-    with pytest.raises(MalformedInputError, match="m and l must be positive"):
+    with pytest.raises(MalformedInputError, match="^m must be >= 1$"):
         beta_max(j, 0)
 
 

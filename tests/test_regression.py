@@ -140,14 +140,14 @@ def test_truncated_estimator_clamped():
 def test_loss_difference_zero_at_truth():
     truth = [0.1 * s for s in (0, 1)]
     fam = state_family([{0: 0.0, 1: 0.1}])  # equals truth on {0, 1}
-    g = loss_difference_family(fam, 0.25, truth, responses=(0.2, -0.1))
+    g = loss_difference_family(fam, truth, responses=(0.2, -0.1))
     for xy in ((0, 0.2), (1, -0.1)):
         assert g.table[0, g.states.index(xy)] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loss_difference_square_when_truth_zero():
     fam = state_family([{0: 0.2, 1: -0.3}])
-    g = loss_difference_family(fam, 0.25, [0.0 for s in (0, 1)], responses=(0.0,))
+    g = loss_difference_family(fam, [0.0 for s in (0, 1)], responses=(0.0,))
     assert g.table[0, g.states.index((0, 0.0))] == pytest.approx(0.04)
     assert g.table[0, g.states.index((1, 0.0))] == pytest.approx(0.09)
 
@@ -157,7 +157,7 @@ def test_loss_difference_range_under_quarter_bound():
     tables = [{0: rng.uniform(-0.25, 0.25), 1: rng.uniform(-0.25, 0.25)} for _ in range(5)]
     truth_tbl = {0: 0.1, 1: -0.05}
     g = loss_difference_family(
-        state_family(tables), 0.25, [truth_tbl[s] for s in (0, 1)],
+        state_family(tables), [truth_tbl[s] for s in (0, 1)],
         responses=np.linspace(-0.25, 0.25, 51),
     )
     assert g.table.shape == (5, 2 * 51)
@@ -168,9 +168,9 @@ def test_loss_difference_requires_truth():
     family = state_family([{0: 0.0, 1: 0.1}])
     for truth in (None, [0.0], [0.0, 0.1, 0.2], [[0.0, 0.1]]):
         with pytest.raises(MalformedInputError, match="one value per state"):
-            loss_difference_family(family, 0.25, truth, responses=(0.0,))
+            loss_difference_family(family, truth, responses=(0.0,))
     with pytest.raises(DomainError, match="enumerable"):
-        loss_difference_family(affine_span((0, 1)), 0.25, [0.0, 0.1], responses=(0.0,))
+        loss_difference_family(affine_span((0, 1)), [0.0, 0.1], responses=(0.0,))
 
 
 def test_orthogonal_decomposition_identity():

@@ -1453,6 +1453,8 @@ LATE_SIZE_FLOOR = f"floor(n/m) >= exp((c^2-71)/(4V)) violated: 3 < {math.exp(10.
     ({"replications": 10**400}, SizeError, f"replications must be at most {CELL_CAP}, got {10**400}"),
     # a square past the float range used to make numpy warn and score the fits as NaN
     ({"truth": [-0.1, 1e308, 0.02]}, DomainError, "truth must have finite squares"),
+    # with no n there is no row, and a report of no rows read all_dominant
+    ({"n_grid": []}, DomainError, "n_grid must not be empty"),
 ])
 def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=weak_error_spec("iid"), family=WEAK_ERROR_FAMILIES["affine span"],
@@ -1476,6 +1478,8 @@ def test_weak_error_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, c
     # 20 average means of about 1e308 sum past the float range: numpy used to warn, and the statistic read NaN
     ({"family": state_family([{0: 1e308, 1: 1e308, 2: 0.5}])}, DomainError,
      "table values must have finite average means"),
+    # with no t there is no row, and a report of no rows read all_dominant
+    ({"t_grid": []}, DomainError, "t_grid must not be empty"),
 ])
 def test_deviation_experiment_rejects_bad_inputs_before_any_draw(monkeypatch, change, error, message):
     args = dict(spec=WEAK_ERROR_SPECS["iid"], family=WEAK_ERROR_FAMILIES["state table"], params=make_params(n=20),
